@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -50,13 +51,15 @@ def _frozen(name, arr):
     return out
 
 
-def _require_nonsingular(M: np.ndarray, name: str) -> None:
+def _require_nonsingular(M: np.ndarray, name: str) -> float:
+    """Reject a (numerically) singular M; return its spectral norm."""
     sv = np.linalg.svd(M, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] <= 1e-12 * sv[0]:
         raise ValueError(
             f"{name} must be nonsingular (singular values span "
             f"[{sv[-1]:.3e}, {sv[0]:.3e}])"
         )
+    return float(sv[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,6 +71,14 @@ class ProblemInstance:
     canonical orientation t >= p.  The equation is symmetric in
     (A, t) <-> (B, p), so swapping loses nothing; ``swapped`` records
     whether it happened.
+
+    Q is validated here once; the matrices are stored read-only.  The
+    invariants every condition check and solver reads (||A||, ||B||, ||Q||,
+    the spectrum of Q, A Q^-1 A* and B Q^-1 B* with their spectra, A* A,
+    B* B, Q^(1/s), the derived scalars) are therefore computed once per
+    instance: the norms of A and B and the eigendecomposition of Q come out
+    of validation, the rest on first use, and all of them are kept in
+    private attributes.
     """
 
     A: np.ndarray
@@ -86,10 +97,11 @@ class ProblemInstance:
             raise ValueError(
                 f"A, B, Q must share one dimension, got {A.shape}, {B.shape}, {Q.shape}"
             )
-        if not mc.is_hpd(Q):
+        q_values, q_vectors = mc.trusted_eigh(Q)
+        if not mc.is_pd_spectrum(q_values):
             raise ValueError("Q must be Hermitian positive definite")
-        _require_nonsingular(A, "A")
-        _require_nonsingular(B, "B")
+        norm_a = _require_nonsingular(A, "A")
+        norm_b = _require_nonsingular(B, "B")
         s, t, p = float(self.s), float(self.t), float(self.p)
         for name, v in (("s", s), ("t", t), ("p", p)):
             if not (math.isfinite(v) and v >= 1.0):
@@ -97,6 +109,7 @@ class ProblemInstance:
         swapped = False
         if t < p:
             A, B = B, A
+            norm_a, norm_b = norm_b, norm_a
             t, p = p, t
             swapped = True
         object.__setattr__(self, "A", _frozen("A", A))
@@ -106,10 +119,81 @@ class ProblemInstance:
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "swapped", swapped)
+        object.__setattr__(self, "_norm_a", norm_a)
+        object.__setattr__(self, "_norm_b", norm_b)
+        object.__setattr__(self, "_q_eig", _frozen_eig(q_values, q_vectors))
+        object.__setattr__(self, "_lambda_min_q", float(q_values[0]))
+        object.__setattr__(self, "_lambda_max_q", float(q_values[-1]))
 
     @property
     def n(self) -> int:
         return self.Q.shape[0]
+
+    # Cached invariants.  cached_property writes to the instance __dict__,
+    # which the frozen dataclass allows; every cached array is read-only.
+
+    @cached_property
+    def _norm_q(self) -> float:
+        return mc.spectral_norm(self.Q)
+
+    @cached_property
+    def _aqa_eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigendecomposition of A Q^-1 A*."""
+        return _frozen_eig(*mc.trusted_eigh(_congruence(self.A, self.Q)))
+
+    @cached_property
+    def _bqb_eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigendecomposition of B Q^-1 B*."""
+        return _frozen_eig(*mc.trusted_eigh(_congruence(self.B, self.Q)))
+
+    @cached_property
+    def _ata(self) -> np.ndarray:
+        """A* A, symmetrized."""
+        return _read_only(mc.hermitian_part(self.A.conj().T @ self.A))
+
+    @cached_property
+    def _btb(self) -> np.ndarray:
+        """B* B."""
+        return _read_only(self.B.conj().T @ self.B)
+
+    @cached_property
+    def _lambda_min_ata(self) -> float:
+        """lambda_min(A* A), clamped at 0."""
+        values, _ = mc.trusted_eigh(self._ata)
+        return max(float(values[0]), 0.0)
+
+    @cached_property
+    def _q_root(self) -> np.ndarray:
+        """Q^(1/s)."""
+        return _read_only(self._q_power(1.0 / self.s))
+
+    def _q_power(self, r: float) -> np.ndarray:
+        return mc.eig_power(*self._q_eig, r)
+
+    @cached_property
+    def _derived(self) -> DerivedScalars:
+        values_a, values_b = self._aqa_eig[0], self._bqb_eig[0]
+        lo_a, hi_a = float(values_a[0]), float(values_a[-1])
+        lo_b, hi_b = float(values_b[0]), float(values_b[-1])
+        t, p, s = self.t, self.p, self.s
+        return DerivedScalars(
+            k=self._lambda_max_q,
+            k_tilde=self._lambda_min_q,
+            q=min(t / s, p / s),
+            q_tilde=max(t / s, p / s),
+            c=max(_clamped_root(lo_a, 1.0 / t), _clamped_root(lo_b, 1.0 / p)),
+            c1=max(_clamped_root(hi_a, 1.0 / t), _clamped_root(hi_b, 1.0 / p)),
+            a=_clamped_root(lo_a, s / t) + _clamped_root(lo_b, s / p),
+        )
+
+
+def _read_only(M: np.ndarray) -> np.ndarray:
+    M.setflags(write=False)
+    return M
+
+
+def _frozen_eig(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return _read_only(values), _read_only(vectors)
 
 
 class Verdict(NamedTuple):
@@ -173,26 +257,20 @@ def _clamped_root(value: float, root: float) -> float:
     return max(value, 0.0) ** root
 
 
+def _lambda_min(M: np.ndarray) -> float:
+    """Smallest eigenvalue of a Hermitian matrix the library built itself."""
+    values, _ = mc.trusted_eigh(M)
+    return float(values[0])
+
+
 def _loewner_verdict(L, R, note: str = "") -> Verdict:
     tol = 1e-10 * max(mc.spectral_norm(L), mc.spectral_norm(R), 1.0)
-    gap = mc.lambda_min(mc.hermitian_part(R - L))
+    gap = _lambda_min(R - L)
     return Verdict(gap >= -tol, gap, 0.0, note)
 
 
 def derived_scalars(P: ProblemInstance) -> DerivedScalars:
-    aqa = _congruence(P.A, P.Q)
-    bqb = _congruence(P.B, P.Q)
-    lo_a, hi_a = mc.lambda_min(aqa), mc.lambda_max(aqa)
-    lo_b, hi_b = mc.lambda_min(bqb), mc.lambda_max(bqb)
-    return DerivedScalars(
-        k=mc.lambda_max(P.Q),
-        k_tilde=mc.lambda_min(P.Q),
-        q=min(P.t / P.s, P.p / P.s),
-        q_tilde=max(P.t / P.s, P.p / P.s),
-        c=max(_clamped_root(lo_a, 1.0 / P.t), _clamped_root(lo_b, 1.0 / P.p)),
-        c1=max(_clamped_root(hi_a, 1.0 / P.t), _clamped_root(hi_b, 1.0 / P.p)),
-        a=_clamped_root(lo_a, P.s / P.t) + _clamped_root(lo_b, P.s / P.p),
-    )
+    return P._derived
 
 
 def check_necessary(P: ProblemInstance) -> ConditionReport:
@@ -226,7 +304,7 @@ def check_sufficient(P: ProblemInstance) -> ConditionReport:
     """Sufficient condition on ||A||^2 + ||B||^2; on success a solution is
     guaranteed inside the reported bracket."""
     d = derived_scalars(P)
-    lhs = mc.spectral_norm(P.A) ** 2 + mc.spectral_norm(P.B) ** 2
+    lhs = P._norm_a**2 + P._norm_b**2
     if d.k <= 1.0:
         branch = "k<=1"
         rhs = d.q**d.q_tilde * d.k_tilde ** (d.q_tilde + 1.0) / (d.q + 1.0) ** (d.q_tilde + 1.0)
@@ -243,7 +321,7 @@ def check_sufficient(P: ProblemInstance) -> ConditionReport:
     bracket = None
     if holds:
         eye = np.eye(P.n, dtype=np.complex128)
-        bracket = (lower * eye, mc.herm_power(P.Q, 1.0 / P.s))
+        bracket = (lower * eye, P._q_root.copy())
     return ConditionReport(
         criterion="sufficient",
         branch=branch,
@@ -263,35 +341,37 @@ def solution_bounds(P: ProblemInstance) -> SolutionBounds:
     """
     d = derived_scalars(P)
     n = P.n
-    q_root = mc.herm_power(P.Q, 1.0 / P.s)
     gap = mc.hermitian_part(P.Q - d.c**P.s * np.eye(n))
-    if not mc.is_hpd(gap):
+    gap_values, _ = mc.trusted_eigh(gap)
+    if not mc.is_pd_spectrum(gap_values):
         raise BracketUndefinedError(
             "bracket undefined; Q - c^s I is not positive definite "
-            f"(lambda_min = {mc.lambda_min(gap):.3e}), so the instance "
+            f"(lambda_min = {gap_values[0]:.3e}), so the instance "
             "cannot have a Hermitian positive definite solution"
         )
     a_ref = _congruence(P.A, gap)
     b_ref = _congruence(P.B, gap)
     m = max(
-        _clamped_root(mc.lambda_min(a_ref), 1.0 / P.t),
-        _clamped_root(mc.lambda_min(b_ref), 1.0 / P.p),
+        _clamped_root(_lambda_min(a_ref), 1.0 / P.t),
+        _clamped_root(_lambda_min(b_ref), 1.0 / P.p),
     )
     r = d.k_tilde / d.k
-    q_mt = mc.herm_power(P.Q, -P.t / P.s)
-    q_mp = mc.herm_power(P.Q, -P.p / P.s)
+    q_mt = P._q_power(-P.t / P.s)
+    q_mp = P._q_power(-P.p / P.s)
     inner = mc.hermitian_part(
         P.Q
         - r ** ((P.t - 1.0) / P.s) * P.A.conj().T @ q_mt @ P.A
         - r ** ((P.p - 1.0) / P.s) * P.B.conj().T @ q_mp @ P.B
     )
-    if not mc.is_hpd(inner):
+    inner_values, inner_vectors = mc.trusted_eigh(inner)
+    if not mc.is_pd_spectrum(inner_values):
         raise BracketUndefinedError(
             "bracket undefined; the matrix under the 1/s root of the upper "
-            f"bound N is not positive definite (lambda_min = {mc.lambda_min(inner):.3e}), "
+            f"bound N is not positive definite (lambda_min = {inner_values[0]:.3e}), "
             "so the instance cannot have a Hermitian positive definite solution"
         )
-    return SolutionBounds(m=m, N=mc.herm_power(inner, 1.0 / P.s), c=d.c, q_root=q_root)
+    N = mc.eig_power(inner_values, inner_vectors, 1.0 / P.s)
+    return SolutionBounds(m=m, N=N, c=d.c, q_root=P._q_root.copy())
 
 
 def check_uniqueness_interval(P: ProblemInstance) -> ConditionReport:
@@ -305,10 +385,8 @@ def check_uniqueness_interval(P: ProblemInstance) -> ConditionReport:
     d = derived_scalars(P)
     n = P.n
     eye = np.eye(n, dtype=np.complex128)
-    aqa = _congruence(P.A, P.Q)
-    bqb = _congruence(P.B, P.Q)
     floor_sum = mc.hermitian_part(
-        mc.herm_power(aqa, P.s / P.t) + mc.herm_power(bqb, P.s / P.p)
+        mc.eig_power(*P._aqa_eig, P.s / P.t) + mc.eig_power(*P._bqb_eig, P.s / P.p)
     )
     v_floor = _loewner_verdict(floor_sum, P.Q)
     correction_at_c = mc.hermitian_part(
@@ -319,8 +397,8 @@ def check_uniqueness_interval(P: ProblemInstance) -> ConditionReport:
         mc.hermitian_part(P.Q - floor_sum),
         note="checked at lower endpoint X = cI",
     )
-    na2 = mc.spectral_norm(P.A) ** 2
-    nb2 = mc.spectral_norm(P.B) ** 2
+    na2 = P._norm_a**2
+    nb2 = P._norm_b**2
     contraction = (1.0 / P.s) * d.a ** (1.0 / P.s - 1.0) * (
         P.t / d.c ** (P.t + 1.0) * na2 + P.p / d.c ** (P.p + 1.0) * nb2
     )
@@ -329,7 +407,7 @@ def check_uniqueness_interval(P: ProblemInstance) -> ConditionReport:
     holds = all(v.holds for v in verdicts.values())
     bracket = None
     if holds:
-        bracket = (d.c * eye, mc.herm_power(P.Q, 1.0 / P.s))
+        bracket = (d.c * eye, P._q_root.copy())
     return ConditionReport(
         criterion="uniqueness-interval",
         branch="",
@@ -354,8 +432,8 @@ def check_uniqueness_k(P: ProblemInstance, k: float) -> ConditionReport:
     spread_lhs = d.c1**P.s / d.k_tilde
     spread_rhs = (1.0 - k**-P.t - k**-P.p) * k**-P.s
     v_spread = Verdict(spread_lhs <= spread_rhs, spread_lhs, spread_rhs)
-    na2 = mc.spectral_norm(P.A) ** 2
-    nb2 = mc.spectral_norm(P.B) ** 2
+    na2 = P._norm_a**2
+    nb2 = P._norm_b**2
     kc = k * d.c1
     contraction = (1.0 / P.s) * kc ** (1.0 - P.s) * (
         P.t / kc ** (P.t + 1.0) * na2 + P.p / kc ** (P.p + 1.0) * nb2
@@ -365,7 +443,7 @@ def check_uniqueness_k(P: ProblemInstance, k: float) -> ConditionReport:
     holds = all(v.holds for v in verdicts.values())
     bracket = None
     if holds:
-        bracket = (kc * np.eye(P.n, dtype=np.complex128), mc.herm_power(P.Q, 1.0 / P.s))
+        bracket = (kc * np.eye(P.n, dtype=np.complex128), P._q_root.copy())
     return ConditionReport(
         criterion="uniqueness-scaled",
         branch=f"k={k:.6g}",
@@ -414,13 +492,14 @@ def verify_factorization(P: ProblemInstance, F: Factorization, tol: float = 1e-8
     if mc.spectral_norm(U.conj().T @ U - np.eye(n)) > tol:
         return False
     core = mc.hermitian_part((U * lam) @ U.conj().T)
-    ok_a = mc.spectral_norm(P.A - mc.herm_power(core, P.t / (2.0 * P.s)) @ N1)
-    ok_b = mc.spectral_norm(P.B - mc.herm_power(core, P.p / (2.0 * P.s)) @ N2)
+    core_eig = mc.trusted_eigh(core)
+    ok_a = mc.spectral_norm(P.A - mc.eig_power(*core_eig, P.t / (2.0 * P.s)) @ N1)
+    ok_b = mc.spectral_norm(P.B - mc.eig_power(*core_eig, P.p / (2.0 * P.s)) @ N2)
     ok_q = mc.spectral_norm(core + N1.conj().T @ N1 + N2.conj().T @ N2 - P.Q)
     return (
-        ok_a <= tol * (1.0 + mc.spectral_norm(P.A))
-        and ok_b <= tol * (1.0 + mc.spectral_norm(P.B))
-        and ok_q <= tol * (1.0 + mc.spectral_norm(P.Q))
+        ok_a <= tol * (1.0 + P._norm_a)
+        and ok_b <= tol * (1.0 + P._norm_b)
+        and ok_q <= tol * (1.0 + P._norm_q)
     )
 
 
@@ -436,24 +515,33 @@ def factorization_from_solution(
     X = mc.check_hermitian(X, "X")
     if X.shape != P.Q.shape:
         raise ValueError(f"X has shape {X.shape}, expected {P.Q.shape}")
-    values, vectors = mc.herm_eig(X)
-    if values[0] <= mc.PD_TOL * float(np.max(np.abs(values))):
+    values, vectors = mc.trusted_eigh(X)
+    if not mc.is_pd_spectrum(values):
         raise NotASolutionError(
             f"candidate is not positive definite (lambda_min = {values[0]:.3e})"
         )
-    adj = vectors.conj().T
-    x_s = mc.hermitian_part((vectors * values**P.s) @ adj)
-    x_mt = (vectors * values**-P.t) @ adj
-    x_mp = (vectors * values**-P.p) @ adj
-    res = mc.spectral_norm(
-        x_s + P.A.conj().T @ x_mt @ P.A + P.B.conj().T @ x_mp @ P.B - P.Q
-    )
+    res = _residual(P, values, vectors)
     if tol is None:
-        tol = 1e-8 * (1.0 + mc.spectral_norm(P.Q))
+        tol = 1e-8 * (1.0 + P._norm_q)
     if res > tol:
         raise NotASolutionError(
             f"candidate is not a solution (residual {res:.3e} > tolerance {tol:.3e})"
         )
+    adj = vectors.conj().T
     n1 = (vectors * values ** (-P.t / 2.0)) @ adj @ P.A
     n2 = (vectors * values ** (-P.p / 2.0)) @ adj @ P.B
     return Factorization(U=vectors, lam=values**P.s, N1=n1, N2=n2)
+
+
+def _residual(P: ProblemInstance, values: np.ndarray, vectors: np.ndarray) -> float:
+    """||X^s + A* X^-t A + B* X^-p B - Q|| for X = V diag(values) V* positive definite.
+
+    The one residual certificate behind solvers.residual, the solvers and
+    factorization_from_solution; callers validate X and its positivity.
+    """
+    adj = vectors.conj().T
+    x_s = (vectors * values**P.s) @ adj
+    x_mt = (vectors * values**-P.t) @ adj
+    x_mp = (vectors * values**-P.p) @ adj
+    R = x_s + P.A.conj().T @ x_mt @ P.A + P.B.conj().T @ x_mp @ P.B - P.Q
+    return mc.spectral_norm(R)

@@ -6,8 +6,9 @@ factorize (structured decomposition of a known solution), verify (residual
 and bracket membership of a candidate).  Problems come from a JSON file or
 one of the two bundled instances via --example.
 
-Exit codes: 0 success, 2 parse or validation error, 3 precondition failure,
-4 non-convergence, 5 verification failure.
+Exit codes: 0 success, 2 parse or validation error, 3 precondition failure
+or a condition that double precision cannot evaluate (overflow, division by
+zero, a failed LAPACK call), 4 non-convergence, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -293,6 +294,10 @@ def main(argv=None) -> int:
     except solvers.PositivityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        # LinAlgError is a ValueError, so it must be caught before one
+        print(f"error: cannot evaluate in double precision: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

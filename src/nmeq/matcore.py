@@ -3,24 +3,28 @@
 All routines work on square complex (or real) ndarrays.  Matrices that are
 nominally Hermitian are re-symmetrized before use so that rounding drift from
 earlier arithmetic cannot accumulate across a computation.
+
+The public functions validate their input with ``check_hermitian``.  The
+library's own callers, working on matrices they built Hermitian themselves,
+use the trusted kernel ``trusted_eigh`` and ``eig_power`` instead, which skip
+that validation.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "ATOL_HERM",
-    "RTOL_EIG",
     "PD_TOL",
-    "RTOL_RHO",
-    "EigenPair",
     "as_matrix",
     "hermitian_part",
     "check_hermitian",
+    "trusted_eigh",
+    "eig_power",
+    "is_pd_spectrum",
     "herm_eig",
     "lambda_min",
     "lambda_max",
@@ -33,26 +37,8 @@ __all__ = [
 
 # Hermiticity drift allowed on inputs, relative to 1 + ||M||.
 ATOL_HERM = 1e-12
-# Relative accuracy expected of an eigendecomposition reconstruction.
-RTOL_EIG = 1e-12
 # Positive definiteness margin, scaled by the largest |eigenvalue|.
 PD_TOL = 1e-12
-# Relative termination tolerance of the spectral radius iteration.
-RTOL_RHO = 1e-8
-
-_MAX_RHO_SQUARINGS = 40
-
-
-class EigenPair(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``values`` are real and ascending, ``vectors`` has the matching
-    eigenvectors as columns and is unitary, so
-    ``vectors @ diag(values) @ vectors.conj().T`` reconstructs the input.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
@@ -83,25 +69,36 @@ def check_hermitian(M, name: str = "matrix") -> np.ndarray:
     return hermitian_part(A)
 
 
-def herm_eig(M) -> EigenPair:
-    """Eigendecomposition of a Hermitian matrix, values ascending."""
-    A = check_hermitian(M)
-    values, vectors = np.linalg.eigh(A)
-    return EigenPair(values, vectors)
+def trusted_eigh(M) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a matrix the library built Hermitian itself.
+
+    Symmetrizes and runs one ``eigh``, without the drift check of
+    ``check_hermitian``.  Returns ``(values, vectors)``: values real and
+    ascending, the matching eigenvectors as the columns of a unitary matrix.
+    """
+    values, vectors = np.linalg.eigh(hermitian_part(M))
+    return values, vectors
+
+
+def herm_eig(M) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition ``(values, vectors)`` of a Hermitian matrix, values ascending."""
+    return trusted_eigh(check_hermitian(M))
 
 
 def lambda_min(M) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
-    return float(herm_eig(M).values[0])
+    return float(herm_eig(M)[0][0])
 
 
 def lambda_max(M) -> float:
     """Largest eigenvalue of a Hermitian matrix."""
-    return float(herm_eig(M).values[-1])
+    return float(herm_eig(M)[0][-1])
 
 
-def _pd_floor(values: np.ndarray) -> float:
-    return PD_TOL * float(np.max(np.abs(values), initial=0.0))
+def is_pd_spectrum(values: np.ndarray) -> bool:
+    """True iff ascending Hermitian eigenvalues are positive definite: the
+    smallest exceeds PD_TOL times the largest modulus."""
+    return bool(values[0] > PD_TOL * float(np.max(np.abs(values), initial=0.0)))
 
 
 def herm_power(M, r: float) -> np.ndarray:
@@ -115,17 +112,23 @@ def herm_power(M, r: float) -> np.ndarray:
     r = float(r)
     if not math.isfinite(r):
         raise ValueError(f"exponent must be finite, got {r}")
-    values, vectors = herm_eig(M)
-    if r.is_integer() and r >= 0:
-        powered = values**r
-    else:
-        if values[0] <= _pd_floor(values):
-            raise ValueError(
-                f"matrix must be positive definite for exponent {r} "
-                f"(lambda_min = {values[0]:.3e})"
-            )
-        powered = values**r
-    return hermitian_part((vectors * powered) @ vectors.conj().T)
+    return eig_power(*herm_eig(M), r)
+
+
+def eig_power(values: np.ndarray, vectors: np.ndarray, r: float) -> np.ndarray:
+    """``V diag(values^r) V*``, re-symmetrized, from a Hermitian eigendecomposition.
+
+    The power of ``herm_power`` for a matrix whose eigendecomposition is
+    already known; non-integer and negative exponents need positive
+    definite values.
+    """
+    r = float(r)
+    if not (r.is_integer() and r >= 0) and not is_pd_spectrum(values):
+        raise ValueError(
+            f"matrix must be positive definite for exponent {r} "
+            f"(lambda_min = {values[0]:.3e})"
+        )
+    return hermitian_part((vectors * values**r) @ vectors.conj().T)
 
 
 def spectral_norm(M) -> float:
@@ -137,34 +140,9 @@ def spectral_norm(M) -> float:
 
 
 def spectral_radius(M) -> float:
-    """Largest eigenvalue modulus of a general square matrix.
-
-    Uses norms of repeatedly squared, renormalized powers: the estimates
-    ``||M^(2^k)||^(1/2^k)`` decrease to the spectral radius.  Terminates when
-    successive estimates agree to RTOL_RHO relative; an exactly vanishing
-    power means the matrix is nilpotent and the radius is 0.
-    """
+    """Largest eigenvalue modulus of a general square matrix."""
     A = as_matrix(M, "spectral_radius")
-    nrm = spectral_norm(A)
-    if nrm == 0.0:
-        return 0.0
-    P = A / nrm
-    log_acc = math.log(nrm)
-    est_prev = nrm
-    for k in range(1, _MAX_RHO_SQUARINGS + 1):
-        P = P @ P
-        pn = spectral_norm(P)
-        if pn == 0.0:
-            return 0.0
-        P = P / pn
-        log_acc = 2.0 * log_acc + math.log(pn)
-        est = math.exp(log_acc / 2.0**k)
-        if abs(est - est_prev) <= RTOL_RHO * max(est, est_prev) or est <= 1e-14 * nrm:
-            return est
-        est_prev = est
-    raise ArithmeticError(
-        f"spectral radius iteration did not converge in {_MAX_RHO_SQUARINGS} squarings"
-    )
+    return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
 def loewner_leq(L, R, tol: float = 0.0) -> bool:
@@ -183,9 +161,9 @@ def is_hpd(M, tol: float | None = None) -> bool:
     by default it scales with the largest eigenvalue modulus.
     """
     try:
-        values = herm_eig(M).values
+        values, _ = herm_eig(M)
     except ValueError:
         return False
     if tol is None:
-        tol = _pd_floor(values)
+        return is_pd_spectrum(values)
     return bool(values[0] > tol)

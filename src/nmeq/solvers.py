@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import matcore as mc
-from .analysis import ProblemInstance, Verdict
+from .analysis import ProblemInstance, Verdict, _residual
 
 __all__ = [
     "PreconditionError",
@@ -191,7 +191,7 @@ class SolveReport:
 def _resolve_tol(P: ProblemInstance, opts: SolveOptions) -> float:
     if opts.tol is not None:
         return opts.tol
-    return 1e-14 * mc.spectral_norm(P.Q)
+    return 1e-14 * P._norm_q
 
 
 def residual(P: ProblemInstance, X) -> float:
@@ -199,17 +199,17 @@ def residual(P: ProblemInstance, X) -> float:
     X = mc.check_hermitian(X, "X")
     if X.shape != P.Q.shape:
         raise ValueError(f"X has shape {X.shape}, expected {P.Q.shape}")
-    values, vectors = mc.herm_eig(X)
-    if values[0] <= mc.PD_TOL * float(np.max(np.abs(values))):
+    return _trusted_residual(P, X)
+
+
+def _trusted_residual(P: ProblemInstance, X: np.ndarray) -> float:
+    """residual for an X the solver built Hermitian itself: no drift check."""
+    values, vectors = mc.trusted_eigh(X)
+    if not mc.is_pd_spectrum(values):
         raise ValueError(
             f"X must be positive definite (lambda_min = {values[0]:.3e})"
         )
-    adj = vectors.conj().T
-    x_s = (vectors * values**P.s) @ adj
-    x_mt = (vectors * values**-P.t) @ adj
-    x_mp = (vectors * values**-P.p) @ adj
-    R = x_s + P.A.conj().T @ x_mt @ P.A + P.B.conj().T @ x_mp @ P.B - P.Q
-    return mc.spectral_norm(R)
+    return _residual(P, values, vectors)
 
 
 @dataclass(frozen=True)
@@ -243,7 +243,7 @@ def lift(Y, exponent: float) -> np.ndarray:
 def reduced_residual(R: ReducedEquation, Y) -> float:
     """Defect of Y on the transformed equation."""
     values, vectors = mc.herm_eig(Y)
-    if values[0] <= mc.PD_TOL * float(np.max(np.abs(values))):
+    if not mc.is_pd_spectrum(values):
         raise ValueError(f"Y must be positive definite (lambda_min = {values[0]:.3e})")
     adj = vectors.conj().T
     y_o = (vectors * values**R.outer) @ adj
@@ -260,7 +260,7 @@ def normalize(P: ProblemInstance) -> tuple[ProblemInstance, float]:
     Returns the scaled instance and k = lambda_max(Q); a solution X~ of the
     scaled instance maps back to X = k^(1/s) X~.
     """
-    k = mc.lambda_max(P.Q)
+    k = P._lambda_max_q
     if k == 1.0:
         return P, 1.0
     A = k ** (-(P.t / P.s + 1.0) / 2.0) * P.A
@@ -272,13 +272,19 @@ def normalize(P: ProblemInstance) -> tuple[ProblemInstance, float]:
 # fixed-point scheme (maximal solution, s the largest exponent)
 
 
-def _alpha_grid(P: ProblemInstance) -> np.ndarray:
-    lmq = mc.lambda_min(P.Q)
-    return np.geomspace(1e-8 * lmq, lmq, 500)
-
-
-def _feasibility_lhs(P: ProblemInstance, alpha, na2: float, nb2: float):
+def _feasibility_lhs(P: ProblemInstance, alpha):
+    na2, nb2 = P._norm_a**2, P._norm_b**2
     return alpha + alpha ** (-P.t / P.s) * na2 + alpha ** (-P.p / P.s) * nb2
+
+
+def _best_alpha(P: ProblemInstance) -> tuple[float, bool]:
+    """The alpha on the search grid with the smallest feasibility left-hand
+    side, and whether that left-hand side stays below lambda_min(Q)."""
+    lmq = P._lambda_min_q
+    grid = np.geomspace(1e-8 * lmq, lmq, 500)
+    lhs = _feasibility_lhs(P, grid)
+    idx = np.argmin(lhs)
+    return float(grid[idx]), bool(lhs[idx] < lmq)
 
 
 def alpha_search(P: ProblemInstance) -> float | None:
@@ -286,42 +292,28 @@ def alpha_search(P: ProblemInstance) -> float | None:
 
     Scans 500 log-spaced alphas in (1e-8 lambda_min(Q), lambda_min(Q)] and
     returns the one with the smallest alpha + alpha^{-t/s} ||A||^2 +
-    alpha^{-p/s} ||B||^2 among those keeping it below lambda_min(Q), or
-    None when no grid point is feasible.
+    alpha^{-p/s} ||B||^2 if that keeps it below lambda_min(Q), or None when
+    no grid point is feasible.
     """
-    na2 = mc.spectral_norm(P.A) ** 2
-    nb2 = mc.spectral_norm(P.B) ** 2
-    grid = _alpha_grid(P)
-    lhs = _feasibility_lhs(P, grid, na2, nb2)
-    feasible = lhs < mc.lambda_min(P.Q)
-    if not np.any(feasible):
-        return None
-    idx = np.argmin(np.where(feasible, lhs, np.inf))
-    return float(grid[idx])
-
-
-def _alpha_fallback(P: ProblemInstance) -> float:
-    # force mode with no feasible alpha: take the unconstrained minimizer
-    na2 = mc.spectral_norm(P.A) ** 2
-    nb2 = mc.spectral_norm(P.B) ** 2
-    grid = _alpha_grid(P)
-    return float(grid[np.argmin(_feasibility_lhs(P, grid, na2, nb2))])
+    alpha, feasible = _best_alpha(P)
+    return alpha if feasible else None
 
 
 def fixed_point_check(P: ProblemInstance, alpha: float) -> FixedPointCheck:
     """Evaluate the fixed-point scheme preconditions at a starting alpha."""
     alpha = float(alpha)
-    na2 = mc.spectral_norm(P.A) ** 2
-    nb2 = mc.spectral_norm(P.B) ** 2
-    lmq = mc.lambda_min(P.Q)
+    na2 = P._norm_a**2
+    nb2 = P._norm_b**2
+    lmq = P._lambda_min_q
     scheme_applies = P.s >= max(P.t, P.p)
     if alpha > 0.0:
-        feas_lhs = float(_feasibility_lhs(P, alpha, na2, nb2))
-        beta = mc.lambda_min(
+        feas_lhs = float(_feasibility_lhs(P, alpha))
+        values, _ = mc.trusted_eigh(
             P.Q
             - alpha ** (-P.t / P.s) * P.A.conj().T @ P.A
             - alpha ** (-P.p / P.s) * P.B.conj().T @ P.B
         )
+        beta = float(values[0])
     else:
         feas_lhs = math.inf
         beta = -math.inf
@@ -351,11 +343,16 @@ def fixed_point_check(P: ProblemInstance, alpha: float) -> FixedPointCheck:
 
 def _eigh_pd(M: np.ndarray, what: str):
     values, vectors = np.linalg.eigh(M)
-    if values[0] <= mc.PD_TOL * float(np.max(np.abs(values))):
+    if not mc.is_pd_spectrum(values):
         raise PositivityError(
             f"{what} is not positive definite (lambda_min = {values[0]:.3e})"
         )
     return values, vectors
+
+
+def _step_norm(D: np.ndarray) -> float:
+    """Spectral norm of a Hermitian difference: its largest |eigenvalue|."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(D))))
 
 
 def solve_fixed_point(P: ProblemInstance, opts: SolveOptions | None = None) -> SolveReport:
@@ -380,7 +377,7 @@ def solve_fixed_point(P: ProblemInstance, opts: SolveOptions | None = None) -> S
                     "the fixed-point preconditions cannot be satisfied "
                     "(enable force to iterate anyway)"
                 )
-            alpha = _alpha_fallback(P)
+            alpha, _ = _best_alpha(P)  # force: the unconstrained minimizer
     check = fixed_point_check(P, float(alpha))
     if not check.ok and not opts.force:
         raise PreconditionError(_fixed_point_failure_message(check))
@@ -400,7 +397,7 @@ def solve_fixed_point(P: ProblemInstance, opts: SolveOptions | None = None) -> S
         y_mt = (vectors * values**-e_t) @ adj
         y_mp = (vectors * values**-e_p) @ adj
         Y_next = mc.hermitian_part(P.Q - adj_a @ y_mt @ P.A - adj_b @ y_mp @ P.B)
-        step = mc.spectral_norm(Y_next - Y)
+        step = _step_norm(Y_next - Y)
         history.append(HistoryEntry(it, step, step))
         if iterates is not None:
             iterates.append(Y_next)
@@ -409,14 +406,13 @@ def solve_fixed_point(P: ProblemInstance, opts: SolveOptions | None = None) -> S
         if step <= tol:
             converged = True
             break
-    _eigh_pd(Y, "final iterate")
-    X = mc.herm_power(Y, 1.0 / P.s)
+    X = mc.eig_power(*_eigh_pd(Y, "final iterate"), 1.0 / P.s)
     return SolveReport(
         solution_X=X,
         solution_Y=Y,
         scheme=Scheme.FIXED_POINT,
         iterations=iterations,
-        residual=residual(P, X),
+        residual=_trusted_residual(P, X),
         history=history if opts.record_history else [],
         delta=check.delta,
         extremality=Extremality.MAXIMAL if check.ok else Extremality.UNKNOWN,
@@ -454,18 +450,19 @@ def coupled_check(P: ProblemInstance, b: float) -> CoupledCheck:
     b = float(b)
     if not (math.isfinite(b) and b > 0.0):
         raise ValueError(f"b must be a positive real, got {b}")
-    na2 = mc.spectral_norm(P.A) ** 2
-    nb2 = mc.spectral_norm(P.B) ** 2
-    aqa = mc.hermitian_part(P.A @ np.linalg.solve(P.Q, P.A.conj().T))
-    a = max(mc.lambda_min(aqa), 0.0)
-    ata = mc.hermitian_part(P.A.conj().T @ P.A)
-    theta = max(mc.lambda_min(ata), 0.0) / b
+    na2 = P._norm_a**2
+    nb2 = P._norm_b**2
+    a = _coupled_a(P)
+    theta = P._lambda_min_ata / b
     separation = Verdict(b > a, a, b, note="requires lhs < rhs")
     dom_rhs = mc.hermitian_part(
-        ata / b + b ** (P.s / P.t) * np.eye(P.n) + a ** (-P.p / P.t) * P.B.conj().T @ P.B
+        P._ata / b + b ** (P.s / P.t) * np.eye(P.n) + a ** (-P.p / P.t) * P._btb
     )
-    tol = 1e-10 * max(mc.spectral_norm(P.Q), mc.spectral_norm(dom_rhs), 1.0)
-    gap = mc.lambda_min(mc.hermitian_part(P.Q - dom_rhs))
+    # dom_rhs is positive semidefinite, so wherever the verdict is close,
+    # ||dom_rhs|| <= ||Q|| + |gap|: scaling the tolerance by ||Q|| alone
+    # decides the same way as scaling it by max(||Q||, ||dom_rhs||).
+    tol = 1e-10 * max(P._norm_q, 1.0)
+    gap = float(np.linalg.eigvalsh(mc.hermitian_part(P.Q - dom_rhs))[0])
     domination = Verdict(gap >= -tol, gap, 0.0)
     contraction_a = Verdict(
         P.s * na2 < 0.5 * P.t * theta**2 * a ** (1.0 - P.s / P.t),
@@ -494,12 +491,16 @@ def coupled_check(P: ProblemInstance, b: float) -> CoupledCheck:
     )
 
 
+def _coupled_a(P: ProblemInstance) -> float:
+    """a = lambda_min(A Q^-1 A*), clamped at 0: the lower starting scalar."""
+    return max(float(P._aqa_eig[0][0]), 0.0)
+
+
 def b_search(P: ProblemInstance) -> float | None:
     """First b on a log grid in (a, 10 lambda_max(Q)^(t/s)] passing the
     coupled-scheme conditions, or None."""
-    aqa = mc.hermitian_part(P.A @ np.linalg.solve(P.Q, P.A.conj().T))
-    a = max(mc.lambda_min(aqa), 0.0)
-    upper = 10.0 * mc.lambda_max(P.Q) ** (P.t / P.s)
+    a = _coupled_a(P)
+    upper = 10.0 * P._lambda_max_q ** (P.t / P.s)
     if upper <= a or a == 0.0:
         return None
     for b in np.geomspace(a * (1.0 + 1e-6), upper, 100):
@@ -533,8 +534,7 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
                     "the coupled preconditions cannot be satisfied "
                     "(enable force to iterate anyway)"
                 )
-            aqa = mc.hermitian_part(P.A @ np.linalg.solve(P.Q, P.A.conj().T))
-            b = 2.0 * max(mc.lambda_min(aqa), 0.0)
+            b = 2.0 * _coupled_a(P)
     check = coupled_check(P, float(b))
     if not check.ok and not opts.force:
         raise PreconditionError(_coupled_failure_message(check))
@@ -556,7 +556,7 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
         hi_pow = (hi_vecs * hi_vals**-e_p) @ hi_vecs.conj().T
         inner = mc.hermitian_part(P.Q - lo_pow - adj_b @ hi_pow @ P.B)
         inner_vals, inner_vecs = np.linalg.eigh(inner)
-        if inner_vals[0] <= mc.PD_TOL * float(np.max(np.abs(inner_vals))):
+        if not mc.is_pd_spectrum(inner_vals):
             raise PositivityError(
                 f"inverted matrix Q - X^(s/t) - B* Y^(-p/t) B lost positive "
                 f"definiteness at iteration {it} (lambda_min = {inner_vals[0]:.3e})"
@@ -569,8 +569,8 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
         y_vals, y_vecs = _eigh_pd(Y, f"upper iterate {it - 1}")
         X_next = half_step(x_vals, x_vecs, y_vals, y_vecs, it)
         Y_next = half_step(y_vals, y_vecs, x_vals, x_vecs, it)
-        step_x = mc.spectral_norm(X_next - X)
-        step_y = mc.spectral_norm(Y_next - Y)
+        step_x = _step_norm(X_next - X)
+        step_y = _step_norm(Y_next - Y)
         history.append(HistoryEntry(it, step_x, step_y))
         if iterates is not None:
             iterates.append((X_next, Y_next))
@@ -582,14 +582,13 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
             converged = True
             break
     Y_sol = mc.hermitian_part(0.5 * (X + Y))
-    _eigh_pd(Y_sol, "limit")
-    X_sol = mc.herm_power(Y_sol, 1.0 / P.t)
+    X_sol = mc.eig_power(*_eigh_pd(Y_sol, "limit"), 1.0 / P.t)
     return SolveReport(
         solution_X=X_sol,
         solution_Y=Y_sol,
         scheme=Scheme.COUPLED,
         iterations=iterations,
-        residual=residual(P, X_sol),
+        residual=_trusted_residual(P, X_sol),
         history=history if opts.record_history else [],
         delta=check.delta,
         extremality=Extremality.MINIMAL if check.ok else Extremality.UNKNOWN,

@@ -134,6 +134,84 @@ class TestDerivedScalars:
         assert dp == dr
 
 
+def from_scratch_derived_scalars(P):
+    """DerivedScalars recomputed through the public, validating primitives."""
+    aqa = mc.hermitian_part(P.A @ np.linalg.solve(P.Q, P.A.conj().T))
+    bqb = mc.hermitian_part(P.B @ np.linalg.solve(P.Q, P.B.conj().T))
+    lo_a, hi_a = mc.lambda_min(aqa), mc.lambda_max(aqa)
+    lo_b, hi_b = mc.lambda_min(bqb), mc.lambda_max(bqb)
+    return analysis.DerivedScalars(
+        k=mc.lambda_max(P.Q),
+        k_tilde=mc.lambda_min(P.Q),
+        q=min(P.t / P.s, P.p / P.s),
+        q_tilde=max(P.t / P.s, P.p / P.s),
+        c=max(max(lo_a, 0.0) ** (1.0 / P.t), max(lo_b, 0.0) ** (1.0 / P.p)),
+        c1=max(max(hi_a, 0.0) ** (1.0 / P.t), max(hi_b, 0.0) ** (1.0 / P.p)),
+        a=max(lo_a, 0.0) ** (P.s / P.t) + max(lo_b, 0.0) ** (P.s / P.p),
+    )
+
+
+class TestCachedInvariants:
+    """Each invariant cached on a ProblemInstance equals its from-scratch value."""
+
+    # (seed, s, t, p); the last two have t < p, so the constructor swaps
+    @pytest.fixture(
+        params=[(1, 3.0, 2.0, 1.0), (2, 3.0, 4.0, 1.0), (3, 2.0, 1.0, 3.0), (4, 1.5, 1.0, 2.5)]
+    )
+    def instance(self, request):
+        seed, s, t, p = request.param
+        rng = np.random.default_rng(seed)
+        n = 4
+        A = 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) + np.eye(n)
+        B = 0.2 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) + np.eye(n)
+        Q = random_hpd(rng, n, lo=2.0, hi=6.0)
+        P = analysis.ProblemInstance(A, B, Q, s, t, p)
+        assert P.swapped == (t < p)
+        return P
+
+    def test_norms(self, instance):
+        P = instance
+        assert P._norm_a**2 == mc.spectral_norm(P.A) ** 2
+        assert P._norm_b**2 == mc.spectral_norm(P.B) ** 2
+        assert P._norm_q == mc.spectral_norm(P.Q)
+
+    def test_spectrum_and_powers_of_q(self, instance):
+        P = instance
+        assert P._lambda_min_q == mc.lambda_min(P.Q)
+        assert P._lambda_max_q == mc.lambda_max(P.Q)
+        assert np.array_equal(P._q_root, mc.herm_power(P.Q, 1.0 / P.s))
+        assert np.array_equal(P._q_power(-P.t / P.s), mc.herm_power(P.Q, -P.t / P.s))
+
+    def test_congruences_and_gram_matrices(self, instance):
+        P = instance
+        for cached, M in ((P._aqa_eig, P.A), (P._bqb_eig, P.B)):
+            congruence = mc.hermitian_part(M @ np.linalg.solve(P.Q, M.conj().T))
+            values, vectors = mc.herm_eig(congruence)
+            assert np.array_equal(cached[0], values)
+            assert np.array_equal(cached[1], vectors)
+        ata = mc.hermitian_part(P.A.conj().T @ P.A)
+        assert np.array_equal(P._ata, ata)
+        assert np.array_equal(P._btb, P.B.conj().T @ P.B)
+        assert P._lambda_min_ata == max(mc.lambda_min(ata), 0.0)
+
+    def test_derived_scalars(self, instance):
+        d = analysis.derived_scalars(instance)
+        assert d == from_scratch_derived_scalars(instance)
+        assert analysis.derived_scalars(instance) is d
+
+    def test_cached_arrays_are_read_only(self, instance):
+        P = instance
+        for M in (*P._q_eig, *P._aqa_eig, *P._bqb_eig, P._ata, P._btb, P._q_root):
+            with pytest.raises(ValueError):
+                M[0, ...] = 0.0
+
+    def test_returned_q_root_is_a_private_copy(self):
+        P = builtin.example(1).instance
+        bounds = analysis.solution_bounds(P)
+        bounds.q_root[0, 0] = 0.0
+        assert analysis.solution_bounds(P).q_root[0, 0] != 0.0
+
+
 class TestNecessary:
     def test_example_1_closed_form_bound(self):
         # k=2, q=1/3, q~=2/3: the bound collapses to 3/2 exactly
@@ -357,6 +435,19 @@ class TestUniquenessScaled:
         k = analysis.scan_k(P)
         assert k is not None
         assert analysis.check_uniqueness_k(P, k).holds
+
+    def test_scan_checks_every_grid_point(self, monkeypatch):
+        # example 2 rejects the whole grid: one check per grid point
+        ks = []
+        original = analysis.check_uniqueness_k
+
+        def counting(P, k):
+            ks.append(k)
+            return original(P, k)
+
+        monkeypatch.setattr(analysis, "check_uniqueness_k", counting)
+        assert analysis.scan_k(builtin.example(2).instance) is None
+        assert len(ks) == 200
 
 
 class TestFactorization:

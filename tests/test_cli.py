@@ -152,6 +152,32 @@ class TestCheck:
         assert "necessary condition (spectral radius bound): fails" in res.stdout
 
 
+class TestArithmeticLimits:
+    """Inputs that pass validation but overflow or divide by zero in double
+    precision end in exit code 3 with an error line, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, which, changes",
+        [
+            ("check", 1, {"s": 1e6}),
+            ("check", 2, {"s": 1.0, "t": 400.0}),
+            ("solve", 2, {"s": 1.0, "t": 400.0}),
+            ("check", 1, {"A": (1e150 * np.eye(3)).tolist()}),
+        ],
+        ids=["check-s1e6", "check-t400", "solve-t400", "check-A1e150"],
+    )
+    def test_exit_3_without_traceback(self, tmp_path, command, which, changes):
+        pf = probfile.problem_from_instance(builtin.example(which).instance)
+        doc = json.loads(probfile.write_problem(pf))
+        doc.update(changes)
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        res = run_cli(command, str(path))
+        assert res.returncode == 3
+        assert res.stderr.startswith("error: ")
+        assert "Traceback" not in res.stderr
+
+
 class TestBounds:
     def test_example_1(self):
         res = run_cli("bounds", "--example", "1")

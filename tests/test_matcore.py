@@ -218,8 +218,8 @@ class TestNormRadius:
 
     def test_radius_a1_frozen(self):
         # char-poly roots of A1: real 0.14764505977914757 and a complex pair
-        # of modulus 0.0946; near-tie limits the attainable accuracy
-        assert mc.spectral_radius(A1) == pytest.approx(0.14764505977914757, rel=1e-5)
+        # of modulus 0.0946
+        assert mc.spectral_radius(A1) == pytest.approx(0.14764505977914757, rel=1e-10)
 
     def test_radius_b1_frozen(self):
         assert mc.spectral_radius(B1) == pytest.approx(0.0813127443279718, rel=1e-6)

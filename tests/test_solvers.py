@@ -72,6 +72,25 @@ class TestResidual:
             solvers.residual(P, np.eye(2))
 
 
+class TestBoundaryValidation:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda P, X: solvers.residual(P, X),
+            lambda P, X: mc.herm_power(X, 0.5),
+            lambda P, X: mc.lambda_min(X),
+            lambda P, X: analysis.factorization_from_solution(P, X),
+        ],
+        ids=["residual", "herm_power", "lambda_min", "factorization_from_solution"],
+    )
+    def test_public_entry_rejects_non_hermitian(self, call):
+        bp = builtin.example(1)
+        X = bp.solution_X.copy()
+        X[0, 1] += 1e-6
+        with pytest.raises(ValueError, match="Hermitian"):
+            call(bp.instance, X)
+
+
 class TestReduceLift:
     def test_fixed_point_exponents(self):
         R = solvers.reduce(builtin.example(1).instance)
@@ -146,6 +165,19 @@ class TestAlphaSearch:
             1e-3 * np.eye(2), 1e-3 * np.eye(2), np.eye(2), 2.0, 1.0, 1.0
         )
         assert solvers.alpha_search(P) is not None
+
+
+    def test_force_without_feasible_alpha_starts_at_grid_minimizer(self):
+        # alpha + 2 * 0.45^2 / sqrt(alpha) >= 3 * 0.45^(4/3) > 1 = q for every
+        # alpha, so no start is feasible; one forced step stays positive
+        P = scalar_instance(1.0, 0.45, 0.45, s=2.0)
+        assert solvers.alpha_search(P) is None
+        rep = solvers.solve_fixed_point(P, solvers.SolveOptions(force=True, max_iter=1))
+        grid = np.geomspace(1e-8, 1.0, 500)
+        na2 = mc.spectral_norm(P.A) ** 2
+        lhs = grid + grid**-0.5 * na2 + grid**-0.5 * na2
+        assert rep.precheck.alpha == float(grid[np.argmin(lhs)])
+        assert not rep.preconditions_held
 
 
 class TestFixedPoint:
@@ -350,6 +382,19 @@ class TestCoupled:
         assert b is not None
         assert solvers.coupled_check(P, b).ok
         assert solvers.b_search(builtin.example(1).instance) is None
+
+    def test_b_search_checks_every_grid_point(self, monkeypatch):
+        # example 1 is a fixed-point instance: all 100 grid points fail
+        bs = []
+        original = solvers.coupled_check
+
+        def counting(P, b):
+            bs.append(b)
+            return original(P, b)
+
+        monkeypatch.setattr(solvers, "coupled_check", counting)
+        assert solvers.b_search(builtin.example(1).instance) is None
+        assert len(bs) == 100
 
     def test_positivity_loss_aborts(self):
         # a = lambda_min(A Q^-1 A*) = 9, so the lower start X_0 = 9 I already
