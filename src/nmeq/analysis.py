@@ -45,12 +45,6 @@ class NotASolutionError(ValueError):
     """A candidate matrix fails the equation residual check."""
 
 
-def _frozen(name, arr):
-    out = mc.as_matrix(arr, name).copy()
-    out.setflags(write=False)
-    return out
-
-
 def _require_nonsingular(M: np.ndarray, name: str) -> float:
     """Reject a (numerically) singular M; return its spectral norm."""
     sv = np.linalg.svd(M, compute_uv=False)
@@ -71,6 +65,11 @@ class ProblemInstance:
     canonical orientation t >= p.  The equation is symmetric in
     (A, t) <-> (B, p), so swapping loses nothing; ``swapped`` records
     whether it happened.
+
+    A, B and Q are stored in one dtype: float64 when none of them has an
+    entry with a nonzero imaginary part, complex128 otherwise.  A real
+    instance has real extremal solutions (conj(X) solves it whenever X
+    does), so it is solved in real arithmetic.
 
     Q is validated here once; the matrices are stored read-only.  The
     invariants every condition check and solver reads (||A||, ||B||, ||Q||,
@@ -97,6 +96,9 @@ class ProblemInstance:
             raise ValueError(
                 f"A, B, Q must share one dimension, got {A.shape}, {B.shape}, {Q.shape}"
             )
+        dtype = np.result_type(A, B, Q)
+        # astype copies, so the stored matrices never alias the caller's
+        A, B, Q = (_read_only(M.astype(dtype)) for M in (A, B, Q))
         q_values, q_vectors = mc.trusted_eigh(Q)
         if not mc.is_pd_spectrum(q_values):
             raise ValueError("Q must be Hermitian positive definite")
@@ -112,9 +114,9 @@ class ProblemInstance:
             norm_a, norm_b = norm_b, norm_a
             t, p = p, t
             swapped = True
-        object.__setattr__(self, "A", _frozen("A", A))
-        object.__setattr__(self, "B", _frozen("B", B))
-        object.__setattr__(self, "Q", _frozen("Q", Q))
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "p", p)
@@ -132,9 +134,10 @@ class ProblemInstance:
     # Cached invariants.  cached_property writes to the instance __dict__,
     # which the frozen dataclass allows; every cached array is read-only.
 
-    @cached_property
+    @property
     def _norm_q(self) -> float:
-        return mc.spectral_norm(self.Q)
+        """||Q||: Q is positive definite, so its norm is lambda_max(Q)."""
+        return self._lambda_max_q
 
     @cached_property
     def _aqa_eig(self) -> tuple[np.ndarray, np.ndarray]:
@@ -320,7 +323,7 @@ def check_sufficient(P: ProblemInstance) -> ConditionReport:
     holds = lhs < rhs
     bracket = None
     if holds:
-        eye = np.eye(P.n, dtype=np.complex128)
+        eye = np.eye(P.n, dtype=P.Q.dtype)
         bracket = (lower * eye, P._q_root.copy())
     return ConditionReport(
         criterion="sufficient",
@@ -384,7 +387,7 @@ def check_uniqueness_interval(P: ProblemInstance) -> ConditionReport:
     """
     d = derived_scalars(P)
     n = P.n
-    eye = np.eye(n, dtype=np.complex128)
+    eye = np.eye(n, dtype=P.Q.dtype)
     floor_sum = mc.hermitian_part(
         mc.eig_power(*P._aqa_eig, P.s / P.t) + mc.eig_power(*P._bqb_eig, P.s / P.p)
     )
@@ -443,7 +446,7 @@ def check_uniqueness_k(P: ProblemInstance, k: float) -> ConditionReport:
     holds = all(v.holds for v in verdicts.values())
     bracket = None
     if holds:
-        bracket = (kc * np.eye(P.n, dtype=np.complex128), P._q_root.copy())
+        bracket = (kc * np.eye(P.n, dtype=P.Q.dtype), P._q_root.copy())
     return ConditionReport(
         criterion="uniqueness-scaled",
         branch=f"k={k:.6g}",

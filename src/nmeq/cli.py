@@ -25,6 +25,8 @@ from .analysis import (
     ConditionReport,
     NotASolutionError,
     ProblemInstance,
+    _lambda_min,
+    _residual,
     check_necessary,
     check_sufficient,
     check_uniqueness_interval,
@@ -186,30 +188,34 @@ def cmd_verify(args) -> int:
         raise probfile.ProblemFileError(
             f"X: solution is {sol.X.shape[0]}x{sol.X.shape[1]}, problem is {P.n}x{P.n}"
         )
-    X = mc.hermitian_part(sol.X)
-    herm_drift = mc.spectral_norm(sol.X - X)
-    if herm_drift > mc.ATOL_HERM * (1.0 + mc.spectral_norm(sol.X)):
+    # the file's X is validated here, once; everything below trusts it
+    X_file = mc.as_matrix(sol.X, "X")
+    X = mc.hermitian_part(X_file)
+    herm_drift = mc.spectral_norm(X_file - X)
+    if herm_drift > mc.ATOL_HERM * (1.0 + mc.spectral_norm(X_file)):
         print(f"candidate X is not Hermitian (drift {_fmt(herm_drift)})")
         return EXIT_VERIFICATION
-    if not mc.is_hpd(X):
+    values, vectors = mc.trusted_eigh(X)
+    if not mc.is_pd_spectrum(values):
         print("candidate X is not positive definite")
         return EXIT_VERIFICATION
-    resid = solvers.residual(P, X)
-    tol = args.tol if args.tol is not None else 1e-8 * (1.0 + mc.spectral_norm(P.Q))
+    resid = _residual(P, values, vectors)
+    tol = args.tol if args.tol is not None else 1e-8 * (1.0 + P._norm_q)
     print(f"residual: {_fmt(resid)}")
     print(f"tolerance: {_fmt(tol)}")
     if resid > tol:
         print("verification: failed (residual above tolerance)")
         return EXIT_VERIFICATION
     bounds = solution_bounds(P)
-    n = P.n
-    ltol = 1e-10 * max(mc.spectral_norm(X), mc.spectral_norm(bounds.q_root), 1.0)
-    in_basic = mc.loewner_leq(bounds.c * np.eye(n), X, ltol) and mc.loewner_leq(
-        X, bounds.q_root, ltol
-    )
-    in_refined = mc.loewner_leq(bounds.m * np.eye(n), X, ltol) and mc.loewner_leq(
-        X, bounds.N, ltol
-    )
+    eye = np.eye(P.n)
+    # X and Q^(1/s) are positive definite: their norms are their largest eigenvalues
+    ltol = 1e-10 * max(float(values[-1]), P._lambda_max_q ** (1.0 / P.s), 1.0)
+
+    def leq(L, R) -> bool:
+        return _lambda_min(R - L) >= -ltol
+
+    in_basic = leq(bounds.c * eye, X) and leq(X, bounds.q_root)
+    in_refined = leq(bounds.m * eye, X) and leq(X, bounds.N)
     print(f"in bracket [cI, Q^(1/s)]: {'true' if in_basic else 'false'}")
     print(f"in refined bracket [mI, N]: {'true' if in_refined else 'false'}")
     print("verification: passed")

@@ -1,8 +1,10 @@
 """Dense Hermitian matrix primitives used by the solvers and condition checks.
 
-All routines work on square complex (or real) ndarrays.  Matrices that are
-nominally Hermitian are re-symmetrized before use so that rounding drift from
-earlier arithmetic cannot accumulate across a computation.
+All routines work on square real or complex ndarrays.  ``as_matrix`` keeps a
+matrix real (float64) unless an entry has a nonzero imaginary part, so real
+data runs in real arithmetic throughout.  Matrices that are nominally
+Hermitian are re-symmetrized before use so that rounding drift from earlier
+arithmetic cannot accumulate across a computation.
 
 The public functions validate their input with ``check_hermitian``.  The
 library's own callers, working on matrices they built Hermitian themselves,
@@ -42,14 +44,20 @@ PD_TOL = 1e-12
 
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
-    """Validate and return ``M`` as a square complex128 ndarray."""
+    """Validate and return ``M`` as a square ndarray: float64 when no entry
+    has a nonzero imaginary part, complex128 otherwise."""
     A = np.asarray(M)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"{name}: expected a square matrix, got shape {A.shape}")
     if A.shape[0] == 0:
         raise ValueError(f"{name}: dimension must be at least 1")
-    A = A.astype(np.complex128, copy=False)
-    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
+    if A.dtype.kind in "biuf":
+        A = A.astype(np.float64, copy=False)
+    else:
+        A = A.astype(np.complex128, copy=False)
+        if not np.any(A.imag):
+            A = np.ascontiguousarray(A.real)
+    if not np.all(np.isfinite(A)):
         raise ValueError(f"{name}: entries must be finite")
     return A
 
@@ -133,8 +141,8 @@ def eig_power(values: np.ndarray, vectors: np.ndarray, r: float) -> np.ndarray:
 
 def spectral_norm(M) -> float:
     """Largest singular value."""
-    A = np.asarray(M, dtype=np.complex128)
-    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
+    A = np.asarray(M)
+    if not np.all(np.isfinite(A)):
         raise ValueError("spectral_norm: entries must be finite")
     return float(np.linalg.norm(A, 2))
 

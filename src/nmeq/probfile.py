@@ -215,7 +215,7 @@ def write_history_csv(history) -> str:
 def write_factorization(F: Factorization) -> str:
     doc = {
         "U": _encode_matrix(F.U),
-        "Lambda": _encode_matrix(np.diag(F.lam.astype(np.complex128))),
+        "Lambda": _encode_matrix(np.diag(F.lam)),
         "N1": _encode_matrix(F.N1),
         "N2": _encode_matrix(F.N2),
     }

@@ -386,7 +386,7 @@ def solve_fixed_point(P: ProblemInstance, opts: SolveOptions | None = None) -> S
     n = P.n
     adj_a = P.A.conj().T
     adj_b = P.B.conj().T
-    Y = check.alpha * np.eye(n, dtype=np.complex128)
+    Y = check.alpha * np.eye(n, dtype=P.Q.dtype)
     history: list[HistoryEntry] = []
     iterates: list[np.ndarray] | None = [Y] if opts.record_history else None
     converged = False
@@ -519,10 +519,17 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
     opts.tol.  The lower sequence ascends, the upper descends, and both
     converge to the minimal solution; the first pair (X_1, Y_1) is returned
     as a refined bracket.  Loss of positive definiteness of the inverted
-    matrix aborts with a diagnostic.
+    matrix aborts with a diagnostic, and an instance whose lower starting
+    scalar a = lambda_min(A Q^-1 A*) rounds to 0 is rejected up front, even
+    with force.
     """
     if opts is None:
         opts = SolveOptions()
+    if _coupled_a(P) == 0.0:
+        raise PreconditionError(
+            "lambda_min(A Q^-1 A*) rounds to 0, so the coupled scheme has no "
+            "lower starting scalar a > 0"
+        )
     tol = _resolve_tol(P, opts)
     b = opts.b_upper
     if b is None:
@@ -543,8 +550,8 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
     n = P.n
     adj_a = P.A.conj().T
     adj_b = P.B.conj().T
-    X = check.a * np.eye(n, dtype=np.complex128)
-    Y = check.b * np.eye(n, dtype=np.complex128)
+    X = check.a * np.eye(n, dtype=P.Q.dtype)
+    Y = check.b * np.eye(n, dtype=P.Q.dtype)
     history: list[HistoryEntry] = []
     iterates: list | None = [(X, Y)] if opts.record_history else None
     refined: tuple[np.ndarray, np.ndarray] | None = None

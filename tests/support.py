@@ -61,3 +61,15 @@ def random_hpd(rng: np.random.Generator, n: int, lo: float = 0.1, hi: float = 10
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
     Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return scale * 0.5 * (Z + Z.conj().T)
+
+
+def near_singular_coupled_problem():
+    """Coefficients (A, B, Q, s, t, p) of a coupled-scheme instance whose
+    A = U diag(1, 0.5, 2e-12) V passes the nonsingularity check, while
+    lambda_min(A Q^-1 A*) rounds to a tiny negative number, so the lower
+    starting scalar a clamps to 0."""
+    rng = np.random.default_rng(0)
+    U, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    V, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    A = U @ np.diag([1.0, 0.5, 2e-12]) @ V
+    return A, 0.1 * np.eye(3), 5.0 * np.eye(3), 3.0, 4.0, 1.0

@@ -173,7 +173,9 @@ class TestCachedInvariants:
         P = instance
         assert P._norm_a**2 == mc.spectral_norm(P.A) ** 2
         assert P._norm_b**2 == mc.spectral_norm(P.B) ** 2
-        assert P._norm_q == mc.spectral_norm(P.Q)
+        # Q is positive definite, so ||Q|| is lambda_max(Q): no SVD needed
+        assert P._norm_q == mc.lambda_max(P.Q)
+        assert math.isclose(P._norm_q, mc.spectral_norm(P.Q), rel_tol=1e-14)
 
     def test_spectrum_and_powers_of_q(self, instance):
         P = instance

@@ -12,7 +12,10 @@ import sys
 import numpy as np
 import pytest
 
-from nmeq import builtin, probfile
+from nmeq import analysis, builtin, cli, probfile
+from nmeq import matcore as mc
+
+from support import near_singular_coupled_problem
 
 
 def run_cli(*args, cwd=None):
@@ -115,6 +118,18 @@ class TestSolve:
         res = run_cli("solve", "--example", "1", "--alpha", "1e-9")
         assert res.returncode == 3
 
+    @pytest.mark.parametrize("force", [False, True])
+    def test_coupled_start_rounding_to_zero_exits_3(self, tmp_path, force):
+        # the coupled scheme has no lower start, forced or not
+        P = analysis.ProblemInstance(*near_singular_coupled_problem())
+        path = tmp_path / "near_singular.json"
+        path.write_text(probfile.write_problem(probfile.problem_from_instance(P)))
+        res = run_cli("solve", str(path), *(["--force"] if force else []))
+        assert res.returncode == 3
+        assert res.stderr.startswith("error: ")
+        assert "rounds to 0" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_history_csv(self, tmp_path):
         out = tmp_path / "hist.csv"
         res = run_cli("solve", "--example", "1", "--history", str(out))
@@ -204,6 +219,34 @@ class TestVerifyFactorize:
         assert "verification: passed" in res.stdout
         assert "in bracket [cI, Q^(1/s)]: true" in res.stdout
         assert "in refined bracket [mI, N]: true" in res.stdout
+
+    def test_verify_validates_x_once(self, solved, monkeypatch, capsys):
+        # Q is validated when the example is built and the file's X by the
+        # drift check (two norms); the residual takes one more norm, and the
+        # positivity, residual and bracket tests reuse the trusted kernel
+        calls = {"check_hermitian": 0, "spectral_norm": 0}
+        for name in calls:
+            original = getattr(mc, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(mc, name, counting)
+        assert cli.main(["verify", "--example", "1", str(solved)]) == 0
+        assert calls == {"check_hermitian": 1, "spectral_norm": 3}
+        out = capsys.readouterr().out
+        assert "in bracket [cI, Q^(1/s)]: true" in out
+        assert "in refined bracket [mI, N]: true" in out
+
+    def test_verify_non_hermitian_fails(self, solved, tmp_path):
+        doc = json.loads(solved.read_text())
+        doc["X"][0][1] += 1e-6
+        bad = tmp_path / "skew.json"
+        bad.write_text(json.dumps(doc))
+        res = run_cli("verify", "--example", "1", str(bad))
+        assert res.returncode == 5
+        assert "not Hermitian" in res.stdout
 
     def test_verify_perturbed_fails(self, solved, tmp_path):
         doc = json.loads(solved.read_text())

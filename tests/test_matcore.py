@@ -63,6 +63,30 @@ class TestValidation:
         with pytest.raises(ValueError):
             mc.as_matrix(np.arange(4.0), "M")
 
+    def test_as_matrix_keeps_real_input_real(self):
+        assert mc.as_matrix(A1).dtype == np.float64
+        assert mc.as_matrix(np.eye(3, dtype=int)).dtype == np.float64
+
+    def test_as_matrix_drops_zero_imaginary_parts(self):
+        M = mc.as_matrix(A1 + 0j)
+        assert M.dtype == np.float64
+        assert M.flags.c_contiguous
+        assert np.array_equal(M, A1)
+
+    def test_as_matrix_keeps_nonzero_imaginary_parts(self):
+        M = A1 + 0j
+        M[0, 1] += 1e-300j
+        assert mc.as_matrix(M).dtype == np.complex128
+
+    def test_as_matrix_rejects_nonfinite_imaginary_part(self):
+        M = np.array([[1.0, complex(0.0, np.inf)], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            mc.as_matrix(M, "M")
+
+    def test_spectral_norm_rejects_nonfinite(self):
+        with pytest.raises(ValueError, match="finite"):
+            mc.spectral_norm(np.array([[1.0, np.inf], [0.0, 1.0]]))
+
     def test_check_hermitian_rejects_drift(self):
         M = np.array([[1.0, 1e-6], [0.0, 1.0]])
         with pytest.raises(ValueError, match="Hermitian"):

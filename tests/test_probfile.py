@@ -33,6 +33,16 @@ class TestParseProblem:
         assert isinstance(P, analysis.ProblemInstance)
         assert P.n == 2
 
+    def test_plain_number_file_is_solved_in_real_arithmetic(self):
+        doc = json.loads(VALID)
+        doc["B"][0][1] = [0.0, 0.0]  # a pair with zero imaginary part is real
+        P = probfile.parse_problem(json.dumps(doc)).to_instance()
+        assert P.A.dtype == P.B.dtype == P.Q.dtype == np.float64
+
+    def test_complex_entry_makes_the_instance_complex(self):
+        P = probfile.parse_problem(VALID).to_instance()
+        assert P.A.dtype == P.B.dtype == P.Q.dtype == np.complex128
+
     def test_invalid_json(self):
         with pytest.raises(probfile.ProblemFileError, match="invalid JSON"):
             probfile.parse_problem("{not json")

@@ -15,6 +15,8 @@ import pytest
 from nmeq import analysis, builtin, solvers
 from nmeq import matcore as mc
 
+from support import near_singular_coupled_problem, random_unitary
+
 
 def scalar_instance(q, a, b, s=1.0, t=1.0, p=1.0):
     return analysis.ProblemInstance(
@@ -513,3 +515,61 @@ class TestResidualCertificate:
             assert rep.preconditions_held
             tol = 1e-14 * mc.spectral_norm(bp.instance.Q)
             assert rep.residual <= 100.0 * tol * mc.spectral_norm(bp.instance.Q)
+
+
+class TestForcedCoupledStart:
+    def test_vanishing_lower_start_is_a_precondition_failure(self):
+        P = analysis.ProblemInstance(*near_singular_coupled_problem())
+        assert solvers._coupled_a(P) == 0.0
+        for force in (False, True):
+            with pytest.raises(solvers.PreconditionError, match="rounds to 0"):
+                solvers.solve_coupled(P, solvers.SolveOptions(force=force))
+        with pytest.raises(solvers.PreconditionError, match="rounds to 0"):
+            solvers.solve_coupled(P, solvers.SolveOptions(b_upper=1.0, force=True))
+
+
+class TestRealArithmetic:
+    """Real data stays real from the instance to the solution; one complex
+    coefficient makes the whole instance complex."""
+
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_real_instance_is_solved_in_float64(self, which):
+        P = builtin.example(which).instance
+        assert P.A.dtype == P.B.dtype == P.Q.dtype == np.float64
+        rep = solvers.solve(P)
+        assert rep.solution_X.dtype == np.float64
+        assert rep.solution_Y.dtype == np.float64
+        for entry in rep.iterates:
+            for M in entry if isinstance(entry, tuple) else (entry,):
+                assert M.dtype == np.float64
+        F = analysis.factorization_from_solution(P, rep.solution_X)
+        for M in (F.U, F.lam, F.N1, F.N2):
+            assert M.dtype == np.float64
+
+    def test_one_complex_coefficient_makes_the_instance_complex(self):
+        P = builtin.example(1).instance
+        B = P.B.astype(complex)
+        B[0, 0] += 1e-3j
+        C = analysis.ProblemInstance(P.A, B, P.Q, P.s, P.t, P.p)
+        assert C.A.dtype == C.B.dtype == C.Q.dtype == np.complex128
+        rep = solvers.solve(C)
+        assert rep.solution_X.dtype == np.complex128
+        assert rep.converged
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_unitary_congruence(self, which, seed):
+        # (U*AU, U*BU, U*QU) is solved by U*XU: the complex path on the
+        # rotated instance pins the real path on the original one
+        P = builtin.example(which).instance
+        U = random_unitary(np.random.default_rng(seed), P.n)
+        Uh = U.conj().T
+        R = analysis.ProblemInstance(Uh @ P.A @ U, Uh @ P.B @ U, Uh @ P.Q @ U, P.s, P.t, P.p)
+        assert P.Q.dtype == np.float64 and R.Q.dtype == np.complex128
+        real = solvers.solve(P)
+        rotated = solvers.solve(R)
+        assert real.converged and rotated.converged
+        assert real.extremality is rotated.extremality
+        assert real.extremality is not solvers.Extremality.UNKNOWN
+        gap = mc.spectral_norm(Uh @ real.solution_X @ U - rotated.solution_X)
+        assert gap <= 1e-10 * (1.0 + mc.spectral_norm(P.Q))
