@@ -542,9 +542,11 @@ def _residual(P: ProblemInstance, values: np.ndarray, vectors: np.ndarray) -> fl
     The one residual certificate behind solvers.residual, the solvers and
     factorization_from_solution; callers validate X and its positivity.
     """
-    adj = vectors.conj().T
-    x_s = (vectors * values**P.s) @ adj
-    x_mt = (vectors * values**-P.t) @ adj
-    x_mp = (vectors * values**-P.p) @ adj
-    R = x_s + P.A.conj().T @ x_mt @ P.A + P.B.conj().T @ x_mp @ P.B - P.Q
+    x_s = (vectors * values**P.s) @ vectors.conj().T
+    R = (
+        x_s
+        + mc.congruence(vectors, values**-P.t, P.A)
+        + mc.congruence(vectors, values**-P.p, P.B)
+        - P.Q
+    )
     return mc.spectral_norm(R)

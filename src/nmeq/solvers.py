@@ -245,12 +245,12 @@ def reduced_residual(R: ReducedEquation, Y) -> float:
     values, vectors = mc.herm_eig(Y)
     if not mc.is_pd_spectrum(values):
         raise ValueError(f"Y must be positive definite (lambda_min = {values[0]:.3e})")
-    adj = vectors.conj().T
-    y_o = (vectors * values**R.outer) @ adj
-    y_t = (vectors * values**-R.inner_t) @ adj
-    y_p = (vectors * values**-R.inner_p) @ adj
+    y_o = (vectors * values**R.outer) @ vectors.conj().T
     return mc.spectral_norm(
-        y_o + R.A.conj().T @ y_t @ R.A + R.B.conj().T @ y_p @ R.B - R.Q
+        y_o
+        + mc.congruence(vectors, values**-R.inner_t, R.A)
+        + mc.congruence(vectors, values**-R.inner_p, R.B)
+        - R.Q
     )
 
 
@@ -308,12 +308,7 @@ def fixed_point_check(P: ProblemInstance, alpha: float) -> FixedPointCheck:
     scheme_applies = P.s >= max(P.t, P.p)
     if alpha > 0.0:
         feas_lhs = float(_feasibility_lhs(P, alpha))
-        values, _ = mc.trusted_eigh(
-            P.Q
-            - alpha ** (-P.t / P.s) * P.A.conj().T @ P.A
-            - alpha ** (-P.p / P.s) * P.B.conj().T @ P.B
-        )
-        beta = float(values[0])
+        beta = float(np.linalg.eigvalsh(_first_iterate(P, alpha))[0])
     else:
         feas_lhs = math.inf
         beta = -math.inf
@@ -338,6 +333,14 @@ def fixed_point_check(P: ProblemInstance, alpha: float) -> FixedPointCheck:
         scheme_applies=scheme_applies,
         feasible=feasible,
         contractive=contraction_lhs < contraction_rhs,
+    )
+
+
+def _first_iterate(P: ProblemInstance, alpha: float) -> np.ndarray:
+    """Y_1 = Q - alpha^{-t/s} A* A - alpha^{-p/s} B* B, the fixed-point
+    iterate after Y_0 = alpha I, from the cached A* A and B* B."""
+    return mc.hermitian_part(
+        P.Q - alpha ** (-P.t / P.s) * P._ata - alpha ** (-P.p / P.s) * P._btb
     )
 
 
@@ -381,32 +384,38 @@ def solve_fixed_point(P: ProblemInstance, opts: SolveOptions | None = None) -> S
     check = fixed_point_check(P, float(alpha))
     if not check.ok and not opts.force:
         raise PreconditionError(_fixed_point_failure_message(check))
+    alpha = check.alpha
+    if not mc.is_pd_spectrum(np.array([alpha])):
+        raise PositivityError(
+            f"iterate 0 is not positive definite (lambda_min = {alpha:.3e})"
+        )
     e_t = P.t / P.s
     e_p = P.p / P.s
-    n = P.n
-    adj_a = P.A.conj().T
-    adj_b = P.B.conj().T
-    Y = check.alpha * np.eye(n, dtype=P.Q.dtype)
-    history: list[HistoryEntry] = []
-    iterates: list[np.ndarray] | None = [Y] if opts.record_history else None
-    converged = False
-    iterations = 0
-    for it in range(1, opts.max_iter + 1):
-        values, vectors = _eigh_pd(Y, f"iterate {it - 1}")
-        adj = vectors.conj().T
-        y_mt = (vectors * values**-e_t) @ adj
-        y_mp = (vectors * values**-e_p) @ adj
-        Y_next = mc.hermitian_part(P.Q - adj_a @ y_mt @ P.A - adj_b @ y_mp @ P.B)
+    # Y_0 = alpha I is never decomposed: Y_1 is known in closed form, and
+    # ||Y_1 - Y_0|| = max|lambda(Y_1) - alpha|.  Each later iterate gets one
+    # eigh, which feeds the next step or, for the last one, the lift.
+    Y = _first_iterate(P, alpha)
+    values, vectors = _eigh_pd(Y, "iterate 1")
+    step = float(np.max(np.abs(values - alpha)))
+    history = [HistoryEntry(1, step, step)]
+    iterates = [alpha * np.eye(P.n, dtype=P.Q.dtype), Y] if opts.record_history else None
+    iterations = 1
+    converged = step <= tol
+    while not converged and iterations < opts.max_iter:
+        iterations += 1
+        Y_next = mc.hermitian_part(
+            P.Q
+            - mc.congruence(vectors, values**-e_t, P.A)
+            - mc.congruence(vectors, values**-e_p, P.B)
+        )
         step = _step_norm(Y_next - Y)
-        history.append(HistoryEntry(it, step, step))
+        values, vectors = _eigh_pd(Y_next, f"iterate {iterations}")
+        history.append(HistoryEntry(iterations, step, step))
         if iterates is not None:
             iterates.append(Y_next)
         Y = Y_next
-        iterations = it
-        if step <= tol:
-            converged = True
-            break
-    X = mc.eig_power(*_eigh_pd(Y, "final iterate"), 1.0 / P.s)
+        converged = step <= tol
+    X = mc.eig_power(values, vectors, 1.0 / P.s)
     return SolveReport(
         solution_X=X,
         solution_Y=Y,
@@ -446,7 +455,11 @@ def _fixed_point_failure_message(check: FixedPointCheck) -> str:
 
 
 def coupled_check(P: ProblemInstance, b: float) -> CoupledCheck:
-    """Evaluate the coupled scheme preconditions at an upper scalar b."""
+    """Evaluate the coupled scheme preconditions at an upper scalar b.
+
+    When lambda_min(A* A) rounds to 0, theta is 0: the first contraction
+    fails and delta is inf, so the verdict is reported, not raised.
+    """
     b = float(b)
     if not (math.isfinite(b) and b > 0.0):
         raise ValueError(f"b must be a positive real, got {b}")
@@ -474,10 +487,12 @@ def coupled_check(P: ProblemInstance, b: float) -> CoupledCheck:
         P.p * nb2,
         P.s * a ** ((P.p + P.s) / P.t),
     )
-    delta = 2.0 * max(
-        (P.s / P.t) * na2 * theta**-2 * a ** (P.s / P.t - 1.0),
-        (P.p / P.t) * na2 * nb2 * theta**-2 * a ** (-P.p / P.t - 1.0),
-    )
+    delta = math.inf
+    if theta > 0.0:
+        delta = 2.0 * max(
+            (P.s / P.t) * na2 * theta**-2 * a ** (P.s / P.t - 1.0),
+            (P.p / P.t) * na2 * nb2 * theta**-2 * a ** (-P.p / P.t - 1.0),
+        )
     return CoupledCheck(
         b=b,
         a=a,
@@ -549,7 +564,6 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
     e_p = P.p / P.t
     n = P.n
     adj_a = P.A.conj().T
-    adj_b = P.B.conj().T
     X = check.a * np.eye(n, dtype=P.Q.dtype)
     Y = check.b * np.eye(n, dtype=P.Q.dtype)
     history: list[HistoryEntry] = []
@@ -560,16 +574,14 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
 
     def half_step(lo_vals, lo_vecs, hi_vals, hi_vecs, it: int) -> np.ndarray:
         lo_pow = (lo_vecs * lo_vals**e_s) @ lo_vecs.conj().T
-        hi_pow = (hi_vecs * hi_vals**-e_p) @ hi_vecs.conj().T
-        inner = mc.hermitian_part(P.Q - lo_pow - adj_b @ hi_pow @ P.B)
+        inner = mc.hermitian_part(P.Q - lo_pow - mc.congruence(hi_vecs, hi_vals**-e_p, P.B))
         inner_vals, inner_vecs = np.linalg.eigh(inner)
         if not mc.is_pd_spectrum(inner_vals):
             raise PositivityError(
                 f"inverted matrix Q - X^(s/t) - B* Y^(-p/t) B lost positive "
                 f"definiteness at iteration {it} (lambda_min = {inner_vals[0]:.3e})"
             )
-        inv = (inner_vecs / inner_vals) @ inner_vecs.conj().T
-        return mc.hermitian_part(P.A @ inv @ adj_a)
+        return mc.hermitian_part(mc.congruence(inner_vecs, 1.0 / inner_vals, adj_a))
 
     for it in range(1, opts.max_iter + 1):
         x_vals, x_vecs = _eigh_pd(X, f"lower iterate {it - 1}")

@@ -63,12 +63,14 @@ def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np
     return scale * 0.5 * (Z + Z.conj().T)
 
 
-def near_singular_coupled_problem():
+def near_singular_coupled_problem(seed: int = 0):
     """Coefficients (A, B, Q, s, t, p) of a coupled-scheme instance whose
-    A = U diag(1, 0.5, 2e-12) V passes the nonsingularity check, while
-    lambda_min(A Q^-1 A*) rounds to a tiny negative number, so the lower
-    starting scalar a clamps to 0."""
-    rng = np.random.default_rng(0)
+    A = U diag(1, 0.5, 2e-12) V passes the nonsingularity check.
+
+    With seed 0, lambda_min(A Q^-1 A*) rounds to a tiny negative number, so
+    the lower starting scalar a clamps to 0.  With seed 2, a = 5.96e-18 is
+    positive rounding noise while lambda_min(A* A) clamps to 0."""
+    rng = np.random.default_rng(seed)
     U, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     V, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     A = U @ np.diag([1.0, 0.5, 2e-12]) @ V

@@ -52,6 +52,45 @@ class TestProblemInstance:
                 np.eye(2), np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]), 1.0, 1.0, 1.0
             )
 
+    @staticmethod
+    def count_norm_calls(monkeypatch) -> list:
+        calls = []
+        original = np.linalg.norm
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting)
+        return calls
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_exactly_hermitian_q_costs_no_norm(self, monkeypatch, cplx):
+        rng = np.random.default_rng(31)
+        Q = random_hpd(rng, 4, lo=1.0, hi=3.0)
+        if not cplx:
+            Q = Q.real.copy()
+        assert np.array_equal(Q, Q.conj().T)
+        calls = self.count_norm_calls(monkeypatch)
+        P = analysis.ProblemInstance(np.eye(4), 0.5 * np.eye(4), Q, 2.0, 1.0, 1.0)
+        assert calls == []
+        assert np.array_equal(P.Q, Q)
+        assert P.Q is not Q
+
+    def test_q_drift_is_symmetrized_or_rejected(self, monkeypatch):
+        Q = np.array([[2.0, 0.5], [0.5, 3.0]])
+        small = Q.copy()
+        small[0, 1] += 1e-14
+        calls = self.count_norm_calls(monkeypatch)
+        P = analysis.ProblemInstance(np.eye(2), np.eye(2), small, 1.0, 1.0, 1.0)
+        assert len(calls) == 2
+        assert np.array_equal(P.Q, P.Q.T)
+        assert np.array_equal(P.Q, mc.hermitian_part(small))
+        large = Q.copy()
+        large[0, 1] += 1e-6
+        with pytest.raises(ValueError, match="Hermitian"):
+            analysis.ProblemInstance(np.eye(2), np.eye(2), large, 1.0, 1.0, 1.0)
+
     def test_rejects_singular_coefficient(self):
         S = np.diag([1.0, 0.0])
         with pytest.raises(ValueError, match="nonsingular"):

@@ -6,24 +6,33 @@ user sees, including the exit-code contract:
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nmeq
 from nmeq import analysis, builtin, cli, probfile
 from nmeq import matcore as mc
 
 from support import near_singular_coupled_problem
 
+# the subprocess imports the same nmeq as the tests, installed or not
+NMEQ_ROOT = str(Path(nmeq.__file__).resolve().parent.parent)
+
 
 def run_cli(*args, cwd=None):
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": NMEQ_ROOT + (os.pathsep + path if path else "")}
     return subprocess.run(
         [sys.executable, "-m", "nmeq.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=env,
     )
 
 
@@ -129,6 +138,21 @@ class TestSolve:
         assert res.stderr.startswith("error: ")
         assert "rounds to 0" in res.stderr
         assert "Traceback" not in res.stderr
+
+    def test_clamped_theta_ends_in_documented_codes(self, tmp_path):
+        # lambda_min(A* A) clamps to 0: the coupled preconditions fail (exit
+        # 3), and a forced run loses positive definiteness (exit 4)
+        P = analysis.ProblemInstance(*near_singular_coupled_problem(seed=2))
+        path = tmp_path / "clamped_theta.json"
+        path.write_text(probfile.write_problem(probfile.problem_from_instance(P)))
+        res = run_cli("solve", str(path))
+        assert res.returncode == 3
+        assert res.stderr.startswith("error: no feasible upper scalar b")
+        assert "cannot evaluate" not in res.stderr
+        forced = run_cli("solve", str(path), "--force")
+        assert forced.returncode == 4
+        assert forced.stderr.startswith("error: ")
+        assert "Traceback" not in res.stderr + forced.stderr
 
     def test_history_csv(self, tmp_path):
         out = tmp_path / "hist.csv"

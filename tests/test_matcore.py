@@ -104,6 +104,24 @@ class TestValidation:
         assert np.array_equal(H, H.conj().T)
 
 
+class TestCongruence:
+    @pytest.mark.parametrize("cplx", [False, True])
+    @pytest.mark.parametrize("n", [1, 5, 32])
+    def test_matches_explicit_product(self, n, cplx):
+        rng = seeded_rng(100 + n + cplx)
+        M = rng.normal(size=(n, n))
+        if cplx:
+            M = M + 1j * rng.normal(size=(n, n))
+            V = random_unitary(rng, n)
+        else:
+            V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        w = rng.uniform(0.1, 10.0, size=n)
+        got = mc.congruence(V, w, M)
+        expected = M.conj().T @ ((V * w) @ V.conj().T) @ M
+        assert got.dtype == (np.complex128 if cplx else np.float64)
+        assert np.linalg.norm(got - expected, 2) <= 1e-13 * np.linalg.norm(expected, 2)
+
+
 class TestEig:
     def test_q2_eigenvalues_frozen(self):
         # char poly of Q2 factors exactly: roots 6.5, 7.5, 9.5

@@ -240,6 +240,49 @@ class TestFixedPoint:
         for n, Y in enumerate(rep.iterates):
             assert mc.spectral_norm(Y - Yf) <= d**n / (1.0 - d) * anchor + 10 * tol
 
+    def test_one_decomposition_per_iterate(self, monkeypatch):
+        # Y_1 .. Y_N get one eigh each (the last one feeds the lift), plus
+        # one for the residual certificate; Y_0 = alpha I gets none.  The
+        # precheck's eigvalsh of Y_1 and the N - 1 step norms make N eigvalsh.
+        P = builtin.example(1).instance
+        counts = {"eigh": 0, "eigvalsh": 0}
+        for name in counts:
+            original = getattr(np.linalg, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        rep = solvers.solve_fixed_point(P)
+        assert rep.converged and rep.preconditions_held
+        assert counts == {"eigh": rep.iterations + 1, "eigvalsh": rep.iterations}
+
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_analytic_first_step(self, which):
+        P = builtin.example(which).instance
+        opts = solvers.SolveOptions(alpha=1.0, force=True)
+        rep = solvers.solve_fixed_point(P, opts)
+        alpha = rep.precheck.alpha
+        eye = np.eye(P.n)
+        assert np.array_equal(rep.iterates[0], alpha * eye)
+        Y1 = rep.iterates[1]
+        explicit = (
+            P.Q
+            - P.A.conj().T @ (alpha ** (-P.t / P.s) * eye) @ P.A
+            - P.B.conj().T @ (alpha ** (-P.p / P.s) * eye) @ P.B
+        )
+        assert mc.spectral_norm(Y1 - explicit) <= 1e-14 * mc.spectral_norm(P.Q)
+        step = mc.spectral_norm(Y1 - alpha * eye)
+        assert rep.history[0].step_error_X == pytest.approx(step, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0])
+    def test_forced_nonpositive_alpha_loses_positivity(self, alpha):
+        with pytest.raises(solvers.PositivityError, match="iterate 0"):
+            solvers.solve_fixed_point(
+                builtin.example(1).instance, solvers.SolveOptions(alpha=alpha, force=True)
+            )
+
     def test_infeasible_alpha_raises(self):
         with pytest.raises(solvers.PreconditionError, match="infeasible"):
             solvers.solve_fixed_point(
@@ -526,6 +569,21 @@ class TestForcedCoupledStart:
                 solvers.solve_coupled(P, solvers.SolveOptions(force=force))
         with pytest.raises(solvers.PreconditionError, match="rounds to 0"):
             solvers.solve_coupled(P, solvers.SolveOptions(b_upper=1.0, force=True))
+
+
+    def test_clamped_theta_fails_the_first_contraction(self):
+        # a = 5.96e-18 > 0, but lambda_min(A* A) clamps to 0, so theta = 0
+        P = analysis.ProblemInstance(*near_singular_coupled_problem(seed=2))
+        assert solvers._coupled_a(P) > 0.0
+        assert P._lambda_min_ata == 0.0
+        check = solvers.coupled_check(P, 1.0)
+        assert check.theta == 0.0
+        assert check.delta == math.inf
+        assert not check.contraction_a.holds
+        assert not check.ok
+        assert solvers.b_search(P) is None
+        with pytest.raises(solvers.PreconditionError, match="no feasible upper scalar"):
+            solvers.solve_coupled(P)
 
 
 class TestRealArithmetic:
