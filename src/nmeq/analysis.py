@@ -139,15 +139,24 @@ class ProblemInstance:
         """||Q||: Q is positive definite, so its norm is lambda_max(Q)."""
         return self._lambda_max_q
 
+    @property
+    def _accept_tol(self) -> float:
+        """Default residual tolerance for accepting a candidate solution."""
+        return 1e-8 * (1.0 + self._norm_q)
+
     @cached_property
     def _aqa_eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigendecomposition of A Q^-1 A*."""
-        return _frozen_eig(*mc.trusted_eigh(_congruence(self.A, self.Q)))
+        """Eigendecomposition of A Q^-1 A*, with Q^-1 read from the eigh of Q."""
+        q_values, q_vectors = self._q_eig
+        aqa = mc.congruence(q_vectors, 1.0 / q_values, self.A.conj().T)
+        return _frozen_eig(*mc.trusted_eigh(aqa))
 
     @cached_property
     def _bqb_eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigendecomposition of B Q^-1 B*."""
-        return _frozen_eig(*mc.trusted_eigh(_congruence(self.B, self.Q)))
+        """Eigendecomposition of B Q^-1 B*, with Q^-1 read from the eigh of Q."""
+        q_values, q_vectors = self._q_eig
+        bqb = mc.congruence(q_vectors, 1.0 / q_values, self.B.conj().T)
+        return _frozen_eig(*mc.trusted_eigh(bqb))
 
     @cached_property
     def _ata(self) -> np.ndarray:
@@ -168,10 +177,7 @@ class ProblemInstance:
     @cached_property
     def _q_root(self) -> np.ndarray:
         """Q^(1/s)."""
-        return _read_only(self._q_power(1.0 / self.s))
-
-    def _q_power(self, r: float) -> np.ndarray:
-        return mc.eig_power(*self._q_eig, r)
+        return _read_only(mc.eig_power(*self._q_eig, 1.0 / self.s))
 
     @cached_property
     def _derived(self) -> DerivedScalars:
@@ -248,11 +254,6 @@ class DerivedScalars:
     c: float
     c1: float
     a: float
-
-
-def _congruence(M: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """M Q^-1 M*, symmetrized."""
-    return mc.hermitian_part(M @ np.linalg.solve(Q, M.conj().T))
 
 
 def _clamped_root(value: float, root: float) -> float:
@@ -343,28 +344,27 @@ def solution_bounds(P: ProblemInstance) -> SolutionBounds:
     instance cannot have a solution.
     """
     d = derived_scalars(P)
-    n = P.n
-    gap = mc.hermitian_part(P.Q - d.c**P.s * np.eye(n))
-    gap_values, _ = mc.trusted_eigh(gap)
+    # Q - c^s I and Q share eigenvectors, so every Q-side term below is a
+    # congruence through the one eigendecomposition of Q
+    q_values, q_vectors = P._q_eig
+    gap_values = q_values - d.c**P.s
     if not mc.is_pd_spectrum(gap_values):
         raise BracketUndefinedError(
             "bracket undefined; Q - c^s I is not positive definite "
             f"(lambda_min = {gap_values[0]:.3e}), so the instance "
             "cannot have a Hermitian positive definite solution"
         )
-    a_ref = _congruence(P.A, gap)
-    b_ref = _congruence(P.B, gap)
+    a_ref = mc.congruence(q_vectors, 1.0 / gap_values, P.A.conj().T)
+    b_ref = mc.congruence(q_vectors, 1.0 / gap_values, P.B.conj().T)
     m = max(
         _clamped_root(_lambda_min(a_ref), 1.0 / P.t),
         _clamped_root(_lambda_min(b_ref), 1.0 / P.p),
     )
     r = d.k_tilde / d.k
-    q_mt = P._q_power(-P.t / P.s)
-    q_mp = P._q_power(-P.p / P.s)
-    inner = mc.hermitian_part(
+    inner = (
         P.Q
-        - r ** ((P.t - 1.0) / P.s) * P.A.conj().T @ q_mt @ P.A
-        - r ** ((P.p - 1.0) / P.s) * P.B.conj().T @ q_mp @ P.B
+        - r ** ((P.t - 1.0) / P.s) * mc.congruence(q_vectors, q_values ** (-P.t / P.s), P.A)
+        - r ** ((P.p - 1.0) / P.s) * mc.congruence(q_vectors, q_values ** (-P.p / P.s), P.B)
     )
     inner_values, inner_vectors = mc.trusted_eigh(inner)
     if not mc.is_pd_spectrum(inner_values):
@@ -392,9 +392,7 @@ def check_uniqueness_interval(P: ProblemInstance) -> ConditionReport:
         mc.eig_power(*P._aqa_eig, P.s / P.t) + mc.eig_power(*P._bqb_eig, P.s / P.p)
     )
     v_floor = _loewner_verdict(floor_sum, P.Q)
-    correction_at_c = mc.hermitian_part(
-        d.c**-P.t * P.A.conj().T @ P.A + d.c**-P.p * P.B.conj().T @ P.B
-    )
+    correction_at_c = mc.hermitian_part(d.c**-P.t * P._ata + d.c**-P.p * P._btb)
     v_dom = _loewner_verdict(
         correction_at_c,
         mc.hermitian_part(P.Q - floor_sum),
@@ -456,11 +454,12 @@ def check_uniqueness_k(P: ProblemInstance, k: float) -> ConditionReport:
     )
 
 
-def scan_k(P: ProblemInstance, grid=None) -> float | None:
-    """First k on a log grid in [1.01, 100] making check_uniqueness_k hold."""
-    if grid is None:
-        grid = np.geomspace(1.01, 100.0, 200)
-    for k in grid:
+_K_GRID = _read_only(np.geomspace(1.01, 100.0, 200))
+
+
+def scan_k(P: ProblemInstance) -> float | None:
+    """First k on a 200-point log grid in [1.01, 100] making check_uniqueness_k hold."""
+    for k in _K_GRID:
         if check_uniqueness_k(P, float(k)).holds:
             return float(k)
     return None
@@ -515,17 +514,10 @@ def factorization_from_solution(
     N2 = X^(-p/2) B.  Raises NotASolutionError when X fails the equation
     residual check (tolerance 1e-8 * (1 + ||Q||) by default).
     """
-    X = mc.check_hermitian(X, "X")
-    if X.shape != P.Q.shape:
-        raise ValueError(f"X has shape {X.shape}, expected {P.Q.shape}")
-    values, vectors = mc.trusted_eigh(X)
-    if not mc.is_pd_spectrum(values):
-        raise NotASolutionError(
-            f"candidate is not positive definite (lambda_min = {values[0]:.3e})"
-        )
+    _, values, vectors = _accept_candidate(P, X)
     res = _residual(P, values, vectors)
     if tol is None:
-        tol = 1e-8 * (1.0 + P._norm_q)
+        tol = P._accept_tol
     if res > tol:
         raise NotASolutionError(
             f"candidate is not a solution (residual {res:.3e} > tolerance {tol:.3e})"
@@ -536,11 +528,26 @@ def factorization_from_solution(
     return Factorization(U=vectors, lam=values**P.s, N1=n1, N2=n2)
 
 
+def _accept_candidate(P: ProblemInstance, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one acceptance rule for a candidate solution X from outside:
+    Hermitian up to drift, the shape of Q, and positive definite (else
+    NotASolutionError).  Returns X symmetrized and its eigendecomposition."""
+    X = mc.check_hermitian(X, "X")
+    if X.shape != P.Q.shape:
+        raise ValueError(f"X has shape {X.shape}, expected {P.Q.shape}")
+    values, vectors = mc.trusted_eigh(X)
+    if not mc.is_pd_spectrum(values):
+        raise NotASolutionError(
+            f"X is not positive definite (lambda_min = {values[0]:.3e})"
+        )
+    return X, values, vectors
+
+
 def _residual(P: ProblemInstance, values: np.ndarray, vectors: np.ndarray) -> float:
     """||X^s + A* X^-t A + B* X^-p B - Q|| for X = V diag(values) V* positive definite.
 
-    The one residual certificate behind solvers.residual, the solvers and
-    factorization_from_solution; callers validate X and its positivity.
+    The one residual certificate behind the solvers and every candidate
+    check; callers validate X and its positivity (see _accept_candidate).
     """
     x_s = (vectors * values**P.s) @ vectors.conj().T
     R = (

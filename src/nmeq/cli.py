@@ -19,12 +19,12 @@ import sys
 import numpy as np
 
 from . import builtin, probfile, solvers
-from . import matcore as mc
 from .analysis import (
     BracketUndefinedError,
     ConditionReport,
     NotASolutionError,
     ProblemInstance,
+    _accept_candidate,
     _lambda_min,
     _residual,
     check_necessary,
@@ -164,12 +164,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_factorize(args) -> int:
     P, _ = _resolve_problem(args)
-    sol = probfile.load_solution(args.solution)
-    if sol.X.shape != (P.n, P.n):
-        raise probfile.ProblemFileError(
-            f"X: solution is {sol.X.shape[0]}x{sol.X.shape[1]}, problem is {P.n}x{P.n}"
-        )
-    F = factorization_from_solution(P, sol.X)
+    F = factorization_from_solution(P, probfile.load_solution(args.solution).X)
     ok = verify_factorization(P, F)
     print(f"factorization verified: {'true' if ok else 'false'}")
     doc = probfile.write_factorization(F)
@@ -189,18 +184,13 @@ def cmd_verify(args) -> int:
             f"X: solution is {sol.X.shape[0]}x{sol.X.shape[1]}, problem is {P.n}x{P.n}"
         )
     # the file's X is validated here, once; everything below trusts it
-    X_file = mc.as_matrix(sol.X, "X")
-    X = mc.hermitian_part(X_file)
-    herm_drift = mc.spectral_norm(X_file - X)
-    if herm_drift > mc.ATOL_HERM * (1.0 + mc.spectral_norm(X_file)):
-        print(f"candidate X is not Hermitian (drift {_fmt(herm_drift)})")
-        return EXIT_VERIFICATION
-    values, vectors = mc.trusted_eigh(X)
-    if not mc.is_pd_spectrum(values):
-        print("candidate X is not positive definite")
+    try:
+        X, values, vectors = _accept_candidate(P, sol.X)
+    except ValueError as exc:
+        print(f"candidate {exc}")
         return EXIT_VERIFICATION
     resid = _residual(P, values, vectors)
-    tol = args.tol if args.tol is not None else 1e-8 * (1.0 + P._norm_q)
+    tol = args.tol if args.tol is not None else P._accept_tol
     print(f"residual: {_fmt(resid)}")
     print(f"tolerance: {_fmt(tol)}")
     if resid > tol:

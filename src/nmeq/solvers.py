@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import matcore as mc
-from .analysis import ProblemInstance, Verdict, _residual
+from .analysis import ProblemInstance, Verdict, _accept_candidate, _residual
 
 __all__ = [
     "PreconditionError",
@@ -37,13 +37,9 @@ __all__ = [
     "SolveReport",
     "FixedPointCheck",
     "CoupledCheck",
-    "ReducedEquation",
     "ScalarInstance",
     "ScalarRoots",
     "residual",
-    "reduce",
-    "lift",
-    "reduced_residual",
     "normalize",
     "alpha_search",
     "b_search",
@@ -196,10 +192,8 @@ def _resolve_tol(P: ProblemInstance, opts: SolveOptions) -> float:
 
 def residual(P: ProblemInstance, X) -> float:
     """||X^s + A* X^-t A + B* X^-p B - Q|| for an HPD candidate X."""
-    X = mc.check_hermitian(X, "X")
-    if X.shape != P.Q.shape:
-        raise ValueError(f"X has shape {X.shape}, expected {P.Q.shape}")
-    return _trusted_residual(P, X)
+    _, values, vectors = _accept_candidate(P, X)
+    return _residual(P, values, vectors)
 
 
 def _trusted_residual(P: ProblemInstance, X: np.ndarray) -> float:
@@ -210,48 +204,6 @@ def _trusted_residual(P: ProblemInstance, X: np.ndarray) -> float:
             f"X must be positive definite (lambda_min = {values[0]:.3e})"
         )
     return _residual(P, values, vectors)
-
-
-@dataclass(frozen=True)
-class ReducedEquation:
-    """Transformed equation Y^outer + A* Y^-inner_t A + B* Y^-inner_p B = Q,
-    where Y = X^root solves it iff X solves the original equation."""
-
-    A: np.ndarray
-    B: np.ndarray
-    Q: np.ndarray
-    outer: float
-    inner_t: float
-    inner_p: float
-    root: float
-
-
-def reduce(P: ProblemInstance, scheme: Scheme | None = None) -> ReducedEquation:
-    """Reduction used by the given scheme (dispatched scheme when None)."""
-    if scheme is None:
-        scheme = Scheme.FIXED_POINT if P.s >= P.t else Scheme.COUPLED
-    if scheme is Scheme.FIXED_POINT:
-        return ReducedEquation(P.A, P.B, P.Q, 1.0, P.t / P.s, P.p / P.s, P.s)
-    return ReducedEquation(P.A, P.B, P.Q, P.s / P.t, 1.0, P.p / P.t, P.t)
-
-
-def lift(Y, exponent: float) -> np.ndarray:
-    """Map a transformed-variable solution back: X = Y^exponent."""
-    return mc.herm_power(Y, exponent)
-
-
-def reduced_residual(R: ReducedEquation, Y) -> float:
-    """Defect of Y on the transformed equation."""
-    values, vectors = mc.herm_eig(Y)
-    if not mc.is_pd_spectrum(values):
-        raise ValueError(f"Y must be positive definite (lambda_min = {values[0]:.3e})")
-    y_o = (vectors * values**R.outer) @ vectors.conj().T
-    return mc.spectral_norm(
-        y_o
-        + mc.congruence(vectors, values**-R.inner_t, R.A)
-        + mc.congruence(vectors, values**-R.inner_p, R.B)
-        - R.Q
-    )
 
 
 def normalize(P: ProblemInstance) -> tuple[ProblemInstance, float]:
@@ -457,8 +409,9 @@ def _fixed_point_failure_message(check: FixedPointCheck) -> str:
 def coupled_check(P: ProblemInstance, b: float) -> CoupledCheck:
     """Evaluate the coupled scheme preconditions at an upper scalar b.
 
-    When lambda_min(A* A) rounds to 0, theta is 0: the first contraction
-    fails and delta is inf, so the verdict is reported, not raised.
+    When lambda_min(A* A) or a = lambda_min(A Q^-1 A*) rounds to 0, the
+    conditions it enters as a negative power fail and delta is inf, so the
+    verdict is reported, not raised.
     """
     b = float(b)
     if not (math.isfinite(b) and b > 0.0):
@@ -468,27 +421,30 @@ def coupled_check(P: ProblemInstance, b: float) -> CoupledCheck:
     a = _coupled_a(P)
     theta = P._lambda_min_ata / b
     separation = Verdict(b > a, a, b, note="requires lhs < rhs")
-    dom_rhs = mc.hermitian_part(
-        P._ata / b + b ** (P.s / P.t) * np.eye(P.n) + a ** (-P.p / P.t) * P._btb
-    )
+    gap = -math.inf
+    if a > 0.0:
+        dom_rhs = mc.hermitian_part(
+            P._ata / b + b ** (P.s / P.t) * np.eye(P.n) + a ** (-P.p / P.t) * P._btb
+        )
+        gap = float(np.linalg.eigvalsh(mc.hermitian_part(P.Q - dom_rhs))[0])
     # dom_rhs is positive semidefinite, so wherever the verdict is close,
     # ||dom_rhs|| <= ||Q|| + |gap|: scaling the tolerance by ||Q|| alone
     # decides the same way as scaling it by max(||Q||, ||dom_rhs||).
     tol = 1e-10 * max(P._norm_q, 1.0)
-    gap = float(np.linalg.eigvalsh(mc.hermitian_part(P.Q - dom_rhs))[0])
     domination = Verdict(gap >= -tol, gap, 0.0)
-    contraction_a = Verdict(
-        P.s * na2 < 0.5 * P.t * theta**2 * a ** (1.0 - P.s / P.t),
-        P.s * na2,
-        0.5 * P.t * theta**2 * a ** (1.0 - P.s / P.t),
-    )
+    rhs_a = 0.0
+    if theta > 0.0:
+        # for s > t the power of a is negative; at a = 0 it is its limit, inf
+        a_pow = a ** (1.0 - P.s / P.t) if a > 0.0 or P.s <= P.t else math.inf
+        rhs_a = 0.5 * P.t * theta**2 * a_pow
+    contraction_a = Verdict(P.s * na2 < rhs_a, P.s * na2, rhs_a)
     contraction_b = Verdict(
         P.p * nb2 < P.s * a ** ((P.p + P.s) / P.t),
         P.p * nb2,
         P.s * a ** ((P.p + P.s) / P.t),
     )
     delta = math.inf
-    if theta > 0.0:
+    if theta > 0.0 and a > 0.0:
         delta = 2.0 * max(
             (P.s / P.t) * na2 * theta**-2 * a ** (P.s / P.t - 1.0),
             (P.p / P.t) * na2 * nb2 * theta**-2 * a ** (-P.p / P.t - 1.0),

@@ -173,10 +173,21 @@ class TestDerivedScalars:
         assert dp == dr
 
 
-def from_scratch_derived_scalars(P):
+def q_inverse_congruence(P, M):
+    """M Q^-1 M* from scratch, with Q^-1 from the eigendecomposition of Q."""
+    q_values, q_vectors = mc.herm_eig(P.Q)
+    return mc.hermitian_part(mc.congruence(q_vectors, 1.0 / q_values, M.conj().T))
+
+
+def solved_q_inverse_congruence(P, M):
+    """M Q^-1 M* by an LU solve, the independent definition."""
+    return mc.hermitian_part(M @ np.linalg.solve(P.Q, M.conj().T))
+
+
+def from_scratch_derived_scalars(P, congruence=q_inverse_congruence):
     """DerivedScalars recomputed through the public, validating primitives."""
-    aqa = mc.hermitian_part(P.A @ np.linalg.solve(P.Q, P.A.conj().T))
-    bqb = mc.hermitian_part(P.B @ np.linalg.solve(P.Q, P.B.conj().T))
+    aqa = congruence(P, P.A)
+    bqb = congruence(P, P.B)
     lo_a, hi_a = mc.lambda_min(aqa), mc.lambda_max(aqa)
     lo_b, hi_b = mc.lambda_min(bqb), mc.lambda_max(bqb)
     return analysis.DerivedScalars(
@@ -221,15 +232,15 @@ class TestCachedInvariants:
         assert P._lambda_min_q == mc.lambda_min(P.Q)
         assert P._lambda_max_q == mc.lambda_max(P.Q)
         assert np.array_equal(P._q_root, mc.herm_power(P.Q, 1.0 / P.s))
-        assert np.array_equal(P._q_power(-P.t / P.s), mc.herm_power(P.Q, -P.t / P.s))
 
     def test_congruences_and_gram_matrices(self, instance):
         P = instance
         for cached, M in ((P._aqa_eig, P.A), (P._bqb_eig, P.B)):
-            congruence = mc.hermitian_part(M @ np.linalg.solve(P.Q, M.conj().T))
-            values, vectors = mc.herm_eig(congruence)
+            values, vectors = mc.herm_eig(q_inverse_congruence(P, M))
             assert np.array_equal(cached[0], values)
             assert np.array_equal(cached[1], vectors)
+            solved = mc.herm_eig(solved_q_inverse_congruence(P, M))[0]
+            assert np.allclose(values, solved, rtol=1e-12, atol=0.0)
         ata = mc.hermitian_part(P.A.conj().T @ P.A)
         assert np.array_equal(P._ata, ata)
         assert np.array_equal(P._btb, P.B.conj().T @ P.B)
@@ -239,6 +250,9 @@ class TestCachedInvariants:
         d = analysis.derived_scalars(instance)
         assert d == from_scratch_derived_scalars(instance)
         assert analysis.derived_scalars(instance) is d
+        solved = from_scratch_derived_scalars(instance, solved_q_inverse_congruence)
+        for name, value in vars(d).items():
+            assert math.isclose(value, getattr(solved, name), rel_tol=1e-12)
 
     def test_cached_arrays_are_read_only(self, instance):
         P = instance

@@ -246,8 +246,9 @@ class TestVerifyFactorize:
 
     def test_verify_validates_x_once(self, solved, monkeypatch, capsys):
         # Q is validated when the example is built and the file's X by the
-        # drift check (two norms); the residual takes one more norm, and the
-        # positivity, residual and bracket tests reuse the trusted kernel
+        # shared acceptance rule (exactly Hermitian, so no drift norms); the
+        # residual takes one norm, and the positivity, residual and bracket
+        # tests reuse the trusted kernel
         calls = {"check_hermitian": 0, "spectral_norm": 0}
         for name in calls:
             original = getattr(mc, name)
@@ -258,7 +259,7 @@ class TestVerifyFactorize:
 
             monkeypatch.setattr(mc, name, counting)
         assert cli.main(["verify", "--example", "1", str(solved)]) == 0
-        assert calls == {"check_hermitian": 1, "spectral_norm": 3}
+        assert calls == {"check_hermitian": 2, "spectral_norm": 1}
         out = capsys.readouterr().out
         assert "in bracket [cI, Q^(1/s)]: true" in out
         assert "in refined bracket [mI, N]: true" in out
@@ -271,6 +272,22 @@ class TestVerifyFactorize:
         res = run_cli("verify", "--example", "1", str(bad))
         assert res.returncode == 5
         assert "not Hermitian" in res.stdout
+
+    def test_verify_and_factorize_agree_on_nearly_hermitian_x(self, solved, tmp_path):
+        # drift 1.5e-12 (1 + ||X||) against the limit 1e-12 (1 + ||X||):
+        # every entry point applies the one Hermitian rule and rejects X
+        doc = json.loads(solved.read_text())
+        X = np.array(doc["X"])
+        doc["X"][0][1] += 1.5e-12 * (1.0 + np.linalg.norm(X, 2))
+        bad = tmp_path / "drift.json"
+        bad.write_text(json.dumps(doc))
+        factorize = run_cli("factorize", "--example", "1", str(bad))
+        assert factorize.returncode == 2
+        assert "X: not Hermitian" in factorize.stderr
+        verify = run_cli("verify", "--example", "1", str(bad))
+        assert verify.returncode == 5
+        assert "not Hermitian" in verify.stdout
+        assert "verification: passed" not in verify.stdout
 
     def test_verify_perturbed_fails(self, solved, tmp_path):
         doc = json.loads(solved.read_text())
@@ -293,6 +310,9 @@ class TestVerifyFactorize:
         bad.write_text(json.dumps({"X": [[1.0]]}))
         res = run_cli("verify", "--example", "1", str(bad))
         assert res.returncode == 2
+        res = run_cli("factorize", "--example", "1", str(bad))
+        assert res.returncode == 2
+        assert "shape" in res.stderr
 
     def test_factorize_roundtrip(self, solved, tmp_path):
         out = tmp_path / "fact.json"

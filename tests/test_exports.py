@@ -1,0 +1,43 @@
+"""Export guard: every advertised name resolves, and the package API is
+exactly the pinned 56 names, so a deletion cannot leave a stale export."""
+
+import importlib
+
+import pytest
+
+import nmeq
+
+MODULES = ("analysis", "builtin", "cli", "matcore", "probfile", "solvers")
+
+PACKAGE_API = {
+    "BracketUndefinedError", "BuiltinProblem", "ConditionReport", "DerivedScalars",
+    "Extremality", "Factorization", "HistoryEntry", "NotASolutionError",
+    "PositivityError", "PreconditionError", "ProblemFile", "ProblemFileError",
+    "ProblemInstance", "ScalarInstance", "Scheme", "SolutionBounds", "SolutionFile",
+    "SolveOptions", "SolveReport", "Verdict", "alpha_search", "b_search",
+    "check_necessary", "check_sufficient", "check_uniqueness_interval",
+    "check_uniqueness_k", "coupled_check", "derived_scalars", "example",
+    "factorization_from_solution", "fixed_point_check", "herm_power",
+    "hermitian_part", "is_hpd", "lambda_max", "lambda_min", "load_problem",
+    "load_solution", "loewner_leq", "normalize", "parse_problem", "parse_solution",
+    "problem_from_instance", "residual", "scalar_oracle", "scan_k",
+    "solution_bounds", "solve", "solve_coupled", "solve_fixed_point",
+    "spectral_norm", "spectral_radius", "verify_factorization",
+    "write_history_csv", "write_problem", "write_solution",
+}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_exports_resolve(name):
+    module = importlib.import_module(f"nmeq.{name}")
+    assert len(set(module.__all__)) == len(module.__all__)
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert missing == []
+
+
+def test_package_api_is_pinned():
+    assert len(PACKAGE_API) == 56
+    assert len(nmeq.__all__) == 56
+    assert set(nmeq.__all__) == PACKAGE_API
+    for name in nmeq.__all__:
+        assert hasattr(nmeq, name)

@@ -94,35 +94,27 @@ class TestBoundaryValidation:
 
 
 class TestReduceLift:
-    def test_fixed_point_exponents(self):
-        R = solvers.reduce(builtin.example(1).instance)
-        assert R.outer == 1.0
-        assert R.inner_t == pytest.approx(2.0 / 3.0)
-        assert R.inner_p == pytest.approx(1.0 / 3.0)
-        assert R.root == 3.0
-
-    def test_coupled_exponents(self):
-        R = solvers.reduce(builtin.example(2).instance)
-        assert R.outer == pytest.approx(3.0 / 4.0)
-        assert R.inner_t == 1.0
-        assert R.inner_p == pytest.approx(1.0 / 4.0)
-        assert R.root == 4.0
-
-    def test_explicit_scheme_overrides_dispatch(self):
-        R = solvers.reduce(builtin.example(1).instance, solvers.Scheme.COUPLED)
-        assert R.root == 2.0
+    """The printed pair (Y, X) of each bundled example: Y = X^r with r the
+    lift root, and Y solves the transformed equation
+    Y^(s/r) + A* Y^(-t/r) A + B* Y^(-p/r) B = Q."""
 
     def test_lift_matches_printed_pair(self):
         for which in (1, 2):
             bp = builtin.example(which)
-            X = solvers.lift(bp.solution_Y, 1.0 / bp.lift_root)
+            X = mc.herm_power(bp.solution_Y, 1.0 / bp.lift_root)
             assert np.max(np.abs(X - bp.solution_X)) <= 1e-12
 
     def test_reduced_residual_of_printed_y(self):
         for which in (1, 2):
             bp = builtin.example(which)
-            R = solvers.reduce(bp.instance)
-            assert solvers.reduced_residual(R, bp.solution_Y) <= 1e-10
+            P, Y, r = bp.instance, bp.solution_Y, bp.lift_root
+            defect = (
+                mc.herm_power(Y, P.s / r)
+                + P.A.conj().T @ mc.herm_power(Y, -P.t / r) @ P.A
+                + P.B.conj().T @ mc.herm_power(Y, -P.p / r) @ P.B
+                - P.Q
+            )
+            assert mc.spectral_norm(defect) <= 1e-10
 
 
 class TestNormalize:
@@ -584,6 +576,29 @@ class TestForcedCoupledStart:
         assert solvers.b_search(P) is None
         with pytest.raises(solvers.PreconditionError, match="no feasible upper scalar"):
             solvers.solve_coupled(P)
+
+    @pytest.mark.parametrize("s", [3.0, 5.0])
+    def test_clamped_a_is_a_failed_verdict(self, s, monkeypatch):
+        # a clamps to 0, so a^(-p/t) in the domination bound and the negative
+        # powers of a in delta (and, for s > t, in the first contraction) are
+        # infinite: reported, never evaluated
+        A, B, Q, _, t, p = near_singular_coupled_problem()
+        P = analysis.ProblemInstance(A, B, Q, s, t, p)
+        assert solvers._coupled_a(P) == 0.0
+        eigvalsh = np.linalg.eigvalsh
+
+        def finite_only(M, *args, **kwargs):
+            assert np.all(np.isfinite(M))
+            return eigvalsh(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", finite_only)
+        check = solvers.coupled_check(P, 1.0)
+        assert check.a == 0.0
+        assert not check.domination.holds
+        assert check.domination.lhs == -math.inf
+        assert not check.contraction_b.holds
+        assert check.delta == math.inf
+        assert not check.ok
 
 
 class TestRealArithmetic:
