@@ -261,6 +261,12 @@ def _clamped_root(value: float, root: float) -> float:
     return max(value, 0.0) ** root
 
 
+def _clamped_power(values: np.ndarray, vectors: np.ndarray, r: float) -> np.ndarray:
+    """V diag(max(values, 0)^r) V*: eig_power of a congruence of HPD
+    matrices, with rounding-level negatives clamped as _clamped_root does."""
+    return mc.hermitian_part((vectors * np.maximum(values, 0.0) ** r) @ vectors.conj().T)
+
+
 def _lambda_min(M: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix the library built itself."""
     values, _ = mc.trusted_eigh(M)
@@ -384,25 +390,33 @@ def check_uniqueness_interval(P: ProblemInstance) -> ConditionReport:
     correction map X -> A* X^-t A + B* X^-p B is order-reversing, so checking
     it at the lower endpoint X = c I dominates the whole interval.  The
     verdict is labeled accordingly.
+
+    When c clamps to 0 the correction at X = c I is unbounded: domination
+    fails with lhs = -inf.  When a vanishes (c = 0, or a underflows) the
+    contraction term is its limit inf.  Neither is raised.
     """
     d = derived_scalars(P)
     n = P.n
     eye = np.eye(n, dtype=P.Q.dtype)
     floor_sum = mc.hermitian_part(
-        mc.eig_power(*P._aqa_eig, P.s / P.t) + mc.eig_power(*P._bqb_eig, P.s / P.p)
+        _clamped_power(*P._aqa_eig, P.s / P.t) + _clamped_power(*P._bqb_eig, P.s / P.p)
     )
     v_floor = _loewner_verdict(floor_sum, P.Q)
-    correction_at_c = mc.hermitian_part(d.c**-P.t * P._ata + d.c**-P.p * P._btb)
-    v_dom = _loewner_verdict(
-        correction_at_c,
-        mc.hermitian_part(P.Q - floor_sum),
-        note="checked at lower endpoint X = cI",
-    )
+    dom_note = "checked at lower endpoint X = cI"
+    if d.c > 0.0:
+        correction_at_c = mc.hermitian_part(d.c**-P.t * P._ata + d.c**-P.p * P._btb)
+        v_dom = _loewner_verdict(
+            correction_at_c, mc.hermitian_part(P.Q - floor_sum), note=dom_note
+        )
+    else:
+        v_dom = Verdict(False, -math.inf, 0.0, dom_note)
     na2 = P._norm_a**2
     nb2 = P._norm_b**2
-    contraction = (1.0 / P.s) * d.a ** (1.0 / P.s - 1.0) * (
-        P.t / d.c ** (P.t + 1.0) * na2 + P.p / d.c ** (P.p + 1.0) * nb2
-    )
+    contraction = math.inf
+    if d.a > 0.0:
+        contraction = (1.0 / P.s) * d.a ** (1.0 / P.s - 1.0) * (
+            P.t / d.c ** (P.t + 1.0) * na2 + P.p / d.c ** (P.p + 1.0) * nb2
+        )
     v_contr = Verdict(contraction < 1.0, contraction, 1.0)
     verdicts = {"interval_floor": v_floor, "domination": v_dom, "contraction": v_contr}
     holds = all(v.holds for v in verdicts.values())

@@ -40,7 +40,6 @@ __all__ = [
     "ScalarInstance",
     "ScalarRoots",
     "residual",
-    "normalize",
     "alpha_search",
     "b_search",
     "fixed_point_check",
@@ -92,7 +91,6 @@ class SolveOptions:
     alpha: float | None = None
     b_upper: float | None = None
     force: bool = False
-    record_history: bool = True
 
     def __post_init__(self):
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0.0):
@@ -163,8 +161,8 @@ class SolveReport:
     and solution_X = solution_Y^(1/lift_root) solves the original equation.
     history rows are (iteration, step_error_X, step_error_Y); for the
     fixed-point scheme both step errors are the same single-sequence step
-    norm.  iterates (kept when record_history) holds Y_n for the fixed-point
-    scheme and (X_n, Y_n) pairs for the coupled scheme, starting at n = 0.
+    norm.  The iterates themselves are not kept: a solve holds a fixed number
+    of n x n matrices whatever max_iter is.
     """
 
     solution_X: np.ndarray
@@ -181,7 +179,6 @@ class SolveReport:
     lift_root: float
     precheck: FixedPointCheck | CoupledCheck
     refined_bracket: tuple[np.ndarray, np.ndarray] | None = None
-    iterates: list | None = None
 
 
 def _resolve_tol(P: ProblemInstance, opts: SolveOptions) -> float:
@@ -194,30 +191,6 @@ def residual(P: ProblemInstance, X) -> float:
     """||X^s + A* X^-t A + B* X^-p B - Q|| for an HPD candidate X."""
     _, values, vectors = _accept_candidate(P, X)
     return _residual(P, values, vectors)
-
-
-def _trusted_residual(P: ProblemInstance, X: np.ndarray) -> float:
-    """residual for an X the solver built Hermitian itself: no drift check."""
-    values, vectors = mc.trusted_eigh(X)
-    if not mc.is_pd_spectrum(values):
-        raise ValueError(
-            f"X must be positive definite (lambda_min = {values[0]:.3e})"
-        )
-    return _residual(P, values, vectors)
-
-
-def normalize(P: ProblemInstance) -> tuple[ProblemInstance, float]:
-    """Rescale so the largest eigenvalue of Q becomes 1.
-
-    Returns the scaled instance and k = lambda_max(Q); a solution X~ of the
-    scaled instance maps back to X = k^(1/s) X~.
-    """
-    k = P._lambda_max_q
-    if k == 1.0:
-        return P, 1.0
-    A = k ** (-(P.t / P.s + 1.0) / 2.0) * P.A
-    B = k ** (-(P.p / P.s + 1.0) / 2.0) * P.B
-    return ProblemInstance(A, B, P.Q / k, P.s, P.t, P.p), k
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +318,12 @@ def solve_fixed_point(P: ProblemInstance, opts: SolveOptions | None = None) -> S
     e_p = P.p / P.s
     # Y_0 = alpha I is never decomposed: Y_1 is known in closed form, and
     # ||Y_1 - Y_0|| = max|lambda(Y_1) - alpha|.  Each later iterate gets one
-    # eigh, which feeds the next step or, for the last one, the lift.
+    # eigh, which feeds the next step or, for the last one, both the lift and
+    # the residual certificate (X = Y^(1/s) has the spectrum values^(1/s)).
     Y = _first_iterate(P, alpha)
     values, vectors = _eigh_pd(Y, "iterate 1")
     step = float(np.max(np.abs(values - alpha)))
     history = [HistoryEntry(1, step, step)]
-    iterates = [alpha * np.eye(P.n, dtype=P.Q.dtype), Y] if opts.record_history else None
     iterations = 1
     converged = step <= tol
     while not converged and iterations < opts.max_iter:
@@ -363,18 +336,15 @@ def solve_fixed_point(P: ProblemInstance, opts: SolveOptions | None = None) -> S
         step = _step_norm(Y_next - Y)
         values, vectors = _eigh_pd(Y_next, f"iterate {iterations}")
         history.append(HistoryEntry(iterations, step, step))
-        if iterates is not None:
-            iterates.append(Y_next)
         Y = Y_next
         converged = step <= tol
-    X = mc.eig_power(values, vectors, 1.0 / P.s)
     return SolveReport(
-        solution_X=X,
+        solution_X=mc.eig_power(values, vectors, 1.0 / P.s),
         solution_Y=Y,
         scheme=Scheme.FIXED_POINT,
         iterations=iterations,
-        residual=_trusted_residual(P, X),
-        history=history if opts.record_history else [],
+        residual=_residual(P, values ** (1.0 / P.s), vectors),
+        history=history,
         delta=check.delta,
         extremality=Extremality.MAXIMAL if check.ok else Extremality.UNKNOWN,
         preconditions_held=check.ok,
@@ -382,7 +352,6 @@ def solve_fixed_point(P: ProblemInstance, opts: SolveOptions | None = None) -> S
         converged=converged,
         lift_root=P.s,
         precheck=check,
-        iterates=iterates,
     )
 
 
@@ -523,7 +492,6 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
     X = check.a * np.eye(n, dtype=P.Q.dtype)
     Y = check.b * np.eye(n, dtype=P.Q.dtype)
     history: list[HistoryEntry] = []
-    iterates: list | None = [(X, Y)] if opts.record_history else None
     refined: tuple[np.ndarray, np.ndarray] | None = None
     converged = False
     iterations = 0
@@ -547,8 +515,6 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
         step_x = _step_norm(X_next - X)
         step_y = _step_norm(Y_next - Y)
         history.append(HistoryEntry(it, step_x, step_y))
-        if iterates is not None:
-            iterates.append((X_next, Y_next))
         if it == 1:
             refined = (X_next, Y_next)
         X, Y = X_next, Y_next
@@ -557,14 +523,14 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
             converged = True
             break
     Y_sol = mc.hermitian_part(0.5 * (X + Y))
-    X_sol = mc.eig_power(*_eigh_pd(Y_sol, "limit"), 1.0 / P.t)
+    sol_values, sol_vectors = _eigh_pd(Y_sol, "limit")
     return SolveReport(
-        solution_X=X_sol,
+        solution_X=mc.eig_power(sol_values, sol_vectors, 1.0 / P.t),
         solution_Y=Y_sol,
         scheme=Scheme.COUPLED,
         iterations=iterations,
-        residual=_trusted_residual(P, X_sol),
-        history=history if opts.record_history else [],
+        residual=_residual(P, sol_values ** (1.0 / P.t), sol_vectors),
+        history=history,
         delta=check.delta,
         extremality=Extremality.MINIMAL if check.ok else Extremality.UNKNOWN,
         preconditions_held=check.ok,
@@ -573,7 +539,6 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
         lift_root=P.t,
         precheck=check,
         refined_bracket=refined,
-        iterates=iterates,
     )
 
 

@@ -3,12 +3,16 @@
 The eigenvalue oracles here deliberately avoid the library's own
 eigendecomposition path: characteristic polynomial coefficients come from the
 trace-based Faddeev-LeVerrier recurrence and roots from numpy's
-companion-matrix root finder.
+companion-matrix root finder.  The reference iterate sequence recomputes a
+solve's iterates with plain numpy ``eigh`` and ``inv``, since a solve does not
+keep them.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from nmeq.solvers import Scheme
 
 
 def char_poly_coeffs(A) -> np.ndarray:
@@ -75,3 +79,70 @@ def near_singular_coupled_problem(seed: int = 0):
     V, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     A = U @ np.diag([1.0, 0.5, 2e-12]) @ V
     return A, 0.1 * np.eye(3), 5.0 * np.eye(3), 3.0, 4.0, 1.0
+
+
+
+def _hermitian(M) -> np.ndarray:
+    return 0.5 * (M + M.conj().T)
+
+
+def _power(M, r: float) -> np.ndarray:
+    values, vectors = np.linalg.eigh(_hermitian(M))
+    return (vectors * values**r) @ vectors.conj().T
+
+
+def _step(M0, M1) -> float:
+    return float(np.linalg.norm(M1 - M0, 2))
+
+
+def reference_iterates(P, rep) -> list:
+    """The iterate sequence of a solve, recomputed in plain numpy.
+
+    The scheme comes from ``rep.scheme``, the start from ``rep.precheck``
+    (alpha, or a and b) and the length from ``rep.iterations``; no nmeq
+    kernel is used.  Fixed-point: Y_0 = alpha I and Y_(n+1) = Q -
+    A* Y_n^(-t/s) A - B* Y_n^(-p/s) B, returned as [Y_0, ..., Y_N].
+    Coupled: X_0 = a I, Y_0 = b I and (X_(n+1), Y_(n+1)) = (F(X_n, Y_n),
+    F(Y_n, X_n)) with F(X, Y) = A (Q - X^(s/t) - B* Y^(-p/t) B)^-1 A*,
+    returned as [(X_0, Y_0), ..., (X_N, Y_N)].
+    """
+    A, B, Q, s, t, p = P.A, P.B, P.Q, P.s, P.t, P.p
+    Ah, Bh = A.conj().T, B.conj().T
+    eye = np.eye(P.n, dtype=Q.dtype)
+    if rep.scheme is Scheme.FIXED_POINT:
+        seq = [rep.precheck.alpha * eye]
+        for _ in range(rep.iterations):
+            Y = seq[-1]
+            seq.append(_hermitian(Q - Ah @ _power(Y, -t / s) @ A - Bh @ _power(Y, -p / s) @ B))
+        return seq
+
+    def F(X, Y):
+        inner = _hermitian(Q - _power(X, s / t) - Bh @ _power(Y, -p / t) @ B)
+        return _hermitian(A @ np.linalg.inv(inner) @ Ah)
+
+    seq = [(rep.precheck.a * eye, rep.precheck.b * eye)]
+    for _ in range(rep.iterations):
+        X, Y = seq[-1]
+        seq.append((F(X, Y), F(Y, X)))
+    return seq
+
+
+# agreement of the reference sequence with the solver, relative to ||Q||
+REFERENCE_RTOL = 1e-12
+
+
+def assert_reference_matches(P, rep, seq) -> None:
+    """The reference sequence pins the solver: its step norms match
+    ``rep.history`` and its limit (the final iterate, or the average of the
+    final pair) matches ``rep.solution_Y``, both within REFERENCE_RTOL ||Q||."""
+    if rep.scheme is Scheme.FIXED_POINT:
+        steps = [(_step(Y0, Y1),) * 2 for Y0, Y1 in zip(seq, seq[1:])]
+        limit = seq[-1]
+    else:
+        steps = [(_step(X0, X1), _step(Y0, Y1)) for (X0, Y0), (X1, Y1) in zip(seq, seq[1:])]
+        limit = _hermitian(0.5 * (seq[-1][0] + seq[-1][1]))
+    tol = REFERENCE_RTOL * np.linalg.norm(P.Q, 2)
+    got = np.array([(h.step_error_X, h.step_error_Y) for h in rep.history])
+    assert got.shape == (rep.iterations, 2)
+    assert np.max(np.abs(got - np.array(steps))) <= tol
+    assert _step(limit, rep.solution_Y) <= tol

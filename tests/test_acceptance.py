@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from support import random_hpd
+from support import assert_reference_matches, random_hpd, reference_iterates
 
 from nmeq import analysis, builtin, matcore as mc, probfile, solvers
 
@@ -200,29 +200,33 @@ def test_05_diagonal_oracle_equivalence(diagonal_suite):
             assert mc.loewner_leq(rep_min.solution_X, rep_max.solution_X, tol)
 
 
-def assert_monotone(rep, Q):
-    tol = 1e-10 * mc.spectral_norm(Q)
+def assert_monotone(P, rep):
+    # the iterates are recomputed independently, pinned to the solver's
+    # step norms and solution, and checked for Loewner monotonicity
+    seq = reference_iterates(P, rep)
+    assert_reference_matches(P, rep, seq)
+    tol = 1e-10 * mc.spectral_norm(P.Q)
     if rep.scheme is solvers.Scheme.FIXED_POINT:
-        for Y0, Y1 in zip(rep.iterates, rep.iterates[1:]):
+        for Y0, Y1 in zip(seq, seq[1:]):
             assert mc.loewner_leq(Y0, Y1, tol)
     else:
-        for (X0, Y0), (X1, Y1) in zip(rep.iterates, rep.iterates[1:]):
+        for (X0, Y0), (X1, Y1) in zip(seq, seq[1:]):
             assert mc.loewner_leq(X0, X1, tol)
             assert mc.loewner_leq(Y1, Y0, tol)
-        for Xn, Yn in rep.iterates:
+        for Xn, Yn in seq:
             assert mc.loewner_leq(Xn, Yn, tol)
 
 
 def test_06_monotone_iterates(run1, run2, diagonal_suite):
     fixed, coupled, ties = diagonal_suite
     with guarantee("6: iterate sequences are monotone in the Loewner order"):
-        assert_monotone(run1[1], run1[0].instance.Q)
-        assert_monotone(run2[1], run2[0].instance.Q)
+        assert_monotone(run1[0].instance, run1[1])
+        assert_monotone(run2[0].instance, run2[1])
         for P, rep in fixed + coupled:
-            assert_monotone(rep, P.Q)
+            assert_monotone(P, rep)
         for P, rep_max, rep_min in ties:
-            assert_monotone(rep_max, P.Q)
-            assert_monotone(rep_min, P.Q)
+            assert_monotone(P, rep_max)
+            assert_monotone(P, rep_min)
 
 
 def make_solvable(rng, spread=(0.6, 1.8), coef=0.25):
@@ -261,20 +265,21 @@ def test_08_a_priori_error_bound(run1, run2):
     # the geometric envelope is anchored at max(s1, s2/delta); the anchor
     # equals s1 exactly when the very first step already contracts at delta
     with guarantee("8: history obeys the delta^n/(1-delta) error envelope"):
-        for _, rep, _ in (run1, run2):
+        for bp, rep, _ in (run1, run2):
+            seq = reference_iterates(bp.instance, rep)
+            assert_reference_matches(bp.instance, rep, seq)
             d = rep.delta
             assert 0.0 < d < 1.0
             s1 = max(rep.history[0].step_error_X, rep.history[0].step_error_Y)
             s2 = max(rep.history[1].step_error_X, rep.history[1].step_error_Y)
             anchor = max(s1, s2 / d)
             if rep.scheme is solvers.Scheme.FIXED_POINT:
-                final = rep.iterates[-1]
-                errors = [mc.spectral_norm(Y - final) for Y in rep.iterates]
+                final = seq[-1]
+                errors = [mc.spectral_norm(Y - final) for Y in seq]
             else:
-                Xf, Yf = rep.iterates[-1]
+                Xf, Yf = seq[-1]
                 errors = [
-                    max(mc.spectral_norm(X - Xf), mc.spectral_norm(Y - Yf))
-                    for X, Y in rep.iterates
+                    max(mc.spectral_norm(X - Xf), mc.spectral_norm(Y - Yf)) for X, Y in seq
                 ]
             for n, err in enumerate(errors):
                 assert err <= d**n / (1.0 - d) * anchor + 1e-12

@@ -14,7 +14,7 @@ import pytest
 from nmeq import analysis, builtin
 from nmeq import matcore as mc
 
-from support import random_hpd
+from support import near_singular_coupled_problem, random_hpd
 
 
 def scalar_instance(q, a, b, s=1.0, t=1.0, p=1.0):
@@ -432,6 +432,38 @@ class TestUniquenessInterval:
         rep = analysis.check_uniqueness_interval(builtin.example(1).instance)
         assert rep.verdicts["interval_floor"].holds
         assert not rep.verdicts["domination"].holds
+        assert not rep.holds
+
+
+    @pytest.mark.parametrize("which", ["B=A^T", "B=A"])
+    def test_rounding_negative_spectrum_is_a_failed_verdict(self, which):
+        # lambda_min(A Q^-1 A*) = -2.8e-19: the floor is formed from the
+        # clamped spectrum; with B = A both spectra clamp, so c = a = 0 and
+        # the correction at X = cI is unbounded
+        A = near_singular_coupled_problem()[0]
+        B = A.T if which == "B=A^T" else A
+        P = analysis.ProblemInstance(A, B, 5.0 * np.eye(3), 3.0, 4.0, 1.0)
+        assert P._aqa_eig[0][0] < 0.0
+        rep = analysis.check_uniqueness_interval(P)
+        assert rep.verdicts["interval_floor"].holds
+        assert not rep.verdicts["domination"].holds
+        assert not rep.verdicts["contraction"].holds
+        assert not rep.holds and rep.bracket is None
+        if which == "B=A":
+            assert analysis.derived_scalars(P).c == 0.0
+            assert rep.verdicts["domination"].lhs == -math.inf
+            assert rep.verdicts["contraction"].lhs == math.inf
+
+    def test_underflowing_a_is_a_failed_verdict(self):
+        # A = B = 1e-40 I, Q = I, s = 5: c = 1e-80 but a = 2 c^5 underflows
+        # to 0, so the contraction term is its limit inf
+        P = analysis.ProblemInstance(
+            1e-40 * np.eye(2), 1e-40 * np.eye(2), np.eye(2), 5.0, 1.0, 1.0
+        )
+        d = analysis.derived_scalars(P)
+        assert d.c > 0.0 and d.a == 0.0
+        rep = analysis.check_uniqueness_interval(P)
+        assert rep.verdicts["contraction"] == analysis.Verdict(False, math.inf, 1.0)
         assert not rep.holds
 
 

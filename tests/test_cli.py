@@ -190,6 +190,17 @@ class TestCheck:
         assert res.returncode == 0
         assert "necessary condition (spectral radius bound): fails" in res.stdout
 
+    @pytest.mark.parametrize("transpose", [True, False], ids=["B=A^T", "B=A"])
+    def test_rounding_negative_spectrum_exits_0(self, tmp_path, transpose):
+        A = near_singular_coupled_problem()[0]
+        P = analysis.ProblemInstance(A, A.T if transpose else A, 5.0 * np.eye(3), 3.0, 4.0, 1.0)
+        path = tmp_path / "near_singular.json"
+        path.write_text(probfile.write_problem(probfile.problem_from_instance(P)))
+        res = run_cli("check", str(path))
+        assert res.returncode == 0, res.stderr
+        assert "uniqueness on the bracket (endpoint contraction): fails" in res.stdout
+        assert res.stderr == ""
+
 
 class TestArithmeticLimits:
     """Inputs that pass validation but overflow or divide by zero in double

@@ -1,7 +1,10 @@
 """Export guard: every advertised name resolves, and the package API is
-exactly the pinned 56 names, so a deletion cannot leave a stale export."""
+exactly the pinned 55 names, so a deletion cannot leave a stale export.  The
+fields of SolveOptions and SolveReport are pinned too, so a new option or a
+per-iteration field on the report shows up as a test change."""
 
 import importlib
+from dataclasses import fields
 
 import pytest
 
@@ -19,7 +22,7 @@ PACKAGE_API = {
     "check_uniqueness_k", "coupled_check", "derived_scalars", "example",
     "factorization_from_solution", "fixed_point_check", "herm_power",
     "hermitian_part", "is_hpd", "lambda_max", "lambda_min", "load_problem",
-    "load_solution", "loewner_leq", "normalize", "parse_problem", "parse_solution",
+    "load_solution", "loewner_leq", "parse_problem", "parse_solution",
     "problem_from_instance", "residual", "scalar_oracle", "scan_k",
     "solution_bounds", "solve", "solve_coupled", "solve_fixed_point",
     "spectral_norm", "spectral_radius", "verify_factorization",
@@ -36,8 +39,19 @@ def test_module_exports_resolve(name):
 
 
 def test_package_api_is_pinned():
-    assert len(PACKAGE_API) == 56
-    assert len(nmeq.__all__) == 56
+    assert len(PACKAGE_API) == 55
+    assert len(nmeq.__all__) == 55
     assert set(nmeq.__all__) == PACKAGE_API
     for name in nmeq.__all__:
         assert hasattr(nmeq, name)
+
+
+def test_solve_fields_are_pinned():
+    assert [f.name for f in fields(nmeq.SolveOptions)] == [
+        "tol", "max_iter", "alpha", "b_upper", "force",
+    ]
+    assert [f.name for f in fields(nmeq.SolveReport)] == [
+        "solution_X", "solution_Y", "scheme", "iterations", "residual", "history",
+        "delta", "extremality", "preconditions_held", "swap_applied", "converged",
+        "lift_root", "precheck", "refined_bracket",
+    ]

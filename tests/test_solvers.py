@@ -8,6 +8,7 @@ iteration path.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,12 @@ import pytest
 from nmeq import analysis, builtin, solvers
 from nmeq import matcore as mc
 
-from support import near_singular_coupled_problem, random_unitary
+from support import (
+    assert_reference_matches,
+    near_singular_coupled_problem,
+    random_unitary,
+    reference_iterates,
+)
 
 
 def scalar_instance(q, a, b, s=1.0, t=1.0, p=1.0):
@@ -117,28 +123,6 @@ class TestReduceLift:
             assert mc.spectral_norm(defect) <= 1e-10
 
 
-class TestNormalize:
-    def test_identity_scale_returns_same(self):
-        P = analysis.ProblemInstance(
-            0.1 * np.eye(2), 0.1 * np.eye(2), np.diag([0.5, 1.0]), 2.0, 1.0, 1.0
-        )
-        P2, k = solvers.normalize(P)
-        assert k == 1.0 and P2 is P
-
-    def test_scale_factor_and_unit_spectrum(self):
-        P = builtin.example(1).instance
-        P2, k = solvers.normalize(P)
-        assert k == pytest.approx(2.0, rel=1e-12)
-        assert mc.lambda_max(P2.Q) == pytest.approx(1.0, rel=1e-12)
-
-    def test_roundtrip_through_normalized_solve(self):
-        P = builtin.example(1).instance
-        P2, k = solvers.normalize(P)
-        rep = solvers.solve_fixed_point(P2)
-        X = k ** (1.0 / P.s) * rep.solution_X
-        assert solvers.residual(P, X) <= 1e-10
-
-
 class TestAlphaSearch:
     def test_example_1_feasible(self):
         P = builtin.example(1).instance
@@ -210,10 +194,12 @@ class TestFixedPoint:
     def test_monotone_ascent(self):
         bp = builtin.example(1)
         rep = solvers.solve_fixed_point(bp.instance, solvers.SolveOptions(alpha=1.0))
+        seq = reference_iterates(bp.instance, rep)
+        assert_reference_matches(bp.instance, rep, seq)
         tol = 1e-10 * mc.spectral_norm(bp.instance.Q)
-        for Y0, Y1 in zip(rep.iterates, rep.iterates[1:]):
+        for Y0, Y1 in zip(seq, seq[1:]):
             assert mc.loewner_leq(Y0, Y1, tol)
-        for Y in rep.iterates:
+        for Y in seq:
             assert mc.loewner_leq(Y, bp.instance.Q, tol)
 
     def test_a_priori_error_bound(self):
@@ -228,13 +214,15 @@ class TestFixedPoint:
         s1 = rep.history[0].step_error_Y
         s2 = rep.history[1].step_error_Y
         anchor = max(s1, s2 / d)
-        Yf = rep.iterates[-1]
-        for n, Y in enumerate(rep.iterates):
+        seq = reference_iterates(bp.instance, rep)
+        assert_reference_matches(bp.instance, rep, seq)
+        Yf = seq[-1]
+        for n, Y in enumerate(seq):
             assert mc.spectral_norm(Y - Yf) <= d**n / (1.0 - d) * anchor + 10 * tol
 
     def test_one_decomposition_per_iterate(self, monkeypatch):
-        # Y_1 .. Y_N get one eigh each (the last one feeds the lift), plus
-        # one for the residual certificate; Y_0 = alpha I gets none.  The
+        # Y_1 .. Y_N get one eigh each, and the last one feeds both the lift
+        # and the residual certificate; Y_0 = alpha I gets none.  The
         # precheck's eigvalsh of Y_1 and the N - 1 step norms make N eigvalsh.
         P = builtin.example(1).instance
         counts = {"eigh": 0, "eigvalsh": 0}
@@ -248,17 +236,17 @@ class TestFixedPoint:
             monkeypatch.setattr(np.linalg, name, counting)
         rep = solvers.solve_fixed_point(P)
         assert rep.converged and rep.preconditions_held
-        assert counts == {"eigh": rep.iterations + 1, "eigvalsh": rep.iterations}
+        assert counts == {"eigh": rep.iterations, "eigvalsh": rep.iterations}
 
     @pytest.mark.parametrize("which", [1, 2])
     def test_analytic_first_step(self, which):
         P = builtin.example(which).instance
-        opts = solvers.SolveOptions(alpha=1.0, force=True)
+        opts = solvers.SolveOptions(alpha=1.0, max_iter=1, force=True)
         rep = solvers.solve_fixed_point(P, opts)
+        assert rep.iterations == 1
         alpha = rep.precheck.alpha
         eye = np.eye(P.n)
-        assert np.array_equal(rep.iterates[0], alpha * eye)
-        Y1 = rep.iterates[1]
+        Y1 = rep.solution_Y
         explicit = (
             P.Q
             - P.A.conj().T @ (alpha ** (-P.t / P.s) * eye) @ P.A
@@ -308,15 +296,6 @@ class TestFixedPoint:
         )
         assert not rep.converged
         assert rep.iterations == 1
-
-    def test_record_history_off(self):
-        rep = solvers.solve_fixed_point(
-            builtin.example(1).instance,
-            solvers.SolveOptions(alpha=1.0, record_history=False),
-        )
-        assert rep.history == []
-        assert rep.iterates is None
-        assert rep.converged
 
     def test_loose_tol_stops_earlier(self):
         bp = builtin.example(1)
@@ -368,14 +347,19 @@ class TestCoupled:
         tol = 1e-10 * mc.spectral_norm(bp.instance.Q)
         assert mc.loewner_leq(lo, rep.solution_Y, tol)
         assert mc.loewner_leq(rep.solution_Y, hi, tol)
-        assert np.array_equal(lo, rep.iterates[1][0])
-        assert np.array_equal(hi, rep.iterates[1][1])
+        seq = reference_iterates(bp.instance, rep)
+        assert_reference_matches(bp.instance, rep, seq)
+        ref_lo, ref_hi = seq[1]
+        gap = 1e-12 * mc.spectral_norm(bp.instance.Q)
+        assert mc.spectral_norm(lo - ref_lo) <= gap
+        assert mc.spectral_norm(hi - ref_hi) <= gap
 
     def test_coupled_bracketing(self):
         bp = builtin.example(2)
         rep = solvers.solve_coupled(bp.instance, solvers.SolveOptions(b_upper=1.0))
         tol = 1e-10 * mc.spectral_norm(bp.instance.Q)
-        pairs = rep.iterates
+        pairs = reference_iterates(bp.instance, rep)
+        assert_reference_matches(bp.instance, rep, pairs)
         for (X0, Y0), (X1, Y1) in zip(pairs, pairs[1:]):
             assert mc.loewner_leq(X0, X1, tol)
             assert mc.loewner_leq(Y1, Y0, tol)
@@ -391,8 +375,10 @@ class TestCoupled:
         s1 = max(h1.step_error_X, h1.step_error_Y)
         s2 = max(h2.step_error_X, h2.step_error_Y)
         anchor = max(s1, s2 / d)
-        Xf, Yf = rep.iterates[-1]
-        for n, (Xn, Yn) in enumerate(rep.iterates):
+        pairs = reference_iterates(bp.instance, rep)
+        assert_reference_matches(bp.instance, rep, pairs)
+        Xf, Yf = pairs[-1]
+        for n, (Xn, Yn) in enumerate(pairs):
             err = max(mc.spectral_norm(Xn - Xf), mc.spectral_norm(Yn - Yf))
             assert err <= d**n / (1.0 - d) * anchor + 10 * tol
 
@@ -606,15 +592,29 @@ class TestRealArithmetic:
     coefficient makes the whole instance complex."""
 
     @pytest.mark.parametrize("which", [1, 2])
-    def test_real_instance_is_solved_in_float64(self, which):
+    def test_real_instance_is_solved_in_float64(self, which, monkeypatch):
+        # every matrix the solve decomposes (each iterate, each step, each
+        # inverted matrix) is float64, and the real run matches the reference
         P = builtin.example(which).instance
         assert P.A.dtype == P.B.dtype == P.Q.dtype == np.float64
+        decomposed = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def recording(M, *args, _original=original, **kwargs):
+                decomposed.append(M.dtype)
+                return _original(M, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
         rep = solvers.solve(P)
+        monkeypatch.undo()
+        assert len(decomposed) >= rep.iterations
+        assert set(decomposed) == {np.dtype(np.float64)}
         assert rep.solution_X.dtype == np.float64
         assert rep.solution_Y.dtype == np.float64
-        for entry in rep.iterates:
-            for M in entry if isinstance(entry, tuple) else (entry,):
-                assert M.dtype == np.float64
+        for M in rep.refined_bracket or ():
+            assert M.dtype == np.float64
+        assert_reference_matches(P, rep, reference_iterates(P, rep))
         F = analysis.factorization_from_solution(P, rep.solution_X)
         for M in (F.U, F.lam, F.N1, F.N2):
             assert M.dtype == np.float64
@@ -646,3 +646,51 @@ class TestRealArithmetic:
         assert real.extremality is not solvers.Extremality.UNKNOWN
         gap = mc.spectral_norm(Uh @ real.solution_X @ U - rotated.solution_X)
         assert gap <= 1e-10 * (1.0 + mc.spectral_norm(P.Q))
+
+
+def _orthogonal(rng, n):
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
+    return Q * np.sign(np.diag(R))
+
+
+def _scaled(rng, n, norm, lo):
+    sigma = rng.uniform(lo, 1.0, n)
+    sigma[0] = 1.0
+    return norm * (_orthogonal(rng, n) * sigma) @ _orthogonal(rng, n).T
+
+
+def _dense_instance(rng, n, scheme):
+    """Real instances on which each scheme's preconditions hold: s = 3,
+    t = 2, p = 1 with small A for the fixed-point scheme; s = 3, t = 4,
+    p = 1 with A a scaled near-orthogonal matrix for the coupled scheme."""
+    q_lo, q_hi = (2.0, 4.0) if scheme == "fixed-point" else (6.0, 9.5)
+    U = _orthogonal(rng, n)
+    Q = (U * rng.uniform(q_lo, q_hi, n)) @ U.T
+    if scheme == "fixed-point":
+        A, t = _scaled(rng, n, 0.3, 0.5), 2.0
+    else:
+        A, t = _scaled(rng, n, 2.0, 0.98), 4.0
+    B = _scaled(rng, n, 0.1, 0.5)
+    return analysis.ProblemInstance(A, B, 0.5 * (Q + Q.T), 3.0, t, 1.0)
+
+
+class TestBoundedMemory:
+    """A solve holds a fixed number of n x n matrices: its peak memory does
+    not grow with max_iter (only the three-float history rows do)."""
+
+    @pytest.mark.parametrize("scheme", ["fixed-point", "coupled"])
+    def test_peak_does_not_grow_with_max_iter(self, scheme):
+        P = _dense_instance(np.random.default_rng(64), 64, scheme)
+        solvers.solve(P, solvers.SolveOptions(max_iter=1))  # fill the instance caches
+        peaks = []
+        for max_iter in (20, 200):
+            opts = solvers.SolveOptions(tol=1e-300, max_iter=max_iter)
+            tracemalloc.start()
+            try:
+                rep = solvers.solve(P, opts)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert rep.scheme.value == scheme and rep.preconditions_held
+            assert not rep.converged and rep.iterations == max_iter
+        assert peaks[1] / peaks[0] < 1.5
