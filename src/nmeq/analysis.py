@@ -383,6 +383,16 @@ def solution_bounds(P: ProblemInstance) -> SolutionBounds:
     return SolutionBounds(m=m, N=N, c=d.c, q_root=P._q_root.copy())
 
 
+def _correction_slope(P: ProblemInstance, x: float) -> float:
+    """t ||A||^2 / x^(t+1) + p ||B||^2 / x^(p+1), the contraction sum of the
+    correction X -> A* X^-t A + B* X^-p B at X = x I; its limit inf when a
+    power of x underflows to 0."""
+    x_t, x_p = x ** (P.t + 1.0), x ** (P.p + 1.0)
+    if x_t > 0.0 and x_p > 0.0:
+        return P.t / x_t * P._norm_a**2 + P.p / x_p * P._norm_b**2
+    return math.inf
+
+
 def check_uniqueness_interval(P: ProblemInstance) -> ConditionReport:
     """Uniqueness of the solution inside [c I, Q^(1/s)].
 
@@ -392,8 +402,9 @@ def check_uniqueness_interval(P: ProblemInstance) -> ConditionReport:
     verdict is labeled accordingly.
 
     When c clamps to 0 the correction at X = c I is unbounded: domination
-    fails with lhs = -inf.  When a vanishes (c = 0, or a underflows) the
-    contraction term is its limit inf.  Neither is raised.
+    fails with lhs = -inf.  When a vanishes (c = 0, or a underflows) or a
+    power c^(t+1), c^(p+1) underflows, the contraction term is its limit
+    inf.  Neither is raised.
     """
     d = derived_scalars(P)
     n = P.n
@@ -410,13 +421,9 @@ def check_uniqueness_interval(P: ProblemInstance) -> ConditionReport:
         )
     else:
         v_dom = Verdict(False, -math.inf, 0.0, dom_note)
-    na2 = P._norm_a**2
-    nb2 = P._norm_b**2
     contraction = math.inf
     if d.a > 0.0:
-        contraction = (1.0 / P.s) * d.a ** (1.0 / P.s - 1.0) * (
-            P.t / d.c ** (P.t + 1.0) * na2 + P.p / d.c ** (P.p + 1.0) * nb2
-        )
+        contraction = (1.0 / P.s) * d.a ** (1.0 / P.s - 1.0) * _correction_slope(P, d.c)
     v_contr = Verdict(contraction < 1.0, contraction, 1.0)
     verdicts = {"interval_floor": v_floor, "domination": v_dom, "contraction": v_contr}
     holds = all(v.holds for v in verdicts.values())
@@ -436,7 +443,8 @@ def check_uniqueness_k(P: ProblemInstance, k: float) -> ConditionReport:
     """Uniqueness of the solution inside [k c1 I, Q^(1/s)] for a scale k > 0.
 
     k here is a free parameter, not an eigenvalue of Q; scan_k searches a
-    grid for a value making every hypothesis hold.
+    grid for a value making every hypothesis hold.  When a power of k c1
+    underflows, the contraction term is its limit inf, not raised.
     """
     k = float(k)
     if not (math.isfinite(k) and k > 0.0):
@@ -447,12 +455,11 @@ def check_uniqueness_k(P: ProblemInstance, k: float) -> ConditionReport:
     spread_lhs = d.c1**P.s / d.k_tilde
     spread_rhs = (1.0 - k**-P.t - k**-P.p) * k**-P.s
     v_spread = Verdict(spread_lhs <= spread_rhs, spread_lhs, spread_rhs)
-    na2 = P._norm_a**2
-    nb2 = P._norm_b**2
     kc = k * d.c1
-    contraction = (1.0 / P.s) * kc ** (1.0 - P.s) * (
-        P.t / kc ** (P.t + 1.0) * na2 + P.p / kc ** (P.p + 1.0) * nb2
-    )
+    slope = _correction_slope(P, kc)
+    contraction = math.inf
+    if slope < math.inf:
+        contraction = (1.0 / P.s) * kc ** (1.0 - P.s) * slope
     v_contr = Verdict(contraction < 1.0, contraction, 1.0)
     verdicts = {"power_sum": v_powers, "spread": v_spread, "contraction": v_contr}
     holds = all(v.holds for v in verdicts.values())
@@ -570,4 +577,9 @@ def _residual(P: ProblemInstance, values: np.ndarray, vectors: np.ndarray) -> fl
         + mc.congruence(vectors, values**-P.p, P.B)
         - P.Q
     )
-    return mc.spectral_norm(R)
+    return _hermitian_norm(mc.hermitian_part(R))
+
+
+def _hermitian_norm(D: np.ndarray) -> float:
+    """Spectral norm of a Hermitian matrix: its largest |eigenvalue|."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(D))))

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import matcore as mc
-from .analysis import ProblemInstance, Verdict, _accept_candidate, _residual
+from .analysis import ProblemInstance, Verdict, _accept_candidate, _hermitian_norm, _residual
 
 __all__ = [
     "PreconditionError",
@@ -278,11 +278,6 @@ def _eigh_pd(M: np.ndarray, what: str):
     return values, vectors
 
 
-def _step_norm(D: np.ndarray) -> float:
-    """Spectral norm of a Hermitian difference: its largest |eigenvalue|."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(D))))
-
-
 def solve_fixed_point(P: ProblemInstance, opts: SolveOptions | None = None) -> SolveReport:
     """Maximal-solution fixed-point iteration in Y = X^s.
 
@@ -333,7 +328,7 @@ def solve_fixed_point(P: ProblemInstance, opts: SolveOptions | None = None) -> S
             - mc.congruence(vectors, values**-e_t, P.A)
             - mc.congruence(vectors, values**-e_p, P.B)
         )
-        step = _step_norm(Y_next - Y)
+        step = _hermitian_norm(Y_next - Y)
         values, vectors = _eigh_pd(Y_next, f"iterate {iterations}")
         history.append(HistoryEntry(iterations, step, step))
         Y = Y_next
@@ -499,21 +494,15 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
     def half_step(lo_vals, lo_vecs, hi_vals, hi_vecs, it: int) -> np.ndarray:
         lo_pow = (lo_vecs * lo_vals**e_s) @ lo_vecs.conj().T
         inner = mc.hermitian_part(P.Q - lo_pow - mc.congruence(hi_vecs, hi_vals**-e_p, P.B))
-        inner_vals, inner_vecs = np.linalg.eigh(inner)
-        if not mc.is_pd_spectrum(inner_vals):
-            raise PositivityError(
-                f"inverted matrix Q - X^(s/t) - B* Y^(-p/t) B lost positive "
-                f"definiteness at iteration {it} (lambda_min = {inner_vals[0]:.3e})"
-            )
-        return mc.hermitian_part(mc.congruence(inner_vecs, 1.0 / inner_vals, adj_a))
+        return _inverse_congruence(inner, adj_a, it)
 
     for it in range(1, opts.max_iter + 1):
         x_vals, x_vecs = _eigh_pd(X, f"lower iterate {it - 1}")
         y_vals, y_vecs = _eigh_pd(Y, f"upper iterate {it - 1}")
         X_next = half_step(x_vals, x_vecs, y_vals, y_vecs, it)
         Y_next = half_step(y_vals, y_vecs, x_vals, x_vecs, it)
-        step_x = _step_norm(X_next - X)
-        step_y = _step_norm(Y_next - Y)
+        step_x = _hermitian_norm(X_next - X)
+        step_y = _hermitian_norm(Y_next - Y)
         history.append(HistoryEntry(it, step_x, step_y))
         if it == 1:
             refined = (X_next, Y_next)
@@ -540,6 +529,36 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
         precheck=check,
         refined_bracket=refined,
     )
+
+
+def _inverse_congruence(inner: np.ndarray, adj_a: np.ndarray, it: int) -> np.ndarray:
+    """A inner^-1 A* for the coupled half-step, with adj_a = A*; raises
+    PositivityError when inner fails the PD_TOL verdict of is_pd_spectrum.
+
+    The fast path factors inner = L L* and returns W* W with W = L^-1 A*.
+    It is taken only when it provably agrees with that verdict:
+    lambda_min(inner) >= 1/||L^-1||_F^2 and max|lambda(inner)| <= ||inner||_F,
+    so 1/||L^-1||_F^2 > 2 PD_TOL ||inner||_F (the factor 2 absorbs rounding)
+    passes it.  Otherwise the eigendecomposition decides, and inverts.
+    """
+    try:
+        L_inv = np.linalg.inv(np.linalg.cholesky(inner))
+    except np.linalg.LinAlgError:
+        L_inv = None
+    if (
+        L_inv is not None
+        and np.all(np.isfinite(L_inv))
+        and 1.0 / np.linalg.norm(L_inv) ** 2 > 2.0 * mc.PD_TOL * np.linalg.norm(inner)
+    ):
+        W = L_inv @ adj_a
+        return mc.hermitian_part(W.conj().T @ W)
+    inner_vals, inner_vecs = np.linalg.eigh(inner)
+    if not mc.is_pd_spectrum(inner_vals):
+        raise PositivityError(
+            f"inverted matrix Q - X^(s/t) - B* Y^(-p/t) B lost positive "
+            f"definiteness at iteration {it} (lambda_min = {inner_vals[0]:.3e})"
+        )
+    return mc.hermitian_part(mc.congruence(inner_vecs, 1.0 / inner_vals, adj_a))
 
 
 def _coupled_failure_message(check: CoupledCheck) -> str:

@@ -466,6 +466,21 @@ class TestUniquenessInterval:
         assert rep.verdicts["contraction"] == analysis.Verdict(False, math.inf, 1.0)
         assert not rep.holds
 
+    def test_underflowing_c_power_is_a_failed_verdict(self):
+        # A = B = 1e-100 I, Q = I, s = t = p = 1: c = c1 = 1e-200 > 0, but
+        # c^(t+1) underflows to 0, so both contraction terms are their limit
+        P = analysis.ProblemInstance(
+            1e-100 * np.eye(2), 1e-100 * np.eye(2), np.eye(2), 1.0, 1.0, 1.0
+        )
+        d = analysis.derived_scalars(P)
+        assert d.a > 0.0 and d.c > 0.0 and d.c ** 2 == 0.0
+        rep = analysis.check_uniqueness_interval(P)
+        assert rep.verdicts["contraction"] == analysis.Verdict(False, math.inf, 1.0)
+        assert not rep.holds
+        scaled = analysis.check_uniqueness_k(P, 2.0)
+        assert scaled.verdicts["contraction"] == analysis.Verdict(False, math.inf, 1.0)
+        assert analysis.scan_k(P) is None
+
 
 class TestUniquenessScaled:
     def test_rejects_bad_k(self):

@@ -201,6 +201,22 @@ class TestCheck:
         assert "uniqueness on the bracket (endpoint contraction): fails" in res.stdout
         assert res.stderr == ""
 
+    def test_underflowing_c_power_exits_0(self, tmp_path):
+        # c = 1e-200: c^(t+1) underflows, and the contraction verdicts fail
+        doc = {
+            "n": 2, "s": 1.0, "t": 1.0, "p": 1.0,
+            "A": (1e-100 * np.eye(2)).tolist(), "B": (1e-100 * np.eye(2)).tolist(),
+            "Q": np.eye(2).tolist(),
+        }
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc))
+        res = run_cli("check", str(path))
+        assert res.returncode == 0, res.stderr
+        assert "uniqueness on the bracket (endpoint contraction): fails" in res.stdout
+        assert "contraction: inf vs 1 -> fails" in res.stdout
+        assert "no admissible parameter on the scan grid" in res.stdout
+        assert res.stderr == ""
+
 
 class TestArithmeticLimits:
     """Inputs that pass validation but overflow or divide by zero in double
@@ -258,8 +274,8 @@ class TestVerifyFactorize:
     def test_verify_validates_x_once(self, solved, monkeypatch, capsys):
         # Q is validated when the example is built and the file's X by the
         # shared acceptance rule (exactly Hermitian, so no drift norms); the
-        # residual takes one norm, and the positivity, residual and bracket
-        # tests reuse the trusted kernel
+        # residual's norm is an eigvalsh, not an SVD, and the positivity,
+        # residual and bracket tests reuse the trusted kernel
         calls = {"check_hermitian": 0, "spectral_norm": 0}
         for name in calls:
             original = getattr(mc, name)
@@ -270,7 +286,7 @@ class TestVerifyFactorize:
 
             monkeypatch.setattr(mc, name, counting)
         assert cli.main(["verify", "--example", "1", str(solved)]) == 0
-        assert calls == {"check_hermitian": 2, "spectral_norm": 1}
+        assert calls == {"check_hermitian": 2, "spectral_norm": 0}
         out = capsys.readouterr().out
         assert "in bracket [cI, Q^(1/s)]: true" in out
         assert "in refined bracket [mI, N]: true" in out

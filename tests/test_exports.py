@@ -4,7 +4,11 @@ fields of SolveOptions and SolveReport are pinned too, so a new option or a
 per-iteration field on the report shows up as a test change."""
 
 import importlib
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -55,3 +59,21 @@ def test_solve_fields_are_pinned():
         "delta", "extremality", "preconditions_held", "swap_applied", "converged",
         "lift_root", "precheck", "refined_bracket",
     ]
+
+
+def test_no_scipy_dependency():
+    # scipy is installed in some environments but is not a declared
+    # dependency: importing nmeq and running a coupled solve (whose loop
+    # inverts through a triangular factor) must not load it
+    code = (
+        "import sys, nmeq\n"
+        "rep = nmeq.solve(nmeq.example(2).instance)\n"
+        "assert rep.scheme is nmeq.Scheme.COUPLED and rep.converged\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    path = os.environ.get("PYTHONPATH")
+    root = str(Path(nmeq.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": root + (os.pathsep + path if path else "")}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

@@ -223,7 +223,8 @@ class TestFixedPoint:
     def test_one_decomposition_per_iterate(self, monkeypatch):
         # Y_1 .. Y_N get one eigh each, and the last one feeds both the lift
         # and the residual certificate; Y_0 = alpha I gets none.  The
-        # precheck's eigvalsh of Y_1 and the N - 1 step norms make N eigvalsh.
+        # precheck's eigvalsh of Y_1, the N - 1 step norms and the residual's
+        # norm make N + 1 eigvalsh.
         P = builtin.example(1).instance
         counts = {"eigh": 0, "eigvalsh": 0}
         for name in counts:
@@ -236,7 +237,7 @@ class TestFixedPoint:
             monkeypatch.setattr(np.linalg, name, counting)
         rep = solvers.solve_fixed_point(P)
         assert rep.converged and rep.preconditions_held
-        assert counts == {"eigh": rep.iterations, "eigvalsh": rep.iterations}
+        assert counts == {"eigh": rep.iterations, "eigvalsh": rep.iterations + 1}
 
     @pytest.mark.parametrize("which", [1, 2])
     def test_analytic_first_step(self, which):
@@ -426,6 +427,35 @@ class TestCoupled:
         with pytest.raises(solvers.PositivityError, match="positive definiteness"):
             solvers.solve_coupled(P, solvers.SolveOptions(b_upper=20.0, force=True))
 
+    def test_positivity_loss_message(self):
+        # the inverted matrix of that run is -2.002 < 0, so Cholesky fails and
+        # the eigh fallback words the verdict
+        P = scalar_instance(1.0, 3.0, 0.1, s=1.0, t=2.0, p=1.0)
+        with pytest.raises(solvers.PositivityError) as err:
+            solvers.solve_coupled(P, solvers.SolveOptions(b_upper=20.0, force=True))
+        assert str(err.value) == (
+            "inverted matrix Q - X^(s/t) - B* Y^(-p/t) B lost positive "
+            "definiteness at iteration 1 (lambda_min = -2.002e+00)"
+        )
+
+    def test_one_cholesky_per_half_step(self, monkeypatch):
+        # each iteration decomposes X_n and Y_n (two eigh) and inverts both
+        # half-steps' matrices through Cholesky; the limit gets one more eigh
+        P = builtin.example(2).instance
+        solvers.solve_coupled(P)  # fill the instance caches
+        counts = {"eigh": 0, "cholesky": 0}
+        for name in counts:
+            original = getattr(np.linalg, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        rep = solvers.solve_coupled(P)
+        assert rep.converged and rep.preconditions_held
+        assert counts == {"eigh": 2 * rep.iterations + 1, "cholesky": 2 * rep.iterations}
+
     def test_degenerate_tie_cannot_start(self):
         # q=2, a2=b2=0.25, s=t=p=1: X_0 = (a2/q) I makes B* X_0^-1 B equal Q
         # exactly, so the upper update's inner matrix is -b < 0 for every b;
@@ -449,6 +479,65 @@ class TestCoupled:
                 S = solvers.ScalarInstance(qd[i], ad[i] ** 2, bd[i] ** 2, s, t, p)
                 want = solvers.scalar_oracle(S).min_root
                 assert rep.solution_X[i, i].real == pytest.approx(want, abs=1e-10)
+
+
+class TestInverseCongruence:
+    """A inner^-1 A* of the coupled half-step: the Cholesky path agrees with
+    the eigh inversion, and the helper raises exactly when the PD_TOL
+    verdict on eigh(inner) fails, with the same message."""
+
+    @staticmethod
+    def _problem(rng, values, cplx):
+        n = len(values)
+        U = random_unitary(rng, n) if cplx else _orthogonal(rng, n)
+        A = rng.standard_normal((n, n))
+        if cplx:
+            A = A + 1j * rng.standard_normal((n, n))
+        return mc.hermitian_part((U * values) @ U.conj().T), A.conj().T
+
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 5, 32])
+    def test_matches_eigh_inversion(self, n, cplx, monkeypatch):
+        rng = np.random.default_rng(n)
+        inner, adj_a = self._problem(rng, rng.uniform(0.5, 4.0, n), cplx)
+        values, vectors = np.linalg.eigh(inner)
+        want = mc.hermitian_part(mc.congruence(vectors, 1.0 / values, adj_a))
+        # a well-conditioned inner matrix takes the Cholesky path: no eigh
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        got = solvers._inverse_congruence(inner, adj_a, 1)
+        assert got.dtype == want.dtype
+        assert np.linalg.norm(got - want, 2) <= 1e-13 * np.linalg.norm(want, 2)
+
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [5, 32])
+    def test_verdict_matches_eigh(self, n, cplx):
+        rng = np.random.default_rng(100 + n)
+        spectra = [np.geomspace(1.0, 1.0 / cond, n) for cond in np.logspace(2, 14, 13)]
+        # around the PD_TOL threshold, where the certificate defers to eigh
+        spectra += [np.geomspace(1.0, f * mc.PD_TOL, n) for f in (0.5, 0.9, 1.1, 2.0, 3.0)]
+        # indefinite, negative definite and singular
+        spectra += [
+            np.linspace(-0.1, 1.0, n),
+            np.linspace(-1.0, -0.01, n),
+            np.r_[-1e-14, np.ones(n - 1)],
+            np.r_[0.0, np.ones(n - 1)],
+            np.zeros(n),
+        ]
+        raised = 0
+        for values in spectra:
+            inner, adj_a = self._problem(rng, values, cplx)
+            lam = np.linalg.eigh(inner)[0]
+            if mc.is_pd_spectrum(lam):
+                assert np.all(np.isfinite(solvers._inverse_congruence(inner, adj_a, 7)))
+                continue
+            raised += 1
+            with pytest.raises(solvers.PositivityError) as err:
+                solvers._inverse_congruence(inner, adj_a, 7)
+            assert str(err.value) == (
+                "inverted matrix Q - X^(s/t) - B* Y^(-p/t) B lost positive "
+                f"definiteness at iteration 7 (lambda_min = {lam[0]:.3e})"
+            )
+        assert 0 < raised < len(spectra)
 
 
 class TestDispatch:
