@@ -144,19 +144,18 @@ class ProblemInstance:
         """Default residual tolerance for accepting a candidate solution."""
         return 1e-8 * (1.0 + self._norm_q)
 
+    def _inverse_q_eig(self, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Eigendecomposition of M Q^-1 M*, with Q^-1 read from the eigh of Q."""
+        q_values, q_vectors = self._q_eig
+        return _frozen_eig(*mc.trusted_eigh(mc.congruence(q_vectors, 1.0 / q_values, M.conj().T)))
+
     @cached_property
     def _aqa_eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigendecomposition of A Q^-1 A*, with Q^-1 read from the eigh of Q."""
-        q_values, q_vectors = self._q_eig
-        aqa = mc.congruence(q_vectors, 1.0 / q_values, self.A.conj().T)
-        return _frozen_eig(*mc.trusted_eigh(aqa))
+        return self._inverse_q_eig(self.A)
 
     @cached_property
     def _bqb_eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigendecomposition of B Q^-1 B*, with Q^-1 read from the eigh of Q."""
-        q_values, q_vectors = self._q_eig
-        bqb = mc.congruence(q_vectors, 1.0 / q_values, self.B.conj().T)
-        return _frozen_eig(*mc.trusted_eigh(bqb))
+        return self._inverse_q_eig(self.B)
 
     @cached_property
     def _ata(self) -> np.ndarray:
@@ -261,22 +260,20 @@ def _clamped_root(value: float, root: float) -> float:
     return max(value, 0.0) ** root
 
 
-def _clamped_power(values: np.ndarray, vectors: np.ndarray, r: float) -> np.ndarray:
-    """V diag(max(values, 0)^r) V*: eig_power of a congruence of HPD
-    matrices, with rounding-level negatives clamped as _clamped_root does."""
-    return mc.hermitian_part((vectors * np.maximum(values, 0.0) ** r) @ vectors.conj().T)
+def _power(x: float, r: float) -> float:
+    """x^r for x >= 0, with an overflow, or 0 to a negative power, read as
+    its limit inf."""
+    try:
+        return x**r
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
 
 
-def _lambda_min(M: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix the library built itself."""
-    values, _ = mc.trusted_eigh(M)
-    return float(values[0])
-
-
-def _loewner_verdict(L, R, note: str = "") -> Verdict:
-    tol = 1e-10 * max(mc.spectral_norm(L), mc.spectral_norm(R), 1.0)
-    gap = _lambda_min(R - L)
-    return Verdict(gap >= -tol, gap, 0.0, note)
+def _loewner_verdict(L: np.ndarray, R: np.ndarray, scale: float, note: str = "") -> Verdict:
+    """The one Loewner-order rule for library-built Hermitian L, R: L <= R holds when
+    gap = lambda_min(R - L) >= -1e-10 max(scale, 1), scale a norm of the two sides."""
+    gap = mc.trusted_lambda_min(R - L)
+    return Verdict(gap >= -1e-10 * max(scale, 1.0), gap, 0.0, note)
 
 
 def derived_scalars(P: ProblemInstance) -> DerivedScalars:
@@ -363,8 +360,8 @@ def solution_bounds(P: ProblemInstance) -> SolutionBounds:
     a_ref = mc.congruence(q_vectors, 1.0 / gap_values, P.A.conj().T)
     b_ref = mc.congruence(q_vectors, 1.0 / gap_values, P.B.conj().T)
     m = max(
-        _clamped_root(_lambda_min(a_ref), 1.0 / P.t),
-        _clamped_root(_lambda_min(b_ref), 1.0 / P.p),
+        _clamped_root(mc.trusted_lambda_min(a_ref), 1.0 / P.t),
+        _clamped_root(mc.trusted_lambda_min(b_ref), 1.0 / P.p),
     )
     r = d.k_tilde / d.k
     inner = (
@@ -401,29 +398,33 @@ def check_uniqueness_interval(P: ProblemInstance) -> ConditionReport:
     it at the lower endpoint X = c I dominates the whole interval.  The
     verdict is labeled accordingly.
 
-    When c clamps to 0 the correction at X = c I is unbounded: domination
-    fails with lhs = -inf.  When a vanishes (c = 0, or a underflows) or a
-    power c^(t+1), c^(p+1) underflows, the contraction term is its limit
-    inf.  Neither is raised.
+    When c clamps to 0, or a power c^-t, c^-p overflows, the correction at
+    X = c I is unbounded: domination fails with lhs = -inf.  When a vanishes
+    (c = 0, or a underflows), a power c^(t+1), c^(p+1) underflows or
+    a^(1/s - 1) overflows, the contraction term is its limit inf.  Neither
+    is raised.
     """
     d = derived_scalars(P)
     n = P.n
     eye = np.eye(n, dtype=P.Q.dtype)
+    # congruences of HPD matrices: clamp rounding-level negatives as _clamped_root does
     floor_sum = mc.hermitian_part(
-        _clamped_power(*P._aqa_eig, P.s / P.t) + _clamped_power(*P._bqb_eig, P.s / P.p)
+        mc.eig_power(np.maximum(P._aqa_eig[0], 0.0), P._aqa_eig[1], P.s / P.t)
+        + mc.eig_power(np.maximum(P._bqb_eig[0], 0.0), P._bqb_eig[1], P.s / P.p)
     )
-    v_floor = _loewner_verdict(floor_sum, P.Q)
+    v_floor = _loewner_verdict(floor_sum, P.Q, max(mc.hermitian_norm(floor_sum), P._norm_q))
     dom_note = "checked at lower endpoint X = cI"
-    if d.c > 0.0:
-        correction_at_c = mc.hermitian_part(d.c**-P.t * P._ata + d.c**-P.p * P._btb)
-        v_dom = _loewner_verdict(
-            correction_at_c, mc.hermitian_part(P.Q - floor_sum), note=dom_note
-        )
+    c_t, c_p = _power(d.c, -P.t), _power(d.c, -P.p)
+    if c_t < math.inf and c_p < math.inf:
+        correction_at_c = mc.hermitian_part(c_t * P._ata + c_p * P._btb)
+        dom_rhs = mc.hermitian_part(P.Q - floor_sum)
+        scale = max(mc.hermitian_norm(correction_at_c), mc.hermitian_norm(dom_rhs))
+        v_dom = _loewner_verdict(correction_at_c, dom_rhs, scale, note=dom_note)
     else:
         v_dom = Verdict(False, -math.inf, 0.0, dom_note)
     contraction = math.inf
     if d.a > 0.0:
-        contraction = (1.0 / P.s) * d.a ** (1.0 / P.s - 1.0) * _correction_slope(P, d.c)
+        contraction = (1.0 / P.s) * _power(d.a, 1.0 / P.s - 1.0) * _correction_slope(P, d.c)
     v_contr = Verdict(contraction < 1.0, contraction, 1.0)
     verdicts = {"interval_floor": v_floor, "domination": v_dom, "contraction": v_contr}
     holds = all(v.holds for v in verdicts.values())
@@ -443,23 +444,30 @@ def check_uniqueness_k(P: ProblemInstance, k: float) -> ConditionReport:
     """Uniqueness of the solution inside [k c1 I, Q^(1/s)] for a scale k > 0.
 
     k here is a free parameter, not an eigenvalue of Q; scan_k searches a
-    grid for a value making every hypothesis hold.  When a power of k c1
-    underflows, the contraction term is its limit inf, not raised.
+    grid for a value making every hypothesis hold.  A negative power of k or
+    k c1 that overflows is its limit inf, and so is the contraction term when
+    a power of k c1 underflows: the verdicts fail.  Raises FloatingPointError
+    when both sides of the spread are positive but underflow to 0.
     """
     k = float(k)
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError(f"k must be a positive real, got {k}")
     d = derived_scalars(P)
-    power_sum = k**-P.t + k**-P.p
+    k_t, k_p = _power(k, -P.t), _power(k, -P.p)
+    power_sum = k_t + k_p
     v_powers = Verdict(power_sum < 1.0, power_sum, 1.0)
     spread_lhs = d.c1**P.s / d.k_tilde
-    spread_rhs = (1.0 - k**-P.t - k**-P.p) * k**-P.s
+    k_s = _power(k, -P.s)
+    spread_rhs = (1.0 - k_t - k_p) * k_s
+    if spread_lhs == 0.0 and k_s == 0.0 and v_powers.holds:
+        # c1^s > 0 and, with the power sum below 1, the right-hand side is > 0 too
+        raise FloatingPointError(f"spread condition underflows on both sides at k = {k:.6g}")
     v_spread = Verdict(spread_lhs <= spread_rhs, spread_lhs, spread_rhs)
     kc = k * d.c1
     slope = _correction_slope(P, kc)
     contraction = math.inf
     if slope < math.inf:
-        contraction = (1.0 / P.s) * kc ** (1.0 - P.s) * slope
+        contraction = (1.0 / P.s) * _power(kc, 1.0 - P.s) * slope
     v_contr = Verdict(contraction < 1.0, contraction, 1.0)
     verdicts = {"power_sum": v_powers, "spread": v_spread, "contraction": v_contr}
     holds = all(v.holds for v in verdicts.values())
@@ -515,9 +523,9 @@ def verify_factorization(P: ProblemInstance, F: Factorization, tol: float = 1e-8
     if mc.spectral_norm(U.conj().T @ U - np.eye(n)) > tol:
         return False
     core = mc.hermitian_part((U * lam) @ U.conj().T)
-    core_eig = mc.trusted_eigh(core)
-    ok_a = mc.spectral_norm(P.A - mc.eig_power(*core_eig, P.t / (2.0 * P.s)) @ N1)
-    ok_b = mc.spectral_norm(P.B - mc.eig_power(*core_eig, P.p / (2.0 * P.s)) @ N2)
+    core_eig = mc.trusted_eigh(core)  # lam comes from the caller: check its powers
+    ok_a = mc.spectral_norm(P.A - mc.checked_eig_power(*core_eig, P.t / (2.0 * P.s)) @ N1)
+    ok_b = mc.spectral_norm(P.B - mc.checked_eig_power(*core_eig, P.p / (2.0 * P.s)) @ N2)
     ok_q = mc.spectral_norm(core + N1.conj().T @ N1 + N2.conj().T @ N2 - P.Q)
     return (
         ok_a <= tol * (1.0 + P._norm_a)
@@ -577,9 +585,4 @@ def _residual(P: ProblemInstance, values: np.ndarray, vectors: np.ndarray) -> fl
         + mc.congruence(vectors, values**-P.p, P.B)
         - P.Q
     )
-    return _hermitian_norm(mc.hermitian_part(R))
-
-
-def _hermitian_norm(D: np.ndarray) -> float:
-    """Spectral norm of a Hermitian matrix: its largest |eigenvalue|."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(D))))
+    return mc.hermitian_norm(mc.hermitian_part(R))

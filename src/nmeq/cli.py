@@ -25,7 +25,7 @@ from .analysis import (
     NotASolutionError,
     ProblemInstance,
     _accept_candidate,
-    _lambda_min,
+    _loewner_verdict,
     _residual,
     check_necessary,
     check_sufficient,
@@ -199,10 +199,10 @@ def cmd_verify(args) -> int:
     bounds = solution_bounds(P)
     eye = np.eye(P.n)
     # X and Q^(1/s) are positive definite: their norms are their largest eigenvalues
-    ltol = 1e-10 * max(float(values[-1]), P._lambda_max_q ** (1.0 / P.s), 1.0)
+    scale = max(float(values[-1]), P._lambda_max_q ** (1.0 / P.s))
 
     def leq(L, R) -> bool:
-        return _lambda_min(R - L) >= -ltol
+        return _loewner_verdict(L, R, scale).holds
 
     in_basic = leq(bounds.c * eye, X) and leq(X, bounds.q_root)
     in_refined = leq(bounds.m * eye, X) and leq(X, bounds.N)

@@ -6,11 +6,12 @@ data runs in real arithmetic throughout.  Matrices that are nominally
 Hermitian are re-symmetrized before use so that rounding drift from earlier
 arithmetic cannot accumulate across a computation.
 
-The public functions validate their input with ``check_hermitian``.  The
-library's own callers, working on matrices they built Hermitian themselves,
-use the trusted kernel ``trusted_eigh`` and ``eig_power`` instead, which skip
-that validation, and ``congruence`` to form ``M* f(X) M`` from the
-eigendecomposition of ``X``.
+The public functions validate their input with ``check_hermitian``.  On
+matrices they built Hermitian themselves, the library's own callers use the
+trusted kernel, which checks nothing, positivity included: ``trusted_eigh``,
+``trusted_lambda_min``, ``hermitian_norm``, ``eig_power`` and ``congruence``
+(``M* f(X) M`` from the eigendecomposition of ``X``).  Powers of a spectrum
+from outside the library go through the one gate, ``checked_eig_power``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ __all__ = [
     "hermitian_part",
     "check_hermitian",
     "trusted_eigh",
+    "trusted_lambda_min",
+    "hermitian_norm",
     "eig_power",
+    "checked_eig_power",
     "congruence",
     "is_pd_spectrum",
     "herm_eig",
@@ -93,6 +97,16 @@ def trusted_eigh(M) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
+def trusted_lambda_min(M) -> float:
+    """Smallest eigenvalue of a library-built Hermitian matrix, by one ``eigvalsh``."""
+    return float(np.linalg.eigvalsh(hermitian_part(M))[0])
+
+
+def hermitian_norm(D: np.ndarray) -> float:
+    """Spectral norm of a library-built Hermitian matrix: its largest |eigenvalue|."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(D))))
+
+
 def herm_eig(M) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition ``(values, vectors)`` of a Hermitian matrix, values ascending."""
     return trusted_eigh(check_hermitian(M))
@@ -125,23 +139,24 @@ def herm_power(M, r: float) -> np.ndarray:
     r = float(r)
     if not math.isfinite(r):
         raise ValueError(f"exponent must be finite, got {r}")
-    return eig_power(*herm_eig(M), r)
+    return checked_eig_power(*herm_eig(M), r)
 
 
-def eig_power(values: np.ndarray, vectors: np.ndarray, r: float) -> np.ndarray:
-    """``V diag(values^r) V*``, re-symmetrized, from a Hermitian eigendecomposition.
-
-    The power of ``herm_power`` for a matrix whose eigendecomposition is
-    already known; non-integer and negative exponents need positive
-    definite values.
-    """
-    r = float(r)
+def checked_eig_power(values: np.ndarray, vectors: np.ndarray, r: float) -> np.ndarray:
+    """``eig_power`` of a spectrum from outside the library: non-integer and
+    negative exponents need values that pass ``is_pd_spectrum``."""
     if not (r.is_integer() and r >= 0) and not is_pd_spectrum(values):
         raise ValueError(
             f"matrix must be positive definite for exponent {r} "
             f"(lambda_min = {values[0]:.3e})"
         )
-    return hermitian_part((vectors * values**r) @ vectors.conj().T)
+    return eig_power(values, vectors, r)
+
+
+def eig_power(values: np.ndarray, vectors: np.ndarray, r: float) -> np.ndarray:
+    """``V diag(values^r) V*``, re-symmetrized, from a Hermitian eigendecomposition
+    the library has already checked or clamped: trusted, so it checks nothing."""
+    return hermitian_part((vectors * values ** float(r)) @ vectors.conj().T)
 
 
 def congruence(vectors: np.ndarray, weights: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -178,16 +193,10 @@ def loewner_leq(L, R, tol: float = 0.0) -> bool:
     return lambda_min(hermitian_part(B - A)) >= -tol
 
 
-def is_hpd(M, tol: float | None = None) -> bool:
-    """True iff ``M`` is Hermitian positive definite.
-
-    ``tol`` is the strict lower bound required of the smallest eigenvalue;
-    by default it scales with the largest eigenvalue modulus.
-    """
+def is_hpd(M) -> bool:
+    """True iff ``M`` is Hermitian positive definite by ``is_pd_spectrum``."""
     try:
         values, _ = herm_eig(M)
     except ValueError:
         return False
-    if tol is None:
-        return is_pd_spectrum(values)
-    return bool(values[0] > tol)
+    return is_pd_spectrum(values)

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import matcore as mc
-from .analysis import ProblemInstance, Verdict, _accept_candidate, _hermitian_norm, _residual
+from .analysis import ProblemInstance, Verdict, _accept_candidate, _loewner_verdict, _residual
 
 __all__ = [
     "PreconditionError",
@@ -233,7 +233,7 @@ def fixed_point_check(P: ProblemInstance, alpha: float) -> FixedPointCheck:
     scheme_applies = P.s >= max(P.t, P.p)
     if alpha > 0.0:
         feas_lhs = float(_feasibility_lhs(P, alpha))
-        beta = float(np.linalg.eigvalsh(_first_iterate(P, alpha))[0])
+        beta = mc.trusted_lambda_min(_first_iterate(P, alpha))
     else:
         feas_lhs = math.inf
         beta = -math.inf
@@ -328,7 +328,7 @@ def solve_fixed_point(P: ProblemInstance, opts: SolveOptions | None = None) -> S
             - mc.congruence(vectors, values**-e_t, P.A)
             - mc.congruence(vectors, values**-e_p, P.B)
         )
-        step = _hermitian_norm(Y_next - Y)
+        step = mc.hermitian_norm(Y_next - Y)
         values, vectors = _eigh_pd(Y_next, f"iterate {iterations}")
         history.append(HistoryEntry(iterations, step, step))
         Y = Y_next
@@ -385,17 +385,15 @@ def coupled_check(P: ProblemInstance, b: float) -> CoupledCheck:
     a = _coupled_a(P)
     theta = P._lambda_min_ata / b
     separation = Verdict(b > a, a, b, note="requires lhs < rhs")
-    gap = -math.inf
+    domination = Verdict(False, -math.inf, 0.0)
     if a > 0.0:
         dom_rhs = mc.hermitian_part(
             P._ata / b + b ** (P.s / P.t) * np.eye(P.n) + a ** (-P.p / P.t) * P._btb
         )
-        gap = float(np.linalg.eigvalsh(mc.hermitian_part(P.Q - dom_rhs))[0])
-    # dom_rhs is positive semidefinite, so wherever the verdict is close,
-    # ||dom_rhs|| <= ||Q|| + |gap|: scaling the tolerance by ||Q|| alone
-    # decides the same way as scaling it by max(||Q||, ||dom_rhs||).
-    tol = 1e-10 * max(P._norm_q, 1.0)
-    domination = Verdict(gap >= -tol, gap, 0.0)
+        # dom_rhs is positive semidefinite, so wherever the verdict is close,
+        # ||dom_rhs|| <= ||Q|| + |gap|: scaling the tolerance by ||Q|| alone
+        # decides the same way as scaling it by max(||Q||, ||dom_rhs||).
+        domination = _loewner_verdict(dom_rhs, P.Q, P._norm_q)
     rhs_a = 0.0
     if theta > 0.0:
         # for s > t the power of a is negative; at a = 0 it is its limit, inf
@@ -501,8 +499,8 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
         y_vals, y_vecs = _eigh_pd(Y, f"upper iterate {it - 1}")
         X_next = half_step(x_vals, x_vecs, y_vals, y_vecs, it)
         Y_next = half_step(y_vals, y_vecs, x_vals, x_vecs, it)
-        step_x = _hermitian_norm(X_next - X)
-        step_y = _hermitian_norm(Y_next - Y)
+        step_x = mc.hermitian_norm(X_next - X)
+        step_y = mc.hermitian_norm(Y_next - Y)
         history.append(HistoryEntry(it, step_x, step_y))
         if it == 1:
             refined = (X_next, Y_next)

@@ -7,11 +7,12 @@ reference problems and randomly constructed solvable instances.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from nmeq import analysis, builtin
+from nmeq import analysis, builtin, cli, probfile, solvers
 from nmeq import matcore as mc
 
 from support import near_singular_coupled_problem, random_hpd
@@ -481,6 +482,23 @@ class TestUniquenessInterval:
         assert scaled.verdicts["contraction"] == analysis.Verdict(False, math.inf, 1.0)
         assert analysis.scan_k(P) is None
 
+    @pytest.mark.parametrize(
+        "exponents", [(1, 1, 1), (2, 2, 1), (3, 4, 1), (1, 3, 2), (5, 1, 1), (1, 5, 1)]
+    )
+    def test_overflowing_c_power_is_a_failed_verdict(self, exponents):
+        # A = B = 1e-160 I, Q = I: c^-t overflows, so the correction at X = cI
+        # is unbounded, and the contraction term is its limit inf
+        P = analysis.ProblemInstance(
+            1e-160 * np.eye(2), 1e-160 * np.eye(2), np.eye(2), *exponents
+        )
+        rep = analysis.check_uniqueness_interval(P)
+        assert rep.verdicts["domination"] == analysis.Verdict(
+            False, -math.inf, 0.0, "checked at lower endpoint X = cI"
+        )
+        assert rep.verdicts["contraction"] == analysis.Verdict(False, math.inf, 1.0)
+        assert not rep.holds and rep.bracket is None
+        assert analysis.scan_k(P) is None
+
 
 class TestUniquenessScaled:
     def test_rejects_bad_k(self):
@@ -522,6 +540,31 @@ class TestUniquenessScaled:
         v = rep.verdicts["spread"]
         eq = analysis.Verdict(v.lhs <= v.lhs, v.lhs, v.lhs)
         assert eq.holds
+
+    def test_overflowing_kc_power_is_a_failed_verdict(self):
+        # A = B = 1e-60 I, Q = I, s = 5: c1 = 1e-120, so (k c1)^(1-s) overflows
+        P = analysis.ProblemInstance(
+            1e-60 * np.eye(2), 1e-60 * np.eye(2), np.eye(2), 5.0, 1.0, 1.0
+        )
+        rep = analysis.check_uniqueness_k(P, 50.0)
+        assert rep.verdicts["contraction"] == analysis.Verdict(False, math.inf, 1.0)
+        assert not rep.holds
+        assert analysis.scan_k(P) is None
+
+    def test_overflowing_k_power_is_a_failed_verdict(self):
+        # k^-t = (1e-200)^-2 overflows
+        rep = analysis.check_uniqueness_k(scalar_instance(9.0, 0.3, 0.3, t=2.0), 1e-200)
+        assert rep.verdicts["power_sum"] == analysis.Verdict(False, math.inf, 1.0)
+        assert rep.verdicts["spread"].rhs == -math.inf
+        assert not rep.verdicts["spread"].holds and not rep.holds
+
+    def test_spread_underflowing_on_both_sides_raises(self):
+        # s = 1e6 on example 1: at k = 2 the power sum holds, so both sides of
+        # the spread are positive, and both c1^s and k^-s underflow to 0
+        E = builtin.example(1).instance
+        P = analysis.ProblemInstance(E.A, E.B, E.Q, 1e6, E.t, E.p)
+        with pytest.raises(FloatingPointError, match="spread condition underflows"):
+            analysis.check_uniqueness_k(P, 2.0)
 
     def test_scan_finds_parameter(self):
         P = scalar_instance(9.0, 0.3, 0.3)
@@ -595,6 +638,25 @@ class TestFactorization:
         bad_u = analysis.Factorization(2.0 * F.U, F.lam, F.N1, F.N2)
         assert not analysis.verify_factorization(bp.instance, bad_u)
 
+    def test_verify_gates_a_non_pd_middle_factor(self):
+        # the middle factor comes from the caller: with lam = [1e-18, 1, 2] and
+        # U unitary to 1e-9, lambda_min(U diag(lam) U*) rounds below 0, and its
+        # fractional power is refused before the trusted kernel could warn
+        bp = builtin.example(1)
+        F = analysis.factorization_from_solution(bp.instance, bp.solution_X)
+        U = (1.0 - 1e-9) * F.U
+        core = mc.hermitian_part((U * np.array([1e-18, 1.0, 2.0])) @ U.conj().T)
+        assert mc.trusted_eigh(core)[0][0] < 0.0
+        bad = analysis.Factorization(U, np.array([1e-18, 1.0, 2.0]), F.N1, F.N2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ValueError,
+                match=r"^matrix must be positive definite for exponent 0\.3333333333333333 "
+                r"\(lambda_min = -",
+            ):
+                analysis.verify_factorization(bp.instance, bad)
+
     def test_verify_rejects_dimension_mismatch(self):
         bp = builtin.example(1)
         F = analysis.factorization_from_solution(bp.instance, bp.solution_X)
@@ -620,3 +682,65 @@ class TestFactorization:
             P = analysis.ProblemInstance(A, B, Q, s, t, p)
             F = analysis.factorization_from_solution(P, X)
             assert analysis.verify_factorization(P, F)
+
+
+class TestLoewnerVerdict:
+    """One rule for every Loewner comparison: L <= R holds when
+    lambda_min(R - L) >= -1e-10 max(scale, 1), with the scale its caller has."""
+
+    rule = staticmethod(analysis._loewner_verdict)
+
+    def capture(self, monkeypatch, module, run):
+        """The (L, scale) pairs ``module`` passes to the rule during ``run``."""
+        calls = []
+
+        def spy(L, R, scale, note=""):
+            calls.append((L, scale))
+            return self.rule(L, R, scale, note)
+
+        monkeypatch.setattr(module, "_loewner_verdict", spy)
+        run()
+        return calls
+
+    def assert_threshold(self, L, scale):
+        tol = 1e-10 * max(scale, 1.0)
+        n = L.shape[0]
+        for factor, holds in ((0.99, True), (1.01, False)):
+            shift = np.ones(n)
+            shift[0] = -factor * tol
+            v = self.rule(L, L + np.diag(shift), scale)
+            assert v.holds is holds
+            assert v.lhs == pytest.approx(-factor * tol, rel=1e-3)
+
+    def test_interval_check_scales_by_hermitian_norms(self, monkeypatch):
+        P = builtin.example(1).instance
+        calls = self.capture(
+            monkeypatch, analysis, lambda: analysis.check_uniqueness_interval(P)
+        )
+        (floor_sum, floor_scale), (correction, dom_scale) = calls
+        assert floor_scale == max(mc.hermitian_norm(floor_sum), P._norm_q)
+        assert dom_scale >= mc.hermitian_norm(correction) > 1.0
+        for L, scale in calls:
+            self.assert_threshold(L, scale)
+
+    def test_coupled_domination_scales_by_norm_q(self, monkeypatch):
+        P = builtin.example(2).instance
+        calls = self.capture(monkeypatch, solvers, lambda: solvers.coupled_check(P, 1.0))
+        [(dom_rhs, scale)] = calls
+        assert scale == P._norm_q > 1.0
+        self.assert_threshold(dom_rhs, scale)
+
+    def test_verify_scales_by_x_and_q_root(self, monkeypatch, tmp_path, capsys):
+        bp = builtin.example(2)
+        path = tmp_path / "sol.json"
+        path.write_text(probfile.write_solution(solvers.solve(bp.instance)))
+        calls = self.capture(
+            monkeypatch, cli, lambda: cli.main(["verify", "--example", "2", str(path)])
+        )
+        assert "verification: passed" in capsys.readouterr().out
+        P = bp.instance
+        x_max = float(np.linalg.eigvalsh(probfile.load_solution(path).X)[-1])
+        assert len(calls) == 4
+        assert {scale for _, scale in calls} == {max(x_max, P._lambda_max_q ** (1.0 / P.s))}
+        for L, scale in calls:
+            self.assert_threshold(L, scale)

@@ -185,6 +185,43 @@ class TestCheck:
         assert "necessary condition (spectral radius bound): holds" in res.stdout
         assert "sufficient condition (norm bound): holds" in res.stdout
 
+    @pytest.mark.parametrize("which", ["1", "2"])
+    def test_takes_no_svd_norm(self, which, monkeypatch, capsys):
+        # every Loewner verdict scales its tolerance by Hermitian norms
+        calls = []
+        original = mc.spectral_norm
+
+        def counting(M):
+            calls.append(M)
+            return original(M)
+
+        monkeypatch.setattr(mc, "spectral_norm", counting)
+        assert cli.main(["check", "--example", which]) == 0
+        assert calls == []
+        assert "uniqueness on the bracket" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "scale, s, t, p",
+        [(1e-160, 1.0, 1.0, 1.0), (1e-160, 3.0, 4.0, 1.0), (1e-60, 5.0, 1.0, 1.0)],
+        ids=["c^-t-111", "c^-t-341", "kc^(1-s)-511"],
+    )
+    def test_overflowing_powers_exit_0(self, tmp_path, scale, s, t, p):
+        # c^-t (A = B = 1e-160 I) or (k c1)^(1-s) (A = B = 1e-60 I) overflows:
+        # the verdicts fail, the check completes
+        doc = {
+            "n": 2, "s": s, "t": t, "p": p,
+            "A": (scale * np.eye(2)).tolist(), "B": (scale * np.eye(2)).tolist(),
+            "Q": np.eye(2).tolist(),
+        }
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc))
+        res = run_cli("check", str(path))
+        assert res.returncode == 0, res.stderr
+        assert "uniqueness on the bracket (endpoint contraction): fails" in res.stdout
+        assert "contraction: inf vs 1 -> fails" in res.stdout
+        assert "no admissible parameter on the scan grid" in res.stdout
+        assert res.stderr == ""
+
     def test_verdict_failure_is_not_an_error(self, no_solution_file):
         res = run_cli("check", str(no_solution_file))
         assert res.returncode == 0

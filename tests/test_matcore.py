@@ -7,6 +7,8 @@ HPD matrices within the conditioning for which double precision supports the
 stated tolerances.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -143,6 +145,18 @@ class TestEig:
         assert mc.lambda_min(Q2) == pytest.approx(6.5, rel=1e-12)
         assert mc.lambda_max(Q2) == pytest.approx(9.5, rel=1e-12)
 
+    def test_trusted_lambda_min_and_norm(self):
+        rng = seeded_rng(13)
+        M = random_hermitian(rng, 5)
+        values = np.linalg.eigvalsh(M)
+        assert mc.trusted_lambda_min(M) == pytest.approx(values[0], rel=1e-12)
+        # drift in the upper triangle, which eigvalsh alone would not read
+        drifted = M + 1e-9 * np.triu(M, 1)
+        expected = np.linalg.eigvalsh(mc.hermitian_part(drifted))[0]
+        assert mc.trusted_lambda_min(drifted) == expected != values[0]
+        assert mc.hermitian_norm(M) == float(np.max(np.abs(values)))
+        assert mc.hermitian_norm(M) == pytest.approx(mc.spectral_norm(M), rel=1e-12)
+
     def test_eigenvalues_ascending(self):
         rng = seeded_rng(2)
         values, _ = mc.herm_eig(random_hermitian(rng, 6))
@@ -215,6 +229,25 @@ class TestPower:
                 lhs = mc.herm_power(mc.herm_power(M, r1), r2)
                 rhs = mc.herm_power(M, r1 * r2)
                 assert mc.spectral_norm(lhs - rhs) <= 1e-12 * mc.spectral_norm(rhs)
+
+    def test_eig_power_is_trusted(self):
+        # positive values inside the PD_TOL margin: the trusted kernel takes
+        # the power, the gate for spectra from outside the library refuses
+        values = np.array([1e-15, 1.0])
+        assert np.array_equal(mc.eig_power(values, np.eye(2), 0.5), np.diag(values**0.5))
+        with pytest.raises(ValueError, match="positive definite for exponent 0.5"):
+            mc.checked_eig_power(values, np.eye(2), 0.5)
+        assert np.array_equal(mc.checked_eig_power(-values, np.eye(2), 2.0), np.diag(values**2))
+
+    def test_eig_power_of_clamped_spectrum(self):
+        # a clamped congruence spectrum goes through the one kernel, bit for
+        # bit as the clamped-power expression it replaces
+        rng = seeded_rng(12)
+        V = random_unitary(rng, 4)
+        values = np.array([-3e-17, 0.0, 0.4, 2.5])
+        clamped = np.maximum(values, 0.0)
+        expected = mc.hermitian_part((V * clamped**0.75) @ V.conj().T)
+        assert np.array_equal(mc.eig_power(clamped, V, 0.75), expected)
 
     def test_inverse_roundtrip(self):
         rng = seeded_rng(5)
@@ -341,6 +374,12 @@ class TestLoewner:
 class TestHpd:
     def test_identity(self):
         assert mc.is_hpd(np.eye(3))
+
+    def test_one_positivity_rule(self):
+        # is_hpd has no tolerance of its own: it is the is_pd_spectrum verdict
+        assert list(inspect.signature(mc.is_hpd).parameters) == ["M"]
+        assert not mc.is_hpd(np.diag([1e-13, 1.0]))
+        assert mc.is_hpd(np.diag([1e-11, 1.0]))
 
     def test_semidefinite_rejected(self):
         assert not mc.is_hpd(np.diag([1.0, 0.0]))
