@@ -170,8 +170,7 @@ class ProblemInstance:
     @cached_property
     def _lambda_min_ata(self) -> float:
         """lambda_min(A* A), clamped at 0."""
-        values, _ = mc.trusted_eigh(self._ata)
-        return max(float(values[0]), 0.0)
+        return max(mc.trusted_lambda_min(self._ata), 0.0)
 
     @cached_property
     def _q_root(self) -> np.ndarray:
@@ -446,7 +445,8 @@ def check_uniqueness_k(P: ProblemInstance, k: float) -> ConditionReport:
     k here is a free parameter, not an eigenvalue of Q; scan_k searches a
     grid for a value making every hypothesis hold.  A negative power of k or
     k c1 that overflows is its limit inf, and so is the contraction term when
-    a power of k c1 underflows: the verdicts fail.  Raises FloatingPointError
+    a power of k c1 underflows: the verdicts fail.  The spread fails whenever
+    1 - k^-t - k^-p <= 0, whatever underflowed.  Raises FloatingPointError
     when both sides of the spread are positive but underflow to 0.
     """
     k = float(k)
@@ -458,11 +458,14 @@ def check_uniqueness_k(P: ProblemInstance, k: float) -> ConditionReport:
     v_powers = Verdict(power_sum < 1.0, power_sum, 1.0)
     spread_lhs = d.c1**P.s / d.k_tilde
     k_s = _power(k, -P.s)
-    spread_rhs = (1.0 - k_t - k_p) * k_s
+    spread_factor = 1.0 - k_t - k_p
+    spread_rhs = spread_factor * k_s
     if spread_lhs == 0.0 and k_s == 0.0 and v_powers.holds:
         # c1^s > 0 and, with the power sum below 1, the right-hand side is > 0 too
         raise FloatingPointError(f"spread condition underflows on both sides at k = {k:.6g}")
-    v_spread = Verdict(spread_lhs <= spread_rhs, spread_lhs, spread_rhs)
+    # the true left side c1^s / lambda_min(Q) is > 0, so a factor <= 0 fails
+    # the verdict even where both sides underflowed to (signed) zeros
+    v_spread = Verdict(spread_factor > 0.0 and spread_lhs <= spread_rhs, spread_lhs, spread_rhs)
     kc = k * d.c1
     slope = _correction_slope(P, kc)
     contraction = math.inf

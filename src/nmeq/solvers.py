@@ -17,8 +17,10 @@ case extremality of the limit is unknown.
 
 from __future__ import annotations
 
+import contextvars
 import enum
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -278,6 +280,59 @@ def _eigh_pd(M: np.ndarray, what: str):
     return values, vectors
 
 
+# Below this dimension a decomposition costs less than handing it to another
+# thread: on 2 cores with one BLAS thread, a real eigh + eigvalsh took 28 us
+# serial vs 35 us paired at n = 16, and 81 vs 62 us at n = 32.
+_PAIR_MIN_N = 32
+# The executor of _pair's second lane: one thread, made on first use.
+_lane = None
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _drop_lane() -> None:
+    # a forked child inherits the executor but not its thread: a task
+    # submitted there would wait forever, so the child makes its own
+    global _lane
+    _lane = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_lane)
+
+
+def _pair(n: int, f, g):
+    """(f(), g()), with g on a second thread while the caller runs f.
+
+    The two lanes must be independent: each reads only arrays computed
+    before the call.  numpy releases the interpreter lock inside LAPACK and
+    BLAS, so at n >= _PAIR_MIN_N with two usable CPUs the lanes overlap;
+    smaller problems, or a single CPU, run f then g inline.  The outcome is
+    the serial one: when f raises, g is waited for and f's exception is
+    raised; otherwise g's result is returned or its exception raised.
+    """
+    global _lane
+    if n < _PAIR_MIN_N or _usable_cpus() < 2:
+        first = f()
+        return first, g()
+    if _lane is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _lane = ThreadPoolExecutor(max_workers=1, thread_name_prefix="nmeq-lane")
+    # g runs in the caller's context, so a numpy errstate covers both lanes
+    future = _lane.submit(contextvars.copy_context().run, g)
+    try:
+        first = f()
+    except BaseException:
+        future.exception()
+        raise
+    return first, future.result()
+
+
 def solve_fixed_point(P: ProblemInstance, opts: SolveOptions | None = None) -> SolveReport:
     """Maximal-solution fixed-point iteration in Y = X^s.
 
@@ -315,6 +370,8 @@ def solve_fixed_point(P: ProblemInstance, opts: SolveOptions | None = None) -> S
     # ||Y_1 - Y_0|| = max|lambda(Y_1) - alpha|.  Each later iterate gets one
     # eigh, which feeds the next step or, for the last one, both the lift and
     # the residual certificate (X = Y^(1/s) has the spectrum values^(1/s)).
+    # The two congruences of a step, then the next iterate's eigh and the
+    # step norm, are independent pairs: each runs as the two lanes of _pair.
     Y = _first_iterate(P, alpha)
     values, vectors = _eigh_pd(Y, "iterate 1")
     step = float(np.max(np.abs(values - alpha)))
@@ -323,13 +380,17 @@ def solve_fixed_point(P: ProblemInstance, opts: SolveOptions | None = None) -> S
     converged = step <= tol
     while not converged and iterations < opts.max_iter:
         iterations += 1
-        Y_next = mc.hermitian_part(
-            P.Q
-            - mc.congruence(vectors, values**-e_t, P.A)
-            - mc.congruence(vectors, values**-e_p, P.B)
+        term_a, term_b = _pair(
+            P.n,
+            lambda: mc.congruence(vectors, values**-e_t, P.A),
+            lambda: mc.congruence(vectors, values**-e_p, P.B),
         )
-        step = mc.hermitian_norm(Y_next - Y)
-        values, vectors = _eigh_pd(Y_next, f"iterate {iterations}")
+        Y_next = mc.hermitian_part(P.Q - term_a - term_b)
+        (values, vectors), step = _pair(
+            P.n,
+            lambda: _eigh_pd(Y_next, f"iterate {iterations}"),
+            lambda: mc.hermitian_norm(Y_next - Y),
+        )
         history.append(HistoryEntry(iterations, step, step))
         Y = Y_next
         converged = step <= tol
@@ -489,18 +550,27 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
     converged = False
     iterations = 0
 
-    def half_step(lo_vals, lo_vecs, hi_vals, hi_vecs, it: int) -> np.ndarray:
+    def lane(lo_eig, hi_eig, prev: np.ndarray, it: int) -> tuple[np.ndarray, float]:
+        """One sequence's half-step from the previous pair, with its step norm."""
+        (lo_vals, lo_vecs), (hi_vals, hi_vecs) = lo_eig, hi_eig
         lo_pow = (lo_vecs * lo_vals**e_s) @ lo_vecs.conj().T
         inner = mc.hermitian_part(P.Q - lo_pow - mc.congruence(hi_vecs, hi_vals**-e_p, P.B))
-        return _inverse_congruence(inner, adj_a, it)
+        nxt = _inverse_congruence(inner, adj_a, it)
+        return nxt, mc.hermitian_norm(nxt - prev)
 
+    # The lower and upper sequences are symmetric: the two eigh of a step,
+    # then the two half-steps, run as the two lanes of _pair, lower first.
     for it in range(1, opts.max_iter + 1):
-        x_vals, x_vecs = _eigh_pd(X, f"lower iterate {it - 1}")
-        y_vals, y_vecs = _eigh_pd(Y, f"upper iterate {it - 1}")
-        X_next = half_step(x_vals, x_vecs, y_vals, y_vecs, it)
-        Y_next = half_step(y_vals, y_vecs, x_vals, x_vecs, it)
-        step_x = mc.hermitian_norm(X_next - X)
-        step_y = mc.hermitian_norm(Y_next - Y)
+        x_eig, y_eig = _pair(
+            n,
+            lambda: _eigh_pd(X, f"lower iterate {it - 1}"),
+            lambda: _eigh_pd(Y, f"upper iterate {it - 1}"),
+        )
+        (X_next, step_x), (Y_next, step_y) = _pair(
+            n,
+            lambda: lane(x_eig, y_eig, X, it),
+            lambda: lane(y_eig, x_eig, Y, it),
+        )
         history.append(HistoryEntry(it, step_x, step_y))
         if it == 1:
             refined = (X_next, Y_next)

@@ -245,7 +245,7 @@ class TestCachedInvariants:
         ata = mc.hermitian_part(P.A.conj().T @ P.A)
         assert np.array_equal(P._ata, ata)
         assert np.array_equal(P._btb, P.B.conj().T @ P.B)
-        assert P._lambda_min_ata == max(mc.lambda_min(ata), 0.0)
+        assert P._lambda_min_ata == max(mc.trusted_lambda_min(ata), 0.0)
 
     def test_derived_scalars(self, instance):
         d = analysis.derived_scalars(instance)
@@ -565,6 +565,16 @@ class TestUniquenessScaled:
         P = analysis.ProblemInstance(E.A, E.B, E.Q, 1e6, E.t, E.p)
         with pytest.raises(FloatingPointError, match="spread condition underflows"):
             analysis.check_uniqueness_k(P, 2.0)
+
+    def test_spread_with_nonpositive_factor_fails_after_underflow(self):
+        # s = 1e6 on example 1: at k = 1.01 the power sum is >= 1, so the true
+        # right side is <= 0 and the true left side c1^s / lambda_min(Q) > 0;
+        # both underflow, to 0.0 and -0.0, and 0.0 <= -0.0 must not hold
+        E = builtin.example(1).instance
+        P = analysis.ProblemInstance(E.A, E.B, E.Q, 1e6, E.t, E.p)
+        v = analysis.check_uniqueness_k(P, 1.01).verdicts["spread"]
+        assert (v.lhs, v.rhs) == (0.0, 0.0) and math.copysign(1.0, v.rhs) == -1.0
+        assert not v.holds
 
     def test_scan_finds_parameter(self):
         P = scalar_instance(9.0, 0.3, 0.3)

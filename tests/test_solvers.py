@@ -8,7 +8,12 @@ iteration path.
 """
 
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -783,3 +788,152 @@ class TestBoundedMemory:
             assert rep.scheme.value == scheme and rep.preconditions_held
             assert not rep.converged and rep.iterations == max_iter
         assert peaks[1] / peaks[0] < 1.5
+
+
+def _kron_instance(E, k):
+    """k diagonal copies of the instance E: its solutions are kron(I_k, X)
+    for E's solutions X, so it is a large twin of a small run."""
+    I = np.eye(k)
+    return analysis.ProblemInstance(
+        np.kron(I, E.A), np.kron(I, E.B), np.kron(I, E.Q), E.s, E.t, E.p
+    )
+
+
+def _inline_pair(n, f, g):
+    first = f()
+    return first, g()
+
+
+def _run_python(code, timeout=None):
+    path = os.environ.get("PYTHONPATH")
+    root = str(Path(solvers.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": root + (os.pathsep + path if path else "")}
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=timeout
+    )
+
+
+class TestTwoLanes:
+    """From n = 32 on, each step's independent decompositions run as two
+    lanes, one of them on a worker thread.  The outcome is the serial one:
+    the same bits, and the same exception a serial run raises first."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        # take the threaded path even on a machine with a single CPU
+        monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+
+    @pytest.mark.parametrize("k", [11, 16], ids=["n33", "n48"])
+    @pytest.mark.parametrize("which", [1, 2], ids=["fixed-point", "coupled"])
+    def test_paired_solve_matches_inline_and_small_twin(self, which, k, monkeypatch):
+        threads = set()
+        norm = mc.hermitian_norm
+
+        def recording_norm(D):
+            threads.add(threading.current_thread().name)
+            return norm(D)
+
+        monkeypatch.setattr(mc, "hermitian_norm", recording_norm)
+        E = builtin.example(which).instance
+        paired = solvers.solve(_kron_instance(E, k))
+        # every step norm of the fixed-point loop, and the upper one of the
+        # coupled loop, is taken on the worker
+        assert any(name.startswith("nmeq-lane") for name in threads)
+        monkeypatch.setattr(solvers, "_pair", _inline_pair)
+        inline = solvers.solve(_kron_instance(E, k))
+        assert np.array_equal(paired.solution_X, inline.solution_X)
+        assert paired.history == inline.history
+        assert paired.residual == inline.residual
+        assert paired.iterations == inline.iterations
+        assert paired.converged and paired.preconditions_held
+        small = solvers.solve(E).solution_X
+        want = np.kron(np.eye(k), small)
+        assert np.linalg.norm(paired.solution_X - want, 2) <= 1e-12 * np.linalg.norm(want, 2)
+
+    def test_both_lanes_failing_raise_the_lower_lanes_error(self, monkeypatch):
+        # k = 33 copies of the scalar run of test_positivity_loss_message: at
+        # iteration 1 the lower inner matrix is -2.002 I and the upper one
+        # -3.475 I, so both lanes raise; the lower one is the serial error
+        P = _kron_instance(scalar_instance(1.0, 3.0, 0.1, s=1.0, t=2.0, p=1.0), 33)
+        opts = solvers.SolveOptions(b_upper=20.0, force=True)
+        want = (
+            "inverted matrix Q - X^(s/t) - B* Y^(-p/t) B lost positive "
+            "definiteness at iteration 1 (lambda_min = -2.002e+00)"
+        )
+        with pytest.raises(solvers.PositivityError) as err:
+            solvers.solve_coupled(P, opts)
+        assert str(err.value) == want
+        monkeypatch.setattr(solvers, "_pair", _inline_pair)
+        with pytest.raises(solvers.PositivityError) as err:
+            solvers.solve_coupled(P, opts)
+        assert str(err.value) == want
+
+    def test_concurrent_solves_share_the_worker(self):
+        # four callers of different sizes and schemes against the one worker,
+        # with a short switch interval: each gets its own solution back
+        cases = [(1, 11), (2, 11), (1, 16), (2, 16)]
+        instances = [_kron_instance(builtin.example(w).instance, k) for w, k in cases]
+        want = [solvers.solve(P).solution_X for P in instances]
+        got = [None] * len(cases)
+
+        def run(i):
+            got[i] = solvers.solve(instances[i]).solution_X
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for X, Y in zip(got, want):
+            assert X is not None and X.shape == Y.shape
+            assert np.linalg.norm(X - Y, 2) <= 1e-12 * np.linalg.norm(Y, 2)
+
+    def test_worker_lane_runs_in_the_callers_errstate(self):
+        # numpy keeps errstate in a context variable, which a thread of its
+        # own would not see
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                solvers._pair(32, lambda: None, lambda: np.float64(1e300) * 1e300)
+
+    def test_forked_child_solves(self):
+        # a child forked after a paired solve inherits the worker's executor
+        # but not its thread; it must make its own instead of waiting forever
+        if not hasattr(os, "fork"):
+            pytest.skip("no os.fork on this platform")
+        code = (
+            "import os, signal, numpy as np, nmeq\n"
+            "from nmeq import solvers\n"
+            "solvers._usable_cpus = lambda: 2\n"
+            "d = lambda v: np.diag(np.tile(v, 32))\n"
+            "P = nmeq.ProblemInstance(d((2.1, 2.3)), d((0.1, 0.15)), d((7.5, 8.5)), 1, 2, 1)\n"
+            "assert P.n == 64 and nmeq.solve(P).converged and solvers._lane is not None\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(30)\n"
+            "    ok = nmeq.solve(P).converged and solvers._lane is not None\n"
+            "    os._exit(0 if ok else 1)\n"
+            "_, status = os.waitpid(pid, 0)\n"
+            "print(os.waitstatus_to_exitcode(status))\n"
+        )
+        res = _run_python(code, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "0"
+
+    def test_small_problems_start_no_thread(self):
+        # the bundled examples are 3 x 3: both run inline, so neither the
+        # executor module nor a second thread is ever loaded or started
+        code = (
+            "import sys, threading, nmeq\n"
+            "assert nmeq.solve(nmeq.example(1).instance).converged\n"
+            "assert nmeq.solve(nmeq.example(2).instance).converged\n"
+            "print('concurrent.futures' in sys.modules, threading.active_count())\n"
+        )
+        res = _run_python(code)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False 1"
