@@ -7,7 +7,9 @@ never raises just because a condition fails, since a false verdict is data.
 
 from __future__ import annotations
 
+import decimal
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -268,11 +270,52 @@ def _power(x: float, r: float) -> float:
         return math.inf
 
 
+# The smallest positive normal double.
+_NORMAL = sys.float_info.min
+
+
+def _monomial(c: float, *powers: tuple[float, float]) -> float:
+    """c x1^r1 x2^r2 ... for c > 0 and x_i >= 0 (x_i > 0 where r_i < 0), multiplied
+    left to right.  Once a power or a partial product leaves the normal range,
+    it is rounded once from 34-digit decimals instead: no intermediate overflow
+    or underflow makes it inf, 0 or NaN where the true value is not."""
+    value = c
+    for x, r in powers:
+        factor = _power(x, r)
+        value *= factor
+        if not (_NORMAL <= min(factor, value) and max(factor, value) < math.inf):
+            with decimal.localcontext(decimal.Context(prec=34)):
+                exact = decimal.Decimal(c)
+                for x, r in powers:
+                    exact *= decimal.Decimal(x) ** decimal.Decimal(r)
+            return float(exact)
+    return value
+
+
+def _positive_tol(tol: float) -> float:
+    """The one rule for a user-given tolerance: finite and > 0 (else ValueError)."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    return tol
+
+
 def _loewner_verdict(L: np.ndarray, R: np.ndarray, scale: float, note: str = "") -> Verdict:
     """The one Loewner-order rule for library-built Hermitian L, R: L <= R holds when
     gap = lambda_min(R - L) >= -1e-10 max(scale, 1), scale a norm of the two sides."""
     gap = mc.trusted_lambda_min(R - L)
     return Verdict(gap >= -1e-10 * max(scale, 1.0), gap, 0.0, note)
+
+
+def _condition_report(
+    P: ProblemInstance, criterion: str, branch: str, verdicts: dict, floor: float | None = None
+) -> ConditionReport:
+    """The one rule of every check: it holds when all its verdicts hold, and a
+    check with a bracket floor then reports the bracket [floor I, Q^(1/s)]."""
+    holds = all(v.holds for v in verdicts.values())
+    bracket = None
+    if holds and floor is not None:
+        bracket = (floor * np.eye(P.n, dtype=P.Q.dtype), P._q_root.copy())
+    return ConditionReport(criterion, branch, verdicts, holds, bracket)
 
 
 def derived_scalars(P: ProblemInstance) -> DerivedScalars:
@@ -298,12 +341,7 @@ def check_necessary(P: ProblemInstance) -> ConditionReport:
         "spectral_radius_A": Verdict(rho_a2 < bound, rho_a2, bound),
         "spectral_radius_B": Verdict(rho_b2 < bound, rho_b2, bound),
     }
-    return ConditionReport(
-        criterion="necessary",
-        branch=branch,
-        verdicts=verdicts,
-        holds=all(v.holds for v in verdicts.values()),
-    )
+    return _condition_report(P, "necessary", branch, verdicts)
 
 
 def check_sufficient(P: ProblemInstance) -> ConditionReport:
@@ -323,18 +361,8 @@ def check_sufficient(P: ProblemInstance) -> ConditionReport:
             / (d.k**d.q_tilde * (d.q + 1.0) ** (d.q_tilde + 1.0))
         )
         lower = (d.q * d.k_tilde / (d.k * (d.q + 1.0))) ** (1.0 / P.s)
-    holds = lhs < rhs
-    bracket = None
-    if holds:
-        eye = np.eye(P.n, dtype=P.Q.dtype)
-        bracket = (lower * eye, P._q_root.copy())
-    return ConditionReport(
-        criterion="sufficient",
-        branch=branch,
-        verdicts={"norm_sum": Verdict(holds, lhs, rhs)},
-        holds=holds,
-        bracket=bracket,
-    )
+    verdicts = {"norm_sum": Verdict(lhs < rhs, lhs, rhs)}
+    return _condition_report(P, "sufficient", branch, verdicts, lower)
 
 
 def solution_bounds(P: ProblemInstance) -> SolutionBounds:
@@ -404,19 +432,18 @@ def check_uniqueness_interval(P: ProblemInstance) -> ConditionReport:
     is raised.
     """
     d = derived_scalars(P)
-    n = P.n
-    eye = np.eye(n, dtype=P.Q.dtype)
-    # congruences of HPD matrices: clamp rounding-level negatives as _clamped_root does
-    floor_sum = mc.hermitian_part(
-        mc.eig_power(np.maximum(P._aqa_eig[0], 0.0), P._aqa_eig[1], P.s / P.t)
-        + mc.eig_power(np.maximum(P._bqb_eig[0], 0.0), P._bqb_eig[1], P.s / P.p)
-    )
+    # congruences of HPD matrices: clamp rounding-level negatives as _clamped_root
+    # does.  Sums and differences of the symmetrized Q and eig_power outputs
+    # are exactly Hermitian, so they are not symmetrized again.
+    floor_sum = mc.eig_power(
+        np.maximum(P._aqa_eig[0], 0.0), P._aqa_eig[1], P.s / P.t
+    ) + mc.eig_power(np.maximum(P._bqb_eig[0], 0.0), P._bqb_eig[1], P.s / P.p)
     v_floor = _loewner_verdict(floor_sum, P.Q, max(mc.hermitian_norm(floor_sum), P._norm_q))
     dom_note = "checked at lower endpoint X = cI"
     c_t, c_p = _power(d.c, -P.t), _power(d.c, -P.p)
     if c_t < math.inf and c_p < math.inf:
         correction_at_c = mc.hermitian_part(c_t * P._ata + c_p * P._btb)
-        dom_rhs = mc.hermitian_part(P.Q - floor_sum)
+        dom_rhs = P.Q - floor_sum
         scale = max(mc.hermitian_norm(correction_at_c), mc.hermitian_norm(dom_rhs))
         v_dom = _loewner_verdict(correction_at_c, dom_rhs, scale, note=dom_note)
     else:
@@ -426,17 +453,7 @@ def check_uniqueness_interval(P: ProblemInstance) -> ConditionReport:
         contraction = (1.0 / P.s) * _power(d.a, 1.0 / P.s - 1.0) * _correction_slope(P, d.c)
     v_contr = Verdict(contraction < 1.0, contraction, 1.0)
     verdicts = {"interval_floor": v_floor, "domination": v_dom, "contraction": v_contr}
-    holds = all(v.holds for v in verdicts.values())
-    bracket = None
-    if holds:
-        bracket = (d.c * eye, P._q_root.copy())
-    return ConditionReport(
-        criterion="uniqueness-interval",
-        branch="",
-        verdicts=verdicts,
-        holds=holds,
-        bracket=bracket,
-    )
+    return _condition_report(P, "uniqueness-interval", "", verdicts, d.c)
 
 
 def check_uniqueness_k(P: ProblemInstance, k: float) -> ConditionReport:
@@ -473,17 +490,7 @@ def check_uniqueness_k(P: ProblemInstance, k: float) -> ConditionReport:
         contraction = (1.0 / P.s) * _power(kc, 1.0 - P.s) * slope
     v_contr = Verdict(contraction < 1.0, contraction, 1.0)
     verdicts = {"power_sum": v_powers, "spread": v_spread, "contraction": v_contr}
-    holds = all(v.holds for v in verdicts.values())
-    bracket = None
-    if holds:
-        bracket = (kc * np.eye(P.n, dtype=P.Q.dtype), P._q_root.copy())
-    return ConditionReport(
-        criterion="uniqueness-scaled",
-        branch=f"k={k:.6g}",
-        verdicts=verdicts,
-        holds=holds,
-        bracket=bracket,
-    )
+    return _condition_report(P, "uniqueness-scaled", f"k={k:.6g}", verdicts, kc)
 
 
 _K_GRID = _read_only(np.geomspace(1.01, 100.0, 200))
@@ -525,7 +532,7 @@ def verify_factorization(P: ProblemInstance, F: Factorization, tol: float = 1e-8
         return False
     if mc.spectral_norm(U.conj().T @ U - np.eye(n)) > tol:
         return False
-    core = mc.hermitian_part((U * lam) @ U.conj().T)
+    core = mc.eig_power(lam, U, 1.0)
     core_eig = mc.trusted_eigh(core)  # lam comes from the caller: check its powers
     ok_a = mc.spectral_norm(P.A - mc.checked_eig_power(*core_eig, P.t / (2.0 * P.s)) @ N1)
     ok_b = mc.spectral_norm(P.B - mc.checked_eig_power(*core_eig, P.p / (2.0 * P.s)) @ N2)
@@ -546,17 +553,15 @@ def factorization_from_solution(
     N2 = X^(-p/2) B.  Raises NotASolutionError when X fails the equation
     residual check (tolerance 1e-8 * (1 + ||Q||) by default).
     """
+    tol = P._accept_tol if tol is None else _positive_tol(tol)
     _, values, vectors = _accept_candidate(P, X)
     res = _residual(P, values, vectors)
-    if tol is None:
-        tol = P._accept_tol
     if res > tol:
         raise NotASolutionError(
             f"candidate is not a solution (residual {res:.3e} > tolerance {tol:.3e})"
         )
-    adj = vectors.conj().T
-    n1 = (vectors * values ** (-P.t / 2.0)) @ adj @ P.A
-    n2 = (vectors * values ** (-P.p / 2.0)) @ adj @ P.B
+    n1 = mc.eig_compose(vectors, values ** (-P.t / 2.0)) @ P.A
+    n2 = mc.eig_compose(vectors, values ** (-P.p / 2.0)) @ P.B
     return Factorization(U=vectors, lam=values**P.s, N1=n1, N2=n2)
 
 
@@ -581,9 +586,8 @@ def _residual(P: ProblemInstance, values: np.ndarray, vectors: np.ndarray) -> fl
     The one residual certificate behind the solvers and every candidate
     check; callers validate X and its positivity (see _accept_candidate).
     """
-    x_s = (vectors * values**P.s) @ vectors.conj().T
     R = (
-        x_s
+        mc.eig_compose(vectors, values**P.s)
         + mc.congruence(vectors, values**-P.t, P.A)
         + mc.congruence(vectors, values**-P.p, P.B)
         - P.Q

@@ -26,6 +26,7 @@ from .analysis import (
     ProblemInstance,
     _accept_candidate,
     _loewner_verdict,
+    _positive_tol,
     _residual,
     check_necessary,
     check_sufficient,
@@ -77,6 +78,15 @@ def _print_condition(title: str, rep: ConditionReport) -> None:
         print(line)
 
 
+def _emit(doc: str, path: str | None) -> None:
+    """Write an output document to the file at path, or to stdout when path is None."""
+    if path is None:
+        sys.stdout.write(doc)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(doc)
+
+
 def _resolve_problem(args) -> tuple[ProblemInstance, builtin.BuiltinProblem | None]:
     has_file = getattr(args, "problem", None) is not None
     has_example = getattr(args, "example", None) is not None
@@ -110,26 +120,16 @@ def cmd_check(args) -> int:
 
 def cmd_solve(args) -> int:
     P, bp = _resolve_problem(args)
-    alpha = args.alpha
-    b_upper = args.b_upper
-    if bp is not None:
-        if alpha is None:
-            alpha = bp.alpha
-        if b_upper is None:
-            b_upper = bp.b_upper
+    alpha, b_upper = args.alpha, args.b_upper
+    if bp is not None:  # a bundled example's starting scalars unless given
+        alpha = bp.alpha if alpha is None else alpha
+        b_upper = bp.b_upper if b_upper is None else b_upper
     opts = solvers.SolveOptions(
-        tol=args.tol,
-        max_iter=args.max_iter,
-        alpha=alpha,
-        b_upper=b_upper,
-        force=args.force,
+        tol=args.tol, max_iter=args.max_iter, alpha=alpha, b_upper=b_upper, force=args.force
     )
-    if args.scheme == "fixed-point":
-        report = solvers.solve_fixed_point(P, opts)
-    elif args.scheme == "coupled":
-        report = solvers.solve_coupled(P, opts)
-    else:
-        report = solvers.solve(P, opts)
+    # looked up per call: a wrapper put on a solvers function applies here too
+    solve = {"fixed-point": solvers.solve_fixed_point, "coupled": solvers.solve_coupled}
+    report = solve.get(args.scheme, solvers.solve)(P, opts)
     print(f"scheme: {report.scheme.value}")
     print(f"iterations: {report.iterations}")
     print(f"converged: {'true' if report.converged else 'false'}")
@@ -138,14 +138,8 @@ def cmd_solve(args) -> int:
     print(f"extremality: {report.extremality.value}")
     print(f"preconditions: {'held' if report.preconditions_held else 'not held'}")
     if args.history is not None:
-        with open(args.history, "w", encoding="utf-8") as fh:
-            fh.write(probfile.write_history_csv(report.history))
-    doc = probfile.write_solution(report)
-    if args.solution is not None:
-        with open(args.solution, "w", encoding="utf-8") as fh:
-            fh.write(doc)
-    else:
-        sys.stdout.write(doc)
+        _emit(probfile.write_history_csv(report.history), args.history)
+    _emit(probfile.write_solution(report), args.solution)
     if not report.converged:
         print("error: iteration did not converge within max_iter", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -167,16 +161,13 @@ def cmd_factorize(args) -> int:
     F = factorization_from_solution(P, probfile.load_solution(args.solution).X)
     ok = verify_factorization(P, F)
     print(f"factorization verified: {'true' if ok else 'false'}")
-    doc = probfile.write_factorization(F)
-    if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(doc)
-    else:
-        sys.stdout.write(doc)
+    _emit(probfile.write_factorization(F), args.output)
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
 def cmd_verify(args) -> int:
+    if args.tol is not None:
+        _positive_tol(args.tol)
     P, _ = _resolve_problem(args)
     sol = probfile.load_solution(args.solution)
     if sol.X.shape != (P.n, P.n):
@@ -267,6 +258,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# The README's exit-code table as (exceptions, exit code, message prefix);
+# the first match wins.  ProblemFileError, NotASolutionError,
+# BracketUndefinedError and LinAlgError are ValueErrors, so they come before
+# ValueError.  An exception in no row propagates.
+_EXIT_CODES = (
+    (probfile.ProblemFileError, EXIT_USAGE, ""),
+    (NotASolutionError, EXIT_VERIFICATION, ""),
+    ((BracketUndefinedError, solvers.PreconditionError), EXIT_PRECONDITION, ""),
+    (solvers.PositivityError, EXIT_NO_CONVERGENCE, ""),
+    ((ArithmeticError, np.linalg.LinAlgError), EXIT_PRECONDITION,
+     "cannot evaluate in double precision: "),
+    ((OSError, ValueError), EXIT_USAGE, ""),
+)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -275,31 +281,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except probfile.ProblemFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NotASolutionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    except BracketUndefinedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except solvers.PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except solvers.PositivityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        # LinAlgError is a ValueError, so it must be caught before one
-        print(f"error: cannot evaluate in double precision: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:
+        for kinds, code, prefix in _EXIT_CODES:
+            if isinstance(exc, kinds):
+                print(f"error: {prefix}{exc}", file=sys.stderr)
+                return code
+        raise
 
 
 def run() -> None:

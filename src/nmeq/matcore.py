@@ -4,14 +4,16 @@ All routines work on square real or complex ndarrays.  ``as_matrix`` keeps a
 matrix real (float64) unless an entry has a nonzero imaginary part, so real
 data runs in real arithmetic throughout.  Matrices that are nominally
 Hermitian are re-symmetrized before use so that rounding drift from earlier
-arithmetic cannot accumulate across a computation.
+arithmetic cannot accumulate across a computation; a sum or difference of
+re-symmetrized matrices is already exactly Hermitian and is used as it is.
 
 The public functions validate their input with ``check_hermitian``.  On
 matrices they built Hermitian themselves, the library's own callers use the
 trusted kernel, which checks nothing, positivity included: ``trusted_eigh``,
-``trusted_lambda_min``, ``hermitian_norm``, ``eig_power`` and ``congruence``
-(``M* f(X) M`` from the eigendecomposition of ``X``).  Powers of a spectrum
-from outside the library go through the one gate, ``checked_eig_power``.
+``trusted_lambda_min``, ``hermitian_norm``, ``eig_compose`` (the one
+``V diag(w) V*``), ``eig_power`` and ``congruence`` (``M* f(X) M`` from the
+eigendecomposition of ``X``).  Powers of a spectrum from outside the library
+go through the one gate, ``checked_eig_power``.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "trusted_eigh",
     "trusted_lambda_min",
     "hermitian_norm",
+    "eig_compose",
     "eig_power",
     "checked_eig_power",
     "congruence",
@@ -156,7 +159,12 @@ def checked_eig_power(values: np.ndarray, vectors: np.ndarray, r: float) -> np.n
 def eig_power(values: np.ndarray, vectors: np.ndarray, r: float) -> np.ndarray:
     """``V diag(values^r) V*``, re-symmetrized, from a Hermitian eigendecomposition
     the library has already checked or clamped: trusted, so it checks nothing."""
-    return hermitian_part((vectors * values ** float(r)) @ vectors.conj().T)
+    return hermitian_part(eig_compose(vectors, values ** float(r)))
+
+
+def eig_compose(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``V diag(w) V*`` for a unitary ``V``, not re-symmetrized."""
+    return (vectors * weights) @ vectors.conj().T
 
 
 def congruence(vectors: np.ndarray, weights: np.ndarray, M: np.ndarray) -> np.ndarray:

@@ -62,7 +62,12 @@ class SolutionFile:
     meta: dict = field(default_factory=dict)
 
 
-def _require_object(doc, what: str) -> dict:
+def _parse_object(text: str, what: str) -> dict:
+    """The one JSON rule of both file kinds: valid JSON holding an object."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ProblemFileError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProblemFileError(f"{what} must be a JSON object, got {type(doc).__name__}")
     return doc
@@ -110,11 +115,7 @@ def _matrix(value, n: int | None, name: str) -> np.ndarray:
 
 
 def parse_problem(text: str) -> ProblemFile:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ProblemFileError(f"invalid JSON: {exc}") from exc
-    doc = _require_object(doc, "problem file")
+    doc = _parse_object(text, "problem file")
     missing = [k for k in _PROBLEM_KEYS if k not in doc]
     if missing:
         raise ProblemFileError(f"missing required keys: {', '.join(missing)}")
@@ -171,11 +172,7 @@ _SOLUTION_SCALARS = ("scheme", "iterations", "residual", "delta", "extremality",
 
 
 def parse_solution(text: str) -> SolutionFile:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ProblemFileError(f"invalid JSON: {exc}") from exc
-    doc = _require_object(doc, "solution file")
+    doc = _parse_object(text, "solution file")
     if "X" not in doc:
         raise ProblemFileError("missing required key: X")
     X = _matrix(doc["X"], None, "X")

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import matcore as mc
 from .analysis import ProblemInstance, Verdict, _accept_candidate, _loewner_verdict, _residual
+from .analysis import _monomial, _positive_tol, _power
 
 __all__ = [
     "PreconditionError",
@@ -83,6 +84,7 @@ class SolveOptions:
     """Iteration controls.
 
     tol: absolute step-norm stopping threshold; None means 1e-14 * ||Q||.
+    max_iter: iteration cap, an int >= 1.
     alpha: starting scalar for the fixed-point scheme (None: alpha_search).
     b_upper: upper starting scalar for the coupled scheme (None: b_search).
     force: iterate even when preconditions fail; extremality becomes unknown.
@@ -95,10 +97,11 @@ class SolveOptions:
     force: bool = False
 
     def __post_init__(self):
-        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if self.tol is not None:
+            _positive_tol(self.tol)
+        cap = self.max_iter
+        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+            raise ValueError(f"max_iter must be an int >= 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -199,17 +202,12 @@ def residual(P: ProblemInstance, X) -> float:
 # fixed-point scheme (maximal solution, s the largest exponent)
 
 
-def _feasibility_lhs(P: ProblemInstance, alpha):
-    na2, nb2 = P._norm_a**2, P._norm_b**2
-    return alpha + alpha ** (-P.t / P.s) * na2 + alpha ** (-P.p / P.s) * nb2
-
-
 def _best_alpha(P: ProblemInstance) -> tuple[float, bool]:
     """The alpha on the search grid with the smallest feasibility left-hand
     side, and whether that left-hand side stays below lambda_min(Q)."""
     lmq = P._lambda_min_q
     grid = np.geomspace(1e-8 * lmq, lmq, 500)
-    lhs = _feasibility_lhs(P, grid)
+    lhs = grid + grid ** (-P.t / P.s) * P._norm_a**2 + grid ** (-P.p / P.s) * P._norm_b**2
     idx = np.argmin(lhs)
     return float(grid[idx]), bool(lhs[idx] < lmq)
 
@@ -229,22 +227,25 @@ def alpha_search(P: ProblemInstance) -> float | None:
 def fixed_point_check(P: ProblemInstance, alpha: float) -> FixedPointCheck:
     """Evaluate the fixed-point scheme preconditions at a starting alpha."""
     alpha = float(alpha)
-    na2 = P._norm_a**2
-    nb2 = P._norm_b**2
+    norm_a, norm_b = P._norm_a, P._norm_b
+    e_t, e_p = P.t / P.s, P.p / P.s
     lmq = P._lambda_min_q
     scheme_applies = P.s >= max(P.t, P.p)
+    feas_lhs = math.inf
+    beta = -math.inf
     if alpha > 0.0:
-        feas_lhs = float(_feasibility_lhs(P, alpha))
-        beta = mc.trusted_lambda_min(_first_iterate(P, alpha))
-    else:
-        feas_lhs = math.inf
-        beta = -math.inf
+        feas_lhs = alpha + _monomial(1.0, (alpha, -e_t), (norm_a, 2.0))
+        feas_lhs += _monomial(1.0, (alpha, -e_p), (norm_b, 2.0))
+        # Y_1 = Q - alpha^-(t/s) A* A - alpha^-(p/s) B* B is unbounded below
+        # when a weight overflows (the first, as t >= p): beta keeps its limit -inf
+        if _power(alpha, -e_t) < math.inf:
+            beta = mc.trusted_lambda_min(_first_iterate(P, alpha))
     feasible = 0.0 < alpha <= lmq and feas_lhs < lmq
     if beta > 0.0:
-        contraction_lhs = P.t * beta ** (-P.t / P.s) * na2 + P.p * beta ** (-P.p / P.s) * nb2
-        delta = (P.t / P.s) * na2 * beta ** (-P.t / P.s - 1.0) + (
-            P.p / P.s
-        ) * nb2 * beta ** (-P.p / P.s - 1.0)
+        contraction_lhs = _monomial(P.t, (beta, -e_t), (norm_a, 2.0))
+        contraction_lhs += _monomial(P.p, (beta, -e_p), (norm_b, 2.0))
+        delta = _monomial(e_t, (norm_a, 2.0), (beta, -e_t - 1.0))
+        delta += _monomial(e_p, (norm_b, 2.0), (beta, -e_p - 1.0))
     else:
         contraction_lhs = math.inf
         delta = math.inf
@@ -368,18 +369,17 @@ def solve_fixed_point(P: ProblemInstance, opts: SolveOptions | None = None) -> S
     e_p = P.p / P.s
     # Y_0 = alpha I is never decomposed: Y_1 is known in closed form, and
     # ||Y_1 - Y_0|| = max|lambda(Y_1) - alpha|.  Each later iterate gets one
-    # eigh, which feeds the next step or, for the last one, both the lift and
-    # the residual certificate (X = Y^(1/s) has the spectrum values^(1/s)).
-    # The two congruences of a step, then the next iterate's eigh and the
-    # step norm, are independent pairs: each runs as the two lanes of _pair.
+    # eigh, which feeds the next step or, for the last one, the lift and the
+    # residual certificate.  The two congruences of a step, then the next
+    # iterate's eigh and the step norm, are independent pairs: each runs as
+    # the two lanes of _pair.
     Y = _first_iterate(P, alpha)
     values, vectors = _eigh_pd(Y, "iterate 1")
     step = float(np.max(np.abs(values - alpha)))
     history = [HistoryEntry(1, step, step)]
-    iterations = 1
-    converged = step <= tol
-    while not converged and iterations < opts.max_iter:
-        iterations += 1
+    for it in range(2, opts.max_iter + 1):
+        if step <= tol:
+            break
         term_a, term_b = _pair(
             P.n,
             lambda: mc.congruence(vectors, values**-e_t, P.A),
@@ -388,26 +388,39 @@ def solve_fixed_point(P: ProblemInstance, opts: SolveOptions | None = None) -> S
         Y_next = mc.hermitian_part(P.Q - term_a - term_b)
         (values, vectors), step = _pair(
             P.n,
-            lambda: _eigh_pd(Y_next, f"iterate {iterations}"),
+            lambda: _eigh_pd(Y_next, f"iterate {it}"),
             lambda: mc.hermitian_norm(Y_next - Y),
         )
-        history.append(HistoryEntry(iterations, step, step))
+        history.append(HistoryEntry(it, step, step))
         Y = Y_next
-        converged = step <= tol
+    return _lift_and_certify(P, Scheme.FIXED_POINT, check, history, step <= tol, Y, values, vectors)
+
+
+def _lift_and_certify(
+    P: ProblemInstance, scheme: Scheme, check, history: list[HistoryEntry], converged: bool,
+    Y: np.ndarray, values: np.ndarray, vectors: np.ndarray, refined=None,
+) -> SolveReport:
+    """The one ending of both schemes: lift the limit Y = X^root (root s or t)
+    with eigendecomposition (values, vectors) to X = Y^(1/root), and certify
+    its residual from the same decomposition (X has spectrum values^(1/root))."""
+    fixed_point = scheme is Scheme.FIXED_POINT
+    root = P.s if fixed_point else P.t
+    extremality = Extremality.MAXIMAL if fixed_point else Extremality.MINIMAL
     return SolveReport(
-        solution_X=mc.eig_power(values, vectors, 1.0 / P.s),
+        solution_X=mc.eig_power(values, vectors, 1.0 / root),
         solution_Y=Y,
-        scheme=Scheme.FIXED_POINT,
-        iterations=iterations,
-        residual=_residual(P, values ** (1.0 / P.s), vectors),
+        scheme=scheme,
+        iterations=len(history),
+        residual=_residual(P, values ** (1.0 / root), vectors),
         history=history,
         delta=check.delta,
-        extremality=Extremality.MAXIMAL if check.ok else Extremality.UNKNOWN,
+        extremality=extremality if check.ok else Extremality.UNKNOWN,
         preconditions_held=check.ok,
         swap_applied=P.swapped,
         converged=converged,
-        lift_root=P.s,
+        lift_root=root,
         precheck=check,
+        refined_bracket=refined,
     )
 
 
@@ -436,21 +449,20 @@ def coupled_check(P: ProblemInstance, b: float) -> CoupledCheck:
 
     When lambda_min(A* A) or a = lambda_min(A Q^-1 A*) rounds to 0, the
     conditions it enters as a negative power fail and delta is inf, so the
-    verdict is reported, not raised.
+    verdict is reported, not raised.  So it is when a power of b or a
+    overflows (its limit inf fails domination); delta is never NaN.
     """
     b = float(b)
     if not (math.isfinite(b) and b > 0.0):
         raise ValueError(f"b must be a positive real, got {b}")
-    na2 = P._norm_a**2
-    nb2 = P._norm_b**2
+    norm_a, norm_b = P._norm_a, P._norm_b
     a = _coupled_a(P)
     theta = P._lambda_min_ata / b
     separation = Verdict(b > a, a, b, note="requires lhs < rhs")
     domination = Verdict(False, -math.inf, 0.0)
-    if a > 0.0:
-        dom_rhs = mc.hermitian_part(
-            P._ata / b + b ** (P.s / P.t) * np.eye(P.n) + a ** (-P.p / P.t) * P._btb
-        )
+    w_b, w_a = _power(b, P.s / P.t), _power(a, -P.p / P.t)
+    if a > 0.0 and max(w_b, w_a) < math.inf:
+        dom_rhs = mc.hermitian_part(P._ata / b + w_b * np.eye(P.n) + w_a * P._btb)
         # dom_rhs is positive semidefinite, so wherever the verdict is close,
         # ||dom_rhs|| <= ||Q|| + |gap|: scaling the tolerance by ||Q|| alone
         # decides the same way as scaling it by max(||Q||, ||dom_rhs||).
@@ -458,19 +470,21 @@ def coupled_check(P: ProblemInstance, b: float) -> CoupledCheck:
     rhs_a = 0.0
     if theta > 0.0:
         # for s > t the power of a is negative; at a = 0 it is its limit, inf
-        a_pow = a ** (1.0 - P.s / P.t) if a > 0.0 or P.s <= P.t else math.inf
-        rhs_a = 0.5 * P.t * theta**2 * a_pow
-    contraction_a = Verdict(P.s * na2 < rhs_a, P.s * na2, rhs_a)
-    contraction_b = Verdict(
-        P.p * nb2 < P.s * a ** ((P.p + P.s) / P.t),
-        P.p * nb2,
-        P.s * a ** ((P.p + P.s) / P.t),
-    )
+        rhs_a = math.inf
+        if a > 0.0 or P.s <= P.t:
+            rhs_a = _monomial(0.5 * P.t, (theta, 2.0), (a, 1.0 - P.s / P.t))
+    lhs_a = _monomial(P.s, (norm_a, 2.0))
+    contraction_a = Verdict(lhs_a < rhs_a, lhs_a, rhs_a)
+    lhs_b = _monomial(P.p, (norm_b, 2.0))
+    rhs_b = _monomial(P.s, (a, (P.p + P.s) / P.t))
+    contraction_b = Verdict(lhs_b < rhs_b, lhs_b, rhs_b)
     delta = math.inf
     if theta > 0.0 and a > 0.0:
         delta = 2.0 * max(
-            (P.s / P.t) * na2 * theta**-2 * a ** (P.s / P.t - 1.0),
-            (P.p / P.t) * na2 * nb2 * theta**-2 * a ** (-P.p / P.t - 1.0),
+            _monomial(P.s / P.t, (norm_a, 2.0), (theta, -2.0), (a, P.s / P.t - 1.0)),
+            _monomial(
+                P.p / P.t, (norm_a, 2.0), (norm_b, 2.0), (theta, -2.0), (a, -P.p / P.t - 1.0)
+            ),
         )
     return CoupledCheck(
         b=b,
@@ -548,12 +562,11 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
     history: list[HistoryEntry] = []
     refined: tuple[np.ndarray, np.ndarray] | None = None
     converged = False
-    iterations = 0
 
     def lane(lo_eig, hi_eig, prev: np.ndarray, it: int) -> tuple[np.ndarray, float]:
         """One sequence's half-step from the previous pair, with its step norm."""
         (lo_vals, lo_vecs), (hi_vals, hi_vecs) = lo_eig, hi_eig
-        lo_pow = (lo_vecs * lo_vals**e_s) @ lo_vecs.conj().T
+        lo_pow = mc.eig_compose(lo_vecs, lo_vals**e_s)
         inner = mc.hermitian_part(P.Q - lo_pow - mc.congruence(hi_vecs, hi_vals**-e_p, P.B))
         nxt = _inverse_congruence(inner, adj_a, it)
         return nxt, mc.hermitian_norm(nxt - prev)
@@ -575,27 +588,15 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
         if it == 1:
             refined = (X_next, Y_next)
         X, Y = X_next, Y_next
-        iterations = it
         if max(step_x, step_y) <= tol:
             converged = True
             break
-    Y_sol = mc.hermitian_part(0.5 * (X + Y))
+    # both halves come out of _inverse_congruence symmetrized, so their mean
+    # is exactly Hermitian
+    Y_sol = 0.5 * (X + Y)
     sol_values, sol_vectors = _eigh_pd(Y_sol, "limit")
-    return SolveReport(
-        solution_X=mc.eig_power(sol_values, sol_vectors, 1.0 / P.t),
-        solution_Y=Y_sol,
-        scheme=Scheme.COUPLED,
-        iterations=iterations,
-        residual=_residual(P, sol_values ** (1.0 / P.t), sol_vectors),
-        history=history,
-        delta=check.delta,
-        extremality=Extremality.MINIMAL if check.ok else Extremality.UNKNOWN,
-        preconditions_held=check.ok,
-        swap_applied=P.swapped,
-        converged=converged,
-        lift_root=P.t,
-        precheck=check,
-        refined_bracket=refined,
+    return _lift_and_certify(
+        P, Scheme.COUPLED, check, history, converged, Y_sol, sol_values, sol_vectors, refined
     )
 
 

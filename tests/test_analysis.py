@@ -638,6 +638,14 @@ class TestFactorization:
         with pytest.raises(analysis.NotASolutionError, match="positive definite"):
             analysis.factorization_from_solution(bp.instance, -np.eye(3))
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_rejects_a_tolerance_that_is_not_finite_and_positive(self, tol):
+        # X = 2I has residual 6 on example 1: no tolerance may accept it
+        bp = builtin.example(1)
+        with pytest.raises(ValueError, match="tol") as info:
+            analysis.factorization_from_solution(bp.instance, 2.0 * np.eye(3), tol=tol)
+        assert not isinstance(info.value, analysis.NotASolutionError)
+
     def test_verify_rejects_tampering(self):
         bp = builtin.example(1)
         F = analysis.factorization_from_solution(bp.instance, bp.solution_X)

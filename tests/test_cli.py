@@ -154,6 +154,19 @@ class TestSolve:
         assert forced.stderr.startswith("error: ")
         assert "Traceback" not in res.stderr + forced.stderr
 
+    def test_tiny_coefficients_exit_0(self, tmp_path):
+        # the coupled prechecks take powers like theta^-2 that overflow far
+        # from the start b ~ 1e-300; the verdicts are data, and the solve
+        # reaches the minimal root x ~ 1e-75 of x^3 + 1e-300 x^-4 + 1e-302 x^-1 = 1
+        eye = np.eye(3)
+        P = analysis.ProblemInstance(1e-150 * eye, 1e-151 * eye, eye, 3.0, 4.0, 1.0)
+        path = tmp_path / "tiny.json"
+        path.write_text(probfile.write_problem(probfile.problem_from_instance(P)))
+        res = run_cli("solve", str(path))
+        assert res.returncode == 0, res.stderr
+        assert "extremality: minimal" in res.stdout
+        assert "converged: true" in res.stdout
+
     def test_history_csv(self, tmp_path):
         out = tmp_path / "hist.csv"
         res = run_cli("solve", "--example", "1", "--history", str(out))
@@ -353,6 +366,16 @@ class TestVerifyFactorize:
         assert "not Hermitian" in verify.stdout
         assert "verification: passed" not in verify.stdout
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_verify_rejects_a_tolerance_that_is_not_finite_and_positive(self, tmp_path, tol):
+        # X = 2I has residual 6 on example 1: no tolerance may pass it
+        doubled = tmp_path / "doubled.json"
+        doubled.write_text(json.dumps({"X": (2.0 * np.eye(3)).tolist()}))
+        res = run_cli("verify", "--example", "1", str(doubled), f"--tol={tol}")
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: tol must be finite and positive")
+        assert "passed" not in res.stdout
+
     def test_verify_perturbed_fails(self, solved, tmp_path):
         doc = json.loads(solved.read_text())
         doc["X"][0][0] += 0.01
@@ -406,3 +429,14 @@ class TestMainEntry:
         from nmeq.cli import main
 
         assert main(["solve", "--example", "1", "--bogus"]) == 2
+
+    def test_exception_outside_the_exit_table_propagates(self, monkeypatch, capsys):
+        # only the documented exceptions map to exit codes; a programming
+        # error keeps its traceback instead of posing as a usage error
+        def broken(args):
+            raise TypeError("broken command")
+
+        monkeypatch.setattr(cli, "cmd_check", broken)
+        with pytest.raises(TypeError, match="broken command"):
+            cli.main(["check", "--example", "1"])
+        assert capsys.readouterr().err == ""

@@ -7,6 +7,8 @@ sign-change-bisection scalar oracle, which shares no code with the matrix
 iteration path.
 """
 
+import decimal
+import itertools
 import math
 import os
 import subprocess
@@ -59,8 +61,9 @@ class TestSolveOptions:
             solvers.SolveOptions(tol=-1e-10)
 
     def test_rejects_bad_max_iter(self):
-        with pytest.raises(ValueError, match="max_iter"):
-            solvers.SolveOptions(max_iter=0)
+        for bad in (0, -3, 2.5, 3.0, math.inf, math.nan, True, "10", None):
+            with pytest.raises(ValueError, match="max_iter"):
+                solvers.SolveOptions(max_iter=bad)
 
 
 class TestResidual:
@@ -678,6 +681,114 @@ class TestForcedCoupledStart:
         assert check.domination.lhs == -math.inf
         assert not check.contraction_b.holds
         assert check.delta == math.inf
+        assert not check.ok
+
+
+D = decimal.Decimal
+
+
+def _decimal_coupled_check(al, be, q, s, t, p, b):
+    """The four verdicts and delta of coupled_check for A = al I, B = be I,
+    Q = q I, from the formulas of CoupledCheck in 50-digit decimals: a = al^2/q,
+    theta = al^2/b, domination Q >= b^-1 A* A + b^(s/t) I + a^(-p/t) B* B up to
+    -1e-10 max(||Q||, 1)."""
+    with decimal.localcontext(decimal.Context(prec=50)):
+        al, be, q, s, t, p, b = map(D, (al, be, q, s, t, p, b))
+        a, theta = al**2 / q, al**2 / b
+        gap = q - (al**2 / b + b ** (s / t) + a ** (-p / t) * be**2)
+        verdicts = (
+            b > a,
+            gap >= D("-1e-10") * max(q, D(1)),
+            s * al**2 < D("0.5") * t * theta**2 * a ** (1 - s / t),
+            p * be**2 < s * a ** ((p + s) / t),
+        )
+        delta = 2 * max(
+            s / t * al**2 * theta**-2 * a ** (s / t - 1),
+            p / t * al**2 * be**2 * theta**-2 * a ** (-p / t - 1),
+        )
+    return verdicts, delta
+
+
+def _agrees(value: float, exact) -> bool:
+    """value is exact to 1e-12 relative, both inf, or (for a subnormal exact
+    value, which no double carries to 1e-12) within one subnormal step."""
+    if exact > D(sys.float_info.max):
+        return value == math.inf
+    return abs(D(value) - exact) <= D("1e-12") * exact + D(5e-324)
+
+
+class TestScalarRange:
+    """Tiny and huge scalars in the scheme prechecks: every scalar power
+    reads an overflow as its limit, products never pass through an
+    intermediate overflow or underflow, and nothing raises."""
+
+    TINY = (1e-150 * np.eye(3), 1e-151 * np.eye(3), np.eye(3), 3.0, 4.0, 1.0)
+
+    def test_coupled_check_matches_decimal_evaluation(self):
+        cases = 0
+        for al, ratio, q, (s, t, p), b in itertools.product(
+            (1e-150, 1e-20, 0.5, 1e20, 1e100),
+            (0.1, 1e-100),
+            (1e-3, 1.0, 1e200),
+            ((3, 4, 1), (1, 4, 4), (2, 5, 3), (5, 4, 2)),
+            (1e-300, 1e-100, 1.0, 1e100),
+        ):
+            be, a = al * ratio, al * al / q
+            # A* A / b, B* B and A Q^-1 A* are matrices here: keep them in
+            # range, and b off the separation tie b = a
+            in_range = 1e-300 < min(a, be * be) and max(a, al * al / b) < 1e300
+            if not in_range or 0.5 < b / a < 2.0:
+                continue
+            I3 = np.eye(3)
+            P = analysis.ProblemInstance(al * I3, be * I3, q * I3, s, t, p)
+            check = solvers.coupled_check(P, b)
+            verdicts, delta = _decimal_coupled_check(al, be, q, s, t, p, b)
+            got = tuple(
+                v.holds
+                for v in (check.separation, check.domination, check.contraction_a, check.contraction_b)
+            )
+            assert got == verdicts, (al, be, q, s, t, p, b)
+            assert _agrees(check.delta, delta), (al, be, q, s, t, p, b, check.delta, delta)
+            cases += 1
+        assert cases >= 300
+
+    def test_tiny_coefficients_reach_the_minimal_root(self):
+        # x^3 + 1e-300 x^-4 + 1e-302 x^-1 = 1 has its smallest root at x ~ 1e-75
+        P = analysis.ProblemInstance(*self.TINY)
+        far = solvers.coupled_check(P, 1.0)
+        assert far.delta == math.inf and not far.ok
+        b = solvers.b_search(P)
+        assert b == pytest.approx(1.000001e-300, rel=1e-12)
+        rep = solvers.solve(P)
+        assert rep.scheme is solvers.Scheme.COUPLED
+        assert rep.converged and rep.iterations == 1
+        assert rep.extremality is solvers.Extremality.MINIMAL
+        assert rep.residual <= 1e-15
+        np.testing.assert_allclose(rep.solution_X, 1e-75 * np.eye(3), rtol=1e-12, atol=0.0)
+
+    def test_fixed_point_check_overflow_is_a_verdict(self):
+        # t/s = 400: alpha^(-t/s) overflows, so Y_1 is unbounded below
+        P = analysis.ProblemInstance(0.1 * np.eye(3), 0.05 * np.eye(3), np.eye(3), 1, 400, 1)
+        check = solvers.fixed_point_check(P, 0.01)
+        assert check.feasibility_lhs == math.inf and check.beta == -math.inf
+        assert check.delta == math.inf and not check.ok
+
+    def test_fixed_point_delta_matches_decimal_evaluation(self):
+        # ||A||^2 underflows and beta^(-t/s - 1) overflows: their product is finite
+        P = analysis.ProblemInstance(
+            1e-200 * np.eye(3), 1e-201 * np.eye(3), 1e-300 * np.eye(3), 3, 2, 1
+        )
+        check = solvers.fixed_point_check(P, 5e-301)
+        assert check.beta > 0.0
+        with decimal.localcontext(decimal.Context(prec=50)):
+            alpha, beta, na, nb = D(5e-301), D(check.beta), D(1e-200), D(1e-201)
+            e_t, e_p = D(2) / 3, D(1) / 3
+            feas = alpha + alpha**-e_t * na**2 + alpha**-e_p * nb**2
+            contraction = 2 * beta**-e_t * na**2 + beta**-e_p * nb**2
+            delta = e_t * na**2 * beta ** (-e_t - 1) + e_p * nb**2 * beta ** (-e_p - 1)
+        assert _agrees(check.feasibility_lhs, feas)
+        assert _agrees(check.contraction_lhs, contraction)
+        assert _agrees(check.delta, delta)
         assert not check.ok
 
 
