@@ -285,9 +285,11 @@ def _monomial(c: float, *powers: tuple[float, float]) -> float:
         value *= factor
         if not (_NORMAL <= min(factor, value) and max(factor, value) < math.inf):
             with decimal.localcontext(decimal.Context(prec=34)):
-                exact = decimal.Decimal(c)
+                # unary + rounds each operand to 34 digits: a double's exact
+                # expansion has up to 767, which makes a power 100x slower
+                exact = +decimal.Decimal(c)
                 for x, r in powers:
-                    exact *= decimal.Decimal(x) ** decimal.Decimal(r)
+                    exact *= (+decimal.Decimal(x)) ** (+decimal.Decimal(r))
             return float(exact)
     return value
 
@@ -299,11 +301,15 @@ def _positive_tol(tol: float) -> float:
     return tol
 
 
+def _loewner_tol(scale: float) -> float:
+    return 1e-10 * max(scale, 1.0)
+
+
 def _loewner_verdict(L: np.ndarray, R: np.ndarray, scale: float, note: str = "") -> Verdict:
     """The one Loewner-order rule for library-built Hermitian L, R: L <= R holds when
-    gap = lambda_min(R - L) >= -1e-10 max(scale, 1), scale a norm of the two sides."""
+    gap = lambda_min(R - L) >= -_loewner_tol(scale), scale a norm of the two sides."""
     gap = mc.trusted_lambda_min(R - L)
-    return Verdict(gap >= -1e-10 * max(scale, 1.0), gap, 0.0, note)
+    return Verdict(gap >= -_loewner_tol(scale), gap, 0.0, note)
 
 
 def _condition_report(

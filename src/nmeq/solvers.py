@@ -17,10 +17,8 @@ case extremality of the limit is unknown.
 
 from __future__ import annotations
 
-import contextvars
 import enum
 import math
-import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,7 +26,7 @@ import numpy as np
 
 from . import matcore as mc
 from .analysis import ProblemInstance, Verdict, _accept_candidate, _loewner_verdict, _residual
-from .analysis import _monomial, _positive_tol, _power
+from .analysis import _NORMAL, _loewner_tol, _monomial, _positive_tol, _power
 
 __all__ = [
     "PreconditionError",
@@ -83,7 +81,8 @@ class HistoryEntry(NamedTuple):
 class SolveOptions:
     """Iteration controls.
 
-    tol: absolute step-norm stopping threshold; None means 1e-14 * ||Q||.
+    tol: absolute stopping threshold on the Frobenius norm of the step;
+         None means 1e-14 * ||Q||.
     max_iter: iteration cap, an int >= 1.
     alpha: starting scalar for the fixed-point scheme (None: alpha_search).
     b_upper: upper starting scalar for the coupled scheme (None: b_search).
@@ -164,10 +163,10 @@ class SolveReport:
 
     solution_Y is the solution of the transformed equation in Y = X^lift_root
     and solution_X = solution_Y^(1/lift_root) solves the original equation.
-    history rows are (iteration, step_error_X, step_error_Y); for the
-    fixed-point scheme both step errors are the same single-sequence step
-    norm.  The iterates themselves are not kept: a solve holds a fixed number
-    of n x n matrices whatever max_iter is.
+    history rows are (iteration, step_error_X, step_error_Y), Frobenius
+    norms of the steps; for the fixed-point scheme both step errors are the
+    same single-sequence step norm.  The iterates themselves are not kept:
+    a solve holds a fixed number of n x n matrices whatever max_iter is.
     """
 
     solution_X: np.ndarray
@@ -207,9 +206,24 @@ def _best_alpha(P: ProblemInstance) -> tuple[float, bool]:
     side, and whether that left-hand side stays below lambda_min(Q)."""
     lmq = P._lambda_min_q
     grid = np.geomspace(1e-8 * lmq, lmq, 500)
-    lhs = grid + grid ** (-P.t / P.s) * P._norm_a**2 + grid ** (-P.p / P.s) * P._norm_b**2
+    lhs = grid + _grid_weight(grid, -P.t / P.s, P._norm_a)
+    lhs += _grid_weight(grid, -P.p / P.s, P._norm_b)
     idx = np.argmin(lhs)
     return float(grid[idx]), bool(lhs[idx] < lmq)
+
+
+def _grid_weight(grid: np.ndarray, r: float, norm: float) -> np.ndarray:
+    """grid^r norm^2 elementwise, by the rule of _monomial: in floats where
+    both factors and the product are normal, else exactly rounded."""
+    square = _power(norm, 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor = grid**r
+        weight = factor * square
+    normal = (_NORMAL <= np.minimum(factor, weight)) & (np.maximum(factor, weight) < math.inf)
+    normal &= _NORMAL <= square < math.inf
+    for i in np.flatnonzero(~normal):
+        weight[i] = _monomial(1.0, (float(grid[i]), r), (norm, 2.0))
+    return weight
 
 
 def alpha_search(P: ProblemInstance) -> float | None:
@@ -226,20 +240,29 @@ def alpha_search(P: ProblemInstance) -> float | None:
 
 def fixed_point_check(P: ProblemInstance, alpha: float) -> FixedPointCheck:
     """Evaluate the fixed-point scheme preconditions at a starting alpha."""
-    alpha = float(alpha)
+    return _fixed_point_start(P, float(alpha))[0]
+
+
+def _fixed_point_start(P: ProblemInstance, alpha: float) -> tuple[FixedPointCheck, tuple | None]:
+    """(fixed_point_check(P, alpha), start): start is (Y_1, values, vectors),
+    the first iterate after Y_0 = alpha I with the eigendecomposition beta is
+    read from, or None when alpha <= 0 or a weight of Y_1 overflows."""
     norm_a, norm_b = P._norm_a, P._norm_b
     e_t, e_p = P.t / P.s, P.p / P.s
     lmq = P._lambda_min_q
     scheme_applies = P.s >= max(P.t, P.p)
     feas_lhs = math.inf
     beta = -math.inf
+    start = None
     if alpha > 0.0:
         feas_lhs = alpha + _monomial(1.0, (alpha, -e_t), (norm_a, 2.0))
         feas_lhs += _monomial(1.0, (alpha, -e_p), (norm_b, 2.0))
         # Y_1 = Q - alpha^-(t/s) A* A - alpha^-(p/s) B* B is unbounded below
         # when a weight overflows (the first, as t >= p): beta keeps its limit -inf
         if _power(alpha, -e_t) < math.inf:
-            beta = mc.trusted_lambda_min(_first_iterate(P, alpha))
+            Y_1 = _first_iterate(P, alpha)
+            start = (Y_1, *np.linalg.eigh(Y_1))
+            beta = float(start[1][0])
     feasible = 0.0 < alpha <= lmq and feas_lhs < lmq
     if beta > 0.0:
         contraction_lhs = _monomial(P.t, (beta, -e_t), (norm_a, 2.0))
@@ -250,7 +273,7 @@ def fixed_point_check(P: ProblemInstance, alpha: float) -> FixedPointCheck:
         contraction_lhs = math.inf
         delta = math.inf
     contraction_rhs = P.s * beta
-    return FixedPointCheck(
+    check = FixedPointCheck(
         alpha=alpha,
         feasibility_lhs=feas_lhs,
         lambda_min_q=lmq,
@@ -262,6 +285,7 @@ def fixed_point_check(P: ProblemInstance, alpha: float) -> FixedPointCheck:
         feasible=feasible,
         contractive=contraction_lhs < contraction_rhs,
     )
+    return check, start
 
 
 def _first_iterate(P: ProblemInstance, alpha: float) -> np.ndarray:
@@ -274,74 +298,26 @@ def _first_iterate(P: ProblemInstance, alpha: float) -> np.ndarray:
 
 def _eigh_pd(M: np.ndarray, what: str):
     values, vectors = np.linalg.eigh(M)
+    _require_pd(values, what)
+    return values, vectors
+
+
+def _require_pd(values: np.ndarray, what: str) -> None:
     if not mc.is_pd_spectrum(values):
         raise PositivityError(
             f"{what} is not positive definite (lambda_min = {values[0]:.3e})"
         )
-    return values, vectors
-
-
-# Below this dimension a decomposition costs less than handing it to another
-# thread: on 2 cores with one BLAS thread, a real eigh + eigvalsh took 28 us
-# serial vs 35 us paired at n = 16, and 81 vs 62 us at n = 32.
-_PAIR_MIN_N = 32
-# The executor of _pair's second lane: one thread, made on first use.
-_lane = None
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _drop_lane() -> None:
-    # a forked child inherits the executor but not its thread: a task
-    # submitted there would wait forever, so the child makes its own
-    global _lane
-    _lane = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_lane)
-
-
-def _pair(n: int, f, g):
-    """(f(), g()), with g on a second thread while the caller runs f.
-
-    The two lanes must be independent: each reads only arrays computed
-    before the call.  numpy releases the interpreter lock inside LAPACK and
-    BLAS, so at n >= _PAIR_MIN_N with two usable CPUs the lanes overlap;
-    smaller problems, or a single CPU, run f then g inline.  The outcome is
-    the serial one: when f raises, g is waited for and f's exception is
-    raised; otherwise g's result is returned or its exception raised.
-    """
-    global _lane
-    if n < _PAIR_MIN_N or _usable_cpus() < 2:
-        first = f()
-        return first, g()
-    if _lane is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        _lane = ThreadPoolExecutor(max_workers=1, thread_name_prefix="nmeq-lane")
-    # g runs in the caller's context, so a numpy errstate covers both lanes
-    future = _lane.submit(contextvars.copy_context().run, g)
-    try:
-        first = f()
-    except BaseException:
-        future.exception()
-        raise
-    return first, future.result()
 
 
 def solve_fixed_point(P: ProblemInstance, opts: SolveOptions | None = None) -> SolveReport:
     """Maximal-solution fixed-point iteration in Y = X^s.
 
     Iterates Y_{n+1} = Q - A* Y_n^{-t/s} A - B* Y_n^{-p/s} B from
-    Y_0 = alpha I until the step norm drops to opts.tol or max_iter is hit
-    (non-convergence is reported on the result, not raised).  Under the
-    preconditions the iterates ascend to the maximal solution and the a
-    priori error bound delta^n/(1-delta) ||Y_1 - Y_0|| holds.
+    Y_0 = alpha I until the Frobenius step norm drops to opts.tol or
+    max_iter is hit (non-convergence is reported on the result, not
+    raised).  Under the preconditions the iterates ascend to the maximal
+    solution and the a priori error bound delta^n/(1-delta) ||Y_1 - Y_0||_F
+    holds.
     """
     if opts is None:
         opts = SolveOptions()
@@ -357,7 +333,7 @@ def solve_fixed_point(P: ProblemInstance, opts: SolveOptions | None = None) -> S
                     "(enable force to iterate anyway)"
                 )
             alpha, _ = _best_alpha(P)  # force: the unconstrained minimizer
-    check = fixed_point_check(P, float(alpha))
+    check, start = _fixed_point_start(P, float(alpha))
     if not check.ok and not opts.force:
         raise PreconditionError(_fixed_point_failure_message(check))
     alpha = check.alpha
@@ -367,30 +343,25 @@ def solve_fixed_point(P: ProblemInstance, opts: SolveOptions | None = None) -> S
         )
     e_t = P.t / P.s
     e_p = P.p / P.s
-    # Y_0 = alpha I is never decomposed: Y_1 is known in closed form, and
-    # ||Y_1 - Y_0|| = max|lambda(Y_1) - alpha|.  Each later iterate gets one
-    # eigh, which feeds the next step or, for the last one, the lift and the
-    # residual certificate.  The two congruences of a step, then the next
-    # iterate's eigh and the step norm, are independent pairs: each runs as
-    # the two lanes of _pair.
-    Y = _first_iterate(P, alpha)
-    values, vectors = _eigh_pd(Y, "iterate 1")
-    step = float(np.max(np.abs(values - alpha)))
+    # Y_0 = alpha I is never decomposed: Y_1 is known in closed form, its
+    # eigh is the one the precheck read beta from, and ||Y_1 - Y_0||_F is the
+    # 2-norm of lambda(Y_1) - alpha.  Each later iterate gets one eigh, which
+    # feeds the next step or, for the last one, the lift and the residual
+    # certificate.
+    if start is None:  # only a forced run gets here with alpha > 0
+        raise OverflowError(f"alpha^(-t/s) overflows at alpha = {alpha:.6g}, so Y_1 is unbounded")
+    Y, values, vectors = start
+    _require_pd(values, "iterate 1")
+    step = float(np.linalg.norm(values - alpha))
     history = [HistoryEntry(1, step, step)]
     for it in range(2, opts.max_iter + 1):
         if step <= tol:
             break
-        term_a, term_b = _pair(
-            P.n,
-            lambda: mc.congruence(vectors, values**-e_t, P.A),
-            lambda: mc.congruence(vectors, values**-e_p, P.B),
-        )
+        term_a = mc.congruence(vectors, values**-e_t, P.A)
+        term_b = mc.congruence(vectors, values**-e_p, P.B)
         Y_next = mc.hermitian_part(P.Q - term_a - term_b)
-        (values, vectors), step = _pair(
-            P.n,
-            lambda: _eigh_pd(Y_next, f"iterate {it}"),
-            lambda: mc.hermitian_norm(Y_next - Y),
-        )
+        values, vectors = _eigh_pd(Y_next, f"iterate {it}")
+        step = float(np.linalg.norm(Y_next - Y))
         history.append(HistoryEntry(it, step, step))
         Y = Y_next
     return _lift_and_certify(P, Scheme.FIXED_POINT, check, history, step <= tol, Y, values, vectors)
@@ -461,7 +432,11 @@ def coupled_check(P: ProblemInstance, b: float) -> CoupledCheck:
     separation = Verdict(b > a, a, b, note="requires lhs < rhs")
     domination = Verdict(False, -math.inf, 0.0)
     w_b, w_a = _power(b, P.s / P.t), _power(a, -P.p / P.t)
-    if a > 0.0 and max(w_b, w_a) < math.inf:
+    # lambda_max(dom_rhs) >= ||A||^2 / b, as its other two terms are PSD: past
+    # lambda_max(Q) plus the verdict's tolerance, domination fails, and A* A / b
+    # (which may overflow) is never formed
+    reach = _monomial(1.0, (norm_a, 2.0), (b, -1.0)) - P._lambda_max_q
+    if a > 0.0 and max(w_b, w_a) < math.inf and reach <= _loewner_tol(P._norm_q):
         dom_rhs = mc.hermitian_part(P._ata / b + w_b * np.eye(P.n) + w_a * P._btb)
         # dom_rhs is positive semidefinite, so wherever the verdict is close,
         # ||dom_rhs|| <= ||Q|| + |gap|: scaling the tolerance by ||Q|| alone
@@ -523,8 +498,8 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
 
     Runs the mixed-monotone pair X_{n+1} = F(X_n, Y_n), Y_{n+1} = F(Y_n, X_n)
     with F(X, Y) = A (Q - X^{s/t} - B* Y^{-p/t} B)^{-1} A* from X_0 = a I and
-    Y_0 = b I, stopping when the larger of the two step norms drops to
-    opts.tol.  The lower sequence ascends, the upper descends, and both
+    Y_0 = b I, stopping when the larger of the two Frobenius step norms
+    drops to opts.tol.  The lower sequence ascends, the upper descends, and both
     converge to the minimal solution; the first pair (X_1, Y_1) is returned
     as a refined bracket.  Loss of positive definiteness of the inverted
     matrix aborts with a diagnostic, and an instance whose lower starting
@@ -569,21 +544,15 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
         lo_pow = mc.eig_compose(lo_vecs, lo_vals**e_s)
         inner = mc.hermitian_part(P.Q - lo_pow - mc.congruence(hi_vecs, hi_vals**-e_p, P.B))
         nxt = _inverse_congruence(inner, adj_a, it)
-        return nxt, mc.hermitian_norm(nxt - prev)
+        return nxt, float(np.linalg.norm(nxt - prev))
 
-    # The lower and upper sequences are symmetric: the two eigh of a step,
-    # then the two half-steps, run as the two lanes of _pair, lower first.
+    # The lower and upper sequences are symmetric; each step runs the lower
+    # one first, so the first error raised is the lower sequence's.
     for it in range(1, opts.max_iter + 1):
-        x_eig, y_eig = _pair(
-            n,
-            lambda: _eigh_pd(X, f"lower iterate {it - 1}"),
-            lambda: _eigh_pd(Y, f"upper iterate {it - 1}"),
-        )
-        (X_next, step_x), (Y_next, step_y) = _pair(
-            n,
-            lambda: lane(x_eig, y_eig, X, it),
-            lambda: lane(y_eig, x_eig, Y, it),
-        )
+        x_eig = _eigh_pd(X, f"lower iterate {it - 1}")
+        y_eig = _eigh_pd(Y, f"upper iterate {it - 1}")
+        X_next, step_x = lane(x_eig, y_eig, X, it)
+        Y_next, step_y = lane(y_eig, x_eig, Y, it)
         history.append(HistoryEntry(it, step_x, step_y))
         if it == 1:
             refined = (X_next, Y_next)

@@ -92,7 +92,8 @@ def _power(M, r: float) -> np.ndarray:
 
 
 def _step(M0, M1) -> float:
-    return float(np.linalg.norm(M1 - M0, 2))
+    """The solver's step norm: the Frobenius norm of the difference."""
+    return float(np.linalg.norm(M1 - M0, "fro"))
 
 
 def reference_iterates(P, rep) -> list:

@@ -293,6 +293,26 @@ class TestArithmeticLimits:
         assert res.stderr.startswith("error: ")
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize(
+        "scale, exponents, args, message",
+        [
+            # ||A||^2 / b = 1e340 overflows: domination fails before A* A / b is formed
+            ((1e20, 0.1, 1.0), (3.0, 4.0, 1.0), ("--b", "1e-300"), "domination fails"),
+            # ||A||^2 underflows, but alpha^(-2/3) ||A||^2 >= 2e-195 > lambda_min(Q)
+            ((1e-200, 1e-201, 1e-300), (3.0, 2.0, 1.0), (), "no feasible starting scalar"),
+        ],
+        ids=["coupled-b1e-300", "fixed-point-A1e-200"],
+    )
+    def test_failed_verdict_exits_3(self, tmp_path, scale, exponents, args, message):
+        a, b, q = (x * np.eye(3) for x in scale)
+        P = analysis.ProblemInstance(a, b, q, *exponents)
+        path = tmp_path / "problem.json"
+        path.write_text(probfile.write_problem(probfile.problem_from_instance(P)))
+        res = run_cli("solve", str(path), *args)
+        assert res.returncode == 3
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert message in res.stderr
+
 
 class TestBounds:
     def test_example_1(self):

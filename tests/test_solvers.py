@@ -226,13 +226,13 @@ class TestFixedPoint:
         assert_reference_matches(bp.instance, rep, seq)
         Yf = seq[-1]
         for n, Y in enumerate(seq):
-            assert mc.spectral_norm(Y - Yf) <= d**n / (1.0 - d) * anchor + 10 * tol
+            assert np.linalg.norm(Y - Yf) <= d**n / (1.0 - d) * anchor + 10 * tol
 
     def test_one_decomposition_per_iterate(self, monkeypatch):
         # Y_1 .. Y_N get one eigh each, and the last one feeds both the lift
         # and the residual certificate; Y_0 = alpha I gets none.  The
-        # precheck's eigvalsh of Y_1, the N - 1 step norms and the residual's
-        # norm make N + 1 eigvalsh.
+        # precheck reads beta from the eigh of Y_1, the step norms are
+        # Frobenius norms, and the residual's norm is the one eigvalsh.
         P = builtin.example(1).instance
         counts = {"eigh": 0, "eigvalsh": 0}
         for name in counts:
@@ -245,7 +245,15 @@ class TestFixedPoint:
             monkeypatch.setattr(np.linalg, name, counting)
         rep = solvers.solve_fixed_point(P)
         assert rep.converged and rep.preconditions_held
-        assert counts == {"eigh": rep.iterations, "eigvalsh": rep.iterations + 1}
+        assert counts == {"eigh": rep.iterations, "eigvalsh": 1}
+
+    def test_precheck_is_the_public_check(self):
+        # the solve reads beta from the eigh of Y_1 that starts its loop; the
+        # public check reads it from the same decomposition, to the last bit
+        dense = _dense_instance(np.random.default_rng(5), 64, "fixed-point")
+        for P in (builtin.example(1).instance, dense):
+            rep = solvers.solve_fixed_point(P)
+            assert rep.precheck == solvers.fixed_point_check(P, rep.precheck.alpha)
 
     @pytest.mark.parametrize("which", [1, 2])
     def test_analytic_first_step(self, which):
@@ -262,7 +270,7 @@ class TestFixedPoint:
             - P.B.conj().T @ (alpha ** (-P.p / P.s) * eye) @ P.B
         )
         assert mc.spectral_norm(Y1 - explicit) <= 1e-14 * mc.spectral_norm(P.Q)
-        step = mc.spectral_norm(Y1 - alpha * eye)
+        step = np.linalg.norm(Y1 - alpha * eye, "fro")
         assert rep.history[0].step_error_X == pytest.approx(step, rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0])
@@ -388,7 +396,7 @@ class TestCoupled:
         assert_reference_matches(bp.instance, rep, pairs)
         Xf, Yf = pairs[-1]
         for n, (Xn, Yn) in enumerate(pairs):
-            err = max(mc.spectral_norm(Xn - Xf), mc.spectral_norm(Yn - Yf))
+            err = max(np.linalg.norm(Xn - Xf), np.linalg.norm(Yn - Yf))
             assert err <= d**n / (1.0 - d) * anchor + 10 * tol
 
     def test_rejects_bad_b(self):
@@ -773,6 +781,60 @@ class TestScalarRange:
         assert check.feasibility_lhs == math.inf and check.beta == -math.inf
         assert check.delta == math.inf and not check.ok
 
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_alpha_grid_in_range_is_plain_float_arithmetic(self, which):
+        # the alpha search picks the same grid point as before on both examples
+        P = builtin.example(which).instance
+        lmq = mc.lambda_min(P.Q)
+        grid = np.geomspace(1e-8 * lmq, lmq, 500)
+        na2, nb2 = mc.spectral_norm(P.A) ** 2, mc.spectral_norm(P.B) ** 2
+        for r, norm, square in ((-P.t / P.s, P._norm_a, na2), (-P.p / P.s, P._norm_b, nb2)):
+            assert np.array_equal(solvers._grid_weight(grid, r, norm), grid**r * square)
+        lhs = grid + grid ** (-P.t / P.s) * na2 + grid ** (-P.p / P.s) * nb2
+        idx = np.argmin(lhs)
+        assert solvers._best_alpha(P) == (float(grid[idx]), bool(lhs[idx] < lmq))
+
+    def test_alpha_grid_weights_do_not_underflow(self):
+        # ||A||^2 = 1e-400 underflows, but alpha^(-2/3) ||A||^2 >= 2e-195 keeps
+        # every grid point's feasibility lhs above lambda_min(Q) = 1e-300
+        P = analysis.ProblemInstance(
+            1e-200 * np.eye(3), 1e-201 * np.eye(3), 1e-300 * np.eye(3), 3, 2, 1
+        )
+        grid = np.geomspace(1e-308, 1e-300, 500)
+        weights = solvers._grid_weight(grid, -2.0 / 3.0, 1e-200)
+        with decimal.localcontext(decimal.Context(prec=50)):
+            for g, w in zip(grid[::50], weights[::50]):
+                assert _agrees(float(w), D(g) ** (D(-2) / 3) * D(1e-200) ** 2)
+        assert solvers.alpha_search(P) is None
+        alpha, feasible = solvers._best_alpha(P)
+        assert not feasible and not solvers.fixed_point_check(P, alpha).feasible
+        with pytest.raises(solvers.PreconditionError, match="no feasible starting scalar"):
+            solvers.solve(P)
+
+    def test_overflowing_domination_is_a_failed_verdict(self):
+        # ||A||^2 / b = 1e340: A* A / b would overflow, and domination fails
+        P = analysis.ProblemInstance(1e20 * np.eye(3), 0.1 * np.eye(3), np.eye(3), 3, 4, 1)
+        check = solvers.coupled_check(P, 1e-300)
+        assert check.domination == analysis.Verdict(False, -math.inf, 0.0)
+        assert not check.ok
+
+    def test_domination_pretest_agrees_with_the_matrix_verdict(self):
+        # on the b_search grid of a dense instance, the scalar pretest only
+        # fails domination where the matrix verdict fails it too
+        P = _dense_instance(np.random.default_rng(7), 16, "coupled")
+        a = solvers._coupled_a(P)
+        skipped = 0
+        upper = 10.0 * mc.lambda_max(P.Q) ** (P.t / P.s)
+        for b in np.geomspace(a * (1.0 + 1e-6), upper, 100):
+            check = solvers.coupled_check(P, float(b))
+            dom_rhs = mc.hermitian_part(
+                P._ata / b + b ** (P.s / P.t) * np.eye(P.n) + a ** (-P.p / P.t) * P._btb
+            )
+            want = analysis._loewner_verdict(dom_rhs, P.Q, P._norm_q)
+            assert check.domination.holds == want.holds
+            skipped += check.domination.lhs == -math.inf
+        assert skipped > 0
+
     def test_fixed_point_delta_matches_decimal_evaluation(self):
         # ||A||^2 underflows and beta^(-t/s - 1) overflows: their product is finite
         P = analysis.ProblemInstance(
@@ -901,6 +963,19 @@ class TestBoundedMemory:
         assert peaks[1] / peaks[0] < 1.5
 
 
+class TestFrobeniusStep:
+    """The step norm is the Frobenius norm.  It grows with n at the rounding
+    floor, where the default tol = 1e-14 ||Q|| must still be reached."""
+
+    @pytest.mark.parametrize("scheme", ["fixed-point", "coupled"])
+    def test_converges_at_default_tol_at_n256(self, scheme):
+        P = _dense_instance(np.random.default_rng(256), 256, scheme)
+        rep = solvers.solve(P)
+        assert rep.scheme.value == scheme and rep.preconditions_held
+        assert rep.converged
+        assert max(rep.history[-1][1:]) <= 1e-14 * mc.spectral_norm(P.Q)
+
+
 def _kron_instance(E, k):
     """k diagonal copies of the instance E: its solutions are kron(I_k, X)
     for E's solutions X, so it is a large twin of a small run."""
@@ -910,81 +985,44 @@ def _kron_instance(E, k):
     )
 
 
-def _inline_pair(n, f, g):
-    first = f()
-    return first, g()
-
-
-def _run_python(code, timeout=None):
+def _run_python(code):
     path = os.environ.get("PYTHONPATH")
     root = str(Path(solvers.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": root + (os.pathsep + path if path else "")}
     return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=timeout
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
     )
 
 
 class TestTwoLanes:
-    """From n = 32 on, each step's independent decompositions run as two
-    lanes, one of them on a worker thread.  The outcome is the serial one:
-    the same bits, and the same exception a serial run raises first."""
+    """The lower and upper sequences of the coupled loop (its two lanes), and
+    the two congruences of a fixed-point step, run in sequence on the
+    caller's thread: a solve starts no thread, the first error raised is the
+    lower sequence's, and concurrent callers do not disturb each other."""
 
-    @pytest.fixture(autouse=True)
-    def two_cpus(self, monkeypatch):
-        # take the threaded path even on a machine with a single CPU
-        monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
-
-    @pytest.mark.parametrize("k", [11, 16], ids=["n33", "n48"])
-    @pytest.mark.parametrize("which", [1, 2], ids=["fixed-point", "coupled"])
-    def test_paired_solve_matches_inline_and_small_twin(self, which, k, monkeypatch):
-        threads = set()
-        norm = mc.hermitian_norm
-
-        def recording_norm(D):
-            threads.add(threading.current_thread().name)
-            return norm(D)
-
-        monkeypatch.setattr(mc, "hermitian_norm", recording_norm)
-        E = builtin.example(which).instance
-        paired = solvers.solve(_kron_instance(E, k))
-        # every step norm of the fixed-point loop, and the upper one of the
-        # coupled loop, is taken on the worker
-        assert any(name.startswith("nmeq-lane") for name in threads)
-        monkeypatch.setattr(solvers, "_pair", _inline_pair)
-        inline = solvers.solve(_kron_instance(E, k))
-        assert np.array_equal(paired.solution_X, inline.solution_X)
-        assert paired.history == inline.history
-        assert paired.residual == inline.residual
-        assert paired.iterations == inline.iterations
-        assert paired.converged and paired.preconditions_held
-        small = solvers.solve(E).solution_X
-        want = np.kron(np.eye(k), small)
-        assert np.linalg.norm(paired.solution_X - want, 2) <= 1e-12 * np.linalg.norm(want, 2)
-
-    def test_both_lanes_failing_raise_the_lower_lanes_error(self, monkeypatch):
+    def test_both_lanes_failing_raise_the_lower_lanes_error(self):
         # k = 33 copies of the scalar run of test_positivity_loss_message: at
         # iteration 1 the lower inner matrix is -2.002 I and the upper one
-        # -3.475 I, so both lanes raise; the lower one is the serial error
+        # -3.475 I, so both lanes fail; the lower one runs first
         P = _kron_instance(scalar_instance(1.0, 3.0, 0.1, s=1.0, t=2.0, p=1.0), 33)
         opts = solvers.SolveOptions(b_upper=20.0, force=True)
-        want = (
+        with pytest.raises(solvers.PositivityError) as err:
+            solvers.solve_coupled(P, opts)
+        assert str(err.value) == (
             "inverted matrix Q - X^(s/t) - B* Y^(-p/t) B lost positive "
             "definiteness at iteration 1 (lambda_min = -2.002e+00)"
         )
-        with pytest.raises(solvers.PositivityError) as err:
-            solvers.solve_coupled(P, opts)
-        assert str(err.value) == want
-        monkeypatch.setattr(solvers, "_pair", _inline_pair)
-        with pytest.raises(solvers.PositivityError) as err:
-            solvers.solve_coupled(P, opts)
-        assert str(err.value) == want
 
-    def test_concurrent_solves_share_the_worker(self):
-        # four callers of different sizes and schemes against the one worker,
-        # with a short switch interval: each gets its own solution back
+    def test_concurrent_solves_are_independent(self):
+        # four callers of different sizes and schemes, with a short switch
+        # interval: each gets its own solution back, which is the large twin
+        # kron(I_k, X) of the 3 x 3 run's solution X
         cases = [(1, 11), (2, 11), (1, 16), (2, 16)]
         instances = [_kron_instance(builtin.example(w).instance, k) for w, k in cases]
         want = [solvers.solve(P).solution_X for P in instances]
+        for (w, k), X in zip(cases, want):
+            twin = np.kron(np.eye(k), solvers.solve(builtin.example(w).instance).solution_X)
+            assert np.linalg.norm(X - twin, 2) <= 1e-12 * np.linalg.norm(twin, 2)
         got = [None] * len(cases)
 
         def run(i):
@@ -1005,44 +1043,15 @@ class TestTwoLanes:
             assert X is not None and X.shape == Y.shape
             assert np.linalg.norm(X - Y, 2) <= 1e-12 * np.linalg.norm(Y, 2)
 
-    def test_worker_lane_runs_in_the_callers_errstate(self):
-        # numpy keeps errstate in a context variable, which a thread of its
-        # own would not see
-        with np.errstate(over="raise"):
-            with pytest.raises(FloatingPointError):
-                solvers._pair(32, lambda: None, lambda: np.float64(1e300) * 1e300)
-
-    def test_forked_child_solves(self):
-        # a child forked after a paired solve inherits the worker's executor
-        # but not its thread; it must make its own instead of waiting forever
-        if not hasattr(os, "fork"):
-            pytest.skip("no os.fork on this platform")
+    def test_solves_start_no_thread(self):
+        # n = 64 solves of both schemes load no executor module and start no
+        # second thread
         code = (
-            "import os, signal, numpy as np, nmeq\n"
-            "from nmeq import solvers\n"
-            "solvers._usable_cpus = lambda: 2\n"
+            "import sys, threading, numpy as np, nmeq\n"
             "d = lambda v: np.diag(np.tile(v, 32))\n"
-            "P = nmeq.ProblemInstance(d((2.1, 2.3)), d((0.1, 0.15)), d((7.5, 8.5)), 1, 2, 1)\n"
-            "assert P.n == 64 and nmeq.solve(P).converged and solvers._lane is not None\n"
-            "pid = os.fork()\n"
-            "if pid == 0:\n"
-            "    signal.alarm(30)\n"
-            "    ok = nmeq.solve(P).converged and solvers._lane is not None\n"
-            "    os._exit(0 if ok else 1)\n"
-            "_, status = os.waitpid(pid, 0)\n"
-            "print(os.waitstatus_to_exitcode(status))\n"
-        )
-        res = _run_python(code, timeout=60)
-        assert res.returncode == 0, res.stderr
-        assert res.stdout.strip() == "0"
-
-    def test_small_problems_start_no_thread(self):
-        # the bundled examples are 3 x 3: both run inline, so neither the
-        # executor module nor a second thread is ever loaded or started
-        code = (
-            "import sys, threading, nmeq\n"
-            "assert nmeq.solve(nmeq.example(1).instance).converged\n"
-            "assert nmeq.solve(nmeq.example(2).instance).converged\n"
+            "for s, t in ((2, 2), (1, 2)):\n"
+            "    P = nmeq.ProblemInstance(d((2.1, 2.3)), d((0.1, 0.15)), d((7.5, 8.5)), s, t, 1)\n"
+            "    assert P.n == 64 and nmeq.solve(P).converged\n"
             "print('concurrent.futures' in sys.modules, threading.active_count())\n"
         )
         res = _run_python(code)
