@@ -7,7 +7,6 @@ never raises just because a condition fails, since a false verdict is data.
 
 from __future__ import annotations
 
-import decimal
 import math
 import sys
 from dataclasses import dataclass, field
@@ -195,6 +194,16 @@ class ProblemInstance:
             a=_clamped_root(lo_a, s / t) + _clamped_root(lo_b, s / p),
         )
 
+    @cached_property
+    def _k_scalars(self) -> tuple[float, float, float, float, float]:
+        """log c1, log(t ||A||^2 / s), log(p ||B||^2 / s), and the spread's left side
+        c1^s / lambda_min(Q) with its log: what check_uniqueness_k reads at every k."""
+        c1, lmq = self._derived.c1, self._lambda_min_q
+        log_a2 = math.log(self.t / self.s) + 2.0 * math.log(self._norm_a)
+        log_b2 = math.log(self.p / self.s) + 2.0 * math.log(self._norm_b)
+        spread = _monomial(1.0, (c1, self.s), (lmq, -1.0))
+        return _log(c1), log_a2, log_b2, spread, self.s * _log(c1) - math.log(lmq)
+
 
 def _read_only(M: np.ndarray) -> np.ndarray:
     M.setflags(write=False)
@@ -258,40 +267,44 @@ class DerivedScalars:
 
 def _clamped_root(value: float, root: float) -> float:
     # congruences of HPD matrices are HPD; clamp rounding-level negatives
-    return max(value, 0.0) ** root
-
-
-def _power(x: float, r: float) -> float:
-    """x^r for x >= 0, with an overflow, or 0 to a negative power, read as
-    its limit inf."""
-    try:
-        return x**r
-    except (OverflowError, ZeroDivisionError):
-        return math.inf
+    return _monomial(1.0, (max(value, 0.0), root))
 
 
 # The smallest positive normal double.
 _NORMAL = sys.float_info.min
 
 
+def _log(x: float) -> float:
+    """log x for x >= 0, with log 0 = -inf."""
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def _exp(x: float) -> float:
+    """exp x, with an overflow read as inf."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _monomial(c: float, *powers: tuple[float, float]) -> float:
-    """c x1^r1 x2^r2 ... for c > 0 and x_i >= 0 (x_i > 0 where r_i < 0), multiplied
-    left to right.  Once a power or a partial product leaves the normal range,
-    it is rounded once from 34-digit decimals instead: no intermediate overflow
-    or underflow makes it inf, 0 or NaN where the true value is not."""
+    """c x1^r1 x2^r2 ... for c > 0 and floats x_i >= 0 (x_i > 0 where r_i < 0), the one
+    rule for a power of an instance scalar: multiplied left to right in floats while
+    every factor and partial product is a normal double, else exp(log c + r1 log x1
+    + ...) with log 0 = -inf, x^0 = 1 and an overflow read as inf.  No intermediate
+    overflow or underflow makes it inf, 0 or NaN where the true value is not."""
     value = c
-    for x, r in powers:
-        factor = _power(x, r)
-        value *= factor
-        if not (_NORMAL <= min(factor, value) and max(factor, value) < math.inf):
-            with decimal.localcontext(decimal.Context(prec=34)):
-                # unary + rounds each operand to 34 digits: a double's exact
-                # expansion has up to 767, which makes a power 100x slower
-                exact = +decimal.Decimal(c)
-                for x, r in powers:
-                    exact *= (+decimal.Decimal(x)) ** (+decimal.Decimal(r))
-            return float(exact)
-    return value
+    try:
+        for x, r in powers:
+            factor = x**r
+            value *= factor
+            if not (_NORMAL <= min(factor, value) and max(factor, value) < math.inf):
+                break
+        else:
+            return value
+    except (OverflowError, ZeroDivisionError):
+        pass
+    return _exp(math.log(c) + sum(r * _log(x) for x, r in powers if r != 0.0))
 
 
 def _positive_tol(tol: float) -> float:
@@ -310,6 +323,13 @@ def _loewner_verdict(L: np.ndarray, R: np.ndarray, scale: float, note: str = "")
     gap = lambda_min(R - L) >= -_loewner_tol(scale), scale a norm of the two sides."""
     gap = mc.trusted_lambda_min(R - L)
     return Verdict(gap >= -_loewner_tol(scale), gap, 0.0, note)
+
+
+def _exceeds_q(P: ProblemInstance, bound: float) -> bool:
+    """Whether a lower bound on lambda_max(L), L >= 0, fails L <= R for every R <= Q
+    unformed: lambda_min(R - L) <= lambda_max(Q) - bound, past _loewner_tol(||Q||) at
+    the scale ||Q|| and, up to a 1e-20 relative margin, at max(||L||, ||R||)."""
+    return bound - P._lambda_max_q > _loewner_tol(P._norm_q)
 
 
 def _condition_report(
@@ -335,14 +355,11 @@ def check_necessary(P: ProblemInstance) -> ConditionReport:
     definite solution; a true verdict decides nothing on its own.
     """
     d = derived_scalars(P)
-    if d.k <= 1.0:
-        branch = "k<=1"
-        bound = d.q**d.q / (d.q + 1.0) ** (d.q + 1.0)
-    else:
-        branch = "k>1"
-        bound = d.q**d.q * d.k ** (1.0 + d.q_tilde) / (d.q + 1.0) ** (d.q + 1.0)
-    rho_a2 = mc.spectral_radius(P.A) ** 2
-    rho_b2 = mc.spectral_radius(P.B) ** 2
+    branch = "k<=1" if d.k <= 1.0 else "k>1"
+    # k^(1 + q_tilde) enters only for k > 1; 1^r is exactly 1
+    bound = _monomial(1.0, (d.q, d.q), (max(d.k, 1.0), 1.0 + d.q_tilde), (d.q + 1.0, -(d.q + 1.0)))
+    rho_a2 = _monomial(1.0, (mc.spectral_radius(P.A), 2.0))
+    rho_b2 = _monomial(1.0, (mc.spectral_radius(P.B), 2.0))
     verdicts = {
         "spectral_radius_A": Verdict(rho_a2 < bound, rho_a2, bound),
         "spectral_radius_B": Verdict(rho_b2 < bound, rho_b2, bound),
@@ -354,19 +371,14 @@ def check_sufficient(P: ProblemInstance) -> ConditionReport:
     """Sufficient condition on ||A||^2 + ||B||^2; on success a solution is
     guaranteed inside the reported bracket."""
     d = derived_scalars(P)
-    lhs = P._norm_a**2 + P._norm_b**2
-    if d.k <= 1.0:
-        branch = "k<=1"
-        rhs = d.q**d.q_tilde * d.k_tilde ** (d.q_tilde + 1.0) / (d.q + 1.0) ** (d.q_tilde + 1.0)
-        lower = (d.q * d.k_tilde / (d.q + 1.0)) ** (1.0 / P.s)
-    else:
-        branch = "k>1"
-        rhs = (
-            d.q**d.q_tilde
-            * d.k_tilde ** (d.q_tilde + 1.0)
-            / (d.k**d.q_tilde * (d.q + 1.0) ** (d.q_tilde + 1.0))
-        )
-        lower = (d.q * d.k_tilde / (d.k * (d.q + 1.0))) ** (1.0 / P.s)
+    lhs = _monomial(1.0, (P._norm_a, 2.0)) + _monomial(1.0, (P._norm_b, 2.0))
+    branch = "k<=1" if d.k <= 1.0 else "k>1"
+    k = max(d.k, 1.0)  # k enters only for k > 1; 1^r is exactly 1
+    rhs = _monomial(
+        1.0, (d.q, d.q_tilde), (d.k_tilde, d.q_tilde + 1.0), (k, -d.q_tilde),
+        (d.q + 1.0, -(d.q_tilde + 1.0)),
+    )
+    lower = _monomial(1.0, (d.q * d.k_tilde / (k * (d.q + 1.0)), 1.0 / P.s))
     verdicts = {"norm_sum": Verdict(lhs < rhs, lhs, rhs)}
     return _condition_report(P, "sufficient", branch, verdicts, lower)
 
@@ -383,7 +395,7 @@ def solution_bounds(P: ProblemInstance) -> SolutionBounds:
     # Q - c^s I and Q share eigenvectors, so every Q-side term below is a
     # congruence through the one eigendecomposition of Q
     q_values, q_vectors = P._q_eig
-    gap_values = q_values - d.c**P.s
+    gap_values = q_values - _monomial(1.0, (d.c, P.s))
     if not mc.is_pd_spectrum(gap_values):
         raise BracketUndefinedError(
             "bracket undefined; Q - c^s I is not positive definite "
@@ -397,10 +409,11 @@ def solution_bounds(P: ProblemInstance) -> SolutionBounds:
         _clamped_root(mc.trusted_lambda_min(b_ref), 1.0 / P.p),
     )
     r = d.k_tilde / d.k
+    w_a, w_b = _monomial(1.0, (r, (P.t - 1.0) / P.s)), _monomial(1.0, (r, (P.p - 1.0) / P.s))
     inner = (
         P.Q
-        - r ** ((P.t - 1.0) / P.s) * mc.congruence(q_vectors, q_values ** (-P.t / P.s), P.A)
-        - r ** ((P.p - 1.0) / P.s) * mc.congruence(q_vectors, q_values ** (-P.p / P.s), P.B)
+        - w_a * mc.congruence(q_vectors, q_values ** (-P.t / P.s), P.A)
+        - w_b * mc.congruence(q_vectors, q_values ** (-P.p / P.s), P.B)
     )
     inner_values, inner_vectors = mc.trusted_eigh(inner)
     if not mc.is_pd_spectrum(inner_values):
@@ -413,16 +426,6 @@ def solution_bounds(P: ProblemInstance) -> SolutionBounds:
     return SolutionBounds(m=m, N=N, c=d.c, q_root=P._q_root.copy())
 
 
-def _correction_slope(P: ProblemInstance, x: float) -> float:
-    """t ||A||^2 / x^(t+1) + p ||B||^2 / x^(p+1), the contraction sum of the
-    correction X -> A* X^-t A + B* X^-p B at X = x I; its limit inf when a
-    power of x underflows to 0."""
-    x_t, x_p = x ** (P.t + 1.0), x ** (P.p + 1.0)
-    if x_t > 0.0 and x_p > 0.0:
-        return P.t / x_t * P._norm_a**2 + P.p / x_p * P._norm_b**2
-    return math.inf
-
-
 def check_uniqueness_interval(P: ProblemInstance) -> ConditionReport:
     """Uniqueness of the solution inside [c I, Q^(1/s)].
 
@@ -431,32 +434,39 @@ def check_uniqueness_interval(P: ProblemInstance) -> ConditionReport:
     it at the lower endpoint X = c I dominates the whole interval.  The
     verdict is labeled accordingly.
 
-    When c clamps to 0, or a power c^-t, c^-p overflows, the correction at
-    X = c I is unbounded: domination fails with lhs = -inf.  When a vanishes
-    (c = 0, or a underflows), a power c^(t+1), c^(p+1) underflows or
-    a^(1/s - 1) overflows, the contraction term is its limit inf.  Neither
-    is raised.
+    Every verdict is decided.  The scalar powers follow _monomial, so the
+    contraction term is its true value (inf only past the double range, or
+    where c or a is 0).  The floor and the domination fail without their
+    matrices being formed (lhs -inf) once max(lambda_max(A Q^-1 A*)^(s/t),
+    lambda_max(B Q^-1 B*)^(s/p)) exceeds lambda_max(Q); the domination so too
+    when c^-t or c^-p is past the double range.
     """
     d = derived_scalars(P)
-    # congruences of HPD matrices: clamp rounding-level negatives as _clamped_root
-    # does.  Sums and differences of the symmetrized Q and eig_power outputs
-    # are exactly Hermitian, so they are not symmetrized again.
-    floor_sum = mc.eig_power(
-        np.maximum(P._aqa_eig[0], 0.0), P._aqa_eig[1], P.s / P.t
-    ) + mc.eig_power(np.maximum(P._bqb_eig[0], 0.0), P._bqb_eig[1], P.s / P.p)
-    v_floor = _loewner_verdict(floor_sum, P.Q, max(mc.hermitian_norm(floor_sum), P._norm_q))
-    dom_note = "checked at lower endpoint X = cI"
-    c_t, c_p = _power(d.c, -P.t), _power(d.c, -P.p)
-    if c_t < math.inf and c_p < math.inf:
-        correction_at_c = mc.hermitian_part(c_t * P._ata + c_p * P._btb)
-        dom_rhs = P.Q - floor_sum
-        scale = max(mc.hermitian_norm(correction_at_c), mc.hermitian_norm(dom_rhs))
-        v_dom = _loewner_verdict(correction_at_c, dom_rhs, scale, note=dom_note)
-    else:
-        v_dom = Verdict(False, -math.inf, 0.0, dom_note)
-    contraction = math.inf
-    if d.a > 0.0:
-        contraction = (1.0 / P.s) * _power(d.a, 1.0 / P.s - 1.0) * _correction_slope(P, d.c)
+    (values_a, vectors_a), (values_b, vectors_b) = P._aqa_eig, P._bqb_eig
+    hi_a, hi_b = float(values_a[-1]), float(values_b[-1])
+    # the floor sum F is >= either of its terms, and L <= Q - F needs F <= Q
+    bound = max(_clamped_root(hi_a, P.s / P.t), _clamped_root(hi_b, P.s / P.p))
+    v_floor = Verdict(False, -math.inf, 0.0)
+    v_dom = Verdict(False, -math.inf, 0.0, "checked at lower endpoint X = cI")
+    c_t, c_p = _monomial(1.0, (d.c, -P.t)), _monomial(1.0, (d.c, -P.p))
+    if not _exceeds_q(P, bound):
+        # congruences of HPD matrices: clamp rounding-level negatives as _clamped_root
+        # does.  Sums and differences of the symmetrized Q and eig_power outputs
+        # are exactly Hermitian, so they are not symmetrized again.
+        floor_sum = mc.eig_power(np.maximum(values_a, 0.0), vectors_a, P.s / P.t) + mc.eig_power(
+            np.maximum(values_b, 0.0), vectors_b, P.s / P.p
+        )
+        v_floor = _loewner_verdict(floor_sum, P.Q, max(mc.hermitian_norm(floor_sum), P._norm_q))
+        # A* A >= lambda_min(A Q^-1 A*) Q, so c^-t A* A or c^-p B* B is >= Q and
+        # the domination fails; with a weight past the double range it is not formed
+        if max(c_t, c_p) < math.inf:
+            correction_at_c = mc.hermitian_part(c_t * P._ata + c_p * P._btb)
+            dom_rhs = P.Q - floor_sum
+            scale = max(mc.hermitian_norm(correction_at_c), mc.hermitian_norm(dom_rhs))
+            v_dom = _loewner_verdict(correction_at_c, dom_rhs, scale, note=v_dom.note)
+    root = (d.a, 1.0 / P.s - 1.0)
+    contraction = _monomial(P.t / P.s, root, (P._norm_a, 2.0), (d.c, -P.t - 1.0))
+    contraction += _monomial(P.p / P.s, root, (P._norm_b, 2.0), (d.c, -P.p - 1.0))
     v_contr = Verdict(contraction < 1.0, contraction, 1.0)
     verdicts = {"interval_floor": v_floor, "domination": v_dom, "contraction": v_contr}
     return _condition_report(P, "uniqueness-interval", "", verdicts, d.c)
@@ -466,36 +476,28 @@ def check_uniqueness_k(P: ProblemInstance, k: float) -> ConditionReport:
     """Uniqueness of the solution inside [k c1 I, Q^(1/s)] for a scale k > 0.
 
     k here is a free parameter, not an eigenvalue of Q; scan_k searches a
-    grid for a value making every hypothesis hold.  A negative power of k or
-    k c1 that overflows is its limit inf, and so is the contraction term when
-    a power of k c1 underflows: the verdicts fail.  The spread fails whenever
-    1 - k^-t - k^-p <= 0, whatever underflowed.  Raises FloatingPointError
-    when both sides of the spread are positive but underflow to 0.
+    grid for a value making every hypothesis hold.  Every power is taken in
+    logs (the fallback of _monomial, from logs cached per instance), so every
+    verdict is decided: the spread c1^s / lambda_min(Q) <= (1 - k^-t - k^-p) k^-s
+    is compared in logs, whatever its two sides underflow to.
     """
     k = float(k)
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError(f"k must be a positive real, got {k}")
-    d = derived_scalars(P)
-    k_t, k_p = _power(k, -P.t), _power(k, -P.p)
+    log_c1, log_a2, log_b2, spread_lhs, log_spread = P._k_scalars
+    log_k = math.log(k)
+    k_t, k_p = _exp(-P.t * log_k), _exp(-P.p * log_k)
     power_sum = k_t + k_p
     v_powers = Verdict(power_sum < 1.0, power_sum, 1.0)
-    spread_lhs = d.c1**P.s / d.k_tilde
-    k_s = _power(k, -P.s)
     spread_factor = 1.0 - k_t - k_p
-    spread_rhs = spread_factor * k_s
-    if spread_lhs == 0.0 and k_s == 0.0 and v_powers.holds:
-        # c1^s > 0 and, with the power sum below 1, the right-hand side is > 0 too
-        raise FloatingPointError(f"spread condition underflows on both sides at k = {k:.6g}")
-    # the true left side c1^s / lambda_min(Q) is > 0, so a factor <= 0 fails
-    # the verdict even where both sides underflowed to (signed) zeros
-    v_spread = Verdict(spread_factor > 0.0 and spread_lhs <= spread_rhs, spread_lhs, spread_rhs)
-    kc = k * d.c1
-    slope = _correction_slope(P, kc)
-    contraction = math.inf
-    if slope < math.inf:
-        contraction = (1.0 / P.s) * _power(kc, 1.0 - P.s) * slope
+    spread = spread_factor > 0.0 and log_spread <= math.log(spread_factor) - P.s * log_k
+    v_spread = Verdict(spread, spread_lhs, spread_factor * _exp(-P.s * log_k))
+    # (k c1)^(1-s) / s (t ||A||^2 (k c1)^-(t+1) + p ||B||^2 (k c1)^-(p+1))
+    log_kc = log_k + log_c1
+    contraction = _exp(log_a2 - (P.s + P.t) * log_kc) + _exp(log_b2 - (P.s + P.p) * log_kc)
     v_contr = Verdict(contraction < 1.0, contraction, 1.0)
     verdicts = {"power_sum": v_powers, "spread": v_spread, "contraction": v_contr}
+    kc = k * derived_scalars(P).c1
     return _condition_report(P, "uniqueness-scaled", f"k={k:.6g}", verdicts, kc)
 
 

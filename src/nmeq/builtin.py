@@ -2,8 +2,8 @@
 
 Two 3x3 real instances, one per scheme, with the transformed-variable
 solution Y, the lifted solution X, and the starting scalar each scheme was
-run with.  Solutions are stored to 15 decimal places and reproduce under
-the default tolerance.
+run with.  Solutions are stored to 15 places after the point and reproduce
+under the default tolerance.
 """
 
 from __future__ import annotations

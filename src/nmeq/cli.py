@@ -6,9 +6,10 @@ factorize (structured decomposition of a known solution), verify (residual
 and bracket membership of a candidate).  Problems come from a JSON file or
 one of the two bundled instances via --example.
 
-Exit codes: 0 success, 2 parse or validation error, 3 precondition failure
-or a condition that double precision cannot evaluate (overflow, division by
-zero, a failed LAPACK call), 4 non-convergence, 5 verification failure.
+Exit codes: 0 success, 2 parse or validation error, 3 precondition failure or
+a matrix-level failure in double precision (a failed LAPACK call, a matrix
+overflow; scalar verdicts are always decided), 4 non-convergence, 5
+verification failure.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import matcore as mc
 from .analysis import ProblemInstance, Verdict, _accept_candidate, _loewner_verdict, _residual
-from .analysis import _NORMAL, _loewner_tol, _monomial, _positive_tol, _power
+from .analysis import _NORMAL, _exceeds_q, _monomial, _positive_tol
 
 __all__ = [
     "PreconditionError",
@@ -214,16 +214,14 @@ def _best_alpha(P: ProblemInstance) -> tuple[float, bool]:
 
 def _grid_weight(grid: np.ndarray, r: float, norm: float) -> np.ndarray:
     """grid^r norm^2 elementwise, by the rule of _monomial: in floats where
-    both factors and the product are normal, else exactly rounded."""
-    square = _power(norm, 2.0)
+    both factors and the product are normal, else exp(r log grid + 2 log norm)."""
+    square = _monomial(1.0, (norm, 2.0))
     with np.errstate(over="ignore", invalid="ignore"):
         factor = grid**r
         weight = factor * square
-    normal = (_NORMAL <= np.minimum(factor, weight)) & (np.maximum(factor, weight) < math.inf)
-    normal &= _NORMAL <= square < math.inf
-    for i in np.flatnonzero(~normal):
-        weight[i] = _monomial(1.0, (float(grid[i]), r), (norm, 2.0))
-    return weight
+        normal = (_NORMAL <= np.minimum(factor, weight)) & (np.maximum(factor, weight) < math.inf)
+        normal &= _NORMAL <= square < math.inf
+        return np.where(normal, weight, np.exp(r * np.log(grid) + 2.0 * math.log(norm)))
 
 
 def alpha_search(P: ProblemInstance) -> float | None:
@@ -259,7 +257,7 @@ def _fixed_point_start(P: ProblemInstance, alpha: float) -> tuple[FixedPointChec
         feas_lhs += _monomial(1.0, (alpha, -e_p), (norm_b, 2.0))
         # Y_1 = Q - alpha^-(t/s) A* A - alpha^-(p/s) B* B is unbounded below
         # when a weight overflows (the first, as t >= p): beta keeps its limit -inf
-        if _power(alpha, -e_t) < math.inf:
+        if _monomial(1.0, (alpha, -e_t)) < math.inf:
             Y_1 = _first_iterate(P, alpha)
             start = (Y_1, *np.linalg.eigh(Y_1))
             beta = float(start[1][0])
@@ -291,9 +289,8 @@ def _fixed_point_start(P: ProblemInstance, alpha: float) -> tuple[FixedPointChec
 def _first_iterate(P: ProblemInstance, alpha: float) -> np.ndarray:
     """Y_1 = Q - alpha^{-t/s} A* A - alpha^{-p/s} B* B, the fixed-point
     iterate after Y_0 = alpha I, from the cached A* A and B* B."""
-    return mc.hermitian_part(
-        P.Q - alpha ** (-P.t / P.s) * P._ata - alpha ** (-P.p / P.s) * P._btb
-    )
+    w_a, w_b = _monomial(1.0, (alpha, -P.t / P.s)), _monomial(1.0, (alpha, -P.p / P.s))
+    return mc.hermitian_part(P.Q - w_a * P._ata - w_b * P._btb)
 
 
 def _eigh_pd(M: np.ndarray, what: str):
@@ -418,10 +415,10 @@ def _fixed_point_failure_message(check: FixedPointCheck) -> str:
 def coupled_check(P: ProblemInstance, b: float) -> CoupledCheck:
     """Evaluate the coupled scheme preconditions at an upper scalar b.
 
-    When lambda_min(A* A) or a = lambda_min(A Q^-1 A*) rounds to 0, the
-    conditions it enters as a negative power fail and delta is inf, so the
-    verdict is reported, not raised.  So it is when a power of b or a
-    overflows (its limit inf fails domination); delta is never NaN.
+    Every verdict is decided, the scalar powers by _monomial: where lambda_min(A* A)
+    or a = lambda_min(A Q^-1 A*) rounds to 0, the conditions it enters as a negative
+    power fail and delta is inf (never NaN); domination fails unformed (lhs -inf) once
+    ||A||^2 / b exceeds lambda_max(Q), or where a is 0 or b^(s/t), a^(-p/t) overflows.
     """
     b = float(b)
     if not (math.isfinite(b) and b > 0.0):
@@ -431,12 +428,10 @@ def coupled_check(P: ProblemInstance, b: float) -> CoupledCheck:
     theta = P._lambda_min_ata / b
     separation = Verdict(b > a, a, b, note="requires lhs < rhs")
     domination = Verdict(False, -math.inf, 0.0)
-    w_b, w_a = _power(b, P.s / P.t), _power(a, -P.p / P.t)
-    # lambda_max(dom_rhs) >= ||A||^2 / b, as its other two terms are PSD: past
-    # lambda_max(Q) plus the verdict's tolerance, domination fails, and A* A / b
-    # (which may overflow) is never formed
-    reach = _monomial(1.0, (norm_a, 2.0), (b, -1.0)) - P._lambda_max_q
-    if a > 0.0 and max(w_b, w_a) < math.inf and reach <= _loewner_tol(P._norm_q):
+    w_b, w_a = _monomial(1.0, (b, P.s / P.t)), _monomial(1.0, (a, -P.p / P.t))
+    # lambda_max(dom_rhs) >= ||A||^2 / b, as its other two terms are PSD
+    past_q = _exceeds_q(P, _monomial(1.0, (norm_a, 2.0), (b, -1.0)))
+    if a > 0.0 and max(w_b, w_a) < math.inf and not past_q:
         dom_rhs = mc.hermitian_part(P._ata / b + w_b * np.eye(P.n) + w_a * P._btb)
         # dom_rhs is positive semidefinite, so wherever the verdict is close,
         # ||dom_rhs|| <= ||Q|| + |gap|: scaling the tolerance by ||Q|| alone
@@ -483,8 +478,8 @@ def b_search(P: ProblemInstance) -> float | None:
     """First b on a log grid in (a, 10 lambda_max(Q)^(t/s)] passing the
     coupled-scheme conditions, or None."""
     a = _coupled_a(P)
-    upper = 10.0 * P._lambda_max_q ** (P.t / P.s)
-    if upper <= a or a == 0.0:
+    upper = _monomial(10.0, (P._lambda_max_q, P.t / P.s))
+    if upper <= a or a == 0.0 or upper == math.inf:
         return None
     for b in np.geomspace(a * (1.0 + 1e-6), upper, 100):
         check = coupled_check(P, float(b))
@@ -683,7 +678,7 @@ def scalar_oracle(S: ScalarInstance) -> ScalarRoots:
     """All positive roots of x^s + a2 x^-t + b2 x^-p - q by sign-change
     bisection on a log grid over [1e-12, 10 q^(1/s)], refined to 1e-14
     relative.  An empty root set is a valid outcome (no solution exists)."""
-    grid = np.geomspace(1e-12, 10.0 * S.q ** (1.0 / S.s), 2000)
+    grid = np.geomspace(1e-12, _monomial(10.0, (S.q, 1.0 / S.s)), 2000)
     fg = S.f(grid)
     roots: list[float] = []
     for i in range(len(grid) - 1):

@@ -10,9 +10,41 @@ keep them.
 
 from __future__ import annotations
 
+import decimal
+import math
+import sys
+
 import numpy as np
 
 from nmeq.solvers import Scheme
+
+
+def agrees(value: float, exact: decimal.Decimal) -> bool:
+    """value is the exact Decimal to 1e-12 relative, the infinity of its sign
+    past the double range, or (for a subnormal exact value, which no double
+    carries to 1e-12) within one subnormal step."""
+    D = decimal.Decimal
+    if abs(exact) > D(sys.float_info.max):
+        return value == math.copysign(math.inf, exact)
+    return abs(D(value) - exact) <= D("1e-12") * abs(exact) + D(5e-324)
+
+
+def decimal_contraction(P, k: float | None = None) -> decimal.Decimal:
+    """The contraction term of check_uniqueness_interval (k None: a^(1/s - 1) / s
+    times the slope at x = c) or of check_uniqueness_k (x = k c1: x^(1-s) / s
+    times the slope), the slope being t ||A||^2 x^-(t+1) + p ||B||^2 x^-(p+1),
+    in 50-digit decimals from the instance's doubles."""
+    D = decimal.Decimal
+    d = P._derived
+    with decimal.localcontext(decimal.Context(prec=50)):
+        s, t, p = D(P.s), D(P.t), D(P.p)
+        if k is None:
+            x, prefactor = D(d.c), D(d.a) ** (1 / s - 1)
+        else:
+            x = D(k) * D(d.c1)
+            prefactor = x ** (1 - s)
+        slope = t * D(P._norm_a) ** 2 * x ** -(t + 1) + p * D(P._norm_b) ** 2 * x ** -(p + 1)
+        return prefactor / s * slope
 
 
 def char_poly_coeffs(A) -> np.ndarray:

@@ -6,6 +6,7 @@ checked against hand-computable ground truth.  Matrix cases use the bundled
 reference problems and randomly constructed solvable instances.
 """
 
+import decimal
 import math
 import warnings
 
@@ -15,7 +16,7 @@ import pytest
 from nmeq import analysis, builtin, cli, probfile, solvers
 from nmeq import matcore as mc
 
-from support import near_singular_coupled_problem, random_hpd
+from support import agrees, decimal_contraction, near_singular_coupled_problem, random_hpd
 
 
 def scalar_instance(q, a, b, s=1.0, t=1.0, p=1.0):
@@ -468,18 +469,23 @@ class TestUniquenessInterval:
         assert not rep.holds
 
     def test_underflowing_c_power_is_a_failed_verdict(self):
-        # A = B = 1e-100 I, Q = I, s = t = p = 1: c = c1 = 1e-200 > 0, but
-        # c^(t+1) underflows to 0, so both contraction terms are their limit
+        # A = B = 1e-100 I, Q = I, s = t = p = 1: c = c1 = 1e-200 > 0 and c^(t+1)
+        # underflows, but each contraction term is its true value: 2e200 on the
+        # bracket, 5e199 at k = 2
         P = analysis.ProblemInstance(
             1e-100 * np.eye(2), 1e-100 * np.eye(2), np.eye(2), 1.0, 1.0, 1.0
         )
         d = analysis.derived_scalars(P)
         assert d.a > 0.0 and d.c > 0.0 and d.c ** 2 == 0.0
         rep = analysis.check_uniqueness_interval(P)
-        assert rep.verdicts["contraction"] == analysis.Verdict(False, math.inf, 1.0)
-        assert not rep.holds
-        scaled = analysis.check_uniqueness_k(P, 2.0)
-        assert scaled.verdicts["contraction"] == analysis.Verdict(False, math.inf, 1.0)
+        contraction = rep.verdicts["contraction"]
+        assert agrees(contraction.lhs, decimal_contraction(P))
+        assert contraction.lhs == pytest.approx(2e200, rel=1e-12)
+        assert contraction.holds is False and not rep.holds
+        scaled = analysis.check_uniqueness_k(P, 2.0).verdicts["contraction"]
+        assert agrees(scaled.lhs, decimal_contraction(P, 2.0))
+        assert scaled.lhs == pytest.approx(5e199, rel=1e-12)
+        assert scaled.holds is False
         assert analysis.scan_k(P) is None
 
     @pytest.mark.parametrize(
@@ -487,7 +493,10 @@ class TestUniquenessInterval:
     )
     def test_overflowing_c_power_is_a_failed_verdict(self, exponents):
         # A = B = 1e-160 I, Q = I: c^-t overflows, so the correction at X = cI
-        # is unbounded, and the contraction term is its limit inf
+        # exceeds Q and domination fails without it being formed; the
+        # contraction term is its true value, finite for (3, 4, 1), (1, 3, 2)
+        # and (1, 5, 1) (1.33e240, 1.39e107, 5.0e64) and past the double range,
+        # so inf, for the others
         P = analysis.ProblemInstance(
             1e-160 * np.eye(2), 1e-160 * np.eye(2), np.eye(2), *exponents
         )
@@ -495,7 +504,10 @@ class TestUniquenessInterval:
         assert rep.verdicts["domination"] == analysis.Verdict(
             False, -math.inf, 0.0, "checked at lower endpoint X = cI"
         )
-        assert rep.verdicts["contraction"] == analysis.Verdict(False, math.inf, 1.0)
+        contraction = rep.verdicts["contraction"]
+        assert agrees(contraction.lhs, decimal_contraction(P))
+        assert (contraction.lhs < math.inf) == (exponents in {(3, 4, 1), (1, 3, 2), (1, 5, 1)})
+        assert contraction.holds is False
         assert not rep.holds and rep.bracket is None
         assert analysis.scan_k(P) is None
 
@@ -558,13 +570,23 @@ class TestUniquenessScaled:
         assert rep.verdicts["spread"].rhs == -math.inf
         assert not rep.verdicts["spread"].holds and not rep.holds
 
-    def test_spread_underflowing_on_both_sides_raises(self):
-        # s = 1e6 on example 1: at k = 2 the power sum holds, so both sides of
-        # the spread are positive, and both c1^s and k^-s underflow to 0
+    def test_spread_underflowing_on_both_sides_is_decided(self):
+        # s = 1e6 on example 1: both sides of the spread underflow to zeros.  At
+        # k = 2 the power sum is < 1, so both sides are > 0 and the verdict holds
+        # in logs; at k = 1.01 it is >= 1, so the right side is <= 0 and it fails.
+        # Both verdicts and all four sides agree with 50-digit decimals.
         E = builtin.example(1).instance
         P = analysis.ProblemInstance(E.A, E.B, E.Q, 1e6, E.t, E.p)
-        with pytest.raises(FloatingPointError, match="spread condition underflows"):
-            analysis.check_uniqueness_k(P, 2.0)
+        d = analysis.derived_scalars(P)
+        D = decimal.Decimal
+        for k, holds in ((2.0, True), (1.01, False)):
+            v = analysis.check_uniqueness_k(P, k).verdicts["spread"]
+            with decimal.localcontext(decimal.Context(prec=50)):
+                lhs = D(d.c1) ** D(P.s) / D(d.k_tilde)
+                rhs = (1 - D(k) ** -D(P.t) - D(k) ** -D(P.p)) * D(k) ** -D(P.s)
+            assert (lhs <= rhs) is holds and v.holds is holds
+            assert agrees(v.lhs, lhs) and agrees(v.rhs, rhs)
+            assert (v.lhs, v.rhs) == (0.0, 0.0)
 
     def test_spread_with_nonpositive_factor_fails_after_underflow(self):
         # s = 1e6 on example 1: at k = 1.01 the power sum is >= 1, so the true

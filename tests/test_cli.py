@@ -18,7 +18,7 @@ import nmeq
 from nmeq import analysis, builtin, cli, probfile
 from nmeq import matcore as mc
 
-from support import near_singular_coupled_problem
+from support import decimal_contraction, near_singular_coupled_problem
 
 # the subprocess imports the same nmeq as the tests, installed or not
 NMEQ_ROOT = str(Path(nmeq.__file__).resolve().parent.parent)
@@ -220,7 +220,8 @@ class TestCheck:
     )
     def test_overflowing_powers_exit_0(self, tmp_path, scale, s, t, p):
         # c^-t (A = B = 1e-160 I) or (k c1)^(1-s) (A = B = 1e-60 I) overflows:
-        # the verdicts fail, the check completes
+        # the verdicts fail, the check completes, and the bracket's contraction
+        # term prints its true value (inf where that is past the double range)
         doc = {
             "n": 2, "s": s, "t": t, "p": p,
             "A": (scale * np.eye(2)).tolist(), "B": (scale * np.eye(2)).tolist(),
@@ -231,7 +232,8 @@ class TestCheck:
         res = run_cli("check", str(path))
         assert res.returncode == 0, res.stderr
         assert "uniqueness on the bracket (endpoint contraction): fails" in res.stdout
-        assert "contraction: inf vs 1 -> fails" in res.stdout
+        exact = decimal_contraction(probfile.load_problem(path).to_instance())
+        assert f"contraction: {cli._fmt(float(exact))} vs 1 -> fails" in res.stdout
         assert "no admissible parameter on the scan grid" in res.stdout
         assert res.stderr == ""
 
@@ -252,7 +254,8 @@ class TestCheck:
         assert res.stderr == ""
 
     def test_underflowing_c_power_exits_0(self, tmp_path):
-        # c = 1e-200: c^(t+1) underflows, and the contraction verdicts fail
+        # c = 1e-200: c^(t+1) underflows, and the contraction verdicts fail at
+        # their true values, 2e200 on the bracket
         doc = {
             "n": 2, "s": 1.0, "t": 1.0, "p": 1.0,
             "A": (1e-100 * np.eye(2)).tolist(), "B": (1e-100 * np.eye(2)).tolist(),
@@ -263,35 +266,72 @@ class TestCheck:
         res = run_cli("check", str(path))
         assert res.returncode == 0, res.stderr
         assert "uniqueness on the bracket (endpoint contraction): fails" in res.stdout
-        assert "contraction: inf vs 1 -> fails" in res.stdout
+        exact = decimal_contraction(probfile.load_problem(path).to_instance())
+        assert cli._fmt(float(exact)) == "2e+200"
+        assert "contraction: 2e+200 vs 1 -> fails" in res.stdout
         assert "no admissible parameter on the scan grid" in res.stdout
         assert res.stderr == ""
 
 
 class TestArithmeticLimits:
-    """Inputs that pass validation but overflow or divide by zero in double
-    precision end in exit code 3 with an error line, not a traceback."""
+    """Inputs that pass validation but whose scalars leave the double range:
+    a check decides every verdict (exit 0, nothing on stderr), and a solve
+    whose preconditions then fail ends in exit 3 with one error line, not a
+    traceback."""
 
     @pytest.mark.parametrize(
-        "command, which, changes",
+        "command, which, changes, code, message",
         [
-            ("check", 1, {"s": 1e6}),
-            ("check", 2, {"s": 1.0, "t": 400.0}),
-            ("solve", 2, {"s": 1.0, "t": 400.0}),
-            ("check", 1, {"A": (1e150 * np.eye(3)).tolist()}),
+            ("check", 1, {"s": 1e6}, 0, ""),
+            ("check", 2, {"s": 1.0, "t": 400.0}, 0, ""),
+            ("solve", 2, {"s": 1.0, "t": 400.0}, 3, "no feasible upper scalar b"),
+            ("check", 1, {"A": (1e150 * np.eye(3)).tolist()}, 0, ""),
         ],
         ids=["check-s1e6", "check-t400", "solve-t400", "check-A1e150"],
     )
-    def test_exit_3_without_traceback(self, tmp_path, command, which, changes):
+    def test_exit_3_without_traceback(self, tmp_path, command, which, changes, code, message):
         pf = probfile.problem_from_instance(builtin.example(which).instance)
         doc = json.loads(probfile.write_problem(pf))
         doc.update(changes)
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(doc))
         res = run_cli(command, str(path))
-        assert res.returncode == 3
-        assert res.stderr.startswith("error: ")
-        assert "Traceback" not in res.stderr
+        assert res.returncode == code, res.stderr
+        if code == 0:
+            assert res.stderr == ""
+        else:
+            assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+            assert message in res.stderr
+
+    def test_seeded_documents_end_in_decided_exit_codes(self, tmp_path, capsys):
+        # 300 random problem documents, n <= 3, exponents in [1, 1e6] and entry
+        # scales 1e-60 .. 1e60: check always decides (exit 0), bounds ends in 0
+        # or 3, solve in 0, 3 or 4, and no scalar is reported as beyond double
+        # precision; a RuntimeWarning fails the suite
+        rng = np.random.default_rng(20240817)
+        path = tmp_path / "problem.json"
+        allowed = {"check": {0}, "bounds": {0, 3}, "solve": {0, 3, 4}}
+        seen = {command: set() for command in allowed}
+        for _ in range(300):
+            n = int(rng.integers(1, 4))
+            s, t, p = (float(10.0 ** rng.uniform(0.0, 6.0)) for _ in range(3))
+            scale_a, scale_b, scale_q = (float(10.0 ** rng.uniform(-60.0, 60.0)) for _ in range(3))
+            R = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            Q = scale_q * (R * rng.uniform(0.1, 10.0, n)) @ R.T
+            doc = {
+                "n": n, "s": s, "t": t, "p": p,
+                "A": (scale_a * rng.standard_normal((n, n))).tolist(),
+                "B": (scale_b * rng.standard_normal((n, n))).tolist(),
+                "Q": (0.5 * (Q + Q.T)).tolist(),
+            }
+            path.write_text(json.dumps(doc))
+            for command, codes in allowed.items():
+                code = cli.main([command, str(path)])
+                err = capsys.readouterr().err
+                assert code in codes, (command, doc, err)
+                assert "cannot evaluate" not in err, (command, doc)
+                seen[command].add(code)
+        assert seen == {"check": {0}, "bounds": {0, 3}, "solve": {0, 3}}
 
     @pytest.mark.parametrize(
         "scale, exponents, args, message",

@@ -24,6 +24,7 @@ from nmeq import analysis, builtin, solvers
 from nmeq import matcore as mc
 
 from support import (
+    agrees,
     assert_reference_matches,
     near_singular_coupled_problem,
     random_unitary,
@@ -717,14 +718,6 @@ def _decimal_coupled_check(al, be, q, s, t, p, b):
     return verdicts, delta
 
 
-def _agrees(value: float, exact) -> bool:
-    """value is exact to 1e-12 relative, both inf, or (for a subnormal exact
-    value, which no double carries to 1e-12) within one subnormal step."""
-    if exact > D(sys.float_info.max):
-        return value == math.inf
-    return abs(D(value) - exact) <= D("1e-12") * exact + D(5e-324)
-
-
 class TestScalarRange:
     """Tiny and huge scalars in the scheme prechecks: every scalar power
     reads an overflow as its limit, products never pass through an
@@ -756,7 +749,7 @@ class TestScalarRange:
                 for v in (check.separation, check.domination, check.contraction_a, check.contraction_b)
             )
             assert got == verdicts, (al, be, q, s, t, p, b)
-            assert _agrees(check.delta, delta), (al, be, q, s, t, p, b, check.delta, delta)
+            assert agrees(check.delta, delta), (al, be, q, s, t, p, b, check.delta, delta)
             cases += 1
         assert cases >= 300
 
@@ -804,7 +797,7 @@ class TestScalarRange:
         weights = solvers._grid_weight(grid, -2.0 / 3.0, 1e-200)
         with decimal.localcontext(decimal.Context(prec=50)):
             for g, w in zip(grid[::50], weights[::50]):
-                assert _agrees(float(w), D(g) ** (D(-2) / 3) * D(1e-200) ** 2)
+                assert agrees(float(w), D(g) ** (D(-2) / 3) * D(1e-200) ** 2)
         assert solvers.alpha_search(P) is None
         alpha, feasible = solvers._best_alpha(P)
         assert not feasible and not solvers.fixed_point_check(P, alpha).feasible
@@ -848,9 +841,9 @@ class TestScalarRange:
             feas = alpha + alpha**-e_t * na**2 + alpha**-e_p * nb**2
             contraction = 2 * beta**-e_t * na**2 + beta**-e_p * nb**2
             delta = e_t * na**2 * beta ** (-e_t - 1) + e_p * nb**2 * beta ** (-e_p - 1)
-        assert _agrees(check.feasibility_lhs, feas)
-        assert _agrees(check.contraction_lhs, contraction)
-        assert _agrees(check.delta, delta)
+        assert agrees(check.feasibility_lhs, feas)
+        assert agrees(check.contraction_lhs, contraction)
+        assert agrees(check.delta, delta)
         assert not check.ok
 
 
