@@ -307,11 +307,13 @@ def _monomial(c: float, *powers: tuple[float, float]) -> float:
     return _exp(math.log(c) + sum(r * _log(x) for x, r in powers if r != 0.0))
 
 
-def _positive_tol(tol: float) -> float:
-    """The one rule for a user-given tolerance: finite and > 0 (else ValueError)."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    return tol
+def _positive(value: float, name: str) -> float:
+    """The one rule for a user-given scalar (a tolerance, a start, a scale): finite
+    and > 0, else ValueError naming it.  Returns it as a float."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return value
 
 
 def _loewner_tol(scale: float) -> float:
@@ -436,19 +438,22 @@ def check_uniqueness_interval(P: ProblemInstance) -> ConditionReport:
 
     Every verdict is decided.  The scalar powers follow _monomial, so the
     contraction term is its true value (inf only past the double range, or
-    where c or a is 0).  The floor and the domination fail without their
-    matrices being formed (lhs -inf) once max(lambda_max(A Q^-1 A*)^(s/t),
-    lambda_max(B Q^-1 B*)^(s/p)) exceeds lambda_max(Q); the domination so too
-    when c^-t or c^-p is past the double range.
+    where c or a is 0).  The floor fails without its matrix being formed
+    (lhs -inf) once max(lambda_max(A Q^-1 A*)^(s/t), lambda_max(B Q^-1 B*)^(s/p))
+    exceeds lambda_max(Q).  The domination never holds at X = cI (see below),
+    so it is reported failed, unformed, with lhs -inf.
     """
     d = derived_scalars(P)
     (values_a, vectors_a), (values_b, vectors_b) = P._aqa_eig, P._bqb_eig
     hi_a, hi_b = float(values_a[-1]), float(values_b[-1])
-    # the floor sum F is >= either of its terms, and L <= Q - F needs F <= Q
+    # the floor sum F is >= either of its terms, so F <= Q needs both below lambda_max(Q)
     bound = max(_clamped_root(hi_a, P.s / P.t), _clamped_root(hi_b, P.s / P.p))
     v_floor = Verdict(False, -math.inf, 0.0)
+    # A* A >= lambda_min(A Q^-1 A*) Q (Q^-1/2 A* A Q^-1/2 and A Q^-1 A* share their
+    # spectrum), so with c = lambda_min(A Q^-1 A*)^(1/t) the correction at X = cI
+    # is >= c^-t A* A >= Q (likewise c^-p B* B >= Q when c comes from B), while
+    # Q - F < Q for the positive definite floor sum F: the domination never holds
     v_dom = Verdict(False, -math.inf, 0.0, "checked at lower endpoint X = cI")
-    c_t, c_p = _monomial(1.0, (d.c, -P.t)), _monomial(1.0, (d.c, -P.p))
     if not _exceeds_q(P, bound):
         # congruences of HPD matrices: clamp rounding-level negatives as _clamped_root
         # does.  Sums and differences of the symmetrized Q and eig_power outputs
@@ -457,13 +462,6 @@ def check_uniqueness_interval(P: ProblemInstance) -> ConditionReport:
             np.maximum(values_b, 0.0), vectors_b, P.s / P.p
         )
         v_floor = _loewner_verdict(floor_sum, P.Q, max(mc.hermitian_norm(floor_sum), P._norm_q))
-        # A* A >= lambda_min(A Q^-1 A*) Q, so c^-t A* A or c^-p B* B is >= Q and
-        # the domination fails; with a weight past the double range it is not formed
-        if max(c_t, c_p) < math.inf:
-            correction_at_c = mc.hermitian_part(c_t * P._ata + c_p * P._btb)
-            dom_rhs = P.Q - floor_sum
-            scale = max(mc.hermitian_norm(correction_at_c), mc.hermitian_norm(dom_rhs))
-            v_dom = _loewner_verdict(correction_at_c, dom_rhs, scale, note=v_dom.note)
     root = (d.a, 1.0 / P.s - 1.0)
     contraction = _monomial(P.t / P.s, root, (P._norm_a, 2.0), (d.c, -P.t - 1.0))
     contraction += _monomial(P.p / P.s, root, (P._norm_b, 2.0), (d.c, -P.p - 1.0))
@@ -481,9 +479,7 @@ def check_uniqueness_k(P: ProblemInstance, k: float) -> ConditionReport:
     verdict is decided: the spread c1^s / lambda_min(Q) <= (1 - k^-t - k^-p) k^-s
     is compared in logs, whatever its two sides underflow to.
     """
-    k = float(k)
-    if not (math.isfinite(k) and k > 0.0):
-        raise ValueError(f"k must be a positive real, got {k}")
+    k = _positive(k, "k")
     log_c1, log_a2, log_b2, spread_lhs, log_spread = P._k_scalars
     log_k = math.log(k)
     k_t, k_p = _exp(-P.t * log_k), _exp(-P.p * log_k)
@@ -561,7 +557,7 @@ def factorization_from_solution(
     N2 = X^(-p/2) B.  Raises NotASolutionError when X fails the equation
     residual check (tolerance 1e-8 * (1 + ||Q||) by default).
     """
-    tol = P._accept_tol if tol is None else _positive_tol(tol)
+    tol = P._accept_tol if tol is None else _positive(tol, "tol")
     _, values, vectors = _accept_candidate(P, X)
     res = _residual(P, values, vectors)
     if res > tol:

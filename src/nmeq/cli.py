@@ -27,7 +27,7 @@ from .analysis import (
     ProblemInstance,
     _accept_candidate,
     _loewner_verdict,
-    _positive_tol,
+    _positive,
     _residual,
     check_necessary,
     check_sufficient,
@@ -168,7 +168,7 @@ def cmd_factorize(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.tol is not None:
-        _positive_tol(args.tol)
+        _positive(args.tol, "tol")
     P, _ = _resolve_problem(args)
     sol = probfile.load_solution(args.solution)
     if sol.X.shape != (P.n, P.n):
@@ -225,7 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="evaluate solvability and uniqueness conditions")
     add_input(p_check)
-    p_check.set_defaults(func=cmd_check)
 
     p_solve = sub.add_parser("solve", help="run an iteration scheme")
     add_input(p_solve)
@@ -239,23 +238,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--force", action="store_true", help="iterate even if preconditions fail")
     p_solve.add_argument("--history", metavar="CSV", help="write convergence history CSV")
     p_solve.add_argument("--solution", metavar="JSON", help="write solution file")
-    p_solve.set_defaults(func=cmd_solve)
 
     p_bounds = sub.add_parser("bounds", help="print the solution enclosure")
     add_input(p_bounds)
-    p_bounds.set_defaults(func=cmd_bounds)
 
     p_fact = sub.add_parser("factorize", help="factor a known solution")
     add_input(p_fact)
     p_fact.add_argument("solution", help="solution file (JSON with X)")
     p_fact.add_argument("--output", metavar="JSON", help="write factorization here instead of stdout")
-    p_fact.set_defaults(func=cmd_factorize)
 
     p_verify = sub.add_parser("verify", help="check a candidate solution")
     add_input(p_verify)
     p_verify.add_argument("solution", help="solution file (JSON with X)")
     p_verify.add_argument("--tol", type=float, help="residual acceptance tolerance")
-    p_verify.set_defaults(func=cmd_verify)
     return ap
 
 
@@ -274,14 +269,21 @@ _EXIT_CODES = (
 )
 
 
+# the one parser of the process, built on first use; parsing leaves it unchanged
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # looked up per call: a wrapper put on a cmd_* function applies here too
+        return globals()[f"cmd_{args.command}"](args)
     except Exception as exc:
         for kinds, code, prefix in _EXIT_CODES:
             if isinstance(exc, kinds):

@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from . import matcore as mc
 from .analysis import ProblemInstance, Verdict, _accept_candidate, _loewner_verdict, _residual
-from .analysis import _NORMAL, _exceeds_q, _monomial, _positive_tol
+from .analysis import _NORMAL, _exceeds_q, _monomial, _positive
 
 __all__ = [
     "PreconditionError",
@@ -86,6 +86,7 @@ class SolveOptions:
     max_iter: iteration cap, an int >= 1.
     alpha: starting scalar for the fixed-point scheme (None: alpha_search).
     b_upper: upper starting scalar for the coupled scheme (None: b_search).
+    tol, alpha and b_upper, when given, must be finite and positive.
     force: iterate even when preconditions fail; extremality becomes unknown.
     """
 
@@ -96,41 +97,48 @@ class SolveOptions:
     force: bool = False
 
     def __post_init__(self):
-        if self.tol is not None:
-            _positive_tol(self.tol)
+        for name in ("tol", "alpha", "b_upper"):
+            if getattr(self, name) is not None:
+                _positive(getattr(self, name), name)
         cap = self.max_iter
         if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
             raise ValueError(f"max_iter must be an int >= 1, got {self.max_iter!r}")
 
 
-@dataclass(frozen=True)
-class FixedPointCheck:
-    """Precondition scalars of the fixed-point scheme for a given alpha.
+class _Precheck:
+    """The one rule of both scheme prechecks: ok when the scheme applies and
+    every Verdict field holds."""
 
-    feasibility_lhs = alpha + alpha^{-t/s} ||A||^2 + alpha^{-p/s} ||B||^2
-    must stay below lambda_min(Q); beta is the floor of the first iterate,
-    and the contraction inequality t beta^{-t/s} ||A||^2 +
-    p beta^{-p/s} ||B||^2 < s beta is equivalent to delta < 1.
-    """
-
-    alpha: float
-    feasibility_lhs: float
-    lambda_min_q: float
-    beta: float
-    contraction_lhs: float
-    contraction_rhs: float
-    delta: float
-    scheme_applies: bool
-    feasible: bool
-    contractive: bool
+    def _verdicts(self) -> dict[str, Verdict]:
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: v for name, v in values.items() if isinstance(v, Verdict)}
 
     @property
     def ok(self) -> bool:
-        return self.scheme_applies and self.feasible and self.contractive
+        return self.scheme_applies and all(v.holds for v in self._verdicts().values())
 
 
 @dataclass(frozen=True)
-class CoupledCheck:
+class FixedPointCheck(_Precheck):
+    """Precondition verdicts of the fixed-point scheme for a given alpha.
+
+    beta = lambda_min(Y_1) is the floor of the first iterate.  The two
+    conditions are: feasibility alpha + alpha^{-t/s} ||A||^2 +
+    alpha^{-p/s} ||B||^2 < lambda_min(Q), and contraction
+    t beta^{-t/s} ||A||^2 + p beta^{-p/s} ||B||^2 < s beta, which is
+    equivalent to delta < 1.
+    """
+
+    alpha: float
+    beta: float
+    delta: float
+    feasibility: Verdict
+    contraction: Verdict
+    scheme_applies: bool
+
+
+@dataclass(frozen=True)
+class CoupledCheck(_Precheck):
     """Precondition verdicts of the coupled scheme for a given b.
 
     a = lambda_min(A Q^-1 A*), theta = lambda_min(A* A) / b.  The four
@@ -148,13 +156,6 @@ class CoupledCheck:
     contraction_a: Verdict
     contraction_b: Verdict
     scheme_applies: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.scheme_applies and all(
-            v.holds
-            for v in (self.separation, self.domination, self.contraction_a, self.contraction_b)
-        )
 
 
 @dataclass
@@ -238,59 +239,47 @@ def alpha_search(P: ProblemInstance) -> float | None:
 
 def fixed_point_check(P: ProblemInstance, alpha: float) -> FixedPointCheck:
     """Evaluate the fixed-point scheme preconditions at a starting alpha."""
-    return _fixed_point_start(P, float(alpha))[0]
+    return _fixed_point_start(P, alpha)[0]
 
 
 def _fixed_point_start(P: ProblemInstance, alpha: float) -> tuple[FixedPointCheck, tuple | None]:
     """(fixed_point_check(P, alpha), start): start is (Y_1, values, vectors),
     the first iterate after Y_0 = alpha I with the eigendecomposition beta is
-    read from, or None when alpha <= 0 or a weight of Y_1 overflows."""
+    read from, or None when a weight of Y_1 overflows."""
+    alpha = _positive(alpha, "alpha")
     norm_a, norm_b = P._norm_a, P._norm_b
     e_t, e_p = P.t / P.s, P.p / P.s
     lmq = P._lambda_min_q
-    scheme_applies = P.s >= max(P.t, P.p)
-    feas_lhs = math.inf
+    feas_lhs = alpha + _monomial(1.0, (alpha, -e_t), (norm_a, 2.0))
+    feas_lhs += _monomial(1.0, (alpha, -e_p), (norm_b, 2.0))
+    # feas_lhs >= alpha, so feasibility also has alpha < lambda_min(Q)
+    feasibility = Verdict(feas_lhs < lmq, feas_lhs, lmq)
     beta = -math.inf
     start = None
-    if alpha > 0.0:
-        feas_lhs = alpha + _monomial(1.0, (alpha, -e_t), (norm_a, 2.0))
-        feas_lhs += _monomial(1.0, (alpha, -e_p), (norm_b, 2.0))
-        # Y_1 = Q - alpha^-(t/s) A* A - alpha^-(p/s) B* B is unbounded below
-        # when a weight overflows (the first, as t >= p): beta keeps its limit -inf
-        if _monomial(1.0, (alpha, -e_t)) < math.inf:
-            Y_1 = _first_iterate(P, alpha)
-            start = (Y_1, *np.linalg.eigh(Y_1))
-            beta = float(start[1][0])
-    feasible = 0.0 < alpha <= lmq and feas_lhs < lmq
+    # Y_1 = Q - alpha^-(t/s) A* A - alpha^-(p/s) B* B, from the cached A* A and B* B,
+    # is unbounded below when a weight overflows (the first, as t >= p): beta
+    # keeps its limit -inf
+    w_a, w_b = _monomial(1.0, (alpha, -e_t)), _monomial(1.0, (alpha, -e_p))
+    if w_a < math.inf:
+        Y_1 = mc.hermitian_part(P.Q - w_a * P._ata - w_b * P._btb)
+        start = (Y_1, *np.linalg.eigh(Y_1))
+        beta = float(start[1][0])
+    contraction_lhs = delta = math.inf
     if beta > 0.0:
         contraction_lhs = _monomial(P.t, (beta, -e_t), (norm_a, 2.0))
         contraction_lhs += _monomial(P.p, (beta, -e_p), (norm_b, 2.0))
         delta = _monomial(e_t, (norm_a, 2.0), (beta, -e_t - 1.0))
         delta += _monomial(e_p, (norm_b, 2.0), (beta, -e_p - 1.0))
-    else:
-        contraction_lhs = math.inf
-        delta = math.inf
     contraction_rhs = P.s * beta
     check = FixedPointCheck(
         alpha=alpha,
-        feasibility_lhs=feas_lhs,
-        lambda_min_q=lmq,
         beta=beta,
-        contraction_lhs=contraction_lhs,
-        contraction_rhs=contraction_rhs,
         delta=delta,
-        scheme_applies=scheme_applies,
-        feasible=feasible,
-        contractive=contraction_lhs < contraction_rhs,
+        feasibility=feasibility,
+        contraction=Verdict(contraction_lhs < contraction_rhs, contraction_lhs, contraction_rhs),
+        scheme_applies=P.s >= max(P.t, P.p),
     )
     return check, start
-
-
-def _first_iterate(P: ProblemInstance, alpha: float) -> np.ndarray:
-    """Y_1 = Q - alpha^{-t/s} A* A - alpha^{-p/s} B* B, the fixed-point
-    iterate after Y_0 = alpha I, from the cached A* A and B* B."""
-    w_a, w_b = _monomial(1.0, (alpha, -P.t / P.s)), _monomial(1.0, (alpha, -P.p / P.s))
-    return mc.hermitian_part(P.Q - w_a * P._ata - w_b * P._btb)
 
 
 def _eigh_pd(M: np.ndarray, what: str):
@@ -330,14 +319,10 @@ def solve_fixed_point(P: ProblemInstance, opts: SolveOptions | None = None) -> S
                     "(enable force to iterate anyway)"
                 )
             alpha, _ = _best_alpha(P)  # force: the unconstrained minimizer
-    check, start = _fixed_point_start(P, float(alpha))
+    check, start = _fixed_point_start(P, alpha)
     if not check.ok and not opts.force:
-        raise PreconditionError(_fixed_point_failure_message(check))
+        raise _precondition_error(Scheme.FIXED_POINT, check)
     alpha = check.alpha
-    if not mc.is_pd_spectrum(np.array([alpha])):
-        raise PositivityError(
-            f"iterate 0 is not positive definite (lambda_min = {alpha:.3e})"
-        )
     e_t = P.t / P.s
     e_p = P.p / P.s
     # Y_0 = alpha I is never decomposed: Y_1 is known in closed form, its
@@ -345,7 +330,7 @@ def solve_fixed_point(P: ProblemInstance, opts: SolveOptions | None = None) -> S
     # 2-norm of lambda(Y_1) - alpha.  Each later iterate gets one eigh, which
     # feeds the next step or, for the last one, the lift and the residual
     # certificate.
-    if start is None:  # only a forced run gets here with alpha > 0
+    if start is None:  # only a forced run gets here
         raise OverflowError(f"alpha^(-t/s) overflows at alpha = {alpha:.6g}, so Y_1 is unbounded")
     Y, values, vectors = start
     _require_pd(values, "iterate 1")
@@ -392,20 +377,20 @@ def _lift_and_certify(
     )
 
 
-def _fixed_point_failure_message(check: FixedPointCheck) -> str:
+def _precondition_error(scheme: Scheme, check: FixedPointCheck | CoupledCheck) -> PreconditionError:
+    """The one failure message of both prechecks: each failed condition with its two sides."""
+    fixed_point = scheme is Scheme.FIXED_POINT
     problems = []
     if not check.scheme_applies:
-        problems.append("s is not the largest exponent (intended scheme is coupled)")
-    if not check.feasible:
-        problems.append(
-            f"alpha = {check.alpha:.6g} infeasible: lhs {check.feasibility_lhs:.6g} "
-            f"must stay below lambda_min(Q) = {check.lambda_min_q:.6g} with alpha in range"
-        )
-    if not check.contractive:
-        problems.append(
-            f"contraction fails: {check.contraction_lhs:.6g} >= {check.contraction_rhs:.6g}"
-        )
-    return "fixed-point preconditions failed: " + "; ".join(problems)
+        exponent, other = ("s", Scheme.COUPLED) if fixed_point else ("t", Scheme.FIXED_POINT)
+        problems.append(f"{exponent} is not the largest exponent (intended scheme is {other.value})")
+    for name, v in check._verdicts().items():
+        if not v.holds:
+            note = f" ({v.note})" if v.note else ""
+            problems.append(f"{name} fails: {v.lhs:.6g} vs {v.rhs:.6g}{note}")
+    start = f"alpha = {check.alpha:.6g}" if fixed_point else f"b = {check.b:.6g}"
+    head = f"{scheme.value} preconditions failed at {start}: "
+    return PreconditionError(head + "; ".join(problems))
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +405,7 @@ def coupled_check(P: ProblemInstance, b: float) -> CoupledCheck:
     power fail and delta is inf (never NaN); domination fails unformed (lhs -inf) once
     ||A||^2 / b exceeds lambda_max(Q), or where a is 0 or b^(s/t), a^(-p/t) overflows.
     """
-    b = float(b)
-    if not (math.isfinite(b) and b > 0.0):
-        raise ValueError(f"b must be a positive real, got {b}")
+    b = _positive(b, "b")
     norm_a, norm_b = P._norm_a, P._norm_b
     a = _coupled_a(P)
     theta = P._lambda_min_ata / b
@@ -520,9 +503,9 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
                     "(enable force to iterate anyway)"
                 )
             b = 2.0 * _coupled_a(P)
-    check = coupled_check(P, float(b))
+    check = coupled_check(P, b)
     if not check.ok and not opts.force:
-        raise PreconditionError(_coupled_failure_message(check))
+        raise _precondition_error(Scheme.COUPLED, check)
     e_s = P.s / P.t
     e_p = P.p / P.t
     n = P.n
@@ -592,29 +575,6 @@ def _inverse_congruence(inner: np.ndarray, adj_a: np.ndarray, it: int) -> np.nda
             f"definiteness at iteration {it} (lambda_min = {inner_vals[0]:.3e})"
         )
     return mc.hermitian_part(mc.congruence(inner_vecs, 1.0 / inner_vals, adj_a))
-
-
-def _coupled_failure_message(check: CoupledCheck) -> str:
-    problems = []
-    if not check.scheme_applies:
-        problems.append("t is not the largest exponent (intended scheme is fixed-point)")
-    if not check.separation.holds:
-        problems.append(f"separation fails: b = {check.b:.6g} <= a = {check.a:.6g}")
-    if not check.domination.holds:
-        problems.append(
-            f"domination fails: lambda_min(Q - lower bound) = {check.domination.lhs:.6g} < 0"
-        )
-    if not check.contraction_a.holds:
-        problems.append(
-            f"first contraction fails: {check.contraction_a.lhs:.6g} >= "
-            f"{check.contraction_a.rhs:.6g}"
-        )
-    if not check.contraction_b.holds:
-        problems.append(
-            f"second contraction fails: {check.contraction_b.lhs:.6g} >= "
-            f"{check.contraction_b.rhs:.6g}"
-        )
-    return "coupled preconditions failed: " + "; ".join(problems)
 
 
 def solve(P: ProblemInstance, opts: SolveOptions | None = None) -> SolveReport:

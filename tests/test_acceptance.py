@@ -70,11 +70,11 @@ def test_02_example_1_precondition_scalars(run1):
     _, rep, _ = run1
     chk = rep.precheck
     with guarantee("2: example 1 precondition scalars (1e-10 relative)"):
-        assert rel(chk.feasibility_lhs, 1.06191157562005) <= 1e-10
+        assert rel(chk.feasibility.lhs, 1.06191157562005) <= 1e-10
         assert rel(chk.beta, 1.946624597494775) <= 1e-10
         # third reference value carries an obvious duplicated digit; stored corrected
-        assert rel(chk.contraction_lhs, 0.071601214949702) <= 1e-10
-        assert rel(chk.contraction_rhs, 5.839873792484324) <= 1e-10
+        assert rel(chk.contraction.lhs, 0.071601214949702) <= 1e-10
+        assert rel(chk.contraction.rhs, 5.839873792484324) <= 1e-10
 
 
 def test_03_example_2_reproduction(run2):

@@ -127,6 +127,16 @@ class TestSolve:
         res = run_cli("solve", "--example", "1", "--alpha", "1e-9")
         assert res.returncode == 3
 
+    @pytest.mark.parametrize("force", [(), ("--force",)], ids=["", "force"])
+    @pytest.mark.parametrize("which, flag", [(1, "--alpha"), (2, "--b")])
+    @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
+    def test_start_scalar_not_finite_and_positive_exits_2(self, capsys, which, flag, value, force):
+        # forced or not, a start that is not finite and positive is a usage error
+        code = cli.main(["solve", "--example", str(which), f"{flag}={value}", *force])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "must be finite and positive" in err
+
     @pytest.mark.parametrize("force", [False, True])
     def test_coupled_start_rounding_to_zero_exits_3(self, tmp_path, force):
         # the coupled scheme has no lower start, forced or not
@@ -489,6 +499,22 @@ class TestMainEntry:
         from nmeq.cli import main
 
         assert main(["solve", "--example", "1", "--bogus"]) == 2
+
+    def test_parser_is_built_once_per_process(self, monkeypatch, capsys):
+        builds = []
+        build = cli._build_parser
+
+        def counting():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "_build_parser", counting)
+        assert cli.main(["bounds", "--example", "1"]) == 0
+        assert cli.main(["solve", "--example", "1", "--bogus"]) == 2
+        assert cli.main(["check", "--example", "2"]) == 0
+        capsys.readouterr()
+        assert len(builds) == 1
 
     def test_exception_outside_the_exit_table_propagates(self, monkeypatch, capsys):
         # only the documented exceptions map to exit codes; a programming

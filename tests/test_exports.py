@@ -1,7 +1,8 @@
 """Export guard: every advertised name resolves, and the package API is
 exactly the pinned 55 names, so a deletion cannot leave a stale export.  The
-fields of SolveOptions and SolveReport are pinned too, so a new option or a
-per-iteration field on the report shows up as a test change."""
+fields of SolveOptions, SolveReport and the two scheme prechecks are pinned
+too, so a new option, a per-iteration field on the report or a new precheck
+field shows up as a test change."""
 
 import importlib
 import os
@@ -58,6 +59,16 @@ def test_solve_fields_are_pinned():
         "solution_X", "solution_Y", "scheme", "iterations", "residual", "history",
         "delta", "extremality", "preconditions_held", "swap_applied", "converged",
         "lift_root", "precheck", "refined_bracket",
+    ]
+
+
+def test_precheck_fields_are_pinned():
+    assert [f.name for f in fields(nmeq.solvers.FixedPointCheck)] == [
+        "alpha", "beta", "delta", "feasibility", "contraction", "scheme_applies",
+    ]
+    assert [f.name for f in fields(nmeq.solvers.CoupledCheck)] == [
+        "b", "a", "theta", "delta", "separation", "domination", "contraction_a",
+        "contraction_b", "scheme_applies",
     ]
 
 

@@ -7,6 +7,7 @@ sign-change-bisection scalar oracle, which shares no code with the matrix
 iteration path.
 """
 
+import dataclasses
 import decimal
 import itertools
 import math
@@ -40,6 +41,23 @@ def scalar_instance(q, a, b, s=1.0, t=1.0, p=1.0):
 
 def diag_instance(qd, ad, bd, s, t, p):
     return analysis.ProblemInstance(np.diag(ad), np.diag(bd), np.diag(qd), s, t, p)
+
+
+def assert_names_failed_verdicts(solve, P, opts, check, failed):
+    """solve(P, opts) raises a PreconditionError naming each failed verdict of
+    check with its two sides, and no verdict that holds."""
+    with pytest.raises(solvers.PreconditionError) as info:
+        solve(P, opts)
+    message = str(info.value)
+    verdicts = {
+        f.name: getattr(check, f.name)
+        for f in dataclasses.fields(check)
+        if isinstance(getattr(check, f.name), analysis.Verdict)
+    }
+    assert {name for name, v in verdicts.items() if not v.holds} == failed
+    for name, v in verdicts.items():
+        named = f"{name} fails: {v.lhs:.6g} vs {v.rhs:.6g}" in message
+        assert named == (name in failed), (name, message)
 
 
 # s = t instance on which both schemes' preconditions hold; calibrated so
@@ -138,8 +156,8 @@ class TestAlphaSearch:
         alpha = solvers.alpha_search(P)
         assert alpha is not None
         check = solvers.fixed_point_check(P, alpha)
-        assert check.feasible
-        assert check.feasibility_lhs < 2.0
+        assert check.feasibility.holds
+        assert check.feasibility.lhs < 2.0
 
     def test_huge_coefficients_infeasible(self):
         P = analysis.ProblemInstance(
@@ -170,10 +188,10 @@ class TestAlphaSearch:
 class TestFixedPoint:
     def test_example_1_precheck_scalars(self):
         check = solvers.fixed_point_check(builtin.example(1).instance, 1.0)
-        assert check.feasibility_lhs == pytest.approx(1.0619115756200548, rel=1e-12)
+        assert check.feasibility.lhs == pytest.approx(1.0619115756200548, rel=1e-12)
         assert check.beta == pytest.approx(1.946624597494776, rel=1e-12)
-        assert check.contraction_lhs == pytest.approx(0.07160121494970163, rel=1e-12)
-        assert check.contraction_rhs == pytest.approx(5.839873792484328, rel=1e-12)
+        assert check.contraction.lhs == pytest.approx(0.07160121494970163, rel=1e-12)
+        assert check.contraction.rhs == pytest.approx(5.839873792484328, rel=1e-12)
         assert check.delta == pytest.approx(0.012260746977417454, rel=1e-12)
         assert check.ok
 
@@ -276,22 +294,29 @@ class TestFixedPoint:
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0])
     def test_forced_nonpositive_alpha_loses_positivity(self, alpha):
-        with pytest.raises(solvers.PositivityError, match="iterate 0"):
-            solvers.solve_fixed_point(
-                builtin.example(1).instance, solvers.SolveOptions(alpha=alpha, force=True)
-            )
+        # a start that is not finite and positive is rejected with the options
+        with pytest.raises(ValueError, match="alpha must be finite and positive"):
+            solvers.SolveOptions(alpha=alpha, force=True)
 
     def test_infeasible_alpha_raises(self):
-        with pytest.raises(solvers.PreconditionError, match="infeasible"):
+        with pytest.raises(solvers.PreconditionError, match="feasibility fails"):
             solvers.solve_fixed_point(
                 builtin.example(1).instance, solvers.SolveOptions(alpha=1e-9)
             )
+
+    def test_failure_message_names_every_failed_verdict(self):
+        P = builtin.example(1).instance
+        check = solvers.fixed_point_check(P, 1e-9)
+        assert_names_failed_verdicts(
+            solvers.solve_fixed_point, P, solvers.SolveOptions(alpha=1e-9), check,
+            {"feasibility", "contraction"},
+        )
 
     def test_force_runs_with_unknown_extremality(self):
         # alpha = 1.99 pushes the feasibility lhs just past lambda_min(Q) = 2
         # while the iteration itself still stays positive definite
         check = solvers.fixed_point_check(builtin.example(1).instance, 1.99)
-        assert not check.feasible
+        assert not check.feasibility.holds
         rep = solvers.solve_fixed_point(
             builtin.example(1).instance,
             solvers.SolveOptions(alpha=1.99, force=True),
@@ -410,6 +435,14 @@ class TestCoupled:
             solvers.solve_coupled(
                 builtin.example(2).instance, solvers.SolveOptions(b_upper=0.4)
             )
+
+    def test_failure_message_names_every_failed_verdict(self):
+        P = builtin.example(2).instance
+        check = solvers.coupled_check(P, 0.4)
+        assert_names_failed_verdicts(
+            solvers.solve_coupled, P, solvers.SolveOptions(b_upper=0.4), check,
+            {"separation", "domination"},
+        )
 
     def test_wrong_scheme_raises(self):
         with pytest.raises(solvers.PreconditionError, match="fixed-point"):
@@ -771,7 +804,7 @@ class TestScalarRange:
         # t/s = 400: alpha^(-t/s) overflows, so Y_1 is unbounded below
         P = analysis.ProblemInstance(0.1 * np.eye(3), 0.05 * np.eye(3), np.eye(3), 1, 400, 1)
         check = solvers.fixed_point_check(P, 0.01)
-        assert check.feasibility_lhs == math.inf and check.beta == -math.inf
+        assert check.feasibility.lhs == math.inf and check.beta == -math.inf
         assert check.delta == math.inf and not check.ok
 
     @pytest.mark.parametrize("which", [1, 2])
@@ -800,7 +833,7 @@ class TestScalarRange:
                 assert agrees(float(w), D(g) ** (D(-2) / 3) * D(1e-200) ** 2)
         assert solvers.alpha_search(P) is None
         alpha, feasible = solvers._best_alpha(P)
-        assert not feasible and not solvers.fixed_point_check(P, alpha).feasible
+        assert not feasible and not solvers.fixed_point_check(P, alpha).feasibility.holds
         with pytest.raises(solvers.PreconditionError, match="no feasible starting scalar"):
             solvers.solve(P)
 
@@ -841,8 +874,8 @@ class TestScalarRange:
             feas = alpha + alpha**-e_t * na**2 + alpha**-e_p * nb**2
             contraction = 2 * beta**-e_t * na**2 + beta**-e_p * nb**2
             delta = e_t * na**2 * beta ** (-e_t - 1) + e_p * nb**2 * beta ** (-e_p - 1)
-        assert agrees(check.feasibility_lhs, feas)
-        assert agrees(check.contraction_lhs, contraction)
+        assert agrees(check.feasibility.lhs, feas)
+        assert agrees(check.contraction.lhs, contraction)
         assert agrees(check.delta, delta)
         assert not check.ok
 
