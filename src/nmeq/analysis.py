@@ -72,13 +72,12 @@ class ProblemInstance:
     instance has real extremal solutions (conj(X) solves it whenever X
     does), so it is solved in real arithmetic.
 
-    Q is validated here once; the matrices are stored read-only.  The
-    invariants every condition check and solver reads (||A||, ||B||, ||Q||,
-    the spectrum of Q, A Q^-1 A* and B Q^-1 B* with their spectra, A* A,
-    B* B, Q^(1/s), the derived scalars) are therefore computed once per
-    instance: the norms of A and B and the eigendecomposition of Q come out
-    of validation, the rest on first use, and all of them are kept in
-    private attributes.
+    Q is validated here once; the matrices are stored read-only.  The invariants
+    every condition check and solver reads (||A||, ||B||, ||Q||, the spectrum of Q,
+    A Q^-1 A* and B Q^-1 B* with their spectra, A* A, B* B, their Rayleigh quotients
+    at the eigenvectors of Q, Q^(1/s), the derived scalars) are therefore computed
+    once per instance: the norms of A and B and the eigendecomposition of Q come out
+    of validation, the rest on first use, and all are kept in private attributes.
     """
 
     A: np.ndarray
@@ -157,6 +156,15 @@ class ProblemInstance:
     @cached_property
     def _bqb_eig(self) -> tuple[np.ndarray, np.ndarray]:
         return self._inverse_q_eig(self.B)
+
+    @cached_property
+    def _q_rayleigh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """lambda(Q), and ||A v_i||^2, ||B v_i||^2 (inf on overflow) at the unit
+        eigenvectors v_i of Q: the Rayleigh quotients of Q, A* A and B* B there."""
+        q_values, q_vectors = self._q_eig
+        with np.errstate(over="ignore"):
+            k_a, k_b = (np.sum(np.abs(M @ q_vectors) ** 2, axis=0) for M in (self.A, self.B))
+        return q_values, _read_only(k_a), _read_only(k_b)
 
     @cached_property
     def _ata(self) -> np.ndarray:

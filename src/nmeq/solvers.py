@@ -26,7 +26,7 @@ import numpy as np
 
 from . import matcore as mc
 from .analysis import ProblemInstance, Verdict, _accept_candidate, _loewner_verdict, _residual
-from .analysis import _NORMAL, _exceeds_q, _monomial, _positive
+from .analysis import _NORMAL, _exceeds_q, _loewner_tol, _monomial, _positive
 
 __all__ = [
     "PreconditionError",
@@ -145,6 +145,7 @@ class CoupledCheck(_Precheck):
     conditions are: separation b > a; domination Q >= b^-1 A* A +
     b^{s/t} I + a^{-p/t} B* B; the two contraction inequalities
     s ||A||^2 < t theta^2 a^{1-s/t} / 2 and p ||B||^2 < s a^{(p+s)/t}.
+    A domination failed unformed (see coupled_check) reads "-inf vs 0", at any b.
     """
 
     b: float
@@ -402,8 +403,9 @@ def coupled_check(P: ProblemInstance, b: float) -> CoupledCheck:
 
     Every verdict is decided, the scalar powers by _monomial: where lambda_min(A* A)
     or a = lambda_min(A Q^-1 A*) rounds to 0, the conditions it enters as a negative
-    power fail and delta is inf (never NaN); domination fails unformed (lhs -inf) once
-    ||A||^2 / b exceeds lambda_max(Q), or where a is 0 or b^(s/t), a^(-p/t) overflows.
+    power fail and delta is inf (never NaN).  Domination fails unformed (lhs -inf) once
+    ||A||^2 / b exceeds lambda_max(Q), where a is 0 or b^(s/t), a^(-p/t) overflows, or
+    where _rayleigh_fails proves it; otherwise its matrix is formed and lhs is its gap.
     """
     b = _positive(b, "b")
     norm_a, norm_b = P._norm_a, P._norm_b
@@ -413,8 +415,9 @@ def coupled_check(P: ProblemInstance, b: float) -> CoupledCheck:
     domination = Verdict(False, -math.inf, 0.0)
     w_b, w_a = _monomial(1.0, (b, P.s / P.t)), _monomial(1.0, (a, -P.p / P.t))
     # lambda_max(dom_rhs) >= ||A||^2 / b, as its other two terms are PSD
-    past_q = _exceeds_q(P, _monomial(1.0, (norm_a, 2.0), (b, -1.0)))
-    if a > 0.0 and max(w_b, w_a) < math.inf and not past_q:
+    norm_a2_b = _monomial(1.0, (norm_a, 2.0), (b, -1.0))
+    formable = a > 0.0 and max(w_b, w_a) < math.inf and not _exceeds_q(P, norm_a2_b)
+    if formable and not _rayleigh_fails(P, b, w_b, w_a, norm_a2_b):
         dom_rhs = mc.hermitian_part(P._ata / b + w_b * np.eye(P.n) + w_a * P._btb)
         # dom_rhs is positive semidefinite, so wherever the verdict is close,
         # ||dom_rhs|| <= ||Q|| + |gap|: scaling the tolerance by ||Q|| alone
@@ -450,6 +453,21 @@ def coupled_check(P: ProblemInstance, b: float) -> CoupledCheck:
         contraction_b=contraction_b,
         scheme_applies=P.t >= max(P.s, P.p),
     )
+
+
+def _rayleigh_fails(P: ProblemInstance, b: float, w_b: float, w_a: float, norm_a2_b: float) -> bool:
+    """Whether Q >= A* A / b + w_b I + w_a B* B (norm_a2_b = ||A||^2 / b) fails unformed:
+    lambda_min of Q minus the right side is <= r_i = q_i - ||A v_i||^2 / b - w_b -
+    w_a ||B v_i||^2 at each unit eigenvector v_i of Q (Courant-Fischer; P._q_rayleigh).
+    A non-finite r_i, from an overflowing ||A v_i||^2 say, never rejects."""
+    q, k_a, k_b = P._q_rayleigh
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = float(np.min(q - k_a / b - w_b - w_a * k_b))
+    # r and the gap the matrix verdict would compute each stray from the exact bound by
+    # rounding in the four terms and two eigensolvers, a small multiple of n eps S for S
+    # bounding every term; _loewner_tol(S) = 1e-10 max(S, 1) is 1700 n eps S at n = 256.
+    size = P._norm_q + norm_a2_b + w_b + w_a * _monomial(1.0, (P._norm_b, 2.0))
+    return math.isfinite(r) and r < -_loewner_tol(P._norm_q) - _loewner_tol(size)
 
 
 def _coupled_a(P: ProblemInstance) -> float:
@@ -510,8 +528,10 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
     e_p = P.p / P.t
     n = P.n
     adj_a = P.A.conj().T
-    X = check.a * np.eye(n, dtype=P.Q.dtype)
-    Y = check.b * np.eye(n, dtype=P.Q.dtype)
+    eye = np.eye(n, dtype=P.Q.dtype)
+    X, Y = check.a * eye, check.b * eye
+    # X_0 = a I and Y_0 = b I (a, b > 0) are not decomposed: eigh(c I) is exactly (c 1, I)
+    x_eig, y_eig = (np.full(n, check.a), eye), (np.full(n, check.b), eye)
     history: list[HistoryEntry] = []
     refined: tuple[np.ndarray, np.ndarray] | None = None
     converged = False
@@ -527,8 +547,9 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
     # The lower and upper sequences are symmetric; each step runs the lower
     # one first, so the first error raised is the lower sequence's.
     for it in range(1, opts.max_iter + 1):
-        x_eig = _eigh_pd(X, f"lower iterate {it - 1}")
-        y_eig = _eigh_pd(Y, f"upper iterate {it - 1}")
+        if it > 1:
+            x_eig = _eigh_pd(X, f"lower iterate {it - 1}")
+            y_eig = _eigh_pd(Y, f"upper iterate {it - 1}")
         X_next, step_x = lane(x_eig, y_eig, X, it)
         Y_next, step_y = lane(y_eig, x_eig, Y, it)
         history.append(HistoryEntry(it, step_x, step_y))

@@ -470,6 +470,20 @@ class TestCoupled:
         assert solvers.b_search(builtin.example(1).instance) is None
         assert len(bs) == 100
 
+    def test_b_search_forms_few_domination_matrices(self, monkeypatch):
+        # example 2's grid: 13 coupled_check calls; the Rayleigh pretest decides
+        # all but 4 of the domination verdicts the matrix rule decided (10)
+        formed = []
+        original = solvers._loewner_verdict
+
+        def counting(*args):
+            formed.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(solvers, "_loewner_verdict", counting)
+        assert solvers.b_search(builtin.example(2).instance) == pytest.approx(1.048096973706478)
+        assert len(formed) == 4
+
     def test_positivity_loss_aborts(self):
         # a = lambda_min(A Q^-1 A*) = 9, so the lower start X_0 = 9 I already
         # overshoots Q and the inverted matrix turns negative at once
@@ -489,7 +503,8 @@ class TestCoupled:
         )
 
     def test_one_cholesky_per_half_step(self, monkeypatch):
-        # each iteration decomposes X_n and Y_n (two eigh) and inverts both
+        # each iteration after the first decomposes X_n and Y_n (two eigh; the
+        # start pair a I, b I is known exactly) and every iteration inverts both
         # half-steps' matrices through Cholesky; the limit gets one more eigh
         P = builtin.example(2).instance
         solvers.solve_coupled(P)  # fill the instance caches
@@ -504,7 +519,7 @@ class TestCoupled:
             monkeypatch.setattr(np.linalg, name, counting)
         rep = solvers.solve_coupled(P)
         assert rep.converged and rep.preconditions_held
-        assert counts == {"eigh": 2 * rep.iterations + 1, "cholesky": 2 * rep.iterations}
+        assert counts == {"eigh": 2 * rep.iterations - 1, "cholesky": 2 * rep.iterations}
 
     def test_degenerate_tie_cannot_start(self):
         # q=2, a2=b2=0.25, s=t=p=1: X_0 = (a2/q) I makes B* X_0^-1 B equal Q
@@ -844,22 +859,39 @@ class TestScalarRange:
         assert check.domination == analysis.Verdict(False, -math.inf, 0.0)
         assert not check.ok
 
-    def test_domination_pretest_agrees_with_the_matrix_verdict(self):
-        # on the b_search grid of a dense instance, the scalar pretest only
-        # fails domination where the matrix verdict fails it too
+    def test_domination_pretest_agrees_with_the_matrix_verdict(self, monkeypatch):
+        # on the b_search grid of a dense instance, each pretest (the scalar bound
+        # ||A||^2 / b and the Rayleigh quotients) only fails domination where the
+        # matrix verdict fails it too, and both of them fire
         P = _dense_instance(np.random.default_rng(7), 16, "coupled")
-        a = solvers._coupled_a(P)
-        skipped = 0
-        upper = 10.0 * mc.lambda_max(P.Q) ** (P.t / P.s)
-        for b in np.geomspace(a * (1.0 + 1e-6), upper, 100):
-            check = solvers.coupled_check(P, float(b))
-            dom_rhs = mc.hermitian_part(
-                P._ata / b + b ** (P.s / P.t) * np.eye(P.n) + a ** (-P.p / P.t) * P._btb
-            )
-            want = analysis._loewner_verdict(dom_rhs, P.Q, P._norm_q)
+        fired = {"_exceeds_q": [], "_rayleigh_fails": []}
+        for name, calls in fired.items():
+            monkeypatch.setattr(solvers, name, _recording(getattr(solvers, name), calls))
+        for b in _b_grid(P):
+            rejections = sum(sum(calls) for calls in fired.values())
+            check = solvers.coupled_check(P, b)
+            want = _matrix_domination(P, b)
             assert check.domination.holds == want.holds
-            skipped += check.domination.lhs == -math.inf
-        assert skipped > 0
+            if sum(sum(calls) for calls in fired.values()) > rejections:
+                assert check.domination == analysis.Verdict(False, -math.inf, 0.0)
+            else:
+                assert check.domination == want
+        assert all(sum(calls) > 0 for calls in fired.values())
+
+    def test_overflowing_rayleigh_bank_never_rejects(self):
+        # ||A v||^2 = 1e320 overflows while ||A||^2 / b <= ||Q|| passes
+        # _exceeds_q: the pretest does not reject, and the bank raises no warning
+        I3 = np.eye(3)
+        P = analysis.ProblemInstance(1e160 * I3, 1e150 * I3, 1e300 * I3, 3.0, 4.0, 1.0)
+        _, k_a, k_b = P._q_rayleigh
+        assert np.all(np.isinf(k_a)) and np.all(np.isfinite(k_b))
+        a = solvers._coupled_a(P)
+        w_a = analysis._monomial(1.0, (a, -P.p / P.t))
+        for b in (1e21, 1e30, 1e100):
+            norm_a2_b = analysis._monomial(1.0, (P._norm_a, 2.0), (b, -1.0))
+            assert not analysis._exceeds_q(P, norm_a2_b)
+            w_b = analysis._monomial(1.0, (b, P.s / P.t))
+            assert not solvers._rayleigh_fails(P, b, w_b, w_a, norm_a2_b)
 
     def test_fixed_point_delta_matches_decimal_evaluation(self):
         # ||A||^2 underflows and beta^(-t/s - 1) overflows: their product is finite
@@ -965,6 +997,90 @@ def _dense_instance(rng, n, scheme):
         A, t = _scaled(rng, n, 2.0, 0.98), 4.0
     B = _scaled(rng, n, 0.1, 0.5)
     return analysis.ProblemInstance(A, B, 0.5 * (Q + Q.T), 3.0, t, 1.0)
+
+
+def _b_grid(P):
+    """The 100 grid points b_search walks, as floats."""
+    a = solvers._coupled_a(P)
+    upper = 10.0 * mc.lambda_max(P.Q) ** (P.t / P.s)
+    return [float(b) for b in np.geomspace(a * (1.0 + 1e-6), upper, 100)]
+
+
+def _matrix_domination(P, b):
+    """coupled_check's domination verdict at b, with its matrix always formed."""
+    a = solvers._coupled_a(P)
+    dom_rhs = mc.hermitian_part(
+        P._ata / b + b ** (P.s / P.t) * np.eye(P.n) + a ** (-P.p / P.t) * P._btb
+    )
+    return analysis._loewner_verdict(dom_rhs, P.Q, P._norm_q)
+
+
+def _recording(function, calls):
+    """function, appending each of its results to calls."""
+
+    def recorded(*args):
+        calls.append(function(*args))
+        return calls[-1]
+
+    return recorded
+
+
+def _pretest_instance(seed):
+    """A coupled instance (s, t, p) = (3, 4, 1) with Q eigenvalues in [6, 9.5],
+    ||A|| in [1.6, 2.4] and ||B|| <= 0.1: n in 2..32, complex for odd seeds, and A
+    near-unitary (singular values of A / ||A|| in [0.98, 1]) for seeds 0, 1 mod 4,
+    else Gaussian.  Returns the instance and whether A is near-unitary."""
+    rng = np.random.default_rng([14, seed])
+    cplx, unitary = seed % 2 == 1, seed % 4 < 2
+    n = int(rng.integers(2, 33))
+
+    def orthogonal():
+        return random_unitary(rng, n) if cplx else _orthogonal(rng, n)
+
+    U = orthogonal()
+    Q = (U * rng.uniform(6.0, 9.5, n)) @ U.conj().T
+    if unitary:
+        A = (orthogonal() * rng.uniform(0.98, 1.0, n)) @ orthogonal().conj().T
+    else:
+        A = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if cplx else 0.0)
+    A *= rng.uniform(1.6, 2.4) / np.linalg.norm(A, 2)
+    B = 0.1 * (orthogonal() * rng.uniform(0.5, 1.0, n)) @ orthogonal().conj().T
+    return analysis.ProblemInstance(A, B, 0.5 * (Q + Q.conj().T), 3.0, 4.0, 1.0), unitary
+
+
+class TestRayleighPretest:
+    """coupled_check fails the domination Q >= A* A / b + b^(s/t) I + a^(-p/t) B* B
+    unformed when a Rayleigh quotient at an eigenvector of Q is negative past the
+    Loewner tolerance and its rounding allowance.  That must never change a
+    verdict, so b_search picks the same b with the pretest or without it."""
+
+    def test_rejections_are_sound_and_b_search_is_unchanged(self, monkeypatch):
+        pretest = solvers._rayleigh_fails
+        calls = []
+        monkeypatch.setattr(solvers, "_rayleigh_fails", _recording(pretest, calls))
+        # by near-unitary A: the matrix tests b_search's walks reach, and skip
+        reached, skipped = {True: 0, False: 0}, {True: 0, False: 0}
+        found = 0
+        for seed in range(120):
+            P, unitary = _pretest_instance(seed)
+            for b in _b_grid(P):
+                calls.clear()
+                check = solvers.coupled_check(P, b)
+                if calls and calls[-1]:
+                    assert check.domination == analysis.Verdict(False, -math.inf, 0.0)
+                    assert not _matrix_domination(P, b).holds, (seed, b)
+            calls.clear()
+            chosen = solvers.b_search(P)
+            reached[unitary] += len(calls)
+            skipped[unitary] += sum(calls)
+            monkeypatch.setattr(solvers, "_rayleigh_fails", lambda *args: False)
+            assert solvers.b_search(P) == chosen, seed
+            monkeypatch.setattr(solvers, "_rayleigh_fails", _recording(pretest, calls))
+            found += chosen is not None
+        assert found >= 30
+        # near-unitary A: about 88% of them skipped; Gaussian A: about 48%
+        assert skipped[True] > 0.7 * reached[True]
+        assert skipped[False] > 0.3 * reached[False]
 
 
 class TestBoundedMemory:
