@@ -46,15 +46,15 @@ class NotASolutionError(ValueError):
     """A candidate matrix fails the equation residual check."""
 
 
-def _require_nonsingular(M: np.ndarray, name: str) -> float:
-    """Reject a (numerically) singular M; return its spectral norm."""
+def _require_nonsingular(M: np.ndarray, name: str) -> tuple[float, float]:
+    """Reject a (numerically) singular M; return its largest and smallest singular values."""
     sv = np.linalg.svd(M, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] <= 1e-12 * sv[0]:
         raise ValueError(
             f"{name} must be nonsingular (singular values span "
             f"[{sv[-1]:.3e}, {sv[0]:.3e}])"
         )
-    return float(sv[0])
+    return float(sv[0]), float(sv[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,11 +73,11 @@ class ProblemInstance:
     does), so it is solved in real arithmetic.
 
     Q is validated here once; the matrices are stored read-only.  The invariants
-    every condition check and solver reads (||A||, ||B||, ||Q||, the spectrum of Q,
-    A Q^-1 A* and B Q^-1 B* with their spectra, A* A, B* B, their Rayleigh quotients
-    at the eigenvectors of Q, Q^(1/s), the derived scalars) are therefore computed
-    once per instance: the norms of A and B and the eigendecomposition of Q come out
-    of validation, the rest on first use, and all are kept in private attributes.
+    every condition check and solver reads (||A||, ||B||, sigma_min(A), ||Q||, the spectrum
+    of Q, A Q^-1 A* and B Q^-1 B* with their spectra, A* A, B* B, their Rayleigh quotients
+    at the eigenvectors of Q, Q^(1/s), the derived scalars) are computed once per instance:
+    the singular values of A and B and the eigendecomposition of Q come out of validation,
+    the rest on first use, and all are kept in private attributes.
     """
 
     A: np.ndarray
@@ -102,16 +102,14 @@ class ProblemInstance:
         q_values, q_vectors = mc.trusted_eigh(Q)
         if not mc.is_pd_spectrum(q_values):
             raise ValueError("Q must be Hermitian positive definite")
-        norm_a = _require_nonsingular(A, "A")
-        norm_b = _require_nonsingular(B, "B")
+        sv_a, sv_b = _require_nonsingular(A, "A"), _require_nonsingular(B, "B")
         s, t, p = float(self.s), float(self.t), float(self.p)
         for name, v in (("s", s), ("t", t), ("p", p)):
             if not (math.isfinite(v) and v >= 1.0):
                 raise ValueError(f"exponent {name} must be finite and >= 1, got {v}")
         swapped = False
         if t < p:
-            A, B = B, A
-            norm_a, norm_b = norm_b, norm_a
+            A, B, sv_a, sv_b = B, A, sv_b, sv_a
             t, p = p, t
             swapped = True
         object.__setattr__(self, "A", A)
@@ -121,8 +119,9 @@ class ProblemInstance:
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "swapped", swapped)
-        object.__setattr__(self, "_norm_a", norm_a)
-        object.__setattr__(self, "_norm_b", norm_b)
+        object.__setattr__(self, "_norm_a", sv_a[0])
+        object.__setattr__(self, "_norm_b", sv_b[0])
+        object.__setattr__(self, "_sigma_min_a", sv_a[1])
         object.__setattr__(self, "_q_eig", _frozen_eig(q_values, q_vectors))
         object.__setattr__(self, "_lambda_min_q", float(q_values[0]))
         object.__setattr__(self, "_lambda_max_q", float(q_values[-1]))
@@ -175,11 +174,6 @@ class ProblemInstance:
     def _btb(self) -> np.ndarray:
         """B* B."""
         return _read_only(self.B.conj().T @ self.B)
-
-    @cached_property
-    def _lambda_min_ata(self) -> float:
-        """lambda_min(A* A), clamped at 0."""
-        return max(mc.trusted_lambda_min(self._ata), 0.0)
 
     @cached_property
     def _q_root(self) -> np.ndarray:
@@ -312,7 +306,13 @@ def _monomial(c: float, *powers: tuple[float, float]) -> float:
             return value
     except (OverflowError, ZeroDivisionError):
         pass
-    return _exp(math.log(c) + sum(r * _log(x) for x, r in powers if r != 0.0))
+    return _exp(_log_monomial(c, *powers))
+
+
+def _log_monomial(c: float, *powers: tuple[float, float]) -> float:
+    """log(c x1^r1 x2^r2 ...) = log c + r1 log x1 + ..., with log 0 = -inf and x^0 = 1:
+    the fallback of _monomial, for comparing monomials past the double range."""
+    return math.log(c) + sum(r * _log(x) for x, r in powers if r != 0.0)
 
 
 def _positive(value: float, name: str) -> float:
@@ -367,13 +367,13 @@ def check_necessary(P: ProblemInstance) -> ConditionReport:
     d = derived_scalars(P)
     branch = "k<=1" if d.k <= 1.0 else "k>1"
     # k^(1 + q_tilde) enters only for k > 1; 1^r is exactly 1
-    bound = _monomial(1.0, (d.q, d.q), (max(d.k, 1.0), 1.0 + d.q_tilde), (d.q + 1.0, -(d.q + 1.0)))
-    rho_a2 = _monomial(1.0, (mc.spectral_radius(P.A), 2.0))
-    rho_b2 = _monomial(1.0, (mc.spectral_radius(P.B), 2.0))
-    verdicts = {
-        "spectral_radius_A": Verdict(rho_a2 < bound, rho_a2, bound),
-        "spectral_radius_B": Verdict(rho_b2 < bound, rho_b2, bound),
-    }
+    powers = ((d.q, d.q), (max(d.k, 1.0), 1.0 + d.q_tilde), (d.q + 1.0, -(d.q + 1.0)))
+    bound, log_bound = _monomial(1.0, *powers), _log_monomial(1.0, *powers)
+    verdicts = {}
+    # decided in logs, so two sides past the double range still compare
+    for name, M in (("spectral_radius_A", P.A), ("spectral_radius_B", P.B)):
+        rho = mc.spectral_radius(M)
+        verdicts[name] = Verdict(2.0 * _log(rho) < log_bound, _monomial(1.0, (rho, 2.0)), bound)
     return _condition_report(P, "necessary", branch, verdicts)
 
 

@@ -27,6 +27,7 @@ from .analysis import (
     ProblemInstance,
     _accept_candidate,
     _loewner_verdict,
+    _monomial,
     _positive,
     _residual,
     check_necessary,
@@ -191,7 +192,7 @@ def cmd_verify(args) -> int:
     bounds = solution_bounds(P)
     eye = np.eye(P.n)
     # X and Q^(1/s) are positive definite: their norms are their largest eigenvalues
-    scale = max(float(values[-1]), P._lambda_max_q ** (1.0 / P.s))
+    scale = max(float(values[-1]), _monomial(1.0, (P._lambda_max_q, 1.0 / P.s)))
 
     def leq(L, R) -> bool:
         return _loewner_verdict(L, R, scale).holds

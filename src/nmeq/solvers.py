@@ -141,10 +141,10 @@ class FixedPointCheck(_Precheck):
 class CoupledCheck(_Precheck):
     """Precondition verdicts of the coupled scheme for a given b.
 
-    a = lambda_min(A Q^-1 A*), theta = lambda_min(A* A) / b.  The four
-    conditions are: separation b > a; domination Q >= b^-1 A* A +
-    b^{s/t} I + a^{-p/t} B* B; the two contraction inequalities
-    s ||A||^2 < t theta^2 a^{1-s/t} / 2 and p ||B||^2 < s a^{(p+s)/t}.
+    a = lambda_min(A Q^-1 A*), theta = lambda_min(A* A) / b = sigma_min(A)^2 / b with
+    sigma_min(A) from the SVD that validated A.  The four conditions are: separation
+    b > a; domination Q >= b^-1 A* A + b^{s/t} I + a^{-p/t} B* B; the two contraction
+    inequalities s ||A||^2 < t theta^2 a^{1-s/t} / 2 and p ||B||^2 < s a^{(p+s)/t}.
     A domination failed unformed (see coupled_check) reads "-inf vs 0", at any b.
     """
 
@@ -401,8 +401,8 @@ def _precondition_error(scheme: Scheme, check: FixedPointCheck | CoupledCheck) -
 def coupled_check(P: ProblemInstance, b: float) -> CoupledCheck:
     """Evaluate the coupled scheme preconditions at an upper scalar b.
 
-    Every verdict is decided, the scalar powers by _monomial: where lambda_min(A* A)
-    or a = lambda_min(A Q^-1 A*) rounds to 0, the conditions it enters as a negative
+    Every verdict is decided, the scalar powers by _monomial: where theta or
+    a = lambda_min(A Q^-1 A*) rounds to 0, the conditions it enters as a negative
     power fail and delta is inf (never NaN).  Domination fails unformed (lhs -inf) once
     ||A||^2 / b exceeds lambda_max(Q), where a is 0 or b^(s/t), a^(-p/t) overflows, or
     where _rayleigh_fails proves it; otherwise its matrix is formed and lhs is its gap.
@@ -410,25 +410,21 @@ def coupled_check(P: ProblemInstance, b: float) -> CoupledCheck:
     b = _positive(b, "b")
     norm_a, norm_b = P._norm_a, P._norm_b
     a = _coupled_a(P)
-    theta = P._lambda_min_ata / b
+    theta = _monomial(1.0, (P._sigma_min_a, 2.0), (b, -1.0))
     separation = Verdict(b > a, a, b, note="requires lhs < rhs")
     domination = Verdict(False, -math.inf, 0.0)
     w_b, w_a = _monomial(1.0, (b, P.s / P.t)), _monomial(1.0, (a, -P.p / P.t))
     # lambda_max(dom_rhs) >= ||A||^2 / b, as its other two terms are PSD
     norm_a2_b = _monomial(1.0, (norm_a, 2.0), (b, -1.0))
-    formable = a > 0.0 and max(w_b, w_a) < math.inf and not _exceeds_q(P, norm_a2_b)
+    formable = max(w_b, w_a) < math.inf and not _exceeds_q(P, norm_a2_b)
     if formable and not _rayleigh_fails(P, b, w_b, w_a, norm_a2_b):
         dom_rhs = mc.hermitian_part(P._ata / b + w_b * np.eye(P.n) + w_a * P._btb)
         # dom_rhs is positive semidefinite, so wherever the verdict is close,
         # ||dom_rhs|| <= ||Q|| + |gap|: scaling the tolerance by ||Q|| alone
         # decides the same way as scaling it by max(||Q||, ||dom_rhs||).
         domination = _loewner_verdict(dom_rhs, P.Q, P._norm_q)
-    rhs_a = 0.0
-    if theta > 0.0:
-        # for s > t the power of a is negative; at a = 0 it is its limit, inf
-        rhs_a = math.inf
-        if a > 0.0 or P.s <= P.t:
-            rhs_a = _monomial(0.5 * P.t, (theta, 2.0), (a, 1.0 - P.s / P.t))
+    # for s > t the power of a is negative, and _monomial gives its limit inf at a = 0
+    rhs_a = _monomial(0.5 * P.t, (theta, 2.0), (a, 1.0 - P.s / P.t)) if theta > 0.0 else 0.0
     lhs_a = _monomial(P.s, (norm_a, 2.0))
     contraction_a = Verdict(lhs_a < rhs_a, lhs_a, rhs_a)
     lhs_b = _monomial(P.p, (norm_b, 2.0))
@@ -622,9 +618,8 @@ class ScalarInstance:
     p: float
 
     def __post_init__(self):
-        for name, v in (("q", self.q), ("a2", self.a2), ("b2", self.b2)):
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be positive, got {v}")
+        for name in ("q", "a2", "b2"):
+            _positive(getattr(self, name), name)
         for name, v in (("s", self.s), ("t", self.t), ("p", self.p)):
             if not (math.isfinite(v) and v >= 1.0):
                 raise ValueError(f"exponent {name} must be >= 1, got {v}")

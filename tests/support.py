@@ -105,7 +105,7 @@ def near_singular_coupled_problem(seed: int = 0):
 
     With seed 0, lambda_min(A Q^-1 A*) rounds to a tiny negative number, so
     the lower starting scalar a clamps to 0.  With seed 2, a = 5.96e-18 is
-    positive rounding noise while lambda_min(A* A) clamps to 0."""
+    positive rounding noise and theta = sigma_min(A)^2 / b is 4.0e-24 at b = 1."""
     rng = np.random.default_rng(seed)
     U, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     V, _ = np.linalg.qr(rng.normal(size=(3, 3)))

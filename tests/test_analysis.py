@@ -246,7 +246,8 @@ class TestCachedInvariants:
         ata = mc.hermitian_part(P.A.conj().T @ P.A)
         assert np.array_equal(P._ata, ata)
         assert np.array_equal(P._btb, P.B.conj().T @ P.B)
-        assert P._lambda_min_ata == max(mc.trusted_lambda_min(ata), 0.0)
+        # sigma_min(A) is kept from the validating SVD, of B where the constructor swapped
+        assert P._sigma_min_a == np.linalg.svd(P.A, compute_uv=False)[-1]
 
     def test_derived_scalars(self, instance):
         d = analysis.derived_scalars(instance)
@@ -305,6 +306,24 @@ class TestNecessary:
         )
         P = analysis.ProblemInstance(A, B, mc.hermitian_part(Q), 2.0, 1.0, 1.0)
         assert analysis.check_necessary(P).holds
+
+    @pytest.mark.parametrize(
+        "scale_a, exponents", [(1e160, (3.0, 4.0, 1.0)), (1e200, (10.0, 1.5, 1.0))]
+    )
+    def test_sides_past_the_double_range_are_compared_in_logs(self, scale_a, exponents):
+        # rho(A)^2 and the bound both overflow to inf (Q = 1e300 I); the verdict is
+        # still their true comparison, in 50-digit decimals: 1e320 < 1e700 holds,
+        # 1e400 < 1e345 fails
+        I3 = np.eye(3)
+        P = analysis.ProblemInstance(scale_a * I3, 1e150 * I3, 1e300 * I3, *exponents)
+        d = analysis.derived_scalars(P)
+        with decimal.localcontext(decimal.Context(prec=50)):
+            q, q_tilde, k = decimal.Decimal(d.q), decimal.Decimal(d.q_tilde), decimal.Decimal(d.k)
+            bound = q**q * k ** (1 + q_tilde) / (q + 1) ** (q + 1)
+            holds = decimal.Decimal(scale_a) ** 2 < bound
+        assert holds == (scale_a == 1e160)
+        verdict = analysis.check_necessary(P).verdicts["spectral_radius_A"]
+        assert verdict == analysis.Verdict(holds, math.inf, math.inf)
 
 
 class TestSufficient:

@@ -7,6 +7,7 @@ user sees, including the exit-code contract:
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ import nmeq
 from nmeq import analysis, builtin, cli, probfile
 from nmeq import matcore as mc
 
-from support import decimal_contraction, near_singular_coupled_problem
+from support import decimal_contraction, near_singular_coupled_problem, random_unitary
 
 # the subprocess imports the same nmeq as the tests, installed or not
 NMEQ_ROOT = str(Path(nmeq.__file__).resolve().parent.parent)
@@ -127,6 +128,23 @@ class TestSolve:
         res = run_cli("solve", "--example", "1", "--alpha", "1e-9")
         assert res.returncode == 3
 
+    def test_forced_indefinite_first_iterate_exits_4(self):
+        # Y_1 = Q - alpha^(-t/s) A* A - alpha^(-p/s) B* B is indefinite at alpha = 1e-6
+        res = run_cli("solve", "--example", "1", "--alpha", "1e-6", "--force")
+        assert res.returncode == 4
+        assert res.stdout == ""
+        assert res.stderr == "error: iterate 1 is not positive definite (lambda_min = -4.555e+02)\n"
+
+    def test_forced_overflowing_first_weight_exits_3(self):
+        # alpha^(-t/s) = 1e400 overflows, so the forced fixed-point run has no Y_1
+        res = run_cli(
+            "solve", "--example", "2", "--scheme", "fixed-point", "--alpha", "1e-300", "--force"
+        )
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert "alpha^(-t/s) overflows at alpha = 1e-300, so Y_1 is unbounded" in res.stderr
+
     @pytest.mark.parametrize("force", [(), ("--force",)], ids=["", "force"])
     @pytest.mark.parametrize("which, flag", [(1, "--alpha"), (2, "--b")])
     @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
@@ -150,8 +168,8 @@ class TestSolve:
         assert "Traceback" not in res.stderr
 
     def test_clamped_theta_ends_in_documented_codes(self, tmp_path):
-        # lambda_min(A* A) clamps to 0: the coupled preconditions fail (exit
-        # 3), and a forced run loses positive definiteness (exit 4)
+        # theta = sigma_min(A)^2 / b is tiny: the coupled preconditions fail
+        # (exit 3), and a forced run loses positive definiteness (exit 4)
         P = analysis.ProblemInstance(*near_singular_coupled_problem(seed=2))
         path = tmp_path / "clamped_theta.json"
         path.write_text(probfile.write_problem(probfile.problem_from_instance(P)))
@@ -343,6 +361,18 @@ class TestArithmeticLimits:
                 seen[command].add(code)
         assert seen == {"check": {0}, "bounds": {0, 3}, "solve": {0, 3}}
 
+    def test_necessary_condition_past_the_double_range_holds(self, tmp_path, capsys):
+        # rho(A)^2 = 1e320 and its bound ~1e700 both print as inf, but the
+        # verdict compares them in logs: no false "no solution" certificate
+        I3 = np.eye(3)
+        P = analysis.ProblemInstance(1e160 * I3, 1e150 * I3, 1e300 * I3, 3.0, 4.0, 1.0)
+        path = tmp_path / "problem.json"
+        path.write_text(probfile.write_problem(probfile.problem_from_instance(P)))
+        assert cli.main(["check", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "necessary condition (spectral radius bound): holds" in out
+        assert "spectral_radius_A: inf vs inf -> holds" in out
+
     @pytest.mark.parametrize(
         "scale, exponents, args, message",
         [
@@ -370,6 +400,25 @@ class TestBounds:
         assert res.returncode == 0
         assert res.stdout.startswith("c: ")
         assert "N:" in res.stdout and "Q^(1/s):" in res.stdout
+
+    def test_complex_entries(self, tmp_path):
+        # a unitary congruence of example 1 has the same bracket scalars, and its
+        # bracket matrices print as re+imj / re-imj entries
+        P = builtin.example(1).instance
+        U = random_unitary(np.random.default_rng(5), P.n)
+        C = analysis.ProblemInstance(
+            *(U.conj().T @ M @ U for M in (P.A, P.B, P.Q)), P.s, P.t, P.p
+        )
+        path = tmp_path / "complex.json"
+        path.write_text(probfile.write_problem(probfile.problem_from_instance(C)))
+        res = run_cli("bounds", str(path))
+        assert res.returncode == 0, res.stderr
+        real = run_cli("bounds", "--example", "1")
+        c, c_real = (float(out.split()[1]) for out in (res.stdout, real.stdout))
+        assert c == pytest.approx(c_real, rel=1e-12)
+        entries = re.findall(r"\[(.*)\]", res.stdout)
+        assert entries and all(len(row.split()) == P.n for row in entries)
+        assert re.search(r"\d[+-]\d[^ \]]*j", res.stdout)
 
     def test_undefined_bracket_exit(self, no_solution_file):
         res = run_cli("bounds", str(no_solution_file))

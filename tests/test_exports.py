@@ -43,6 +43,21 @@ def test_module_exports_resolve(name):
     assert missing == []
 
 
+def test_no_module_callable_is_wrapped():
+    # the perfbench tracer reads a module-level callable with __wrapped__ as one
+    # of its own wrappers left in place, so functools.cache, lru_cache or wraps
+    # at module level in nmeq breaks its traced runs
+    modules = [nmeq, *(importlib.import_module(f"nmeq.{name}") for name in MODULES)]
+    wrapped = [
+        f"{module.__name__}.{key}"
+        for module in modules
+        for key, obj in vars(module).items()
+        if callable(obj) and hasattr(obj, "__wrapped__")
+    ]
+    assert wrapped == []
+    assert not hasattr(nmeq.ProblemInstance.__post_init__, "__wrapped__")
+
+
 def test_package_api_is_pinned():
     assert len(PACKAGE_API) == 55
     assert len(nmeq.__all__) == 55

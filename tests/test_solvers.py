@@ -703,14 +703,23 @@ class TestForcedCoupledStart:
             solvers.solve_coupled(P, solvers.SolveOptions(b_upper=1.0, force=True))
 
 
-    def test_clamped_theta_fails_the_first_contraction(self):
-        # a = 5.96e-18 > 0, but lambda_min(A* A) clamps to 0, so theta = 0
+    def test_tiny_theta_fails_the_first_contraction(self):
+        # a = 5.96e-18 > 0 is rounding noise and theta = sigma_min(A)^2 / b = 4.0e-24
+        # at b = 1, so the first contraction fails and delta is finite but huge
         P = analysis.ProblemInstance(*near_singular_coupled_problem(seed=2))
-        assert solvers._coupled_a(P) > 0.0
-        assert P._lambda_min_ata == 0.0
+        a = solvers._coupled_a(P)
+        assert a > 0.0
+        sigma_min = np.linalg.svd(P.A, compute_uv=False)[-1]
         check = solvers.coupled_check(P, 1.0)
-        assert check.theta == 0.0
-        assert check.delta == math.inf
+        assert check.theta == analysis._monomial(1.0, (sigma_min, 2.0), (1.0, -1.0))
+        with decimal.localcontext(decimal.Context(prec=50)):
+            s, t, p, theta, a = map(D, (P.s, P.t, P.p, check.theta, a))
+            norm_a2, norm_b2 = D(P._norm_a) ** 2, D(P._norm_b) ** 2
+            delta = 2 * max(
+                s / t * norm_a2 * theta**-2 * a ** (s / t - 1),
+                p / t * norm_a2 * norm_b2 * theta**-2 * a ** (-p / t - 1),
+            )
+        assert agrees(check.delta, delta)
         assert not check.contraction_a.holds
         assert not check.ok
         assert solvers.b_search(P) is None
@@ -739,6 +748,25 @@ class TestForcedCoupledStart:
         assert not check.contraction_b.holds
         assert check.delta == math.inf
         assert not check.ok
+
+
+class TestTheta:
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_theta_is_accurate_across_conditioning(self, cplx):
+        # theta = sigma_min(A)^2 / b is read from the SVD that validated A; the
+        # eigenvalues of the formed A* A lose it once cond(A)^2 eps nears 1
+        n = 6
+        for e in range(2, 12):
+            cond = 10.0**e
+            for seed in range(3):
+                rng = np.random.default_rng([seed, e])
+                U, V = ((random_unitary if cplx else _orthogonal)(rng, n) for _ in "UV")
+                A = U @ np.diag(np.geomspace(2.0, 2.0 / cond, n)) @ V
+                P = analysis.ProblemInstance(A, 0.1 * np.eye(n), 8.0 * np.eye(n), 1.0, 2.0, 1.0)
+                for b in (0.5, 3.0):
+                    theta = solvers.coupled_check(P, b).theta
+                    expected = (2.0 / cond) ** 2 / b
+                    assert math.isclose(theta, expected, rel_tol=1e-5), (cond, seed, theta)
 
 
 D = decimal.Decimal
