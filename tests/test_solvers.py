@@ -252,6 +252,8 @@ class TestFixedPoint:
         # and the residual certificate; Y_0 = alpha I gets none.  The
         # precheck reads beta from the eigh of Y_1, the step norms are
         # Frobenius norms, and the residual's norm is the one eigvalsh.
+        # At n = 3, below solvers._FREEZE_MIN_N, this pins the loop that never
+        # freezes its eigenbasis (TestFrozenBasis counts the frozen one).
         P = builtin.example(1).instance
         counts = {"eigh": 0, "eigvalsh": 0}
         for name in counts:
@@ -505,7 +507,9 @@ class TestCoupled:
     def test_one_cholesky_per_half_step(self, monkeypatch):
         # each iteration after the first decomposes X_n and Y_n (two eigh; the
         # start pair a I, b I is known exactly) and every iteration inverts both
-        # half-steps' matrices through Cholesky; the limit gets one more eigh
+        # half-steps' matrices through Cholesky; the limit gets one more eigh.
+        # At n = 3, below solvers._FREEZE_MIN_N, this pins the loop that never
+        # freezes its eigenbasis (TestFrozenBasis counts the frozen one).
         P = builtin.example(2).instance
         solvers.solve_coupled(P)  # fill the instance caches
         counts = {"eigh": 0, "cholesky": 0}
@@ -1001,30 +1005,33 @@ class TestRealArithmetic:
         assert gap <= 1e-10 * (1.0 + mc.spectral_norm(P.Q))
 
 
-def _orthogonal(rng, n):
+def _orthogonal(rng, n, cplx=False):
+    if cplx:
+        return random_unitary(rng, n)
     Q, R = np.linalg.qr(rng.standard_normal((n, n)))
     return Q * np.sign(np.diag(R))
 
 
-def _scaled(rng, n, norm, lo):
+def _scaled(rng, n, norm, lo, cplx=False):
     sigma = rng.uniform(lo, 1.0, n)
     sigma[0] = 1.0
-    return norm * (_orthogonal(rng, n) * sigma) @ _orthogonal(rng, n).T
+    return norm * (_orthogonal(rng, n, cplx) * sigma) @ _orthogonal(rng, n, cplx).conj().T
 
 
-def _dense_instance(rng, n, scheme):
-    """Real instances on which each scheme's preconditions hold: s = 3,
-    t = 2, p = 1 with small A for the fixed-point scheme; s = 3, t = 4,
-    p = 1 with A a scaled near-orthogonal matrix for the coupled scheme."""
+def _dense_instance(rng, n, scheme, cplx=False):
+    """Instances on which each scheme's preconditions hold: s = 3, t = 2,
+    p = 1 with small A for the fixed-point scheme; s = 3, t = 4, p = 1 with
+    A a scaled near-orthogonal matrix for the coupled scheme.  Real unless
+    cplx, which draws unitary factors instead of orthogonal ones."""
     q_lo, q_hi = (2.0, 4.0) if scheme == "fixed-point" else (6.0, 9.5)
-    U = _orthogonal(rng, n)
-    Q = (U * rng.uniform(q_lo, q_hi, n)) @ U.T
+    U = _orthogonal(rng, n, cplx)
+    Q = (U * rng.uniform(q_lo, q_hi, n)) @ U.conj().T
     if scheme == "fixed-point":
-        A, t = _scaled(rng, n, 0.3, 0.5), 2.0
+        A, t = _scaled(rng, n, 0.3, 0.5, cplx), 2.0
     else:
-        A, t = _scaled(rng, n, 2.0, 0.98), 4.0
-    B = _scaled(rng, n, 0.1, 0.5)
-    return analysis.ProblemInstance(A, B, 0.5 * (Q + Q.T), 3.0, t, 1.0)
+        A, t = _scaled(rng, n, 2.0, 0.98, cplx), 4.0
+    B = _scaled(rng, n, 0.1, 0.5, cplx)
+    return analysis.ProblemInstance(A, B, 0.5 * (Q + Q.conj().T), 3.0, t, 1.0)
 
 
 def _b_grid(P):
@@ -1144,6 +1151,248 @@ class TestFrobeniusStep:
         assert rep.scheme.value == scheme and rep.preconditions_held
         assert rep.converged
         assert max(rep.history[-1][1:]) <= 1e-14 * mc.spectral_norm(P.Q)
+
+
+def _frozen_spy(monkeypatch):
+    """Counts, over the solves that follow, of np.linalg.eigh calls, of the
+    iterates decomposed before their sequence first froze, of frozen steps and
+    of re-bases (frozen steps refused)."""
+    counts = {"eigh": 0, "before_freeze": 0, "frozen": 0, "rebase": 0}
+    froze = set()
+    eigh, at, first_order = np.linalg.eigh, solvers._Powers.at, solvers._FrozenBasis.first_order
+
+    def counting_eigh(*args, **kwargs):
+        counts["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    def counting_at(self, Y, step, what, eig=None):
+        if eig is None and id(self) not in froze:
+            counts["before_freeze"] += 1
+        terms = at(self, Y, step, what, eig)
+        if self.base is not None:
+            froze.add(id(self))
+        return terms
+
+    def counting_first_order(self, *args):
+        terms = first_order(self, *args)
+        counts["frozen" if terms is not None else "rebase"] += 1
+        return terms
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(solvers._Powers, "at", counting_at)
+    monkeypatch.setattr(solvers._FrozenBasis, "first_order", counting_first_order)
+    return counts
+
+
+def _drifting_instance(n, seed):
+    """A rotated diagonal instance with s = t = p = 1 whose every component
+    y -> q - c^2 / y has a repelling root 1 + 1e-10 just above the start
+    alpha = 1: the iterates first move by about 1e-10, then ever faster
+    downwards, and leave the positive definite cone."""
+    U = _orthogonal(np.random.default_rng(seed), n)
+    y_hi, y_lo = np.linspace(2.0, 5.0, n), 1.0 + 1e-10
+    c2 = y_lo * y_hi
+
+    def rotated(d):
+        return (U * d) @ U.T
+
+    Q = rotated(y_lo + y_hi)
+    return analysis.ProblemInstance(
+        rotated(np.sqrt(0.8 * c2)), rotated(np.sqrt(0.2 * c2)), 0.5 * (Q + Q.T), 1.0, 1.0, 1.0
+    )
+
+
+class TestFrozenBasis:
+    """At n >= _FREEZE_MIN_N a settled sequence's powers are updated to first
+    order in a frozen eigenbasis.  The solve must stay pinned to the plain
+    numpy replay, and every iterate must get one positivity verdict: an eigh
+    before the freeze, at each re-base and for the last iterate or limit, the
+    Weyl certificate on every frozen step."""
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("scheme", ["fixed-point", "coupled"])
+    def test_matches_reference_with_counted_decompositions(self, scheme, n, cplx, monkeypatch):
+        P = _dense_instance(np.random.default_rng([16, n]), n, scheme, cplx)
+        solvers.solve(P, solvers.SolveOptions(max_iter=1))  # fill the instance caches
+        counts = _frozen_spy(monkeypatch)
+        rep = solvers.solve(P)
+        monkeypatch.undo()
+        assert rep.scheme.value == scheme and rep.preconditions_held and rep.converged
+        assert counts["frozen"] >= 2
+        # the fixed-point Y_1 is decomposed by the precheck, outside the loop
+        start = 1 if scheme == "fixed-point" else 0
+        assert counts["eigh"] == start + counts["before_freeze"] + counts["rebase"] + 1
+        # one verdict per iterate: the fixed-point iterates Y_1 .. Y_N, or the
+        # coupled X_1, Y_1 .. X_(N-1), Y_(N-1) and the limit
+        verdicts = rep.iterations if scheme == "fixed-point" else 2 * rep.iterations - 1
+        assert counts["eigh"] + counts["frozen"] == verdicts
+        assert_reference_matches(P, rep, reference_iterates(P, rep))
+
+    def test_small_instances_never_freeze(self, monkeypatch):
+        P = _dense_instance(np.random.default_rng(15), solvers._FREEZE_MIN_N - 1, "coupled")
+        solvers.solve(P, solvers.SolveOptions(max_iter=1))  # fill the instance caches
+        counts = _frozen_spy(monkeypatch)
+        rep = solvers.solve(P)
+        assert counts["frozen"] == counts["rebase"] == 0
+        assert counts["eigh"] == counts["before_freeze"] + 1 == 2 * rep.iterations - 1
+
+    def test_forced_drift_rebases_and_raises_the_eigh_verdict(self, monkeypatch):
+        # the first steps are below the freeze limit, the drift from the frozen
+        # Y_1 then passes it, and the loss of positivity comes from the eigh
+        # of a re-based iterate, worded as on a loop that never freezes
+        P = _drifting_instance(16, 0)
+        opts = solvers.SolveOptions(alpha=1.0, force=True)
+        counts = _frozen_spy(monkeypatch)
+        with pytest.raises(solvers.PositivityError) as frozen:
+            solvers.solve_fixed_point(P, opts)
+        assert counts["before_freeze"] == 0 and counts["frozen"] >= 1 and counts["rebase"] >= 1
+        monkeypatch.setattr(solvers, "_FREEZE_MIN_N", P.n + 1)
+        with pytest.raises(solvers.PositivityError) as plain:
+            solvers.solve_fixed_point(P, opts)
+        assert str(frozen.value) == str(plain.value) == (
+            "iterate 15 is not positive definite (lambda_min = -1.187e+01)"
+        )
+
+
+def _exact_divided_difference(li: float, lj: float, r: float) -> decimal.Decimal:
+    """(li^r - lj^r) / (li - lj), or r li^(r-1) at li = lj, in 60-digit decimals."""
+    D = decimal.Decimal
+    with decimal.localcontext(decimal.Context(prec=60, Emax=10**6, Emin=-(10**6))):
+        a, b, e = D(li), D(lj), D(r)
+        if a == b:
+            return e * a ** (e - 1)
+        return (a**e - b**e) / (a - b)
+
+
+class TestDividedDifferences:
+    """Gamma_r of the frozen basis against exact decimal arithmetic.  Its
+    rounding error grows with |log l|, from the logs and from r - 1, so the
+    allowance is a few eps times 1 + |log l_i| + |log l_j|."""
+
+    SPECTRA = {
+        "ties": [0.5, 0.5, 2.0, 2.0, 2.0, 7.0],
+        "near-ties": [1.0, 1.0 + 1e-12, 1.0 + 2e-12, 3.0, 3.0 * (1.0 + 1e-12)],
+        "near-ties far out": [1e-150, 1e-150 * (1.0 + 1e-12), 1e150, 1e150 * (1.0 + 1e-12)],
+        "span": list(np.geomspace(1e-150, 1e150, 13)),
+    }
+
+    @pytest.mark.parametrize("r", [-1.0, -1.0 / 3.0, 0.25, 0.75])
+    @pytest.mark.parametrize("spectrum", list(SPECTRA))
+    def test_matches_decimal(self, spectrum, r):
+        values = np.array(self.SPECTRA[spectrum])
+        with np.errstate(all="raise"):
+            gamma = solvers._divided_differences(values, r)
+        eps = np.finfo(float).eps
+        for (i, li), (j, lj) in itertools.product(enumerate(values), repeat=2):
+            exact = _exact_divided_difference(float(li), float(lj), r)
+            allowance = 4 * eps * (1.0 + abs(math.log(li)) + abs(math.log(lj)))
+            error = abs(decimal.Decimal(float(gamma[i, j])) - exact) / abs(exact)
+            assert error <= allowance, (spectrum, r, li, lj)
+
+    def test_overflowing_expm1_takes_the_plain_quotient(self):
+        # the ratios 1e-600 and 1e600 leave the double range, so u = log(l_i / l_j)
+        # is infinite and the expm1 form is not finite: the quotient decides,
+        # (1e300 - 1e-300) / (1e-300 - 1e300) = -1 up to the rounding of 1 / 1e-300
+        values = np.array([1e-300, 1e300])
+        with np.errstate(all="raise"):
+            gamma = solvers._divided_differences(values, -1.0)
+        eps = np.finfo(float).eps
+        assert abs(gamma[0, 1] + 1.0) <= 2 * eps and abs(gamma[1, 0] + 1.0) <= 2 * eps
+
+
+class TestWeylCertificate:
+    """A frozen step's positivity verdict: the certificate may refuse an
+    iterate that is positive definite, but never pass one that is not."""
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_never_passes_a_failing_spectrum(self, cplx):
+        rng = np.random.default_rng([17, cplx])
+        passed = refused_pd = failing = 0
+        for _ in range(400):
+            n = int(rng.integers(2, 12))
+            # lambda_min from well inside the cone to the PD_TOL boundary
+            l_min = 10.0 ** rng.uniform(-12.5, -1.0)
+            values = np.sort(np.concatenate(([l_min], rng.uniform(l_min, 1.0, n - 1))))
+            U = _orthogonal(rng, n, cplx)
+            Y_f = mc.hermitian_part((U * values) @ U.conj().T)
+            E = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if cplx else 0.0)
+            D = mc.hermitian_part(E)
+            D *= l_min * rng.uniform(0.2, 2.0) / np.linalg.norm(D)
+            f_values = np.linalg.eigh(Y_f)[0]
+            certified = solvers._weyl_certifies(f_values, float(np.linalg.norm(D)))
+            exact = mc.is_pd_spectrum(np.linalg.eigvalsh(Y_f + D))
+            assert exact or not certified
+            passed += certified
+            refused_pd += exact and not certified
+            failing += not exact
+        # about 150 passed, 230 refused although positive definite, 17 failing
+        assert passed > 100 and refused_pd > 0 and failing > 5
+
+
+def _tie_instance(seed):
+    """s = t in {1, 2, 3}, p in [1, s], n in 2..8, complex for odd seeds: Q with
+    eigenvalues in [2, 4], A of norm in [0.5, 1.5] with singular values within
+    10% of each other (near-unitary), and B of norm 0.1."""
+    rng = np.random.default_rng([3, seed])
+    cplx = seed % 2 == 1
+    n = int(rng.integers(2, 9))
+    s = float(rng.choice([1.0, 2.0, 3.0]))
+    p = float(rng.uniform(1.0, s)) if s > 1.0 else 1.0
+    U = _orthogonal(rng, n, cplx)
+    Q = (U * rng.uniform(2.0, 4.0, n)) @ U.conj().T
+    A = (_orthogonal(rng, n, cplx) * rng.uniform(0.9, 1.0, n)) @ _orthogonal(rng, n, cplx).conj().T
+    A *= rng.uniform(0.5, 1.5)
+    B = 0.1 * (_orthogonal(rng, n, cplx) * rng.uniform(0.5, 1.0, n)) @ _orthogonal(rng, n, cplx).conj().T
+    return analysis.ProblemInstance(A, B, 0.5 * (Q + Q.conj().T), s, s, p)
+
+
+class TestSchemesAtTie:
+    """At s = t both schemes apply.  Where both prechecks pass, the coupled
+    scheme's minimal solution and the fixed-point scheme's maximal one must
+    bracket each other, both lie in the paper's brackets, and scan_k's
+    uniqueness interval [k c1 I, Q^(1/s)] can hold at most one of them."""
+
+    def test_the_two_schemes_pin_each_other(self):
+        both = exclusive = 0
+        for seed in range(60):
+            P = _tie_instance(seed)
+            alpha = solvers.alpha_search(P)
+            if alpha is None or not solvers.fixed_point_check(P, alpha).ok:
+                continue
+            if solvers._coupled_a(P) == 0.0 or solvers.b_search(P) is None:
+                continue
+            both += 1
+            hi, lo = solvers.solve_fixed_point(P), solvers.solve_coupled(P)
+            for rep in (hi, lo):
+                assert rep.preconditions_held and rep.converged
+                assert rep.residual <= 1e-10 * (1.0 + P._norm_q), seed
+            X_max, X_min = hi.solution_X, lo.solution_X
+            scale = max(mc.spectral_norm(X_max), 1.0)
+            assert analysis._loewner_verdict(X_min, X_max, scale).holds, seed
+            bounds = analysis.solution_bounds(P)
+            eye = np.eye(P.n)
+            for X in (X_max, X_min):
+                for lower, upper in ((bounds.c * eye, bounds.q_root), (bounds.m * eye, bounds.N)):
+                    assert analysis._loewner_verdict(lower, X, scale).holds, seed
+                    assert analysis._loewner_verdict(X, upper, scale).holds, seed
+            k = analysis.scan_k(P)
+            if k is None:
+                continue
+            floor = k * analysis.derived_scalars(P).c1 * eye
+            inside = [
+                analysis._loewner_verdict(floor, X, scale).holds
+                and analysis._loewner_verdict(X, bounds.q_root, scale).holds
+                for X in (X_max, X_min)
+            ]
+            agree = mc.spectral_norm(X_max - X_min) <= 1e-10 * scale
+            assert sum(inside) <= 1 or agree, seed
+            exclusive += inside == [True, False]
+        # both prechecks pass on about 60% of the draws; on every draw where
+        # scan_k finds a k, the maximal solution lies in its interval and the
+        # minimal one does not
+        assert both >= 30
+        assert exclusive >= 10
 
 
 def _kron_instance(E, k):
