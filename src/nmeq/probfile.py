@@ -10,6 +10,7 @@ form (exact for double precision); history CSV uses 17 significant digits.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,7 +67,7 @@ def _parse_object(text: str, what: str) -> dict:
     """The one JSON rule of both file kinds: valid JSON holding an object."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int's digit limit
         raise ProblemFileError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProblemFileError(f"{what} must be a JSON object, got {type(doc).__name__}")
@@ -76,7 +77,10 @@ def _parse_object(text: str, what: str) -> dict:
 def _real(value, loc: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProblemFileError(f"{loc}: expected a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an int past the double range
+        v = math.inf if value > 0 else -math.inf
     if not np.isfinite(v):
         raise ProblemFileError(f"{loc}: number must be finite, got {v}")
     return v

@@ -299,11 +299,11 @@ def _require_pd(values: np.ndarray, what: str) -> None:
 # An iterate sequence freezes its eigenbasis once its Frobenius step is at most
 # _FREEZE_RTOL ||Q||, and re-bases once its drift from the frozen iterate passes
 # that again.  Only at n >= _FREEZE_MIN_N, the measured crossover: a freeze
-# costs a divided-difference table and a product per term, which the few
-# frozen steps of a solve must win back.  On random instances of both schemes
-# (one BLAS thread, real and complex), a solve that may freeze took 1.02-1.47x
-# the time of one that never does at n = 4 and 8, 0.94-1.18x at n = 16, and
-# 0.83-0.98x at n = 24 and 32.  Below it the loops decompose every iterate.
+# costs a divided-difference table per term, which the few frozen steps of a
+# solve must win back.  On random instances of both schemes (one BLAS thread,
+# real and complex), a solve that may freeze took 1.02-1.47x the time of one
+# that never does at n = 4 and 8, 0.94-1.18x at n = 16, and 0.83-0.98x at
+# n = 24 and 32.  Below it the loops decompose every iterate.
 _FREEZE_RTOL = 1e-8
 _FREEZE_MIN_N = 16
 
@@ -312,65 +312,55 @@ class _Powers:
     """The terms M* Y^r M (M None: Y^r itself) of one iterate sequence, for fixed
     pairs (r, M), each iterate with a positivity verdict.
 
-    An iterate is decomposed by eigh, whose spectrum gets the exact verdict of
-    is_pd_spectrum, until the sequence's last Frobenius step is at most the
-    freeze limit: that iterate becomes the base of a _FrozenBasis, and later
-    iterates are evaluated in its eigenbasis while the Weyl certificate passes
-    and their drift from the base stays within the limit.  Otherwise, and when
-    a divided difference is not finite, a fresh eigh re-bases.
+    A decomposed iterate Y = V diag(l) V* gets the exact verdict of is_pd_spectrum
+    on its spectrum and keeps, per pair, l^r and W = V* M (V* when M is None): its
+    terms are W* diag(l^r) W.  Once the sequence's last Frobenius step is at most
+    the freeze limit, that iterate is the base Y_f, and a later iterate Y = Y_f + D
+    is evaluated in the base's eigenbasis to first order (Daleckii-Krein):
+    Y^r = V (diag(l^r) + Gamma_r o V* D V) V* + O(||D||^2), with Gamma_r the
+    divided differences of x^r on l and the remainder at most about
+    ||D||_F^2 sup |f''| on the spectrum's interval.  So a frozen term is
+    W* (diag(l^r) + Gamma_r o V* D V) W from the base's own W, and its verdict is
+    the Weyl certificate.  When that cannot decide, when the drift ||D||_F passes
+    the limit, or when a divided difference is not finite, a fresh eigh re-bases.
     """
 
     def __init__(self, P: ProblemInstance, pairs: tuple):
         self.pairs = pairs
         self.limit = _FREEZE_RTOL * P._norm_q if P.n >= _FREEZE_MIN_N else -math.inf
-        self.base: _FrozenBasis | None = None
+        # the frozen (Y_f, l, V, [(l^r, Gamma_r, W) per pair]), or None
+        self.base: tuple | None = None
 
     def at(self, Y: np.ndarray, step: float, what: str, eig=None) -> list[np.ndarray]:
         """The terms at iterate Y, whose last Frobenius step is step; eig is its
         eigendecomposition when the caller has it, already verdicted."""
         if eig is None and self.base is not None:
-            terms = self.base.first_order(Y, self.limit)
+            terms = self._first_order(Y)
             if terms is not None:
                 return terms
         values, vectors = _eigh_pd(Y, what) if eig is None else eig
-        self.base = None
-        if step <= self.limit:
-            base = _FrozenBasis(Y, values, vectors, self.pairs)
-            self.base = base if base.finite else None
-        return [
-            mc.eig_compose(vectors, values**r) if M is None else mc.congruence(vectors, values**r, M)
-            for r, M in self.pairs
-        ]
-
-
-class _FrozenBasis:
-    """First-order terms M* Y^r M near a decomposed base iterate Y_f = V diag(l) V*.
-
-    With D = Y - Y_f, Y^r = V (diag(l^r) + Gamma_r o V* D V) V* + O(||D||^2):
-    Gamma_r holds the divided differences of x^r on l (Daleckii-Krein), and the
-    remainder is at most about ||D||_F^2 sup |f''| on the spectrum's interval.
-    With W = V* M cached, one term costs two products, and V* D V two more.
-    """
-
-    def __init__(self, Y: np.ndarray, values: np.ndarray, vectors: np.ndarray, pairs: tuple):
-        self.Y, self.values, self.vectors = Y, values, vectors
+        freeze = step <= self.limit
         adj = vectors.conj().T
-        self.terms = [
-            (values**r, _divided_differences(values, r), adj if M is None else adj @ M)
-            for r, M in pairs
-        ]
-        self.finite = all(np.all(np.isfinite(gamma)) for _, gamma, _ in self.terms)
+        kept = []
+        for r, M in self.pairs:
+            gamma = _divided_differences(values, r) if freeze else None
+            kept.append((values**r, gamma, adj if M is None else adj @ M))
+        self.base = None
+        if freeze and all(np.all(np.isfinite(gamma)) for _, gamma, _ in kept):
+            self.base = (Y, values, vectors, kept)
+        return [(W.conj().T * power) @ W for power, _, W in kept]
 
-    def first_order(self, Y: np.ndarray, limit: float) -> list[np.ndarray] | None:
-        """The terms at Y, or None when its drift passes limit or the Weyl
-        certificate cannot decide its positivity."""
-        D = Y - self.Y
+    def _first_order(self, Y: np.ndarray) -> list[np.ndarray] | None:
+        """The terms at Y from the frozen base, or None when its drift passes the
+        limit or the Weyl certificate cannot decide its positivity."""
+        Y_f, values, vectors, kept = self.base
+        D = Y - Y_f
         drift = float(np.linalg.norm(D))
-        if not (drift <= limit and _weyl_certifies(self.values, drift)):
+        if not (drift <= self.limit and _weyl_certifies(values, drift)):
             return None
-        E = self.vectors.conj().T @ D @ self.vectors
+        E = vectors.conj().T @ D @ vectors
         out = []
-        for power, gamma, W in self.terms:
+        for power, gamma, W in kept:
             S = gamma * E
             S.flat[:: len(power) + 1] += power
             out.append(W.conj().T @ S @ W)
@@ -417,11 +407,9 @@ def solve_fixed_point(P: ProblemInstance, opts: SolveOptions | None = None) -> S
     solution and the a priori error bound delta^n/(1-delta) ||Y_1 - Y_0||_F
     holds.
 
-    Each iterate's positivity is decided, by its eigh or, at n >= 16 once the
-    step is at most 1e-8 ||Q||, by the Weyl certificate of a frozen eigenbasis
-    in which Y^(-t/s) and Y^(-p/s) are updated to first order (see _Powers).
-    A loss of positivity raises PositivityError.  The last iterate always gets
-    its own eigh, which feeds the lift and the residual certificate.
+    Every iterate gets a positivity verdict from _Powers, whose loss raises
+    PositivityError.  The last iterate always gets its own eigh, which feeds
+    the lift and the residual certificate.
     """
     if opts is None:
         opts = SolveOptions()
@@ -445,10 +433,7 @@ def solve_fixed_point(P: ProblemInstance, opts: SolveOptions | None = None) -> S
     e_p = P.p / P.s
     # Y_0 = alpha I is never decomposed: Y_1 is known in closed form, its
     # eigh is the one the precheck read beta from, and ||Y_1 - Y_0||_F is the
-    # 2-norm of lambda(Y_1) - alpha.  Each later iterate gets one eigh until
-    # the iteration settles, then the frozen eigenbasis of _Powers; the last
-    # iterate always gets its own eigh, which feeds the lift and the residual
-    # certificate.
+    # 2-norm of lambda(Y_1) - alpha.
     if start is None:  # only a forced run gets here
         raise OverflowError(f"alpha^(-t/s) overflows at alpha = {alpha:.6g}, so Y_1 is unbounded")
     Y, values, vectors = start
@@ -618,11 +603,9 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
     scalar a = lambda_min(A Q^-1 A*) rounds to 0 is rejected up front, even
     with force.
 
-    Each iterate but the last pair gets a positivity verdict, by its eigh or,
-    at n >= 16 once its sequence's step is at most 1e-8 ||Q||, by the Weyl
-    certificate of a frozen eigenbasis in which X^(s/t) and B* X^(-p/t) B are
-    updated to first order (see _Powers).  The limit (X + Y)/2 always gets its
-    own eigh, which feeds the lift and the residual certificate.
+    Each iterate but the last pair gets a positivity verdict from _Powers.  The
+    limit (X + Y)/2 always gets its own eigh, which feeds the lift and the
+    residual certificate.
     """
     if opts is None:
         opts = SolveOptions()
@@ -662,9 +645,8 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
     refined: tuple[np.ndarray, np.ndarray] | None = None
     converged = False
     # The lower and upper sequences are symmetric; each step runs the lower
-    # one first, so the first error raised is the lower sequence's.  Each
-    # iterate gets one eigh until its sequence settles, then the frozen
-    # eigenbasis of _Powers; the last pair is never decomposed on its own.
+    # one first, so the first error raised is the lower sequence's.  The last
+    # pair is never decomposed on its own.
     for it in range(1, opts.max_iter + 1):
         x_pow, x_b = lower.at(X, step_x, f"lower iterate {it - 1}", x_eig)
         y_pow, y_b = upper.at(Y, step_y, f"upper iterate {it - 1}", y_eig)

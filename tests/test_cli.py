@@ -83,6 +83,22 @@ class TestInputSelection:
         assert res.returncode == 2
         assert "A:" in res.stderr
 
+    def test_integer_past_the_double_range(self, tmp_path):
+        # no double holds 10^400: a parse error of the file, not an exit-3
+        # "cannot evaluate in double precision"
+        pf = probfile.problem_from_instance(builtin.example(1).instance)
+        for key in ("s", "A[0][0]"):
+            doc = json.loads(probfile.write_problem(pf))
+            if key == "s":
+                doc["s"] = "BIG"
+            else:
+                doc["A"][0][0] = "BIG"
+            bad = tmp_path / "big.json"
+            bad.write_text(json.dumps(doc).replace('"BIG"', "1" + "0" * 400))
+            res = run_cli("check", str(bad))
+            assert res.returncode == 2, res.stderr
+            assert res.stderr == f"error: {key}: number must be finite, got inf\n"
+
 
 class TestSolve:
     def test_example_1(self):

@@ -44,8 +44,10 @@ class TestParseProblem:
         assert P.A.dtype == P.B.dtype == P.Q.dtype == np.complex128
 
     def test_invalid_json(self):
-        with pytest.raises(probfile.ProblemFileError, match="invalid JSON"):
-            probfile.parse_problem("{not json")
+        # json reads no integer of more than 4300 digits (Python's int limit)
+        for text in ("{not json", VALID.replace("0.05", "1" + "0" * 5000)):
+            with pytest.raises(probfile.ProblemFileError, match="invalid JSON"):
+                probfile.parse_problem(text)
 
     def test_not_an_object(self):
         with pytest.raises(probfile.ProblemFileError, match="JSON object"):
@@ -104,8 +106,13 @@ class TestParseProblem:
             probfile.parse_problem(json.dumps(doc))
 
     def test_nonfinite_entry(self):
-        with pytest.raises(probfile.ProblemFileError, match="finite"):
-            probfile.parse_problem(VALID.replace("0.05", "1e999"))
+        # a float literal past the double range reads as inf, an integer one
+        # cannot be converted at all: both are a located parse error
+        for literal in ("1e999", "1" + "0" * 400):
+            with pytest.raises(probfile.ProblemFileError, match=r"A\[1\]\[0\].*finite"):
+                probfile.parse_problem(VALID.replace("0.05", literal))
+            with pytest.raises(probfile.ProblemFileError, match=r"X\[0\]\[0\].*finite"):
+                probfile.parse_solution('{"X": [[-%s]]}' % literal)
 
 
 class TestWriteProblem:

@@ -987,22 +987,32 @@ class TestRealArithmetic:
         assert rep.converged
 
     @pytest.mark.parametrize("seed", [1, 2])
-    @pytest.mark.parametrize("which", [1, 2])
+    @pytest.mark.parametrize("which", [1, 2, "fixed-point", "coupled"])
     def test_unitary_congruence(self, which, seed):
-        # (U*AU, U*BU, U*QU) is solved by U*XU: the complex path on the
-        # rotated instance pins the real path on the original one
-        P = builtin.example(which).instance
-        U = random_unitary(np.random.default_rng(seed), P.n)
-        Uh = U.conj().T
-        R = analysis.ProblemInstance(Uh @ P.A @ U, Uh @ P.B @ U, Uh @ P.Q @ U, P.s, P.t, P.p)
-        assert P.Q.dtype == np.float64 and R.Q.dtype == np.complex128
-        real = solvers.solve(P)
-        rotated = solvers.solve(R)
-        assert real.converged and rotated.converged
-        assert real.extremality is rotated.extremality
-        assert real.extremality is not solvers.Extremality.UNKNOWN
-        gap = mc.spectral_norm(Uh @ real.solution_X @ U - rotated.solution_X)
-        assert gap <= 1e-10 * (1.0 + mc.spectral_norm(P.Q))
+        # the complex path on the rotated instance pins the real path on the
+        # original one; the n = 32 instances run it on the frozen basis
+        if isinstance(which, int):
+            P = builtin.example(which).instance
+        else:
+            P = _dense_instance(np.random.default_rng(32), 32, which)
+            assert P.n >= solvers._FREEZE_MIN_N
+        assert P.Q.dtype == np.float64
+        _assert_rotation_commutes(P, solvers.solve, seed)
+
+
+def _assert_rotation_commutes(P, solve, seed):
+    """(U*AU, U*BU, U*QU) is solved by U*XU: solve on P and on its rotation by a
+    seeded random unitary U agree, both certified with the same extremality."""
+    U = random_unitary(np.random.default_rng(seed), P.n)
+    Uh = U.conj().T
+    R = analysis.ProblemInstance(Uh @ P.A @ U, Uh @ P.B @ U, Uh @ P.Q @ U, P.s, P.t, P.p)
+    assert R.Q.dtype == np.complex128
+    plain, rotated = solve(P), solve(R)
+    assert plain.converged and rotated.converged
+    assert plain.extremality is rotated.extremality
+    assert plain.extremality is not solvers.Extremality.UNKNOWN
+    gap = mc.spectral_norm(Uh @ plain.solution_X @ U - rotated.solution_X)
+    assert gap <= 1e-10 * (1.0 + mc.spectral_norm(P.Q))
 
 
 def _orthogonal(rng, n, cplx=False):
@@ -1159,7 +1169,7 @@ def _frozen_spy(monkeypatch):
     of re-bases (frozen steps refused)."""
     counts = {"eigh": 0, "before_freeze": 0, "frozen": 0, "rebase": 0}
     froze = set()
-    eigh, at, first_order = np.linalg.eigh, solvers._Powers.at, solvers._FrozenBasis.first_order
+    eigh, at, first_order = np.linalg.eigh, solvers._Powers.at, solvers._Powers._first_order
 
     def counting_eigh(*args, **kwargs):
         counts["eigh"] += 1
@@ -1180,7 +1190,7 @@ def _frozen_spy(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(solvers._Powers, "at", counting_at)
-    monkeypatch.setattr(solvers._FrozenBasis, "first_order", counting_first_order)
+    monkeypatch.setattr(solvers._Powers, "_first_order", counting_first_order)
     return counts
 
 
@@ -1353,8 +1363,9 @@ class TestSchemesAtTie:
     bracket each other, both lie in the paper's brackets, and scan_k's
     uniqueness interval [k c1 I, Q^(1/s)] can hold at most one of them."""
 
-    def test_the_two_schemes_pin_each_other(self):
-        both = exclusive = 0
+    @staticmethod
+    def _draws_where_both_apply():
+        """(seed, instance) of the seeded draws on which both prechecks pass."""
         for seed in range(60):
             P = _tie_instance(seed)
             alpha = solvers.alpha_search(P)
@@ -1362,6 +1373,11 @@ class TestSchemesAtTie:
                 continue
             if solvers._coupled_a(P) == 0.0 or solvers.b_search(P) is None:
                 continue
+            yield seed, P
+
+    def test_the_two_schemes_pin_each_other(self):
+        both = exclusive = 0
+        for seed, P in self._draws_where_both_apply():
             both += 1
             hi, lo = solvers.solve_fixed_point(P), solvers.solve_coupled(P)
             for rep in (hi, lo):
@@ -1393,6 +1409,16 @@ class TestSchemesAtTie:
         # minimal one does not
         assert both >= 30
         assert exclusive >= 10
+
+    def test_unitary_congruence(self):
+        # both schemes commute with a unitary congruence at a tie, on draws
+        # that are real (even seeds) and complex (odd seeds) before rotation
+        both = 0
+        for seed, P in self._draws_where_both_apply():
+            both += 1
+            for solve in (solvers.solve_fixed_point, solvers.solve_coupled):
+                _assert_rotation_commutes(P, solve, seed)
+        assert both >= 30
 
 
 def _kron_instance(E, k):
