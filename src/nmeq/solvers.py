@@ -296,14 +296,15 @@ def _require_pd(values: np.ndarray, what: str) -> None:
         )
 
 
-# An iterate sequence freezes its eigenbasis once its Frobenius step is at most
-# _FREEZE_RTOL ||Q||, and re-bases once its drift from the frozen iterate passes
-# that again.  Only at n >= _FREEZE_MIN_N, the measured crossover: a freeze
+# An iterate sequence freezes its eigenbasis once its predicted next step is at
+# most _FREEZE_RTOL ||Q||, and re-bases once its drift from the frozen iterate
+# passes that again; a coupled half-step freezes its inverse on the same scale
+# (see _Inverses).  Only at n >= _FREEZE_MIN_N, the measured crossover: a freeze
 # costs a divided-difference table per term, which the few frozen steps of a
 # solve must win back.  On random instances of both schemes (one BLAS thread,
-# real and complex), a solve that may freeze took 1.02-1.47x the time of one
-# that never does at n = 4 and 8, 0.94-1.18x at n = 16, and 0.83-0.98x at
-# n = 24 and 32.  Below it the loops decompose every iterate.
+# real and complex), a solve that may freeze took 1.00-1.09x the time of one
+# that never does at n = 8, 0.97-1.06x at n = 12, 0.92-0.99x at n = 16 and
+# 0.84-0.89x at n = 24.  Below it the loops decompose and factor every iterate.
 _FREEZE_RTOL = 1e-8
 _FREEZE_MIN_N = 16
 
@@ -314,15 +315,19 @@ class _Powers:
 
     A decomposed iterate Y = V diag(l) V* gets the exact verdict of is_pd_spectrum
     on its spectrum and keeps, per pair, l^r and W = V* M (V* when M is None): its
-    terms are W* diag(l^r) W.  Once the sequence's last Frobenius step is at most
-    the freeze limit, that iterate is the base Y_f, and a later iterate Y = Y_f + D
-    is evaluated in the base's eigenbasis to first order (Daleckii-Krein):
-    Y^r = V (diag(l^r) + Gamma_r o V* D V) V* + O(||D||^2), with Gamma_r the
-    divided differences of x^r on l and the remainder at most about
+    terms are W* diag(l^r) W.  The sequence freezes on its predicted drift: once
+    its last Frobenius step times the last step ratio, min(1, step / previous
+    step), is at most the freeze limit, that iterate is the base Y_f, and a later
+    iterate Y = Y_f + D is evaluated in the base's eigenbasis to first order
+    (Daleckii-Krein): Y^r = V (diag(l^r) + Gamma_r o V* D V) V* + O(||D||^2), with
+    Gamma_r the divided differences of x^r on l and the remainder at most about
     ||D||_F^2 sup |f''| on the spectrum's interval.  So a frozen term is
     W* (diag(l^r) + Gamma_r o V* D V) W from the base's own W, and its verdict is
-    the Weyl certificate.  When that cannot decide, when the drift ||D||_F passes
-    the limit, or when a divided difference is not finite, a fresh eigh re-bases.
+    the Weyl certificate.  A sequence with no base first tries its partner's (the
+    other coupled sequence, which has the same pairs) and adopts it when that
+    step passes.  When the certificate cannot decide, when the drift ||D||_F
+    passes the limit, or when a divided difference is not finite, a fresh eigh
+    re-bases.
     """
 
     def __init__(self, P: ProblemInstance, pairs: tuple):
@@ -330,16 +335,26 @@ class _Powers:
         self.limit = _FREEZE_RTOL * P._norm_q if P.n >= _FREEZE_MIN_N else -math.inf
         # the frozen (Y_f, l, V, [(l^r, Gamma_r, W) per pair]), or None
         self.base: tuple | None = None
+        self.last_step = math.inf
 
-    def at(self, Y: np.ndarray, step: float, what: str, eig=None) -> list[np.ndarray]:
+    def at(
+        self, Y: np.ndarray, step: float, what: str, eig=None, partner_base=None
+    ) -> list[np.ndarray]:
         """The terms at iterate Y, whose last Frobenius step is step; eig is its
-        eigendecomposition when the caller has it, already verdicted."""
-        if eig is None and self.base is not None:
-            terms = self._first_order(Y)
-            if terms is not None:
-                return terms
+        eigendecomposition when the caller has it, already verdicted, and
+        partner_base the base of the partner sequence, if any."""
+        # the predicted next step: step times the last step ratio, once there is one
+        predicted = step * step / self.last_step if step < self.last_step < math.inf else step
+        self.last_step = step
+        if eig is None:
+            base = partner_base if self.base is None else self.base
+            if base is not None:
+                terms = self._first_order(Y, base)
+                if terms is not None:
+                    self.base = base
+                    return terms
         values, vectors = _eigh_pd(Y, what) if eig is None else eig
-        freeze = step <= self.limit
+        freeze = predicted <= self.limit
         adj = vectors.conj().T
         kept = []
         for r, M in self.pairs:
@@ -350,10 +365,10 @@ class _Powers:
             self.base = (Y, values, vectors, kept)
         return [(W.conj().T * power) @ W for power, _, W in kept]
 
-    def _first_order(self, Y: np.ndarray) -> list[np.ndarray] | None:
+    def _first_order(self, Y: np.ndarray, base: tuple) -> list[np.ndarray] | None:
         """The terms at Y from the frozen base, or None when its drift passes the
         limit or the Weyl certificate cannot decide its positivity."""
-        Y_f, values, vectors, kept = self.base
+        Y_f, values, vectors, kept = base
         D = Y - Y_f
         drift = float(np.linalg.norm(D))
         if not (drift <= self.limit and _weyl_certifies(values, drift)):
@@ -603,9 +618,12 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
     scalar a = lambda_min(A Q^-1 A*) rounds to 0 is rejected up front, even
     with force.
 
-    Each iterate but the last pair gets a positivity verdict from _Powers.  The
-    limit (X + Y)/2 always gets its own eigh, which feeds the lift and the
-    residual certificate.
+    Each iterate but the last pair gets a positivity verdict from _Powers, and
+    each half-step's inverted matrix one from _Inverses.  Near convergence an
+    iterate's terms come from a frozen eigenbasis, its own or the other
+    sequence's, and a half-step from a first-order update of its lane's last
+    exact inverse.  The limit (X + Y)/2 always gets its own eigh, which feeds
+    the lift and the residual certificate.
     """
     if opts is None:
         opts = SolveOptions()
@@ -639,8 +657,11 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
     x_eig, y_eig = (np.full(n, check.a), eye), (np.full(n, check.b), eye)
     step_x = step_y = math.inf
     # each sequence supplies its own X^(s/t) and, to the other one, B* X^(-p/t) B
+    # and its frozen base
     lower = _Powers(P, ((e_s, None), (-e_p, P.B)))
     upper = _Powers(P, ((e_s, None), (-e_p, P.B)))
+    freeze = P.n >= _FREEZE_MIN_N
+    lower_inv, upper_inv = _Inverses(adj_a, freeze), _Inverses(adj_a, freeze)
     history: list[HistoryEntry] = []
     refined: tuple[np.ndarray, np.ndarray] | None = None
     converged = False
@@ -648,12 +669,12 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
     # one first, so the first error raised is the lower sequence's.  The last
     # pair is never decomposed on its own.
     for it in range(1, opts.max_iter + 1):
-        x_pow, x_b = lower.at(X, step_x, f"lower iterate {it - 1}", x_eig)
-        y_pow, y_b = upper.at(Y, step_y, f"upper iterate {it - 1}", y_eig)
+        x_pow, x_b = lower.at(X, step_x, f"lower iterate {it - 1}", x_eig, upper.base)
+        y_pow, y_b = upper.at(Y, step_y, f"upper iterate {it - 1}", y_eig, lower.base)
         x_eig = y_eig = None
-        X_next = _inverse_congruence(mc.hermitian_part(P.Q - x_pow - y_b), adj_a, it)
+        X_next = lower_inv.at(mc.hermitian_part(P.Q - x_pow - y_b), it)
         step_x = float(np.linalg.norm(X_next - X))
-        Y_next = _inverse_congruence(mc.hermitian_part(P.Q - y_pow - x_b), adj_a, it)
+        Y_next = upper_inv.at(mc.hermitian_part(P.Q - y_pow - x_b), it)
         step_y = float(np.linalg.norm(Y_next - Y))
         history.append(HistoryEntry(it, step_x, step_y))
         if it == 1:
@@ -674,31 +695,79 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
 def _inverse_congruence(inner: np.ndarray, adj_a: np.ndarray, it: int) -> np.ndarray:
     """A inner^-1 A* for the coupled half-step, with adj_a = A*; raises
     PositivityError when inner fails the PD_TOL verdict of is_pd_spectrum.
+    The exact half-step of _Inverses, which never freezes."""
+    return _Inverses(adj_a, freeze=False).at(inner, it)
 
-    The fast path factors inner = L L* and returns W* W with W = L^-1 A*.
-    It is taken only when it provably agrees with that verdict:
-    lambda_min(inner) >= 1/||L^-1||_F^2 and max|lambda(inner)| <= ||inner||_F,
-    so 1/||L^-1||_F^2 > 2 PD_TOL ||inner||_F (the factor 2 absorbs rounding)
-    passes it.  Otherwise the eigendecomposition decides, and inverts.
+
+class _Inverses:
+    """The half-steps A M^-1 A* of one coupled lane (adj_a = A*), for its
+    successive inner matrices M, each with the positivity verdict of
+    is_pd_spectrum on M.
+
+    The exact half-step factors M = L L* and returns W* W with W = L^-1 A*.  It
+    is taken only when it provably agrees with that verdict:
+    lambda_min(M) >= lam = 1/||L^-1||_F^2 and max|lambda(M)| <= ||M||_F, so
+    lam > 2 PD_TOL ||M||_F (the factor 2 absorbs rounding) passes it; a
+    non-finite L^-1 fails it, as 1/inf^2 = 0 and NaN compares false.  Otherwise
+    the eigendecomposition decides, and inverts.
+
+    With freeze, the lane keeps its last exact Cholesky half-step: M_f,
+    U = M_f^-1 A*, X_f = W* W and lam.  A later M = M_f + D gets the first-order
+    update X_f - U* D U (the Frechet derivative of the inverse), whose remainder
+    U* D M^-1 D U has ||.||_F <= ||U||_F^2 ||D||_F^2 / (lam - ||D||_F).  It is
+    taken only when lam - ||D||_F > 2 PD_TOL (||M_f||_F + ||D||_F), which passes
+    the verdict by Weyl as above, and when that remainder bound is at most
+    _FREEZE_RTOL^2 ||X_f||_F; otherwise the exact half-step runs.
     """
-    try:
-        L_inv = np.linalg.inv(np.linalg.cholesky(inner))
-    except np.linalg.LinAlgError:
-        L_inv = None
-    if (
-        L_inv is not None
-        and np.all(np.isfinite(L_inv))
-        and 1.0 / np.linalg.norm(L_inv) ** 2 > 2.0 * mc.PD_TOL * np.linalg.norm(inner)
-    ):
-        W = L_inv @ adj_a
-        return mc.hermitian_part(W.conj().T @ W)
-    inner_vals, inner_vecs = np.linalg.eigh(inner)
-    if not mc.is_pd_spectrum(inner_vals):
-        raise PositivityError(
-            f"inverted matrix Q - X^(s/t) - B* Y^(-p/t) B lost positive "
-            f"definiteness at iteration {it} (lambda_min = {inner_vals[0]:.3e})"
-        )
-    return mc.hermitian_part(mc.congruence(inner_vecs, 1.0 / inner_vals, adj_a))
+
+    def __init__(self, adj_a: np.ndarray, freeze: bool):
+        self.adj_a = adj_a
+        self.freeze = freeze
+        # the last exact (M_f, ||M_f||_F, U, ||U||_F^2, X_f, ||X_f||_F, lam), or None
+        self.base: tuple | None = None
+
+    def at(self, inner: np.ndarray, it: int) -> np.ndarray:
+        """A inner^-1 A*, inner being the lane's matrix at iteration it."""
+        if self.base is not None:
+            X = self._first_order(inner)
+            if X is not None:
+                return X
+        try:
+            L_inv = np.linalg.inv(np.linalg.cholesky(inner))
+        except np.linalg.LinAlgError:
+            L_inv = None
+        if L_inv is not None:
+            lam = 1.0 / np.linalg.norm(L_inv) ** 2
+            norm_m = np.linalg.norm(inner)
+            if lam > 2.0 * mc.PD_TOL * norm_m:
+                W = L_inv @ self.adj_a
+                X = mc.hermitian_part(W.conj().T @ W)
+                if self.freeze:
+                    U = L_inv.conj().T @ W
+                    norm_u = np.linalg.norm(U)
+                    self.base = (inner, norm_m, U, norm_u * norm_u, X, np.linalg.norm(X), lam)
+                return X
+        inner_vals, inner_vecs = np.linalg.eigh(inner)
+        if not mc.is_pd_spectrum(inner_vals):
+            raise PositivityError(
+                f"inverted matrix Q - X^(s/t) - B* Y^(-p/t) B lost positive "
+                f"definiteness at iteration {it} (lambda_min = {inner_vals[0]:.3e})"
+            )
+        return mc.hermitian_part(mc.congruence(inner_vecs, 1.0 / inner_vals, self.adj_a))
+
+    def _first_order(self, inner: np.ndarray) -> np.ndarray | None:
+        """X_f - U* D U at inner = M_f + D, or None when the positivity or the
+        remainder bound fails."""
+        M_f, norm_m, U, norm_u2, X_f, norm_x, lam = self.base
+        D = inner - M_f
+        drift = float(np.linalg.norm(D))
+        gap = lam - drift
+        if not (
+            gap > 2.0 * mc.PD_TOL * (norm_m + drift)
+            and norm_u2 * drift * drift <= _FREEZE_RTOL**2 * norm_x * gap
+        ):
+            return None
+        return mc.hermitian_part(X_f - U.conj().T @ D @ U)
 
 
 def solve(P: ProblemInstance, opts: SolveOptions | None = None) -> SolveReport:

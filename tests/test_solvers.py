@@ -1164,33 +1164,51 @@ class TestFrobeniusStep:
 
 
 def _frozen_spy(monkeypatch):
-    """Counts, over the solves that follow, of np.linalg.eigh calls, of the
-    iterates decomposed before their sequence first froze, of frozen steps and
-    of re-bases (frozen steps refused)."""
-    counts = {"eigh": 0, "before_freeze": 0, "frozen": 0, "rebase": 0}
+    """Counts, over the solves that follow, of np.linalg.eigh and
+    np.linalg.cholesky calls; of the iterates decomposed before their sequence
+    first held a base, of frozen steps (on the sequence's own base or on its
+    partner's, which it then adopts) and of re-bases (iterates decomposed after
+    the first base); and of frozen half-steps of the coupled lanes."""
+    counts = dict.fromkeys(
+        ("eigh", "cholesky", "before_freeze", "frozen", "adopted", "rebase", "frozen_inverse"), 0
+    )
     froze = set()
-    eigh, at, first_order = np.linalg.eigh, solvers._Powers.at, solvers._Powers._first_order
+    eigh, cholesky = np.linalg.eigh, np.linalg.cholesky
+    at, first_order = solvers._Powers.at, solvers._Powers._first_order
+    inverse_first_order = solvers._Inverses._first_order
 
-    def counting_eigh(*args, **kwargs):
-        counts["eigh"] += 1
-        return eigh(*args, **kwargs)
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
 
-    def counting_at(self, Y, step, what, eig=None):
-        if eig is None and id(self) not in froze:
-            counts["before_freeze"] += 1
-        terms = at(self, Y, step, what, eig)
+        return counted
+
+    def counting_at(self, Y, step, what, eig=None, partner_base=None):
+        frozen = counts["frozen"]
+        terms = at(self, Y, step, what, eig, partner_base)
+        if eig is None and counts["frozen"] == frozen:
+            counts["rebase" if id(self) in froze else "before_freeze"] += 1
         if self.base is not None:
             froze.add(id(self))
         return terms
 
-    def counting_first_order(self, *args):
-        terms = first_order(self, *args)
-        counts["frozen" if terms is not None else "rebase"] += 1
+    def counting_first_order(self, Y, base):
+        terms = first_order(self, Y, base)
+        counts["frozen"] += terms is not None
+        counts["adopted"] += terms is not None and base is not self.base
         return terms
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    def counting_inverse_first_order(self, *args):
+        X = inverse_first_order(self, *args)
+        counts["frozen_inverse"] += X is not None
+        return X
+
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", eigh))
+    monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", cholesky))
     monkeypatch.setattr(solvers._Powers, "at", counting_at)
     monkeypatch.setattr(solvers._Powers, "_first_order", counting_first_order)
+    monkeypatch.setattr(solvers._Inverses, "_first_order", counting_inverse_first_order)
     return counts
 
 
@@ -1237,6 +1255,9 @@ class TestFrozenBasis:
         # coupled X_1, Y_1 .. X_(N-1), Y_(N-1) and the limit
         verdicts = rep.iterations if scheme == "fixed-point" else 2 * rep.iterations - 1
         assert counts["eigh"] + counts["frozen"] == verdicts
+        # one verdict per coupled half-step: a Cholesky factorization or a frozen inverse
+        half_steps = 0 if scheme == "fixed-point" else 2 * rep.iterations
+        assert counts["cholesky"] + counts["frozen_inverse"] == half_steps
         assert_reference_matches(P, rep, reference_iterates(P, rep))
 
     def test_small_instances_never_freeze(self, monkeypatch):
@@ -1244,8 +1265,9 @@ class TestFrozenBasis:
         solvers.solve(P, solvers.SolveOptions(max_iter=1))  # fill the instance caches
         counts = _frozen_spy(monkeypatch)
         rep = solvers.solve(P)
-        assert counts["frozen"] == counts["rebase"] == 0
+        assert counts["frozen"] == counts["rebase"] == counts["frozen_inverse"] == 0
         assert counts["eigh"] == counts["before_freeze"] + 1 == 2 * rep.iterations - 1
+        assert counts["cholesky"] == 2 * rep.iterations
 
     def test_forced_drift_rebases_and_raises_the_eigh_verdict(self, monkeypatch):
         # the first steps are below the freeze limit, the drift from the frozen
@@ -1263,6 +1285,162 @@ class TestFrozenBasis:
         assert str(frozen.value) == str(plain.value) == (
             "iterate 15 is not positive definite (lambda_min = -1.187e+01)"
         )
+
+
+def _frozen_inverse_conditions(M_f, M, adj_a):
+    """(positivity, remainder): the two conditions of a frozen half-step at M
+    about the exact one at M_f, recomputed from their definitions."""
+    lam = 1.0 / np.linalg.norm(np.linalg.inv(np.linalg.cholesky(M_f))) ** 2
+    U = np.linalg.solve(M_f, adj_a)
+    drift = np.linalg.norm(M - M_f)
+    gap = lam - drift
+    positivity = gap > 2.0 * mc.PD_TOL * (np.linalg.norm(M_f) + drift)
+    bound = np.linalg.norm(U) ** 2 * drift**2 / gap
+    return positivity, bool(gap > 0.0 and bound <= solvers._FREEZE_RTOL**2 * np.linalg.norm(adj_a.conj().T @ U))
+
+
+def _near_threshold(drop):
+    """diag(l, 1) with lam = 1/||L^-1||_F^2 = 1/(1/l + 1) at (1 + 1e-9) times the
+    certificate's threshold 2 PD_TOL ||M_f||_F, and diag(l - drop, 1)."""
+    lam = 2.0 * mc.PD_TOL * (1.0 + 1e-9)
+    for _ in range(3):
+        l_min = 1.0 / (1.0 / lam - 1.0)
+        lam = 2.0 * mc.PD_TOL * (1.0 + 1e-9) * math.hypot(l_min, 1.0)
+    l_min = 1.0 / (1.0 / lam - 1.0)
+    return np.diag([l_min, 1.0]), np.diag([l_min - drop, 1.0]), np.eye(2)
+
+
+def _rotated_drift(cplx, drift):
+    """A well-conditioned M_f (spectrum in [1, 4], n = 16), M_f plus a random
+    Hermitian D with ||D||_F = drift, and A* of norm 2."""
+    rng = np.random.default_rng([19, cplx])
+    n = 16
+    U = _orthogonal(rng, n, cplx)
+    M_f = mc.hermitian_part((U * rng.uniform(1.0, 4.0, n)) @ U.conj().T)
+    E = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if cplx else 0.0)
+    D = mc.hermitian_part(E)
+    return M_f, M_f + drift / np.linalg.norm(D) * D, _scaled(rng, n, 2.0, 0.5, cplx).conj().T
+
+
+class TestFrozenInverse:
+    """A coupled lane's half-step A M^-1 A* to first order about its last exact
+    Cholesky half-step M_f: X_f - U* D U with U = M_f^-1 A* and D = M - M_f.
+    It must agree with the exact inverse to rounding, and a half-step refused by
+    the positivity certificate or by the remainder bound must be the exact
+    half-step, verdict and PositivityError text included."""
+
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_frozen_half_steps_match_the_exact_inverse(self, n, cplx, monkeypatch):
+        P = _dense_instance(np.random.default_rng([18, n]), n, "coupled", cplx)
+        solvers.solve(P, solvers.SolveOptions(max_iter=1))  # fill the instance caches
+        errors = []
+        first_order = solvers._Inverses._first_order
+
+        def compared(self, inner):
+            X = first_order(self, inner)
+            if X is not None:
+                exact = solvers._inverse_congruence(inner, self.adj_a, 0)
+                errors.append(np.linalg.norm(X - exact) / np.linalg.norm(exact))
+            return X
+
+        monkeypatch.setattr(solvers._Inverses, "_first_order", compared)
+        rep = solvers.solve(P)
+        monkeypatch.undo()
+        assert rep.preconditions_held and rep.converged
+        # 8 of the 26 half-steps freeze, each within 5.2e-16 of the exact one
+        assert len(errors) >= 4 and max(errors) <= 2e-15
+        assert_reference_matches(P, rep, reference_iterates(P, rep))
+
+    @staticmethod
+    def _after_exact_step(M_f, adj_a, monkeypatch):
+        """A freezing lane after its exact half-step at M_f, and the list its
+        later Cholesky factorizations are appended to."""
+        lane = solvers._Inverses(adj_a, freeze=True)
+        lane.at(M_f, 1)
+        calls, cholesky = [], np.linalg.cholesky
+
+        def counted(M):
+            calls.append(M)
+            return cholesky(M)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        return lane, calls
+
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    def test_small_drift_freezes(self, cplx, monkeypatch):
+        M_f, M, adj_a = _rotated_drift(cplx, 1e-13)
+        assert _frozen_inverse_conditions(M_f, M, adj_a) == (True, True)
+        lane, calls = self._after_exact_step(M_f, adj_a, monkeypatch)
+        X = lane.at(M, 2)
+        assert not calls
+        exact = solvers._inverse_congruence(M, adj_a, 2)
+        assert np.linalg.norm(X - exact) <= 2e-15 * np.linalg.norm(exact)
+
+    @pytest.mark.parametrize(
+        ("case", "conditions"),
+        [
+            ("remainder, real", (True, False)),
+            ("remainder, complex", (True, False)),
+            ("positivity", (False, True)),
+        ],
+    )
+    def test_refused_half_step_is_the_exact_one(self, case, conditions, monkeypatch):
+        if case == "positivity":
+            # a drop of 1e-20 takes lam below the threshold, while the remainder
+            # bound, 2.5e-17 against 1e-16, still passes
+            M_f, M, adj_a = _near_threshold(1e-20)
+        else:
+            M_f, M, adj_a = _rotated_drift(case.endswith("complex"), 1e-6)
+        assert _frozen_inverse_conditions(M_f, M, adj_a) == conditions
+        lane, calls = self._after_exact_step(M_f, adj_a, monkeypatch)
+        X = lane.at(M, 2)
+        assert len(calls) == 1
+        assert np.array_equal(X, solvers._inverse_congruence(M, adj_a, 2))
+
+    @pytest.mark.parametrize("case", ["near the threshold", "rotated"])
+    def test_lost_positivity_raises_the_exact_message(self, case, monkeypatch):
+        if case == "near the threshold":
+            M_f, M, adj_a = _near_threshold(3e-12)
+        else:
+            M_f, _, adj_a = _rotated_drift(False, 0.0)
+            values, vectors = np.linalg.eigh(M_f)
+            v = vectors[:, :1]
+            M = mc.hermitian_part(M_f - (values[0] + 0.5) * (v @ v.T))
+        lane, calls = self._after_exact_step(M_f, adj_a, monkeypatch)
+        with pytest.raises(solvers.PositivityError) as frozen:
+            lane.at(M, 7)
+        assert len(calls) == 1
+        with pytest.raises(solvers.PositivityError) as plain:
+            solvers._inverse_congruence(M, adj_a, 7)
+        lam = np.linalg.eigvalsh(M)[0]
+        assert lam < 0.0
+        assert str(frozen.value) == str(plain.value) == (
+            "inverted matrix Q - X^(s/t) - B* Y^(-p/t) B lost positive "
+            f"definiteness at iteration 7 (lambda_min = {lam:.3e})"
+        )
+
+
+class TestDecompositionBudget:
+    """The factorizations of one instance build plus solve, pinned on seeded
+    instances: a change that adds an eigh or a Cholesky factorization to the
+    solve path fails here and must restate the budget."""
+
+    @pytest.mark.parametrize(
+        ("scheme", "n", "eighs", "choleskys"),
+        [("coupled", 64, 16, 18), ("fixed-point", 32, 7, 0)],
+    )
+    def test_factorizations_per_solve(self, scheme, n, eighs, choleskys, monkeypatch):
+        counts = _frozen_spy(monkeypatch)
+        P = _dense_instance(np.random.default_rng([20, n]), n, scheme)
+        rep = solvers.solve(P)
+        monkeypatch.undo()
+        assert rep.scheme.value == scheme and rep.preconditions_held and rep.converged
+        # 13 coupled iterations (26 half-steps), 9 fixed-point iterations
+        assert rep.iterations == (13 if scheme == "coupled" else 9)
+        assert (counts["eigh"], counts["cholesky"]) == (eighs, choleskys)
+        # one coupled sequence freezes on the base the other froze first
+        assert counts["adopted"] == (scheme == "coupled")
 
 
 def _exact_divided_difference(li: float, lj: float, r: float) -> decimal.Decimal:
