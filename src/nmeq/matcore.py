@@ -7,13 +7,15 @@ Hermitian are re-symmetrized before use so that rounding drift from earlier
 arithmetic cannot accumulate across a computation; a sum or difference of
 re-symmetrized matrices is already exactly Hermitian and is used as it is.
 
-The public functions validate their input with ``check_hermitian``.  On
-matrices they built Hermitian themselves, the library's own callers use the
-trusted kernel, which checks nothing, positivity included: ``trusted_eigh``,
-``trusted_lambda_min``, ``hermitian_norm``, ``eig_compose`` (the one
-``V diag(w) V*``), ``eig_power`` and ``congruence`` (``M* f(X) M`` from the
-eigendecomposition of ``X``).  Powers of a spectrum from outside the library
-go through the one gate, ``checked_eig_power``.
+Five public functions validate their input: ``check_hermitian``, ``herm_eig``
+and ``herm_power`` (through it), ``spectral_norm`` (finite entries) and
+``spectral_radius`` (through ``as_matrix``).  On matrices they built Hermitian
+themselves, the library's own callers use the trusted kernel, which checks
+nothing, positivity included: ``trusted_eigh``, ``trusted_lambda_min``,
+``hermitian_norm``, ``eig_compose`` (the one ``V diag(w) V*``), ``eig_power``
+and ``congruence`` (``M* f(X) M`` from the eigendecomposition of ``X``).
+Powers of a spectrum from outside the library go through the one gate,
+``checked_eig_power``.
 """
 
 from __future__ import annotations
@@ -37,13 +39,9 @@ __all__ = [
     "congruence",
     "is_pd_spectrum",
     "herm_eig",
-    "lambda_min",
-    "lambda_max",
     "herm_power",
     "spectral_norm",
     "spectral_radius",
-    "loewner_leq",
-    "is_hpd",
 ]
 
 # Hermiticity drift allowed on inputs, relative to 1 + ||M||.
@@ -115,16 +113,6 @@ def herm_eig(M) -> tuple[np.ndarray, np.ndarray]:
     return trusted_eigh(check_hermitian(M))
 
 
-def lambda_min(M) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    return float(herm_eig(M)[0][0])
-
-
-def lambda_max(M) -> float:
-    """Largest eigenvalue of a Hermitian matrix."""
-    return float(herm_eig(M)[0][-1])
-
-
 def is_pd_spectrum(values: np.ndarray) -> bool:
     """True iff ascending Hermitian eigenvalues are positive definite: the
     smallest exceeds PD_TOL times the largest modulus."""
@@ -190,21 +178,3 @@ def spectral_radius(M) -> float:
     """Largest eigenvalue modulus of a general square matrix."""
     A = as_matrix(M, "spectral_radius")
     return float(np.max(np.abs(np.linalg.eigvals(A))))
-
-
-def loewner_leq(L, R, tol: float = 0.0) -> bool:
-    """True iff ``L <= R`` in the positive semidefinite order, up to ``tol``."""
-    A = as_matrix(L, "loewner lhs")
-    B = as_matrix(R, "loewner rhs")
-    if A.shape != B.shape:
-        raise ValueError(f"loewner_leq: shape mismatch {A.shape} vs {B.shape}")
-    return lambda_min(hermitian_part(B - A)) >= -tol
-
-
-def is_hpd(M) -> bool:
-    """True iff ``M`` is Hermitian positive definite by ``is_pd_spectrum``."""
-    try:
-        values, _ = herm_eig(M)
-    except ValueError:
-        return False
-    return is_pd_spectrum(values)

@@ -660,8 +660,7 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
     # and its frozen base
     lower = _Powers(P, ((e_s, None), (-e_p, P.B)))
     upper = _Powers(P, ((e_s, None), (-e_p, P.B)))
-    freeze = P.n >= _FREEZE_MIN_N
-    lower_inv, upper_inv = _Inverses(adj_a, freeze), _Inverses(adj_a, freeze)
+    lower_inv, upper_inv = _Inverses(adj_a), _Inverses(adj_a)
     history: list[HistoryEntry] = []
     refined: tuple[np.ndarray, np.ndarray] | None = None
     converged = False
@@ -683,20 +682,13 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
         if max(step_x, step_y) <= tol:
             converged = True
             break
-    # both halves come out of _inverse_congruence symmetrized, so their mean
-    # is exactly Hermitian
+    # both halves come out of _Inverses.at symmetrized, so their mean is
+    # exactly Hermitian
     Y_sol = 0.5 * (X + Y)
     sol_values, sol_vectors = _eigh_pd(Y_sol, "limit")
     return _lift_and_certify(
         P, Scheme.COUPLED, check, history, converged, Y_sol, sol_values, sol_vectors, refined
     )
-
-
-def _inverse_congruence(inner: np.ndarray, adj_a: np.ndarray, it: int) -> np.ndarray:
-    """A inner^-1 A* for the coupled half-step, with adj_a = A*; raises
-    PositivityError when inner fails the PD_TOL verdict of is_pd_spectrum.
-    The exact half-step of _Inverses, which never freezes."""
-    return _Inverses(adj_a, freeze=False).at(inner, it)
 
 
 class _Inverses:
@@ -711,18 +703,19 @@ class _Inverses:
     non-finite L^-1 fails it, as 1/inf^2 = 0 and NaN compares false.  Otherwise
     the eigendecomposition decides, and inverts.
 
-    With freeze, the lane keeps its last exact Cholesky half-step: M_f,
-    U = M_f^-1 A*, X_f = W* W and lam.  A later M = M_f + D gets the first-order
-    update X_f - U* D U (the Frechet derivative of the inverse), whose remainder
-    U* D M^-1 D U has ||.||_F <= ||U||_F^2 ||D||_F^2 / (lam - ||D||_F).  It is
-    taken only when lam - ||D||_F > 2 PD_TOL (||M_f||_F + ||D||_F), which passes
-    the verdict by Weyl as above, and when that remainder bound is at most
+    At n >= _FREEZE_MIN_N the lane keeps its last exact Cholesky half-step:
+    M_f, U = M_f^-1 A*, X_f = W* W and lam.  A later M = M_f + D gets the
+    first-order update X_f - U* D U (the Frechet derivative of the inverse),
+    whose remainder U* D M^-1 D U has
+    ||.||_F <= ||U||_F^2 ||D||_F^2 / (lam - ||D||_F).  It is taken only when
+    lam - ||D||_F > 2 PD_TOL (||M_f||_F + ||D||_F), which passes the verdict by
+    Weyl as above, and when that remainder bound is at most
     _FREEZE_RTOL^2 ||X_f||_F; otherwise the exact half-step runs.
     """
 
-    def __init__(self, adj_a: np.ndarray, freeze: bool):
+    def __init__(self, adj_a: np.ndarray):
         self.adj_a = adj_a
-        self.freeze = freeze
+        self.freeze = adj_a.shape[0] >= _FREEZE_MIN_N
         # the last exact (M_f, ||M_f||_F, U, ||U||_F^2, X_f, ||X_f||_F, lam), or None
         self.base: tuple | None = None
 

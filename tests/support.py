@@ -118,6 +118,11 @@ def _hermitian(M) -> np.ndarray:
     return 0.5 * (M + M.conj().T)
 
 
+def loewner_leq(L, R, tol: float = 0.0) -> bool:
+    """L <= R in the Loewner order up to tol, by one plain numpy eigvalsh."""
+    return bool(np.linalg.eigvalsh(_hermitian(np.asarray(R) - np.asarray(L)))[0] >= -tol)
+
+
 def _power(M, r: float) -> np.ndarray:
     values, vectors = np.linalg.eigh(_hermitian(M))
     return (vectors * values**r) @ vectors.conj().T

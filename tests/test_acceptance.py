@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from support import assert_reference_matches, random_hpd, reference_iterates
+from support import assert_reference_matches, loewner_leq, random_hpd, reference_iterates
 
 from nmeq import analysis, builtin, matcore as mc, probfile, solvers
 
@@ -197,7 +197,7 @@ def test_05_diagonal_oracle_equivalence(diagonal_suite):
         # where both schemes apply the two extremal solutions must be ordered
         for P, rep_max, rep_min in ties:
             tol = 1e-10 * mc.spectral_norm(P.Q)
-            assert mc.loewner_leq(rep_min.solution_X, rep_max.solution_X, tol)
+            assert loewner_leq(rep_min.solution_X, rep_max.solution_X, tol)
 
 
 def assert_monotone(P, rep):
@@ -208,13 +208,13 @@ def assert_monotone(P, rep):
     tol = 1e-10 * mc.spectral_norm(P.Q)
     if rep.scheme is solvers.Scheme.FIXED_POINT:
         for Y0, Y1 in zip(seq, seq[1:]):
-            assert mc.loewner_leq(Y0, Y1, tol)
+            assert loewner_leq(Y0, Y1, tol)
     else:
         for (X0, Y0), (X1, Y1) in zip(seq, seq[1:]):
-            assert mc.loewner_leq(X0, X1, tol)
-            assert mc.loewner_leq(Y1, Y0, tol)
+            assert loewner_leq(X0, X1, tol)
+            assert loewner_leq(Y1, Y0, tol)
         for Xn, Yn in seq:
-            assert mc.loewner_leq(Xn, Yn, tol)
+            assert loewner_leq(Xn, Yn, tol)
 
 
 def test_06_monotone_iterates(run1, run2, diagonal_suite):
@@ -255,10 +255,10 @@ def test_07_brackets_and_factorization():
             sb = analysis.solution_bounds(P)
             eye = np.eye(P.n)
             tol = 1e-10 * max(1.0, mc.spectral_norm(X))
-            assert mc.loewner_leq(sb.c * eye, X, tol)
-            assert mc.loewner_leq(X, sb.q_root, tol)
-            assert mc.loewner_leq(sb.m * eye, X, tol)
-            assert mc.loewner_leq(X, sb.N, tol)
+            assert loewner_leq(sb.c * eye, X, tol)
+            assert loewner_leq(X, sb.q_root, tol)
+            assert loewner_leq(sb.m * eye, X, tol)
+            assert loewner_leq(X, sb.N, tol)
 
 
 def test_08_a_priori_error_bound(run1, run2):

@@ -27,6 +27,7 @@ from nmeq import matcore as mc
 from support import (
     agrees,
     assert_reference_matches,
+    loewner_leq,
     near_singular_coupled_problem,
     random_unitary,
     reference_iterates,
@@ -113,10 +114,10 @@ class TestBoundaryValidation:
         [
             lambda P, X: solvers.residual(P, X),
             lambda P, X: mc.herm_power(X, 0.5),
-            lambda P, X: mc.lambda_min(X),
+            lambda P, X: mc.herm_eig(X),
             lambda P, X: analysis.factorization_from_solution(P, X),
         ],
-        ids=["residual", "herm_power", "lambda_min", "factorization_from_solution"],
+        ids=["residual", "herm_power", "herm_eig", "factorization_from_solution"],
     )
     def test_public_entry_rejects_non_hermitian(self, call):
         bp = builtin.example(1)
@@ -225,9 +226,9 @@ class TestFixedPoint:
         assert_reference_matches(bp.instance, rep, seq)
         tol = 1e-10 * mc.spectral_norm(bp.instance.Q)
         for Y0, Y1 in zip(seq, seq[1:]):
-            assert mc.loewner_leq(Y0, Y1, tol)
+            assert loewner_leq(Y0, Y1, tol)
         for Y in seq:
-            assert mc.loewner_leq(Y, bp.instance.Q, tol)
+            assert loewner_leq(Y, bp.instance.Q, tol)
 
     def test_a_priori_error_bound(self):
         # delta governs steps once the iterates sit above beta I; with
@@ -390,8 +391,8 @@ class TestCoupled:
         rep = solvers.solve_coupled(bp.instance, solvers.SolveOptions(b_upper=1.0))
         lo, hi = rep.refined_bracket
         tol = 1e-10 * mc.spectral_norm(bp.instance.Q)
-        assert mc.loewner_leq(lo, rep.solution_Y, tol)
-        assert mc.loewner_leq(rep.solution_Y, hi, tol)
+        assert loewner_leq(lo, rep.solution_Y, tol)
+        assert loewner_leq(rep.solution_Y, hi, tol)
         seq = reference_iterates(bp.instance, rep)
         assert_reference_matches(bp.instance, rep, seq)
         ref_lo, ref_hi = seq[1]
@@ -406,10 +407,10 @@ class TestCoupled:
         pairs = reference_iterates(bp.instance, rep)
         assert_reference_matches(bp.instance, rep, pairs)
         for (X0, Y0), (X1, Y1) in zip(pairs, pairs[1:]):
-            assert mc.loewner_leq(X0, X1, tol)
-            assert mc.loewner_leq(Y1, Y0, tol)
+            assert loewner_leq(X0, X1, tol)
+            assert loewner_leq(Y1, Y0, tol)
         for Xn, Yn in pairs:
-            assert mc.loewner_leq(Xn, Yn, tol)
+            assert loewner_leq(Xn, Yn, tol)
 
     def test_max_form_error_bound(self):
         bp = builtin.example(2)
@@ -550,10 +551,15 @@ class TestCoupled:
                 assert rep.solution_X[i, i].real == pytest.approx(want, abs=1e-10)
 
 
+def _exact_half_step(inner, adj_a, it):
+    """A inner^-1 A* from a fresh coupled lane, whose first half-step is exact."""
+    return solvers._Inverses(adj_a).at(inner, it)
+
+
 class TestInverseCongruence:
     """A inner^-1 A* of the coupled half-step: the Cholesky path agrees with
-    the eigh inversion, and the helper raises exactly when the PD_TOL
-    verdict on eigh(inner) fails, with the same message."""
+    the eigh inversion, and the exact half-step raises exactly when the
+    PD_TOL verdict on eigh(inner) fails, with the same message."""
 
     @staticmethod
     def _problem(rng, values, cplx):
@@ -573,7 +579,7 @@ class TestInverseCongruence:
         want = mc.hermitian_part(mc.congruence(vectors, 1.0 / values, adj_a))
         # a well-conditioned inner matrix takes the Cholesky path: no eigh
         monkeypatch.setattr(np.linalg, "eigh", None)
-        got = solvers._inverse_congruence(inner, adj_a, 1)
+        got = _exact_half_step(inner, adj_a, 1)
         assert got.dtype == want.dtype
         assert np.linalg.norm(got - want, 2) <= 1e-13 * np.linalg.norm(want, 2)
 
@@ -597,11 +603,11 @@ class TestInverseCongruence:
             inner, adj_a = self._problem(rng, values, cplx)
             lam = np.linalg.eigh(inner)[0]
             if mc.is_pd_spectrum(lam):
-                assert np.all(np.isfinite(solvers._inverse_congruence(inner, adj_a, 7)))
+                assert np.all(np.isfinite(_exact_half_step(inner, adj_a, 7)))
                 continue
             raised += 1
             with pytest.raises(solvers.PositivityError) as err:
-                solvers._inverse_congruence(inner, adj_a, 7)
+                _exact_half_step(inner, adj_a, 7)
             assert str(err.value) == (
                 "inverted matrix Q - X^(s/t) - B* Y^(-p/t) B lost positive "
                 f"definiteness at iteration 7 (lambda_min = {lam[0]:.3e})"
@@ -632,7 +638,7 @@ class TestDispatch:
         lo = solvers.solve_coupled(P)
         assert hi.preconditions_held and lo.preconditions_held
         tol = 1e-10 * mc.spectral_norm(hi.solution_X)
-        assert mc.loewner_leq(lo.solution_X, hi.solution_X, tol)
+        assert loewner_leq(lo.solution_X, hi.solution_X, tol)
         # genuinely distinct solutions, not a numerical tie
         assert mc.spectral_norm(hi.solution_X - lo.solution_X) > 0.5
         for rep in (hi, lo):
@@ -858,7 +864,7 @@ class TestScalarRange:
     def test_alpha_grid_in_range_is_plain_float_arithmetic(self, which):
         # the alpha search picks the same grid point as before on both examples
         P = builtin.example(which).instance
-        lmq = mc.lambda_min(P.Q)
+        lmq = float(mc.herm_eig(P.Q)[0][0])
         grid = np.geomspace(1e-8 * lmq, lmq, 500)
         na2, nb2 = mc.spectral_norm(P.A) ** 2, mc.spectral_norm(P.B) ** 2
         for r, norm, square in ((-P.t / P.s, P._norm_a, na2), (-P.p / P.s, P._norm_b, nb2)):
@@ -1047,7 +1053,7 @@ def _dense_instance(rng, n, scheme, cplx=False):
 def _b_grid(P):
     """The 100 grid points b_search walks, as floats."""
     a = solvers._coupled_a(P)
-    upper = 10.0 * mc.lambda_max(P.Q) ** (P.t / P.s)
+    upper = 10.0 * float(mc.herm_eig(P.Q)[0][-1]) ** (P.t / P.s)
     return [float(b) for b in np.geomspace(a * (1.0 + 1e-6), upper, 100)]
 
 
@@ -1340,7 +1346,7 @@ class TestFrozenInverse:
         def compared(self, inner):
             X = first_order(self, inner)
             if X is not None:
-                exact = solvers._inverse_congruence(inner, self.adj_a, 0)
+                exact = _exact_half_step(inner, self.adj_a, 0)
                 errors.append(np.linalg.norm(X - exact) / np.linalg.norm(exact))
             return X
 
@@ -1356,7 +1362,10 @@ class TestFrozenInverse:
     def _after_exact_step(M_f, adj_a, monkeypatch):
         """A freezing lane after its exact half-step at M_f, and the list its
         later Cholesky factorizations are appended to."""
-        lane = solvers._Inverses(adj_a, freeze=True)
+        n = adj_a.shape[0]
+        if n < solvers._FREEZE_MIN_N:
+            monkeypatch.setattr(solvers, "_FREEZE_MIN_N", n)
+        lane = solvers._Inverses(adj_a)
         lane.at(M_f, 1)
         calls, cholesky = [], np.linalg.cholesky
 
@@ -1374,7 +1383,7 @@ class TestFrozenInverse:
         lane, calls = self._after_exact_step(M_f, adj_a, monkeypatch)
         X = lane.at(M, 2)
         assert not calls
-        exact = solvers._inverse_congruence(M, adj_a, 2)
+        exact = _exact_half_step(M, adj_a, 2)
         assert np.linalg.norm(X - exact) <= 2e-15 * np.linalg.norm(exact)
 
     @pytest.mark.parametrize(
@@ -1396,7 +1405,7 @@ class TestFrozenInverse:
         lane, calls = self._after_exact_step(M_f, adj_a, monkeypatch)
         X = lane.at(M, 2)
         assert len(calls) == 1
-        assert np.array_equal(X, solvers._inverse_congruence(M, adj_a, 2))
+        assert np.array_equal(X, _exact_half_step(M, adj_a, 2))
 
     @pytest.mark.parametrize("case", ["near the threshold", "rotated"])
     def test_lost_positivity_raises_the_exact_message(self, case, monkeypatch):
@@ -1412,7 +1421,7 @@ class TestFrozenInverse:
             lane.at(M, 7)
         assert len(calls) == 1
         with pytest.raises(solvers.PositivityError) as plain:
-            solvers._inverse_congruence(M, adj_a, 7)
+            _exact_half_step(M, adj_a, 7)
         lam = np.linalg.eigvalsh(M)[0]
         assert lam < 0.0
         assert str(frozen.value) == str(plain.value) == (
