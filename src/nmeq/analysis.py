@@ -328,11 +328,11 @@ def _loewner_tol(scale: float) -> float:
     return 1e-10 * max(scale, 1.0)
 
 
-def _loewner_verdict(L: np.ndarray, R: np.ndarray, scale: float, note: str = "") -> Verdict:
+def _loewner_verdict(L: np.ndarray, R: np.ndarray, scale: float) -> Verdict:
     """The one Loewner-order rule for library-built Hermitian L, R: L <= R holds when
     gap = lambda_min(R - L) >= -_loewner_tol(scale), scale a norm of the two sides."""
     gap = mc.trusted_lambda_min(R - L)
-    return Verdict(gap >= -_loewner_tol(scale), gap, 0.0, note)
+    return Verdict(gap >= -_loewner_tol(scale), gap, 0.0)
 
 
 def _exceeds_q(P: ProblemInstance, bound: float) -> bool:
@@ -532,11 +532,19 @@ class Factorization:
 
 
 def verify_factorization(P: ProblemInstance, F: Factorization, tol: float = 1e-8) -> bool:
-    """True iff F reproduces A, B and completes Q within tolerance."""
+    """True iff F reproduces A, B and completes Q within tol.  A lam that is not
+    real and finite, or a tol that is not finite and positive, raises ValueError."""
+    tol = _positive(tol, "tol")
     U = mc.as_matrix(F.U, "U")
     N1 = mc.as_matrix(F.N1, "N1")
     N2 = mc.as_matrix(F.N2, "N2")
-    lam = np.asarray(F.lam, dtype=float).ravel()
+    try:
+        lam = np.asarray(F.lam, dtype=complex).ravel()
+        if np.any(lam.imag) or not np.all(np.isfinite(lam)):
+            raise ValueError
+    except (TypeError, ValueError):
+        raise ValueError("lam must be real and finite") from None
+    lam = lam.real
     n = P.n
     if U.shape != (n, n) or N1.shape != (n, n) or N2.shape != (n, n) or lam.shape != (n,):
         raise ValueError("factorization dimensions do not match the instance")

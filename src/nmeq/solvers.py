@@ -38,8 +38,6 @@ __all__ = [
     "SolveReport",
     "FixedPointCheck",
     "CoupledCheck",
-    "ScalarInstance",
-    "ScalarRoots",
     "residual",
     "alpha_search",
     "b_search",
@@ -48,7 +46,6 @@ __all__ = [
     "solve_fixed_point",
     "solve_coupled",
     "solve",
-    "scalar_oracle",
 ]
 
 
@@ -769,74 +766,3 @@ def solve(P: ProblemInstance, opts: SolveOptions | None = None) -> SolveReport:
     if P.s >= P.t:
         return solve_fixed_point(P, opts)
     return solve_coupled(P, opts)
-
-
-# ---------------------------------------------------------------------------
-# scalar oracle (n = 1 specialization, used as an independent test oracle)
-
-
-@dataclass(frozen=True)
-class ScalarInstance:
-    """The n = 1 equation x^s + a2 x^-t + b2 x^-p = q with q, a2, b2 > 0."""
-
-    q: float
-    a2: float
-    b2: float
-    s: float
-    t: float
-    p: float
-
-    def __post_init__(self):
-        for name in ("q", "a2", "b2"):
-            _positive(getattr(self, name), name)
-        for name, v in (("s", self.s), ("t", self.t), ("p", self.p)):
-            if not (math.isfinite(v) and v >= 1.0):
-                raise ValueError(f"exponent {name} must be >= 1, got {v}")
-
-    def f(self, x):
-        return x**self.s + self.a2 * x**-self.t + self.b2 * x**-self.p - self.q
-
-
-class ScalarRoots(NamedTuple):
-    roots: tuple[float, ...]
-    max_root: float | None
-    min_root: float | None
-
-
-def _bisect(f, lo: float, hi: float) -> float:
-    flo = f(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if (hi - lo) <= 1e-14 * mid:
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (flo < 0.0) == (fm < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def scalar_oracle(S: ScalarInstance) -> ScalarRoots:
-    """All positive roots of x^s + a2 x^-t + b2 x^-p - q by sign-change
-    bisection on a log grid over [1e-12, 10 q^(1/s)], refined to 1e-14
-    relative.  An empty root set is a valid outcome (no solution exists)."""
-    grid = np.geomspace(1e-12, _monomial(10.0, (S.q, 1.0 / S.s)), 2000)
-    fg = S.f(grid)
-    roots: list[float] = []
-    for i in range(len(grid) - 1):
-        lo, hi = float(grid[i]), float(grid[i + 1])
-        if fg[i] == 0.0:
-            roots.append(lo)
-        elif (fg[i] < 0.0) != (fg[i + 1] < 0.0):
-            roots.append(_bisect(S.f, lo, hi))
-    if fg[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    roots = sorted(set(roots))
-    return ScalarRoots(
-        roots=tuple(roots),
-        max_root=roots[-1] if roots else None,
-        min_root=roots[0] if roots else None,
-    )

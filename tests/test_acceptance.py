@@ -14,7 +14,14 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from support import assert_reference_matches, loewner_leq, random_hpd, reference_iterates
+from support import (
+    ScalarInstance,
+    assert_reference_matches,
+    loewner_leq,
+    random_hpd,
+    reference_iterates,
+    scalar_oracle,
+)
 
 from nmeq import analysis, builtin, matcore as mc, probfile, solvers
 
@@ -168,7 +175,7 @@ def diagonal_suite():
 
 
 def oracle_root(P, i, which):
-    S = solvers.ScalarInstance(
+    S = ScalarInstance(
         q=P.Q[i, i].real,
         a2=abs(P.A[i, i]) ** 2,
         b2=abs(P.B[i, i]) ** 2,
@@ -176,7 +183,7 @@ def oracle_root(P, i, which):
         t=P.t,
         p=P.p,
     )
-    roots = solvers.scalar_oracle(S)
+    roots = scalar_oracle(S)
     root = roots.max_root if which == "max" else roots.min_root
     assert root is not None
     return root

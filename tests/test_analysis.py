@@ -764,6 +764,33 @@ class TestFactorization:
         with pytest.raises(ValueError, match="dimensions"):
             analysis.verify_factorization(bp.instance, bad)
 
+    @pytest.mark.parametrize(
+        "entry", [1e3j, math.nan, math.inf, "x"], ids=["complex", "nan", "inf", "text"]
+    )
+    def test_verify_rejects_non_real_lam(self, entry):
+        # a complex lam used to lose its imaginary part to a float cast and
+        # certify; a NaN or inf one reached eigh
+        bp = builtin.example(1)
+        F = analysis.factorization_from_solution(bp.instance, bp.solution_X)
+        lam = list(F.lam)
+        lam[0] = lam[0] + entry if isinstance(entry, complex) else entry
+        bad = analysis.Factorization(F.U, lam, F.N1, F.N2)
+        with pytest.raises(ValueError, match="^lam must be real and finite$"):
+            analysis.verify_factorization(bp.instance, bad)
+
+    def test_verify_accepts_lam_with_zero_imaginary_part(self):
+        bp = builtin.example(1)
+        F = analysis.factorization_from_solution(bp.instance, bp.solution_X)
+        F = analysis.Factorization(F.U, np.asarray(F.lam, dtype=complex), F.N1, F.N2)
+        assert analysis.verify_factorization(bp.instance, F)
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_verify_rejects_bad_tol(self, tol):
+        bp = builtin.example(1)
+        F = analysis.factorization_from_solution(bp.instance, bp.solution_X)
+        with pytest.raises(ValueError, match="^tol must be finite and positive"):
+            analysis.verify_factorization(bp.instance, F, tol=tol)
+
     def test_constructed_instances_roundtrip(self):
         rng = np.random.default_rng(55)
         for trial in range(10):
@@ -794,9 +821,9 @@ class TestLoewnerVerdict:
         """The (L, scale) pairs ``module`` passes to the rule during ``run``."""
         calls = []
 
-        def spy(L, R, scale, note=""):
+        def spy(L, R, scale):
             calls.append((L, scale))
-            return self.rule(L, R, scale, note)
+            return self.rule(L, R, scale)
 
         monkeypatch.setattr(module, "_loewner_verdict", spy)
         run()

@@ -1,5 +1,5 @@
 """Export guard: every advertised name resolves, and the package API is
-exactly the pinned 51 names, so a deletion cannot leave a stale export.  The
+exactly the pinned 48 names, so a deletion cannot leave a stale export.  The
 fields of SolveOptions, SolveReport and the two scheme prechecks are pinned
 too, so a new option, a per-iteration field on the report or a new precheck
 field shows up as a test change."""
@@ -22,13 +22,13 @@ PACKAGE_API = {
     "BracketUndefinedError", "BuiltinProblem", "ConditionReport", "DerivedScalars",
     "Extremality", "Factorization", "HistoryEntry", "NotASolutionError",
     "PositivityError", "PreconditionError", "ProblemFile", "ProblemFileError",
-    "ProblemInstance", "ScalarInstance", "Scheme", "SolutionBounds", "SolutionFile",
+    "ProblemInstance", "Scheme", "SolutionBounds", "SolutionFile",
     "SolveOptions", "SolveReport", "Verdict", "alpha_search", "b_search",
     "check_necessary", "check_sufficient", "check_uniqueness_interval",
     "check_uniqueness_k", "coupled_check", "derived_scalars", "example",
-    "factorization_from_solution", "fixed_point_check", "herm_power",
+    "factorization_from_solution", "fixed_point_check",
     "hermitian_part", "load_problem", "load_solution", "parse_problem",
-    "parse_solution", "problem_from_instance", "residual", "scalar_oracle",
+    "parse_solution", "problem_from_instance", "residual",
     "scan_k", "solution_bounds", "solve", "solve_coupled", "solve_fixed_point",
     "spectral_norm", "spectral_radius", "verify_factorization",
     "write_history_csv", "write_problem", "write_solution",
@@ -70,8 +70,8 @@ def test_benchmark_tracer_self_test_passes():
 
 
 def test_package_api_is_pinned():
-    assert len(PACKAGE_API) == 51
-    assert len(nmeq.__all__) == 51
+    assert len(PACKAGE_API) == 48
+    assert len(nmeq.__all__) == 48
     assert set(nmeq.__all__) == PACKAGE_API
     for name in nmeq.__all__:
         assert hasattr(nmeq, name)

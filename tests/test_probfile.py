@@ -157,6 +157,32 @@ class TestWriteProblem:
         assert pf2.A[0, 0].real == third
 
 
+def _problem_with(key, value) -> str:
+    doc = json.loads(VALID)
+    doc[key] = value
+    return json.dumps(doc)
+
+
+class TestMatrixStructure:
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (probfile.parse_problem, _problem_with("A", 3), "A: expected a list of rows, got int"),
+            (
+                probfile.parse_problem,
+                _problem_with("B", [[0.2, 0.0], 5]),
+                "B[1]: expected a list of 2 entries, got int",
+            ),
+            (probfile.parse_solution, '{"X": []}', "X: matrix must be nonempty"),
+        ],
+        ids=["matrix-not-a-list", "row-not-a-list", "empty-solution"],
+    )
+    def test_located_error(self, parse, text, message):
+        with pytest.raises(probfile.ProblemFileError) as err:
+            parse(text)
+        assert str(err.value) == message
+
+
 class TestSolutionFile:
     def _report(self):
         bp = builtin.example(1)

@@ -1,10 +1,9 @@
 """The two iteration schemes, their precondition checks, and the scalar
-oracle.
+oracle of ``support``.
 
 Frozen reference scalars were recomputed independently before being asserted
 here; diagonal matrix instances are cross-checked entrywise against the
-sign-change-bisection scalar oracle, which shares no code with the matrix
-iteration path.
+sign-change-bisection scalar oracle, which shares no code with the library.
 """
 
 import dataclasses
@@ -25,12 +24,14 @@ from nmeq import analysis, builtin, solvers
 from nmeq import matcore as mc
 
 from support import (
+    ScalarInstance,
     agrees,
     assert_reference_matches,
     loewner_leq,
     near_singular_coupled_problem,
     random_unitary,
     reference_iterates,
+    scalar_oracle,
 )
 
 
@@ -125,6 +126,20 @@ class TestBoundaryValidation:
         X[0, 1] += 1e-6
         with pytest.raises(ValueError, match="Hermitian"):
             call(bp.instance, X)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: mc.herm_power(np.eye(2), math.nan), "exponent must be finite, got nan"),
+            (lambda: mc.as_matrix(np.zeros((0, 0)), "M"), "M: dimension must be at least 1"),
+            (lambda: builtin.example(3), "unknown builtin problem 3; choose 1 or 2"),
+        ],
+        ids=["herm_power-nan", "as_matrix-empty", "example-3"],
+    )
+    def test_public_entry_rejects_bad_argument(self, call, message):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
 
 
 class TestReduceLift:
@@ -535,7 +550,7 @@ class TestCoupled:
         with pytest.raises(solvers.PositivityError):
             solvers.solve_coupled(P, solvers.SolveOptions(b_upper=1.0, force=True))
         # the minimal root the iteration would target exists nonetheless
-        roots = solvers.scalar_oracle(solvers.ScalarInstance(2.0, 0.25, 0.25, 1, 1, 1))
+        roots = scalar_oracle(ScalarInstance(2.0, 0.25, 0.25, 1, 1, 1))
         assert roots.min_root == pytest.approx(0.2928932188134525, rel=1e-12)
 
     def test_diagonal_matches_scalar_oracle(self):
@@ -546,8 +561,8 @@ class TestCoupled:
             assert b is not None
             rep = solvers.solve_coupled(P, solvers.SolveOptions(b_upper=b))
             for i in range(2):
-                S = solvers.ScalarInstance(qd[i], ad[i] ** 2, bd[i] ** 2, s, t, p)
-                want = solvers.scalar_oracle(S).min_root
+                S = ScalarInstance(qd[i], ad[i] ** 2, bd[i] ** 2, s, t, p)
+                want = scalar_oracle(S).min_root
                 assert rep.solution_X[i, i].real == pytest.approx(want, abs=1e-10)
 
 
@@ -656,39 +671,39 @@ class TestDispatch:
 
 class TestScalarOracle:
     def test_quadratic_roots(self):
-        roots = solvers.scalar_oracle(solvers.ScalarInstance(2.0, 0.25, 0.25, 1, 1, 1))
+        roots = scalar_oracle(ScalarInstance(2.0, 0.25, 0.25, 1, 1, 1))
         assert len(roots.roots) == 2
         assert roots.min_root == pytest.approx(0.2928932188134525, rel=1e-12)
         assert roots.max_root == pytest.approx(1.7071067811865475, rel=1e-12)
 
     def test_empty_when_no_solution(self):
-        roots = solvers.scalar_oracle(solvers.ScalarInstance(1.0, 0.25, 0.25, 1, 1, 1))
+        roots = scalar_oracle(ScalarInstance(1.0, 0.25, 0.25, 1, 1, 1))
         assert roots.roots == ()
         assert roots.max_root is None and roots.min_root is None
 
     def test_self_consistency(self):
-        S = solvers.ScalarInstance(2.0, 0.01, 0.04, 3, 2, 1)
-        roots = solvers.scalar_oracle(S)
+        S = ScalarInstance(2.0, 0.01, 0.04, 3, 2, 1)
+        roots = scalar_oracle(S)
         assert roots.roots
         for x in roots.roots:
             assert abs(S.f(x)) <= 1e-12
 
     def test_roots_sorted(self):
-        roots = solvers.scalar_oracle(solvers.ScalarInstance(2.0, 0.25, 0.25, 1, 1, 1))
+        roots = scalar_oracle(ScalarInstance(2.0, 0.25, 0.25, 1, 1, 1))
         assert list(roots.roots) == sorted(roots.roots)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="positive"):
-            solvers.ScalarInstance(-1.0, 0.1, 0.1, 1, 1, 1)
+            ScalarInstance(-1.0, 0.1, 0.1, 1, 1, 1)
         with pytest.raises(ValueError, match="exponent"):
-            solvers.ScalarInstance(1.0, 0.1, 0.1, 0.5, 1, 1)
+            ScalarInstance(1.0, 0.1, 0.1, 0.5, 1, 1)
 
     def test_agrees_with_fixed_point_on_scalar(self):
         # dispatcher solves the 1x1 instance; oracle max root is the
         # maximal solution
         P = scalar_instance(2.0, 0.5, 0.5)
         rep = solvers.solve(P)
-        roots = solvers.scalar_oracle(solvers.ScalarInstance(2.0, 0.25, 0.25, 1, 1, 1))
+        roots = scalar_oracle(ScalarInstance(2.0, 0.25, 0.25, 1, 1, 1))
         assert rep.solution_X[0, 0].real == pytest.approx(roots.max_root, abs=1e-12)
 
 
