@@ -294,16 +294,25 @@ def _require_pd(values: np.ndarray, what: str) -> None:
 
 
 # An iterate sequence freezes its eigenbasis once its predicted next step is at
-# most _FREEZE_RTOL ||Q||, and re-bases once its drift from the frozen iterate
-# passes that again; a coupled half-step freezes its inverse on the same scale
-# (see _Inverses).  Only at n >= _FREEZE_MIN_N, the measured crossover: a freeze
-# costs a divided-difference table per term, which the few frozen steps of a
-# solve must win back.  On random instances of both schemes (one BLAS thread,
+# most _FREEZE_RTOL ||Q|| (and _FREEZE_LMIN_RTOL l_min, below), and re-bases
+# once its drift from the frozen iterate passes either again; a coupled
+# half-step freezes its inverse on the same scale (see _Inverses).  Only at
+# n >= _FREEZE_MIN_N, the measured crossover: a freeze costs a
+# divided-difference table per term, which the few frozen steps of a solve must
+# win back.  On random instances of both schemes (one BLAS thread,
 # real and complex), a solve that may freeze took 1.00-1.09x the time of one
 # that never does at n = 8, 0.97-1.06x at n = 12, 0.92-0.99x at n = 16 and
 # 0.84-0.89x at n = 24.  Below it the loops decompose and factor every iterate.
 _FREEZE_RTOL = 1e-8
 _FREEZE_MIN_N = 16
+# The first-order remainder of a frozen power, relative to the term, grows like
+# (||D||_F / l_min)^2, which the limit on the scale of ||Q|| does not bound when
+# the iterate is much smaller than Q.  So the drift must also be at most
+# _FREEZE_LMIN_RTOL times the base's smallest eigenvalue.  That gate keeps the
+# eigh per solve of the perfbench workloads (seed 1) at 15.8 on coupled-n64 and
+# 7.0 on fixedpoint-n128; the tighter 1e-7 and 1e-8 re-base more often, at 16.7
+# and 18.4 on coupled-n64.
+_FREEZE_LMIN_RTOL = 1e-6
 
 
 class _Powers:
@@ -314,8 +323,9 @@ class _Powers:
     on its spectrum and keeps, per pair, l^r and W = V* M (V* when M is None): its
     terms are W* diag(l^r) W.  The sequence freezes on its predicted drift: once
     its last Frobenius step times the last step ratio, min(1, step / previous
-    step), is at most the freeze limit, that iterate is the base Y_f, and a later
-    iterate Y = Y_f + D is evaluated in the base's eigenbasis to first order
+    step), is at most the freeze limit and _FREEZE_LMIN_RTOL times its smallest
+    eigenvalue, that iterate is the base Y_f, and a later iterate Y = Y_f + D
+    is evaluated in the base's eigenbasis to first order
     (Daleckii-Krein): Y^r = V (diag(l^r) + Gamma_r o V* D V) V* + O(||D||^2), with
     Gamma_r the divided differences of x^r on l and the remainder at most about
     ||D||_F^2 sup |f''| on the spectrum's interval.  So a frozen term is
@@ -323,8 +333,8 @@ class _Powers:
     the Weyl certificate.  A sequence with no base first tries its partner's (the
     other coupled sequence, which has the same pairs) and adopts it when that
     step passes.  When the certificate cannot decide, when the drift ||D||_F
-    passes the limit, or when a divided difference is not finite, a fresh eigh
-    re-bases.
+    passes either bound, or when a divided difference is not finite, a fresh
+    eigh re-bases.
     """
 
     def __init__(self, P: ProblemInstance, pairs: tuple):
@@ -351,7 +361,7 @@ class _Powers:
                     self.base = base
                     return terms
         values, vectors = _eigh_pd(Y, what) if eig is None else eig
-        freeze = predicted <= self.limit
+        freeze = predicted <= self._drift_limit(values)
         adj = vectors.conj().T
         kept = []
         for r, M in self.pairs:
@@ -362,13 +372,17 @@ class _Powers:
             self.base = (Y, values, vectors, kept)
         return [(W.conj().T * power) @ W for power, _, W in kept]
 
+    def _drift_limit(self, values: np.ndarray) -> float:
+        """The largest drift a base with ascending spectrum values may take."""
+        return min(self.limit, _FREEZE_LMIN_RTOL * values[0])
+
     def _first_order(self, Y: np.ndarray, base: tuple) -> list[np.ndarray] | None:
-        """The terms at Y from the frozen base, or None when its drift passes the
-        limit or the Weyl certificate cannot decide its positivity."""
+        """The terms at Y from the frozen base, or None when its drift passes
+        either bound or the Weyl certificate cannot decide its positivity."""
         Y_f, values, vectors, kept = base
         D = Y - Y_f
         drift = float(np.linalg.norm(D))
-        if not (drift <= self.limit and _weyl_certifies(values, drift)):
+        if not (drift <= self._drift_limit(values) and _weyl_certifies(values, drift)):
             return None
         E = vectors.conj().T @ D @ vectors
         out = []
@@ -618,7 +632,7 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
     Each iterate but the last pair gets a positivity verdict from _Powers, and
     each half-step's inverted matrix one from _Inverses.  Near convergence an
     iterate's terms come from a frozen eigenbasis, its own or the other
-    sequence's, and a half-step from a first-order update of its lane's last
+    sequence's, and a half-step from a Neumann series about its lane's last
     exact inverse.  The limit (X + Y)/2 always gets its own eigh, which feeds
     the lift and the residual certificate.
     """
@@ -688,6 +702,16 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
     )
 
 
+# A frozen half-step sums at most _NEUMANN_MAX_ORDER terms past the identity of
+# the Neumann series of (I + G)^-1 (see _Inverses).  Order k costs k + 3 matrix
+# products; the exact half-step it replaces costs one Cholesky factorization, one
+# triangular inverse and 2 products.  With one BLAS thread that exact step took
+# the time of 16 products at real n = 64, 9.6-10 at real n = 128 and 256, 9.1 at
+# complex n = 64 and 7.2 at complex n = 128, the fewest measured.  So order 4, at
+# 7 products, never costs more than the exact step it saves.
+_NEUMANN_MAX_ORDER = 4
+
+
 class _Inverses:
     """The half-steps A M^-1 A* of one coupled lane (adj_a = A*), for its
     successive inner matrices M, each with the positivity verdict of
@@ -701,25 +725,31 @@ class _Inverses:
     the eigendecomposition decides, and inverts.
 
     At n >= _FREEZE_MIN_N the lane keeps its last exact Cholesky half-step:
-    M_f, U = M_f^-1 A*, X_f = W* W and lam.  A later M = M_f + D gets the
-    first-order update X_f - U* D U (the Frechet derivative of the inverse),
-    whose remainder U* D M^-1 D U has
-    ||.||_F <= ||U||_F^2 ||D||_F^2 / (lam - ||D||_F).  It is taken only when
-    lam - ||D||_F > 2 PD_TOL (||M_f||_F + ||D||_F), which passes the verdict by
-    Weyl as above, and when that remainder bound is at most
-    _FREEZE_RTOL^2 ||X_f||_F; otherwise the exact half-step runs.
+    M_f, L^-1, W, ||X_f||_F and lam.  A later M = M_f + D is L (I + G) L* with
+    G = L^-1 D L^-*, so A M^-1 A* = W* (I + G)^-1 W, and the update is the
+    Neumann series W* (I - G + G^2 - ... + (-G)^k) W, whose remainder
+    W* (-G)^(k+1) (I + G)^-1 W has ||.||_F <= ||W||_F^2 g^(k+1) / (1 - g) for
+    g = ||G||_F < 1.  At k = 1 it is X_f - U* D U with U = M_f^-1 A*, the
+    Frechet derivative of the inverse.  The update is taken only when
+    lam (1 - g) > 2 PD_TOL (||M_f||_F + ||D||_F), which passes the verdict as
+    above, since lambda_min(M) >= lam lambda_min(I + G) >= lam (1 - g) and
+    max|lambda(M)| <= ||M||_F <= ||M_f||_F + ||D||_F, and at
+    the smallest order k <= _NEUMANN_MAX_ORDER whose remainder bound is at most
+    _FREEZE_RTOL^2 ||X_f||_F; otherwise the exact half-step runs.  As
+    ||D||_F <= ||M_f||_2 g, the drift ||D||_F / ||M_f||_F bounds g from below and
+    refuses a hopeless update before G is formed.
     """
 
     def __init__(self, adj_a: np.ndarray):
         self.adj_a = adj_a
         self.freeze = adj_a.shape[0] >= _FREEZE_MIN_N
-        # the last exact (M_f, ||M_f||_F, U, ||U||_F^2, X_f, ||X_f||_F, lam), or None
+        # the last exact (M_f, ||M_f||_F, L^-1, W, ||W||_F^2, ||X_f||_F, lam), or None
         self.base: tuple | None = None
 
     def at(self, inner: np.ndarray, it: int) -> np.ndarray:
         """A inner^-1 A*, inner being the lane's matrix at iteration it."""
         if self.base is not None:
-            X = self._first_order(inner)
+            X = self._series(inner)
             if X is not None:
                 return X
         try:
@@ -733,9 +763,8 @@ class _Inverses:
                 W = L_inv @ self.adj_a
                 X = mc.hermitian_part(W.conj().T @ W)
                 if self.freeze:
-                    U = L_inv.conj().T @ W
-                    norm_u = np.linalg.norm(U)
-                    self.base = (inner, norm_m, U, norm_u * norm_u, X, np.linalg.norm(X), lam)
+                    norm_w = np.linalg.norm(W)
+                    self.base = (inner, norm_m, L_inv, W, norm_w * norm_w, np.linalg.norm(X), lam)
                 return X
         inner_vals, inner_vecs = np.linalg.eigh(inner)
         if not mc.is_pd_spectrum(inner_vals):
@@ -745,19 +774,37 @@ class _Inverses:
             )
         return mc.hermitian_part(mc.congruence(inner_vecs, 1.0 / inner_vals, self.adj_a))
 
-    def _first_order(self, inner: np.ndarray) -> np.ndarray | None:
-        """X_f - U* D U at inner = M_f + D, or None when the positivity or the
-        remainder bound fails."""
-        M_f, norm_m, U, norm_u2, X_f, norm_x, lam = self.base
+    def _series(self, inner: np.ndarray) -> np.ndarray | None:
+        """The Neumann series update at inner = M_f + D, or None when the
+        positivity certificate or the remainder bound fails at every order."""
+        M_f, norm_m, L_inv, W, _, _, _ = self.base
         D = inner - M_f
         drift = float(np.linalg.norm(D))
-        gap = lam - drift
-        if not (
-            gap > 2.0 * mc.PD_TOL * (norm_m + drift)
-            and norm_u2 * drift * drift <= _FREEZE_RTOL**2 * norm_x * gap
-        ):
+        if self._order(drift / norm_m, drift) is None:
             return None
-        return mc.hermitian_part(X_f - U.conj().T @ D @ U)
+        G = L_inv @ D @ L_inv.conj().T
+        order = self._order(float(np.linalg.norm(G)), drift)
+        if order is None:
+            return None
+        Z = W
+        for _ in range(order):  # Horner: Z = (I - G + ... + (-G)^order) W
+            Z = W - G @ Z
+        return mc.hermitian_part(W.conj().T @ Z)
+
+    def _order(self, g: float, drift: float) -> int | None:
+        """The series order for ||G||_F = g, or None when the positivity
+        certificate or the remainder bound fails at every order."""
+        _, norm_m, _, _, norm_w2, norm_x, lam = self.base
+        # the certificate also gives g < 1, and it fails on a NaN g
+        if not lam * (1.0 - g) > 2.0 * mc.PD_TOL * (norm_m + drift):
+            return None
+        budget = _FREEZE_RTOL**2 * norm_x * (1.0 - g)
+        bound = norm_w2 * g * g  # the remainder bound at order 1, times 1 - g
+        for order in range(1, _NEUMANN_MAX_ORDER + 1):
+            if bound <= budget:
+                return order
+            bound *= g
+        return None
 
 
 def solve(P: ProblemInstance, opts: SolveOptions | None = None) -> SolveReport:

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -1196,7 +1197,7 @@ def _frozen_spy(monkeypatch):
     froze = set()
     eigh, cholesky = np.linalg.eigh, np.linalg.cholesky
     at, first_order = solvers._Powers.at, solvers._Powers._first_order
-    inverse_first_order = solvers._Inverses._first_order
+    inverse_series = solvers._Inverses._series
 
     def counting(name, function):
         def counted(*args, **kwargs):
@@ -1220,8 +1221,8 @@ def _frozen_spy(monkeypatch):
         counts["adopted"] += terms is not None and base is not self.base
         return terms
 
-    def counting_inverse_first_order(self, *args):
-        X = inverse_first_order(self, *args)
+    def counting_inverse_series(self, *args):
+        X = inverse_series(self, *args)
         counts["frozen_inverse"] += X is not None
         return X
 
@@ -1229,7 +1230,7 @@ def _frozen_spy(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", cholesky))
     monkeypatch.setattr(solvers._Powers, "at", counting_at)
     monkeypatch.setattr(solvers._Powers, "_first_order", counting_first_order)
-    monkeypatch.setattr(solvers._Inverses, "_first_order", counting_inverse_first_order)
+    monkeypatch.setattr(solvers._Inverses, "_series", counting_inverse_series)
     return counts
 
 
@@ -1290,6 +1291,20 @@ class TestFrozenBasis:
         assert counts["eigh"] == counts["before_freeze"] + 1 == 2 * rep.iterations - 1
         assert counts["cholesky"] == 2 * rep.iterations
 
+    def test_small_iterates_keep_the_residual_of_a_plain_solve(self, monkeypatch):
+        # a drift limit of 1e-8 ||Q|| alone lets the frozen powers' remainder,
+        # which grows like (||D||_F / l_min)^2, through: the solve converged
+        # with a residual of 1.6e-12 against 1.9e-14 without a freeze
+        P = _small_iterate_instance()
+        counts = _frozen_spy(monkeypatch)
+        frozen = solvers.solve(P)
+        monkeypatch.undo()
+        assert counts["frozen"] >= 1
+        monkeypatch.setattr(solvers, "_FREEZE_MIN_N", P.n + 1)
+        plain = solvers.solve(P)
+        assert frozen.converged and plain.converged
+        assert frozen.residual <= 2.0 * plain.residual
+
     def test_forced_drift_rebases_and_raises_the_eigh_verdict(self, monkeypatch):
         # the first steps are below the freeze limit, the drift from the frozen
         # Y_1 then passes it, and the loss of positivity comes from the eigh
@@ -1308,16 +1323,32 @@ class TestFrozenBasis:
         )
 
 
+def _small_iterate_instance():
+    """n = 24, s = 1, t = 2, p = 1, real: Q with eigenvalues in [1, 2] but A and
+    B of norm 0.02 and 0.005, so the coupled iterates Y = X^2 have eigenvalues
+    about 2e-4 to 3.6e-4, far below ||Q||."""
+    rng = np.random.default_rng(2)
+    n = 24
+    U = _orthogonal(rng, n)
+    Q = (U * rng.uniform(1.0, 2.0, n)) @ U.T
+    A = 0.02 * (_orthogonal(rng, n) * rng.uniform(0.98, 1.0, n)) @ _orthogonal(rng, n).T
+    B = 0.005 * (_orthogonal(rng, n) * rng.uniform(0.5, 1.0, n)) @ _orthogonal(rng, n).T
+    return analysis.ProblemInstance(A, B, 0.5 * (Q + Q.T), 1.0, 2.0, 1.0)
+
+
 def _frozen_inverse_conditions(M_f, M, adj_a):
-    """(positivity, remainder): the two conditions of a frozen half-step at M
-    about the exact one at M_f, recomputed from their definitions."""
-    lam = 1.0 / np.linalg.norm(np.linalg.inv(np.linalg.cholesky(M_f))) ** 2
-    U = np.linalg.solve(M_f, adj_a)
-    drift = np.linalg.norm(M - M_f)
-    gap = lam - drift
-    positivity = gap > 2.0 * mc.PD_TOL * (np.linalg.norm(M_f) + drift)
-    bound = np.linalg.norm(U) ** 2 * drift**2 / gap
-    return positivity, bool(gap > 0.0 and bound <= solvers._FREEZE_RTOL**2 * np.linalg.norm(adj_a.conj().T @ U))
+    """(positivity, remainder): the two conditions of a series half-step at M
+    about the exact one at M_f, recomputed from their definitions; the
+    remainder bound at the largest order, which passes if any order does."""
+    L = np.linalg.cholesky(M_f)
+    lam = 1.0 / np.linalg.norm(np.linalg.inv(L)) ** 2
+    D = M - M_f
+    g = np.linalg.norm(np.linalg.solve(L, np.linalg.solve(L, D).conj().T))  # ||L^-1 D L^-*||_F
+    W = np.linalg.solve(L, adj_a)
+    positivity = lam * (1.0 - g) > 2.0 * mc.PD_TOL * (np.linalg.norm(M_f) + np.linalg.norm(D))
+    bound = np.linalg.norm(W) ** 2 * g ** (solvers._NEUMANN_MAX_ORDER + 1) / (1.0 - g)
+    limit = solvers._FREEZE_RTOL**2 * np.linalg.norm(W.conj().T @ W)
+    return positivity, bool(g < 1.0 and bound <= limit)
 
 
 def _near_threshold(drop):
@@ -1344,11 +1375,12 @@ def _rotated_drift(cplx, drift):
 
 
 class TestFrozenInverse:
-    """A coupled lane's half-step A M^-1 A* to first order about its last exact
-    Cholesky half-step M_f: X_f - U* D U with U = M_f^-1 A* and D = M - M_f.
-    It must agree with the exact inverse to rounding, and a half-step refused by
-    the positivity certificate or by the remainder bound must be the exact
-    half-step, verdict and PositivityError text included."""
+    """A coupled lane's half-step A M^-1 A* from the Neumann series about its
+    last exact Cholesky half-step M_f = L L*: W* (I - G + ... + (-G)^k) W with
+    W = L^-1 A*, G = L^-1 D L^-* and D = M - M_f.  It must agree with the exact
+    inverse to rounding, and a half-step refused by the positivity certificate
+    or by the remainder bound must be the exact half-step, verdict and
+    PositivityError text included."""
 
     @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [32, 64])
@@ -1356,20 +1388,20 @@ class TestFrozenInverse:
         P = _dense_instance(np.random.default_rng([18, n]), n, "coupled", cplx)
         solvers.solve(P, solvers.SolveOptions(max_iter=1))  # fill the instance caches
         errors = []
-        first_order = solvers._Inverses._first_order
+        series = solvers._Inverses._series
 
         def compared(self, inner):
-            X = first_order(self, inner)
+            X = series(self, inner)
             if X is not None:
                 exact = _exact_half_step(inner, self.adj_a, 0)
                 errors.append(np.linalg.norm(X - exact) / np.linalg.norm(exact))
             return X
 
-        monkeypatch.setattr(solvers._Inverses, "_first_order", compared)
+        monkeypatch.setattr(solvers._Inverses, "_series", compared)
         rep = solvers.solve(P)
         monkeypatch.undo()
         assert rep.preconditions_held and rep.converged
-        # 8 of the 26 half-steps freeze, each within 5.2e-16 of the exact one
+        # 18 of the 26 half-steps take the series, each within 5e-16 of the exact one
         assert len(errors) >= 4 and max(errors) <= 2e-15
         assert_reference_matches(P, rep, reference_iterates(P, rep))
 
@@ -1407,20 +1439,131 @@ class TestFrozenInverse:
             ("remainder, real", (True, False)),
             ("remainder, complex", (True, False)),
             ("positivity", (False, True)),
+            ("remainder before G", (True, False)),
         ],
     )
     def test_refused_half_step_is_the_exact_one(self, case, conditions, monkeypatch):
         if case == "positivity":
-            # a drop of 1e-20 takes lam below the threshold, while the remainder
-            # bound, 2.5e-17 against 1e-16, still passes
+            # a drop of 1e-20 takes lam (1 - g) below the threshold, while the
+            # remainder bound at order 1, 2.5e-17 ||X_f||_F, still passes
             M_f, M, adj_a = _near_threshold(1e-20)
+        elif case == "remainder before G":
+            # the lower bound ||D||_F / ||M_f||_F on g already fails
+            M_f, M, adj_a = _rotated_drift(False, 1e-2)
         else:
-            M_f, M, adj_a = _rotated_drift(case.endswith("complex"), 1e-6)
+            # g = 1.2e-3 (1.5e-3 complex) fails the bound at every order, while
+            # its lower bound 2.8e-4 passes, so G is formed
+            M_f, M, adj_a = _rotated_drift(case.endswith("complex"), 3e-3)
         assert _frozen_inverse_conditions(M_f, M, adj_a) == conditions
         lane, calls = self._after_exact_step(M_f, adj_a, monkeypatch)
+        orders = self._spy_orders(monkeypatch)
         X = lane.at(M, 2)
         assert len(calls) == 1
+        # the order is sought for the lower bound on g, and once more if G is formed
+        assert len(orders) == (1 if case == "remainder before G" else 2) and orders[-1][1] is None
         assert np.array_equal(X, _exact_half_step(M, adj_a, 2))
+
+    @staticmethod
+    def _spy_orders(monkeypatch):
+        """The list that each (g, order) of _Inverses._order is appended to."""
+        orders, order = [], solvers._Inverses._order
+
+        def recorded(self, g, drift):
+            orders.append((g, order(self, g, drift)))
+            return orders[-1][1]
+
+        monkeypatch.setattr(solvers._Inverses, "_order", recorded)
+        return orders
+
+    @pytest.mark.parametrize("rtol", [None, 1e-4], ids=["module", "loose"])
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    def test_accepted_series_is_within_its_bound(self, cplx, rtol, monkeypatch):
+        # with the module's _FREEZE_RTOL the bound is below rounding; at 1e-4 it
+        # is far above it for many updates, and must still hold
+        if rtol is not None:
+            monkeypatch.setattr(solvers, "_FREEZE_RTOL", rtol)
+        monkeypatch.setattr(solvers, "_FREEZE_MIN_N", 1)
+        orders = self._spy_orders(monkeypatch)
+        rng = np.random.default_rng([21, cplx])
+        eps = np.finfo(float).eps
+        accepted, refused, above_rounding = Counter(), 0, 0
+        for _ in range(150):
+            # n in 2..32, M_f with eigenvalues in [1e-2, 10], and M = M_f + D for a
+            # random Hermitian D with ||D||_F in [1e-14, 1e-2]
+            n = int(rng.integers(2, 33))
+            U = _orthogonal(rng, n, cplx)
+            M_f = mc.hermitian_part((U * 10.0 ** rng.uniform(-2.0, 1.0, n)) @ U.conj().T)
+            A, E = rng.standard_normal((2, n, n))
+            if cplx:
+                A, E = A + 1j * rng.standard_normal((n, n)), E + 1j * rng.standard_normal((n, n))
+            D = mc.hermitian_part(E)
+            M, adj_a = M_f + 10.0 ** rng.uniform(-14.0, -2.0) / np.linalg.norm(D) * D, A.conj().T
+            lane = solvers._Inverses(adj_a)
+            lane.at(M_f, 1)
+            X = lane._series(M)
+            if X is None:
+                refused += 1
+                continue
+            g, k = orders[-1]
+            accepted[k] += 1
+            bound = lane.base[4] * g ** (k + 1) / (1.0 - g)  # ||W||_F^2 g^(k+1) / (1 - g)
+            exact = _exact_half_step(M, adj_a, 2)
+            values = np.linalg.eigvalsh(M)
+            # rounding of an inverse: a few eps times cond(M)
+            rounding = 4.0 * eps * values[-1] / values[0] * np.linalg.norm(exact)
+            err = np.linalg.norm(X - exact)
+            assert err <= bound + rounding
+            above_rounding += err > 100.0 * rounding
+        # every order from 1 to _NEUMANN_MAX_ORDER is taken
+        assert refused > 0 and sorted(accepted) == list(range(1, solvers._NEUMANN_MAX_ORDER + 1))
+        assert (above_rounding > 10) == (rtol is not None)
+
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    def test_certificate_never_passes_a_failing_spectrum(self, cplx, monkeypatch):
+        # with the remainder bound switched off the positivity certificate
+        # lam (1 - g) > 2 PD_TOL (||M_f||_F + ||D||_F) decides alone: it may
+        # refuse a positive definite M, but never pass one that is not
+        monkeypatch.setattr(solvers, "_FREEZE_RTOL", 1e100)
+        monkeypatch.setattr(solvers, "_FREEZE_MIN_N", 1)
+        rng = np.random.default_rng([22, cplx])
+        passed = refused_pd = failing = 0
+        for _ in range(400):
+            n = int(rng.integers(2, 12))
+            # lambda_min from well inside the cone to the PD_TOL boundary
+            l_min = 10.0 ** rng.uniform(-11.0, -1.0)
+            values = np.sort(np.concatenate(([l_min], rng.uniform(l_min, 1.0, n - 1))))
+            U = _orthogonal(rng, n, cplx)
+            M_f = mc.hermitian_part((U * values) @ U.conj().T)
+            # a drop along the smallest eigenvector, of 0.2 to 2 times l_min, and
+            # a random Hermitian part of norm up to l_min / 2
+            v = U[:, :1]
+            E = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if cplx else 0.0)
+            D = mc.hermitian_part(E)
+            D *= l_min * rng.uniform(0.0, 0.5) / np.linalg.norm(D)
+            D -= l_min * rng.uniform(0.2, 2.0) * (v @ v.conj().T)
+            lane = solvers._Inverses(np.eye(n))
+            lane.at(M_f, 1)
+            assert lane.base is not None
+            certified = lane._series(M_f + D) is not None
+            exact = mc.is_pd_spectrum(np.linalg.eigvalsh(M_f + D))
+            assert exact or not certified
+            passed += certified
+            refused_pd += exact and not certified
+            failing += not exact
+        assert passed > 100 and refused_pd > 0 and failing > 5
+
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("drift", [1e-13, 1e-9])
+    def test_order_one_is_the_frechet_update(self, drift, cplx, monkeypatch):
+        # X_f - U* D U with U = M_f^-1 A*, the first-order update of the inverse
+        M_f, M, adj_a = _rotated_drift(cplx, drift)
+        lane, calls = self._after_exact_step(M_f, adj_a, monkeypatch)
+        orders = self._spy_orders(monkeypatch)
+        X = lane.at(M, 2)
+        assert not calls and orders[-1][1] == 1
+        U = np.linalg.solve(M_f, adj_a)
+        frechet = _exact_half_step(M_f, adj_a, 1) - U.conj().T @ (M - M_f) @ U
+        assert np.linalg.norm(X - frechet) <= 4.0 * np.finfo(float).eps * np.linalg.norm(frechet)
 
     @pytest.mark.parametrize("case", ["near the threshold", "rotated"])
     def test_lost_positivity_raises_the_exact_message(self, case, monkeypatch):
@@ -1452,7 +1595,7 @@ class TestDecompositionBudget:
 
     @pytest.mark.parametrize(
         ("scheme", "n", "eighs", "choleskys"),
-        [("coupled", 64, 16, 18), ("fixed-point", 32, 7, 0)],
+        [("coupled", 64, 16, 8), ("fixed-point", 32, 7, 0)],
     )
     def test_factorizations_per_solve(self, scheme, n, eighs, choleskys, monkeypatch):
         counts = _frozen_spy(monkeypatch)
