@@ -53,17 +53,11 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _fmt_entry(z) -> str:
-    z = complex(z)
-    if z.imag == 0.0:
-        return f"{z.real:.12g}"
-    return f"{z.real:.12g}{z.imag:+.12g}j"
-
-
 def _print_matrix(name: str, M: np.ndarray) -> None:
     print(f"{name}:")
-    for i in range(M.shape[0]):
-        print("  [" + "  ".join(_fmt_entry(M[i, j]) for j in range(M.shape[1])) + "]")
+    for re_row, im_row in zip(M.real.tolist(), M.imag.tolist()):
+        cells = (f"{x:.12g}" if y == 0.0 else f"{x:.12g}{y:+.12g}j" for x, y in zip(re_row, im_row))
+        print("  [" + "  ".join(cells) + "]")
 
 
 def _verdict_word(holds: bool) -> str:

@@ -81,7 +81,7 @@ def _real(value, loc: str) -> float:
         v = float(value)
     except OverflowError:  # an int past the double range
         v = math.inf if value > 0 else -math.inf
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise ProblemFileError(f"{loc}: number must be finite, got {v}")
     return v
 
@@ -105,8 +105,43 @@ def _matrix(value, n: int | None, name: str) -> np.ndarray:
         raise ProblemFileError(f"{name}: expected {n} rows, got {len(value)}")
     if n == 0:
         raise ProblemFileError(f"{name}: matrix must be nonempty")
+    out = _bulk_matrix(value, n)
+    return _matrix_by_entry(value, n, name) if out is None else out
+
+
+_NUMBER = {int, float}  # exact types: json reads true and false as bool, an int subclass
+
+
+def _bulk_matrix(rows: list, n: int) -> np.ndarray | None:
+    """The matrix of rows when every row is a list of n finite numbers or
+    [re, im] pairs of finite numbers, converted in bulk; otherwise None, and
+    _matrix_by_entry, the reference rule, names the first bad entry."""
+    if not all(type(row) is list and len(row) == n for row in rows):
+        return None
+    cells = [cell for row in rows for cell in row]
+    kinds = set(map(type, cells))
+    pairs = [cell for cell in cells if type(cell) is list] if list in kinds else []
+    parts = {type(x) for pair in pairs for x in pair}
+    if not (kinds - {list} <= _NUMBER and parts <= _NUMBER and all(len(p) == 2 for p in pairs)):
+        return None
+    re, im = cells, None
+    if pairs:
+        re = [cell[0] if type(cell) is list else cell for cell in cells]
+        im = [cell[1] if type(cell) is list else 0.0 for cell in cells]
     out = np.zeros((n, n), dtype=np.complex128)
-    for i, row in enumerate(value):
+    try:  # an int past the double range overflows
+        out.real = np.array(re, dtype=np.float64).reshape(n, n)
+        if im is not None:
+            out.imag = np.array(im, dtype=np.float64).reshape(n, n)
+    except OverflowError:
+        return None
+    return out if np.isfinite(out).all() else None
+
+
+def _matrix_by_entry(rows: list, n: int, name: str) -> np.ndarray:
+    """The reference rule: row by row and entry by entry, naming the first bad one."""
+    out = np.zeros((n, n), dtype=np.complex128)
+    for i, row in enumerate(rows):
         if not isinstance(row, list):
             raise ProblemFileError(
                 f"{name}[{i}]: expected a list of {n} entries, got {type(row).__name__}"
@@ -145,27 +180,40 @@ def load_problem(path) -> ProblemFile:
         return parse_problem(fh.read())
 
 
-def _encode_entry(z: complex):
-    if z.imag == 0.0:
-        return z.real
-    return [z.real, z.imag]
+def _matrix_text(M: np.ndarray) -> str:
+    """json.dumps's indent=2 text of M's entries at depth 1: a plain real for
+    an entry with zero imaginary part, else an [re, im] pair."""
+    re = np.asarray(M.real, dtype=np.float64)
+    im = np.asarray(M.imag, dtype=np.float64)
+    rows = []
+    for re_row, im_row in zip(re.tolist(), im.tolist()):
+        cells = [repr(x) if y == 0.0 else f"[\n        {x!r},\n        {y!r}\n      ]"
+                 for x, y in zip(re_row, im_row)]
+        rows.append("[\n      " + ",\n      ".join(cells) + "\n    ]" if cells else "[]")
+    text = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        # only non-finite floats spell nan or inf: json writes NaN, Infinity, -Infinity
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
 
 
-def _encode_matrix(M: np.ndarray) -> list:
-    return [[_encode_entry(complex(M[i, j])) for j in range(M.shape[1])] for i in range(M.shape[0])]
+def _dumps(doc: dict) -> str:
+    """json.dumps(doc, indent=2) + "\n" for an object of scalars and matrices,
+    each matrix written by the entry rule of _matrix_text."""
+    texts = (_matrix_text(v) if isinstance(v, np.ndarray) else json.dumps(v) for v in doc.values())
+    return "{\n" + ",\n".join(f"  {json.dumps(k)}: {t}" for k, t in zip(doc, texts)) + "\n}\n"
 
 
 def write_problem(pf: ProblemFile) -> str:
-    doc = {
+    return _dumps({
         "n": pf.n,
         "s": float(pf.s),
         "t": float(pf.t),
         "p": float(pf.p),
-        "A": _encode_matrix(pf.A),
-        "B": _encode_matrix(pf.B),
-        "Q": _encode_matrix(pf.Q),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+        "A": pf.A,
+        "B": pf.B,
+        "Q": pf.Q,
+    })
 
 
 def problem_from_instance(P: ProblemInstance) -> ProblemFile:
@@ -192,7 +240,7 @@ def load_solution(path) -> SolutionFile:
 
 def write_solution(report) -> str:
     """Serialize a SolveReport (X, Y plus run metadata) as JSON."""
-    doc = {
+    return _dumps({
         "scheme": report.scheme.value,
         "iterations": report.iterations,
         "converged": report.converged,
@@ -200,10 +248,9 @@ def write_solution(report) -> str:
         "delta": float(report.delta),
         "extremality": report.extremality.value,
         "lift_root": float(report.lift_root),
-        "X": _encode_matrix(report.solution_X),
-        "Y": _encode_matrix(report.solution_Y),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+        "X": report.solution_X,
+        "Y": report.solution_Y,
+    })
 
 
 def write_history_csv(history) -> str:
@@ -214,10 +261,4 @@ def write_history_csv(history) -> str:
 
 
 def write_factorization(F: Factorization) -> str:
-    doc = {
-        "U": _encode_matrix(F.U),
-        "Lambda": _encode_matrix(np.diag(F.lam)),
-        "N1": _encode_matrix(F.N1),
-        "N2": _encode_matrix(F.N2),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return _dumps({"U": F.U, "Lambda": np.diag(F.lam), "N1": F.N1, "N2": F.N2})

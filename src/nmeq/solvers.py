@@ -705,10 +705,11 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
 # A frozen half-step sums at most _NEUMANN_MAX_ORDER terms past the identity of
 # the Neumann series of (I + G)^-1 (see _Inverses).  Order k costs k + 3 matrix
 # products; the exact half-step it replaces costs one Cholesky factorization, one
-# triangular inverse and 2 products.  With one BLAS thread that exact step took
-# the time of 16 products at real n = 64, 9.6-10 at real n = 128 and 256, 9.1 at
-# complex n = 64 and 7.2 at complex n = 128, the fewest measured.  So order 4, at
-# 7 products, never costs more than the exact step it saves.
+# triangular inverse (_lower_inverse) and 2 products.  With one BLAS thread that
+# exact step took the time of 13.7 products at real n = 64, 6.8 at complex n = 64,
+# 6.0 at real n = 128, 4.9 at complex n = 128 and 4.2 at real n = 256.  So order
+# 4, at 7 products, costs less than the exact step at real n = 64 but up to 1.7x
+# more at the larger sizes, where only the lower orders save time.
 _NEUMANN_MAX_ORDER = 4
 
 
@@ -753,7 +754,7 @@ class _Inverses:
             if X is not None:
                 return X
         try:
-            L_inv = np.linalg.inv(np.linalg.cholesky(inner))
+            L_inv = _lower_inverse(np.linalg.cholesky(inner))
         except np.linalg.LinAlgError:
             L_inv = None
         if L_inv is not None:
@@ -805,6 +806,26 @@ class _Inverses:
                 return order
             bound *= g
         return None
+
+
+# Up to this order _lower_inverse calls the general LU inverse: with one BLAS
+# thread the 2x2 block step was no faster at n = 32 and 1.2x faster at n = 48.
+_LOWER_INVERSE_LEAF = 32
+
+
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """L^-1 of a lower triangular L, from its 2x2 blocks:
+    [[L11, 0], [L21, L22]]^-1 = [[L11^-1, 0], [-L22^-1 L21 L11^-1, L22^-1]]."""
+    n = L.shape[0]
+    if n <= _LOWER_INVERSE_LEAF:
+        return np.linalg.inv(L)
+    h = n // 2
+    inv11, inv22 = _lower_inverse(L[:h, :h]), _lower_inverse(L[h:, h:])
+    out = np.zeros_like(L)
+    out[:h, :h] = inv11
+    out[h:, h:] = inv22
+    out[h:, :h] = -(inv22 @ (L[h:, :h] @ inv11))
+    return out
 
 
 def solve(P: ProblemInstance, opts: SolveOptions | None = None) -> SolveReport:

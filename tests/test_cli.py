@@ -19,7 +19,7 @@ import nmeq
 from nmeq import analysis, builtin, cli, probfile
 from nmeq import matcore as mc
 
-from support import decimal_contraction, near_singular_coupled_problem, random_unitary
+from support import decimal_contraction, near_singular_coupled_problem, random_hpd, random_unitary
 
 # the subprocess imports the same nmeq as the tests, installed or not
 NMEQ_ROOT = str(Path(nmeq.__file__).resolve().parent.parent)
@@ -591,3 +591,38 @@ class TestMainEntry:
         with pytest.raises(TypeError, match="broken command"):
             cli.main(["check", "--example", "1"])
         assert capsys.readouterr().err == ""
+
+
+class TestFilesAtScale:
+    def test_complex_n64_round_trip(self, tmp_path, monkeypatch, capsys):
+        # a fixed-point instance (s = 3, t = 2, p = 1) well inside its conditions
+        rng = np.random.default_rng(64)
+        n = 64
+        Z = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+        A, B = (scale * M / np.linalg.norm(M, 2) for scale, M in zip((0.3, 0.2), Z))
+        Q = random_hpd(rng, n, lo=2.0, hi=4.0)
+        problem = tmp_path / "problem.json"
+        pf = probfile.ProblemFile(n, 3.0, 2.0, 1.0, A, B, Q)
+        problem.write_text(probfile.write_problem(pf))
+        reports = []
+        write_solution = probfile.write_solution
+
+        def spy(report):
+            reports.append(report)
+            return write_solution(report)
+
+        monkeypatch.setattr(probfile, "write_solution", spy)
+        sol, hist, fact = (tmp_path / name for name in ("sol.json", "hist.csv", "fact.json"))
+        argv = ["solve", str(problem), "--solution", str(sol), "--history", str(hist)]
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        (report,) = reports
+        X = probfile.load_solution(sol).X
+        assert np.iscomplexobj(report.solution_X)
+        assert np.array_equal(X.view(np.uint64), report.solution_X.view(np.uint64))
+        assert len(hist.read_text().splitlines()) == report.iterations + 1
+        assert cli.main(["verify", str(problem), str(sol)]) == 0
+        assert "verification: passed" in capsys.readouterr().out
+        assert cli.main(["factorize", str(problem), str(sol), "--output", str(fact)]) == 0
+        assert "factorization verified: true" in capsys.readouterr().out
+        doc = json.loads(fact.read_text())
+        assert [len(doc[key]) for key in ("U", "Lambda", "N1", "N2")] == [n] * 4

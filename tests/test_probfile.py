@@ -1,11 +1,17 @@
 """Problem, solution, history, and factorization serialization."""
 
+import contextlib
+import dataclasses
+import functools
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nmeq import analysis, builtin, probfile, solvers
+from nmeq import analysis, builtin, cli, probfile, solvers
 
 VALID = """
 {
@@ -248,3 +254,165 @@ class TestFactorizationDoc:
         lam = np.array(doc["Lambda"], dtype=float)
         assert np.allclose(lam, np.diag(np.diag(lam)))
         assert np.allclose(np.diag(lam), F.lam)
+
+
+# doubles at the edges of the format: signed zeros, the smallest subnormal, a
+# subnormal, the largest finite magnitude
+_EDGE_FLOATS = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 1.0 / 3.0,
+)
+_ANY_FLOAT = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())  # NaN and +-inf too
+
+
+@st.composite
+def _matrices(draw, n: int) -> np.ndarray:
+    """A real n x n matrix, or a complex one whose imaginary parts are a mix of
+    zeros (plain entries) and any float (pair entries)."""
+    cells = st.lists(_ANY_FLOAT, min_size=n * n, max_size=n * n)
+    real = np.array(draw(cells), dtype=np.float64).reshape(n, n)
+    if not draw(st.booleans()):
+        return real
+    imag = draw(st.lists(st.one_of(st.sampled_from((0.0, -0.0)), _ANY_FLOAT),
+                         min_size=n * n, max_size=n * n))
+    M = np.zeros((n, n), dtype=np.complex128)
+    M.real, M.imag = real, np.reshape(imag, (n, n))
+    return M
+
+
+def _entry_rows(M: np.ndarray) -> list:
+    """The per-entry encoding rule: a plain real unless the imaginary part is nonzero."""
+    return [[z.real if z.imag == 0.0 else [z.real, z.imag] for z in map(complex, row)] for row in M]
+
+
+@functools.cache
+def _solved_example() -> solvers.SolveReport:
+    return solvers.solve(builtin.example(1).instance, solvers.SolveOptions(alpha=1.0))
+
+
+class TestEmitterBytes:
+    """The writers emit exactly json.dumps(doc, indent=2) + "\\n" of the per-entry encoding."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 9))
+    def test_problem_and_factorization(self, data, n):
+        A, B, Q, N1, N2 = (data.draw(_matrices(n)) for _ in range(5))
+        lam = np.array(data.draw(st.lists(_ANY_FLOAT, min_size=n, max_size=n)))
+        s = data.draw(_ANY_FLOAT)
+        pf = probfile.ProblemFile(n, s, 2.0, 1.0, A, B, Q)
+        doc = {"n": n, "s": s, "t": 2.0, "p": 1.0,
+               "A": _entry_rows(A), "B": _entry_rows(B), "Q": _entry_rows(Q)}
+        assert probfile.write_problem(pf) == json.dumps(doc, indent=2) + "\n"
+        F = analysis.Factorization(A, lam, N1, N2)
+        doc = {"U": _entry_rows(A), "Lambda": _entry_rows(np.diag(lam)),
+               "N1": _entry_rows(N1), "N2": _entry_rows(N2)}
+        assert probfile.write_factorization(F) == json.dumps(doc, indent=2) + "\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 9),
+           delta=st.one_of(st.just(math.inf), _ANY_FLOAT))
+    def test_solution(self, data, n, delta):
+        X, Y = data.draw(_matrices(n)), data.draw(_matrices(n))
+        rep = dataclasses.replace(_solved_example(), solution_X=X, solution_Y=Y, delta=delta)
+        doc = {
+            "scheme": "fixed-point", "iterations": rep.iterations, "converged": True,
+            "residual": rep.residual, "delta": delta, "extremality": "maximal",
+            "lift_root": rep.lift_root, "X": _entry_rows(X), "Y": _entry_rows(Y),
+        }
+        assert probfile.write_solution(rep) == json.dumps(doc, indent=2) + "\n"
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 9))
+    def test_printed_matrix(self, data, n):
+        M = data.draw(_matrices(n))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._print_matrix("M", M)
+        rows = (
+            "  [" + "  ".join(
+                f"{z.real:.12g}" if z.imag == 0.0 else f"{z.real:.12g}{z.imag:+.12g}j"
+                for z in map(complex, row)
+            ) + "]\n"
+            for row in M
+        )
+        assert out.getvalue() == "M:\n" + "".join(rows)
+
+
+# integers that a double cannot hold exactly, or that pass int64 and uint64
+_EDGE_INTS = (
+    2**53 - 1, 2**53, 2**53 + 1, 2**53 + 3, 2**63 - 1, 2**63, 2**63 + 1, -(2**63) - 1,
+    2**64 - 1, 2**64, 2**64 + 1, -(2**64) - 3, 10**308, -(10**308), 0,
+)
+_NUMBERS = st.one_of(
+    st.sampled_from(_EDGE_INTS + _EDGE_FLOATS),
+    st.integers(-(10**20), 10**20),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_CELLS = st.one_of(_NUMBERS, st.lists(_NUMBERS, min_size=2, max_size=2), st.just([-0.0, -0.0]))
+
+
+def _bits(M: np.ndarray) -> np.ndarray:
+    """The bit patterns of the real and imaginary parts; tells -0.0 from 0.0."""
+    return np.ascontiguousarray(M, dtype=np.complex128).view(np.uint64)
+
+
+def _decode_error(decode, rows):
+    with pytest.raises(probfile.ProblemFileError) as err:
+        decode(rows)
+    return str(err.value)
+
+
+class TestBulkDecode:
+    """The bulk decode agrees with the per-entry rule, _matrix_by_entry."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6))
+    def test_valid_matrices_are_bit_identical(self, data, n):
+        rows = data.draw(st.lists(st.lists(_CELLS, min_size=n, max_size=n), min_size=n, max_size=n))
+        rows = json.loads(json.dumps(rows))  # what a file holds
+        bulk = probfile._bulk_matrix(rows, n)
+        assert bulk is not None
+        assert np.array_equal(_bits(bulk), _bits(probfile._matrix_by_entry(rows, n, "A")))
+        assert np.array_equal(_bits(probfile._matrix(rows, n, "A")), _bits(bulk))
+
+    def test_signed_zero_pairs(self):
+        rows = json.loads("[[[-0.0, -0.0], -0.0], [[0.0, -0.0], [-0.0, 0.0]]]")
+        M = probfile._matrix(rows, 2, "A")
+        assert np.signbit(M.real).tolist() == [[True, True], [False, True]]
+        assert np.signbit(M.imag).tolist() == [[True, False], [True, False]]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[[true, 0.0], [0.0, 1.0]]", "A[0][0]: expected a number, got True"),
+            ("[[0.0, null], [0.0, 1.0]]", "A[0][1]: expected a number, got None"),
+            ('[[0.0, 1.0], ["x", 1.0]]', "A[1][0]: expected a number, got 'x'"),
+            ("[[0.0, 1.0], [[[1.0], 0.0], 1.0]]", "A[1][0][0]: expected a number, got [1.0]"),
+            ("[[0.0, [false, 1.0]], [0.0, 1.0]]", "A[0][1][0]: expected a number, got False"),
+            ("[[[1.0], 0.0], [0.0, 1.0]]",
+             "A[0][0]: a complex entry must be a [re, im] pair, got 1 elements"),
+            ("[[0.0, 1.0], [0.0, [1.0, 2.0, 3.0]]]",
+             "A[1][1]: a complex entry must be a [re, im] pair, got 3 elements"),
+            ("[[0.0, 1e999], [0.0, 1.0]]", "A[0][1]: number must be finite, got inf"),
+            ("[[0.0, 1.0], [[0.0, -1e999], 1.0]]", "A[1][0][1]: number must be finite, got -inf"),
+            ("[[0.0, 1.0], [0.0, NaN]]", "A[1][1]: number must be finite, got nan"),
+            ("[[0.0, 1%s], [0.0, 1.0]]" % ("0" * 400), "A[0][1]: number must be finite, got inf"),
+            ("[[0.0, 1.0], [0.0]]", "A[1]: expected 2 entries, got 1"),
+            ("[[0.0, 1.0, 2.0], [0.0, 1.0]]", "A[0]: expected 2 entries, got 3"),
+            ("[[0.0, 1.0], 5]", "A[1]: expected a list of 2 entries, got int"),
+            # the entry rule reads row by row: row 0's bad entry is named, not the short row
+            ("[[0.0, true], [0.0]]", "A[0][1]: expected a number, got True"),
+            ("[[0.0, [1.0]], [0.0]]", "A[0][1]: a complex entry must be a [re, im] pair, got 1 elements"),
+        ],
+        ids=["bool", "null", "string", "nested-list", "bool-in-pair", "1-pair", "3-pair",
+             "1e999", "-1e999-in-pair", "nan", "10**400", "short-row", "long-row",
+             "row-not-a-list", "bad-entry-before-short-row", "bad-pair-before-short-row"],
+    )
+    def test_malformed_matrix_keeps_the_entry_rule_message(self, text, message):
+        rows = json.loads(text)
+        assert probfile._bulk_matrix(rows, 2) is None
+        assert _decode_error(lambda r: probfile._matrix_by_entry(r, 2, "A"), rows) == message
+        assert _decode_error(lambda r: probfile._matrix(r, 2, "A"), rows) == message
+        doc = json.loads(VALID)
+        doc["A"] = rows
+        assert _decode_error(probfile.parse_problem, json.dumps(doc)) == message

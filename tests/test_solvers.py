@@ -30,6 +30,7 @@ from support import (
     assert_reference_matches,
     loewner_leq,
     near_singular_coupled_problem,
+    random_hpd,
     random_unitary,
     reference_iterates,
     scalar_oracle,
@@ -1586,6 +1587,26 @@ class TestFrozenInverse:
             "inverted matrix Q - X^(s/t) - B* Y^(-p/t) B lost positive "
             f"definiteness at iteration 7 (lambda_min = {lam:.3e})"
         )
+
+
+class TestLowerInverse:
+    """_lower_inverse, the exact half-step's inverse of the Cholesky factor, by
+    2x2 blocks above _LOWER_INVERSE_LEAF and by np.linalg.inv up to it."""
+
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 32, 33, 64, 97, 128])
+    def test_inverts_the_cholesky_factor(self, n, cplx):
+        M = random_hpd(np.random.default_rng([22, n]), n, lo=1e-3, hi=1e3)
+        L = np.linalg.cholesky(M if cplx else M.real)
+        inv = solvers._lower_inverse(L)
+        assert inv.dtype == L.dtype
+        if n <= solvers._LOWER_INVERSE_LEAF:
+            assert np.array_equal(inv, np.linalg.inv(L))
+        # each block product is backward stable, so the residual is rounding times cond(L)
+        cond = np.linalg.cond(L)
+        assert np.linalg.norm(inv @ L - np.eye(n)) <= n * np.finfo(float).eps * cond
+        ref = np.linalg.inv(L)
+        assert np.linalg.norm(inv - ref) <= n * np.finfo(float).eps * cond * np.linalg.norm(ref)
 
 
 class TestDecompositionBudget:
