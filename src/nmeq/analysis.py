@@ -74,10 +74,12 @@ class ProblemInstance:
 
     Q is validated here once; the matrices are stored read-only.  The invariants
     every condition check and solver reads (||A||, ||B||, sigma_min(A), ||Q||, the spectrum
-    of Q, A Q^-1 A* and B Q^-1 B* with their spectra, A* A, B* B, their Rayleigh quotients
-    at the eigenvectors of Q, Q^(1/s), the derived scalars) are computed once per instance:
-    the singular values of A and B and the eigendecomposition of Q come out of validation,
-    the rest on first use, and all are kept in private attributes.
+    of Q and its eigenvectors, the spectra of A Q^-1 A* and B Q^-1 B*, A* A, B* B, their
+    Rayleigh quotients at the eigenvectors of Q, Q^(1/s), the derived scalars) are computed
+    once per instance: the singular values of A and B and the spectrum of Q come out of
+    validation, the rest on first use, and all are kept in private attributes.  Each matrix
+    is decomposed only as far as its readers need: Q's eigenvectors are formed on first use
+    and paired with the validated spectrum, so Q keeps one spectrum.
     """
 
     A: np.ndarray
@@ -99,7 +101,7 @@ class ProblemInstance:
         dtype = np.result_type(A, B, Q)
         # astype copies, so the stored matrices never alias the caller's
         A, B, Q = (_read_only(M.astype(dtype)) for M in (A, B, Q))
-        q_values, q_vectors = mc.trusted_eigh(Q)
+        q_values = _read_only(np.linalg.eigvalsh(Q))
         if not mc.is_pd_spectrum(q_values):
             raise ValueError("Q must be Hermitian positive definite")
         sv_a, sv_b = _require_nonsingular(A, "A"), _require_nonsingular(B, "B")
@@ -122,7 +124,7 @@ class ProblemInstance:
         object.__setattr__(self, "_norm_a", sv_a[0])
         object.__setattr__(self, "_norm_b", sv_b[0])
         object.__setattr__(self, "_sigma_min_a", sv_a[1])
-        object.__setattr__(self, "_q_eig", _frozen_eig(q_values, q_vectors))
+        object.__setattr__(self, "_q_values", q_values)
         object.__setattr__(self, "_lambda_min_q", float(q_values[0]))
         object.__setattr__(self, "_lambda_max_q", float(q_values[-1]))
 
@@ -143,18 +145,24 @@ class ProblemInstance:
         """Default residual tolerance for accepting a candidate solution."""
         return 1e-8 * (1.0 + self._norm_q)
 
-    def _inverse_q_eig(self, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Eigendecomposition of M Q^-1 M*, with Q^-1 read from the eigh of Q."""
+    @cached_property
+    def _q_eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """The validated spectrum of Q with the eigenvectors of one eigh of Q."""
+        return self._q_values, _read_only(mc.trusted_eigh(self.Q)[1])
+
+    def _inverse_q(self, M: np.ndarray) -> np.ndarray:
+        """M Q^-1 M*, symmetrized, with Q^-1 read from the eigenpairs of Q.  Only its
+        spectrum is cached; check_uniqueness_interval decomposes it further."""
         q_values, q_vectors = self._q_eig
-        return _frozen_eig(*mc.trusted_eigh(mc.congruence(q_vectors, 1.0 / q_values, M.conj().T)))
+        return mc.hermitian_part(mc.congruence(q_vectors, 1.0 / q_values, M.conj().T))
 
     @cached_property
-    def _aqa_eig(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._inverse_q_eig(self.A)
+    def _aqa_values(self) -> np.ndarray:
+        return _read_only(np.linalg.eigvalsh(self._inverse_q(self.A)))
 
     @cached_property
-    def _bqb_eig(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._inverse_q_eig(self.B)
+    def _bqb_values(self) -> np.ndarray:
+        return _read_only(np.linalg.eigvalsh(self._inverse_q(self.B)))
 
     @cached_property
     def _q_rayleigh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -182,7 +190,7 @@ class ProblemInstance:
 
     @cached_property
     def _derived(self) -> DerivedScalars:
-        values_a, values_b = self._aqa_eig[0], self._bqb_eig[0]
+        values_a, values_b = self._aqa_values, self._bqb_values
         lo_a, hi_a = float(values_a[0]), float(values_a[-1])
         lo_b, hi_b = float(values_b[0]), float(values_b[-1])
         t, p, s = self.t, self.p, self.s
@@ -210,10 +218,6 @@ class ProblemInstance:
 def _read_only(M: np.ndarray) -> np.ndarray:
     M.setflags(write=False)
     return M
-
-
-def _frozen_eig(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return _read_only(values), _read_only(vectors)
 
 
 class Verdict(NamedTuple):
@@ -452,7 +456,7 @@ def check_uniqueness_interval(P: ProblemInstance) -> ConditionReport:
     so it is reported failed, unformed, with lhs -inf.
     """
     d = derived_scalars(P)
-    (values_a, vectors_a), (values_b, vectors_b) = P._aqa_eig, P._bqb_eig
+    values_a, values_b = P._aqa_values, P._bqb_values
     hi_a, hi_b = float(values_a[-1]), float(values_b[-1])
     # the floor sum F is >= either of its terms, so F <= Q needs both below lambda_max(Q)
     bound = max(_clamped_root(hi_a, P.s / P.t), _clamped_root(hi_b, P.s / P.p))
@@ -463,9 +467,11 @@ def check_uniqueness_interval(P: ProblemInstance) -> ConditionReport:
     # Q - F < Q for the positive definite floor sum F: the domination never holds
     v_dom = Verdict(False, -math.inf, 0.0, "checked at lower endpoint X = cI")
     if not _exceeds_q(P, bound):
-        # congruences of HPD matrices: clamp rounding-level negatives as _clamped_root
-        # does.  Sums and differences of the symmetrized Q and eig_power outputs
-        # are exactly Hermitian, so they are not symmetrized again.
+        # only this check reads eigenvectors of the congruences: one eigh each, paired
+        # with the cached spectra.  Congruences of HPD matrices: clamp rounding-level
+        # negatives as _clamped_root does.  Sums and differences of the symmetrized Q
+        # and eig_power outputs are exactly Hermitian, so they are not symmetrized again.
+        vectors_a, vectors_b = (mc.trusted_eigh(P._inverse_q(M))[1] for M in (P.A, P.B))
         floor_sum = mc.eig_power(np.maximum(values_a, 0.0), vectors_a, P.s / P.t) + mc.eig_power(
             np.maximum(values_b, 0.0), vectors_b, P.s / P.p
         )

@@ -599,7 +599,7 @@ def _rayleigh_fails(P: ProblemInstance, b: float, w_b: float, w_a: float, norm_a
 
 def _coupled_a(P: ProblemInstance) -> float:
     """a = lambda_min(A Q^-1 A*), clamped at 0: the lower starting scalar."""
-    return max(float(P._aqa_eig[0][0]), 0.0)
+    return max(float(P._aqa_values[0]), 0.0)
 
 
 def b_search(P: ProblemInstance) -> float | None:
@@ -702,14 +702,14 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
     )
 
 
-# A frozen half-step sums at most _NEUMANN_MAX_ORDER terms past the identity of
-# the Neumann series of (I + G)^-1 (see _Inverses).  Order k costs k + 3 matrix
-# products; the exact half-step it replaces costs one Cholesky factorization, one
-# triangular inverse (_lower_inverse) and 2 products.  With one BLAS thread that
-# exact step took the time of 13.7 products at real n = 64, 6.8 at complex n = 64,
-# 6.0 at real n = 128, 4.9 at complex n = 128 and 4.2 at real n = 256.  So order
-# 4, at 7 products, costs less than the exact step at real n = 64 but up to 1.7x
-# more at the larger sizes, where only the lower orders save time.
+# A frozen half-step sums at most max_order terms past the identity of the
+# Neumann series of (I + G)^-1 (see _Inverses): _NEUMANN_MAX_ORDER up to a size
+# of 64, 2 up to 128 and none past it, the size being n (2n when complex).  With
+# one BLAS thread, a series of order k <= 4 took at most 0.84 of the exact step's
+# time at real n <= 64 and complex n <= 32; orders up to 3 stayed below it at
+# complex n = 48 and 64, and up to 2 at real n = 128 (at real n = 96 order 1 took
+# 0.96-1.00 of it and order 2 1.11); order 1 took 0.97-1.09 of it at complex
+# n = 128 and real n = 256, where a frozen lane cannot win.
 _NEUMANN_MAX_ORDER = 4
 
 
@@ -725,7 +725,7 @@ class _Inverses:
     non-finite L^-1 fails it, as 1/inf^2 = 0 and NaN compares false.  Otherwise
     the eigendecomposition decides, and inverts.
 
-    At n >= _FREEZE_MIN_N the lane keeps its last exact Cholesky half-step:
+    At n >= _FREEZE_MIN_N and max_order > 0 it keeps its last exact half-step:
     M_f, L^-1, W, ||X_f||_F and lam.  A later M = M_f + D is L (I + G) L* with
     G = L^-1 D L^-*, so A M^-1 A* = W* (I + G)^-1 W, and the update is the
     Neumann series W* (I - G + G^2 - ... + (-G)^k) W, whose remainder
@@ -735,7 +735,7 @@ class _Inverses:
     lam (1 - g) > 2 PD_TOL (||M_f||_F + ||D||_F), which passes the verdict as
     above, since lambda_min(M) >= lam lambda_min(I + G) >= lam (1 - g) and
     max|lambda(M)| <= ||M||_F <= ||M_f||_F + ||D||_F, and at
-    the smallest order k <= _NEUMANN_MAX_ORDER whose remainder bound is at most
+    the smallest order k <= max_order whose remainder bound is at most
     _FREEZE_RTOL^2 ||X_f||_F; otherwise the exact half-step runs.  As
     ||D||_F <= ||M_f||_2 g, the drift ||D||_F / ||M_f||_F bounds g from below and
     refuses a hopeless update before G is formed.
@@ -743,7 +743,9 @@ class _Inverses:
 
     def __init__(self, adj_a: np.ndarray):
         self.adj_a = adj_a
-        self.freeze = adj_a.shape[0] >= _FREEZE_MIN_N
+        size = adj_a.shape[0] * (2 if np.iscomplexobj(adj_a) else 1)
+        self.max_order = _NEUMANN_MAX_ORDER if size <= 64 else 2 if size <= 128 else 0
+        self.freeze = adj_a.shape[0] >= _FREEZE_MIN_N and self.max_order > 0
         # the last exact (M_f, ||M_f||_F, L^-1, W, ||W||_F^2, ||X_f||_F, lam), or None
         self.base: tuple | None = None
 
@@ -801,7 +803,7 @@ class _Inverses:
             return None
         budget = _FREEZE_RTOL**2 * norm_x * (1.0 - g)
         bound = norm_w2 * g * g  # the remainder bound at order 1, times 1 - g
-        for order in range(1, _NEUMANN_MAX_ORDER + 1):
+        for order in range(1, self.max_order + 1):
             if bound <= budget:
                 return order
             bound *= g

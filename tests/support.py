@@ -172,13 +172,16 @@ def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np
     return scale * 0.5 * (Z + Z.conj().T)
 
 
-def near_singular_coupled_problem(seed: int = 0):
+def near_singular_coupled_problem(seed: int = 5):
     """Coefficients (A, B, Q, s, t, p) of a coupled-scheme instance whose
     A = U diag(1, 0.5, 2e-12) V passes the nonsingularity check.
 
-    With seed 0, lambda_min(A Q^-1 A*) rounds to a tiny negative number, so
-    the lower starting scalar a clamps to 0.  With seed 2, a = 5.96e-18 is
-    positive rounding noise and theta = sigma_min(A)^2 / b is 4.0e-24 at b = 1."""
+    The true lambda_min(A Q^-1 A*) = 8e-25 lies far below rounding, so the
+    sign of its computed value depends on the eigensolver.  With seed 5 it
+    rounds to a tiny negative number under eigvalsh and eigh alike (-1.1e-17,
+    -1.6e-17), so the lower starting scalar a clamps to 0.  With seed 2,
+    a = 1.6e-18 is positive rounding noise under both, and
+    theta = sigma_min(A)^2 / b is 4.0e-24 at b = 1."""
     rng = np.random.default_rng(seed)
     U, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     V, _ = np.linalg.qr(rng.normal(size=(3, 3)))

@@ -181,10 +181,21 @@ class TestDerivedScalars:
         assert dp == dr
 
 
-def q_inverse_congruence(P, M):
-    """M Q^-1 M* from scratch, with Q^-1 from the eigendecomposition of Q."""
-    q_values, q_vectors = mc.herm_eig(P.Q)
+def q_eigenpairs(P):
+    """The source of the instance's Q-side invariants, from scratch: the
+    eigvalsh spectrum of Q with the eigenvectors of one eigh."""
+    return np.linalg.eigvalsh(P.Q), np.linalg.eigh(P.Q)[1]
+
+
+def q_inverse_congruence(P, M, q_eig=q_eigenpairs):
+    """M Q^-1 M* from scratch, with Q^-1 from the eigenpairs q_eig(P) of Q."""
+    q_values, q_vectors = q_eig(P)
     return mc.hermitian_part(mc.congruence(q_vectors, 1.0 / q_values, M.conj().T))
+
+
+def herm_eig_congruence(P, M):
+    """M Q^-1 M* through the validating herm_eig of Q."""
+    return q_inverse_congruence(P, M, lambda P: mc.herm_eig(P.Q))
 
 
 def solved_q_inverse_congruence(P, M):
@@ -192,17 +203,23 @@ def solved_q_inverse_congruence(P, M):
     return mc.hermitian_part(M @ np.linalg.solve(P.Q, M.conj().T))
 
 
-def extreme_eigenvalues(M):
-    """(lambda_min, lambda_max) of a Hermitian M, by the validating herm_eig."""
-    values = mc.herm_eig(M)[0]
+def extreme_eigenvalues(M, spectrum=np.linalg.eigvalsh):
+    """(lambda_min, lambda_max) of a Hermitian M, by eigvalsh (the library's
+    source) or another ascending spectrum."""
+    values = spectrum(M)
     return float(values[0]), float(values[-1])
 
 
-def from_scratch_derived_scalars(P, congruence=q_inverse_congruence):
-    """DerivedScalars recomputed through the public, validating primitives."""
-    lo_a, hi_a = extreme_eigenvalues(congruence(P, P.A))
-    lo_b, hi_b = extreme_eigenvalues(congruence(P, P.B))
-    lo_q, hi_q = extreme_eigenvalues(P.Q)
+def herm_eig_values(M):
+    """The spectrum of a Hermitian M by the validating herm_eig."""
+    return mc.herm_eig(M)[0]
+
+
+def from_scratch_derived_scalars(P, congruence=q_inverse_congruence, spectrum=np.linalg.eigvalsh):
+    """DerivedScalars recomputed from scratch, by default from the library's sources."""
+    lo_a, hi_a = extreme_eigenvalues(congruence(P, P.A), spectrum)
+    lo_b, hi_b = extreme_eigenvalues(congruence(P, P.B), spectrum)
+    lo_q, hi_q = extreme_eigenvalues(P.Q, spectrum)
     return analysis.DerivedScalars(
         k=hi_q,
         k_tilde=lo_q,
@@ -238,19 +255,29 @@ class TestCachedInvariants:
         assert P._norm_b**2 == mc.spectral_norm(P.B) ** 2
         # Q is positive definite, so ||Q|| is lambda_max(Q): no SVD needed
         assert P._norm_q == extreme_eigenvalues(P.Q)[1]
+        assert math.isclose(P._norm_q, extreme_eigenvalues(P.Q, herm_eig_values)[1], rel_tol=1e-14)
         assert math.isclose(P._norm_q, mc.spectral_norm(P.Q), rel_tol=1e-14)
 
     def test_spectrum_and_powers_of_q(self, instance):
         P = instance
         assert (P._lambda_min_q, P._lambda_max_q) == extreme_eigenvalues(P.Q)
-        assert np.array_equal(P._q_root, mc.herm_power(P.Q, 1.0 / P.s))
+        assert np.array_equal(P._q_root, mc.eig_power(*q_eigenpairs(P), 1.0 / P.s))
+        # the validating herm_eig agrees within rounding
+        for cached, oracle in zip(
+            (P._lambda_min_q, P._lambda_max_q), extreme_eigenvalues(P.Q, herm_eig_values)
+        ):
+            assert math.isclose(cached, oracle, rel_tol=1e-14)
+        oracle_root = mc.herm_power(P.Q, 1.0 / P.s)
+        assert np.linalg.norm(P._q_root - oracle_root) <= 1e-14 * np.linalg.norm(oracle_root)
 
     def test_congruences_and_gram_matrices(self, instance):
         P = instance
-        for cached, M in ((P._aqa_eig, P.A), (P._bqb_eig, P.B)):
-            values, vectors = mc.herm_eig(q_inverse_congruence(P, M))
-            assert np.array_equal(cached[0], values)
-            assert np.array_equal(cached[1], vectors)
+        for cached, M in ((P._aqa_values, P.A), (P._bqb_values, P.B)):
+            values = np.linalg.eigvalsh(q_inverse_congruence(P, M))
+            assert np.array_equal(cached, values)
+            # the validating herm_eig agrees within rounding
+            oracle = herm_eig_values(herm_eig_congruence(P, M))
+            assert np.allclose(values, oracle, rtol=1e-13, atol=0.0)
             solved = mc.herm_eig(solved_q_inverse_congruence(P, M))[0]
             assert np.allclose(values, solved, rtol=1e-12, atol=0.0)
         ata = mc.hermitian_part(P.A.conj().T @ P.A)
@@ -263,13 +290,17 @@ class TestCachedInvariants:
         d = analysis.derived_scalars(instance)
         assert d == from_scratch_derived_scalars(instance)
         assert analysis.derived_scalars(instance) is d
+        # the validating herm_eig agrees within rounding
+        oracle = from_scratch_derived_scalars(instance, herm_eig_congruence, herm_eig_values)
+        for name, value in vars(d).items():
+            assert math.isclose(value, getattr(oracle, name), rel_tol=1e-13)
         solved = from_scratch_derived_scalars(instance, solved_q_inverse_congruence)
         for name, value in vars(d).items():
             assert math.isclose(value, getattr(solved, name), rel_tol=1e-12)
 
     def test_cached_arrays_are_read_only(self, instance):
         P = instance
-        for M in (*P._q_eig, *P._aqa_eig, *P._bqb_eig, P._ata, P._btb, P._q_root):
+        for M in (*P._q_eig, P._aqa_values, P._bqb_values, P._ata, P._btb, P._q_root):
             with pytest.raises(ValueError):
                 M[0, ...] = 0.0
 
@@ -499,13 +530,13 @@ class TestUniquenessInterval:
 
     @pytest.mark.parametrize("which", ["B=A^T", "B=A"])
     def test_rounding_negative_spectrum_is_a_failed_verdict(self, which):
-        # lambda_min(A Q^-1 A*) = -2.8e-19: the floor is formed from the
+        # lambda_min(A Q^-1 A*) = -1.1e-17: the floor is formed from the
         # clamped spectrum; with B = A both spectra clamp, so c = a = 0 and
         # the correction at X = cI is unbounded
         A = near_singular_coupled_problem()[0]
         B = A.T if which == "B=A^T" else A
         P = analysis.ProblemInstance(A, B, 5.0 * np.eye(3), 3.0, 4.0, 1.0)
-        assert P._aqa_eig[0][0] < 0.0
+        assert P._aqa_values[0] < 0.0
         rep = analysis.check_uniqueness_interval(P)
         assert rep.verdicts["interval_floor"].holds
         assert not rep.verdicts["domination"].holds

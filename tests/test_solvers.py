@@ -731,7 +731,7 @@ class TestForcedCoupledStart:
 
 
     def test_tiny_theta_fails_the_first_contraction(self):
-        # a = 5.96e-18 > 0 is rounding noise and theta = sigma_min(A)^2 / b = 4.0e-24
+        # a = 1.6e-18 > 0 is rounding noise and theta = sigma_min(A)^2 / b = 4.0e-24
         # at b = 1, so the first contraction fails and delta is finite but huge
         P = analysis.ProblemInstance(*near_singular_coupled_problem(seed=2))
         a = solvers._coupled_a(P)
@@ -1070,7 +1070,7 @@ def _dense_instance(rng, n, scheme, cplx=False):
 def _b_grid(P):
     """The 100 grid points b_search walks, as floats."""
     a = solvers._coupled_a(P)
-    upper = 10.0 * float(mc.herm_eig(P.Q)[0][-1]) ** (P.t / P.s)
+    upper = 10.0 * float(np.linalg.eigvalsh(P.Q)[-1]) ** (P.t / P.s)
     return [float(b) for b in np.geomspace(a * (1.0 + 1e-6), upper, 100)]
 
 
@@ -1187,16 +1187,18 @@ class TestFrobeniusStep:
 
 
 def _frozen_spy(monkeypatch):
-    """Counts, over the solves that follow, of np.linalg.eigh and
-    np.linalg.cholesky calls; of the iterates decomposed before their sequence
+    """Counts, over the solves that follow, of np.linalg.eigh, np.linalg.eigvalsh
+    and np.linalg.cholesky calls; of the iterates decomposed before their sequence
     first held a base, of frozen steps (on the sequence's own base or on its
     partner's, which it then adopts) and of re-bases (iterates decomposed after
     the first base); and of frozen half-steps of the coupled lanes."""
     counts = dict.fromkeys(
-        ("eigh", "cholesky", "before_freeze", "frozen", "adopted", "rebase", "frozen_inverse"), 0
+        ("eigh", "eigvalsh", "cholesky", "before_freeze", "frozen", "adopted", "rebase",
+         "frozen_inverse"),
+        0,
     )
     froze = set()
-    eigh, cholesky = np.linalg.eigh, np.linalg.cholesky
+    eigh, eigvalsh, cholesky = np.linalg.eigh, np.linalg.eigvalsh, np.linalg.cholesky
     at, first_order = solvers._Powers.at, solvers._Powers._first_order
     inverse_series = solvers._Inverses._series
 
@@ -1228,6 +1230,7 @@ def _frozen_spy(monkeypatch):
         return X
 
     monkeypatch.setattr(np.linalg, "eigh", counting("eigh", eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", eigvalsh))
     monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", cholesky))
     monkeypatch.setattr(solvers._Powers, "at", counting_at)
     monkeypatch.setattr(solvers._Powers, "_first_order", counting_first_order)
@@ -1464,6 +1467,20 @@ class TestFrozenInverse:
         assert len(orders) == (1 if case == "remainder before G" else 2) and orders[-1][1] is None
         assert np.array_equal(X, _exact_half_step(M, adj_a, 2))
 
+    @pytest.mark.parametrize(
+        ("n", "cplx", "max_order"),
+        [(64, False, 4), (32, True, 4), (65, False, 2), (64, True, 2), (128, False, 2),
+         (129, False, 0), (65, True, 0)],
+    )
+    def test_order_cap_by_size(self, n, cplx, max_order):
+        # the cap is 4 up to a size of 64 (2n when complex) and 2 up to 128; a
+        # lane past 128 keeps no base, so every half-step is exact
+        dtype = complex if cplx else float
+        lane = solvers._Inverses(np.eye(n, dtype=dtype))
+        lane.at(np.eye(n, dtype=dtype), 1)
+        assert lane.max_order == max_order
+        assert (lane.base is not None) == (max_order > 0)
+
     @staticmethod
     def _spy_orders(monkeypatch):
         """The list that each (g, order) of _Inverses._order is appended to."""
@@ -1611,14 +1628,16 @@ class TestLowerInverse:
 
 class TestDecompositionBudget:
     """The factorizations of one instance build plus solve, pinned on seeded
-    instances: a change that adds an eigh or a Cholesky factorization to the
-    solve path fails here and must restate the budget."""
+    instances: a change that adds an eigh, an eigvalsh or a Cholesky
+    factorization to the solve path fails here and must restate the budget."""
 
+    # eigvalsh: Q's validation and the residual norm, plus, coupled, the spectrum
+    # of A Q^-1 A* and the 2 domination verdicts the b_search pretests leave open
     @pytest.mark.parametrize(
-        ("scheme", "n", "eighs", "choleskys"),
-        [("coupled", 64, 16, 8), ("fixed-point", 32, 7, 0)],
+        ("scheme", "n", "eighs", "eigvalshs", "choleskys"),
+        [("coupled", 64, 15, 5, 8), ("fixed-point", 32, 6, 2, 0)],
     )
-    def test_factorizations_per_solve(self, scheme, n, eighs, choleskys, monkeypatch):
+    def test_factorizations_per_solve(self, scheme, n, eighs, eigvalshs, choleskys, monkeypatch):
         counts = _frozen_spy(monkeypatch)
         P = _dense_instance(np.random.default_rng([20, n]), n, scheme)
         rep = solvers.solve(P)
@@ -1626,9 +1645,45 @@ class TestDecompositionBudget:
         assert rep.scheme.value == scheme and rep.preconditions_held and rep.converged
         # 13 coupled iterations (26 half-steps), 9 fixed-point iterations
         assert rep.iterations == (13 if scheme == "coupled" else 9)
-        assert (counts["eigh"], counts["cholesky"]) == (eighs, choleskys)
+        assert (counts["eigh"], counts["eigvalsh"], counts["cholesky"]) == (
+            eighs, eigvalshs, choleskys
+        )
         # one coupled sequence freezes on the base the other froze first
         assert counts["adopted"] == (scheme == "coupled")
+
+
+class TestQDecomposition:
+    """Q is validated by its spectrum alone, and its eigenvectors are formed on
+    first use: never by a fixed-point build plus solve, which reads only
+    lambda_min(Q) and lambda_max(Q), and once by a coupled one."""
+
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize(("scheme", "q_eighs"), [("fixed-point", 0), ("coupled", 1)])
+    def test_build_and_solve(self, scheme, q_eighs, cplx, monkeypatch):
+        decomposed, eigh = [], np.linalg.eigh
+
+        def kept(M, *args, **kwargs):
+            decomposed.append(np.array(M))
+            return eigh(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", kept)
+        P = _dense_instance(np.random.default_rng([23, cplx]), 24, scheme, cplx)
+        rep = solvers.solve(P)
+        monkeypatch.undo()
+        assert rep.scheme.value == scheme and rep.preconditions_held and rep.converged
+        assert sum(np.array_equal(M, P.Q) for M in decomposed) == q_eighs
+        assert ("_q_eig" in vars(P)) == (scheme == "coupled")
+
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    def test_eigenvectors_pair_with_the_validated_spectrum(self, cplx):
+        P = _dense_instance(np.random.default_rng([24, cplx]), 24, "coupled", cplx)
+        assert "_q_eig" not in vars(P)
+        values, vectors = P._q_eig
+        assert values is P._q_values and P._q_eig[1] is vectors
+        assert (P._lambda_min_q, P._lambda_max_q) == (values[0], values[-1])
+        assert np.array_equal(values, np.linalg.eigvalsh(P.Q))
+        error = np.linalg.norm(mc.eig_compose(vectors, values) - P.Q, 2)
+        assert error <= 1e-13 * np.linalg.norm(P.Q, 2)
 
 
 def _exact_divided_difference(li: float, lj: float, r: float) -> decimal.Decimal:
