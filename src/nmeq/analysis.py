@@ -1,8 +1,8 @@
 """Solvability and uniqueness conditions, solution brackets, and the
 factorization characterization for X^s + A* X^-t A + B* X^-p B = Q.
 
-All checks return a ConditionReport with one Verdict per hypothesis; a report
-never raises just because a condition fails, since a false verdict is data.
+Each check returns a ConditionReport with one Verdict per hypothesis it decides;
+a report never raises just because a condition fails, since a false verdict is data.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ class ProblemInstance:
 
     def _inverse_q(self, M: np.ndarray) -> np.ndarray:
         """M Q^-1 M*, symmetrized, with Q^-1 read from the eigenpairs of Q.  Only its
-        spectrum is cached; check_uniqueness_interval decomposes it further."""
+        spectrum is read, and cached."""
         q_values, q_vectors = self._q_eig
         return mc.hermitian_part(mc.congruence(q_vectors, 1.0 / q_values, M.conj().T))
 
@@ -201,7 +201,6 @@ class ProblemInstance:
             q_tilde=max(t / s, p / s),
             c=max(_clamped_root(lo_a, 1.0 / t), _clamped_root(lo_b, 1.0 / p)),
             c1=max(_clamped_root(hi_a, 1.0 / t), _clamped_root(hi_b, 1.0 / p)),
-            a=_clamped_root(lo_a, s / t) + _clamped_root(lo_b, s / p),
         )
 
     @cached_property
@@ -259,7 +258,6 @@ class DerivedScalars:
     q, q_tilde: min / max of the exponent ratios t/s and p/s.
     c  = max(lambda_min(A Q^-1 A*)^(1/t), lambda_min(B Q^-1 B*)^(1/p))
     c1 = the same with lambda_max in place of lambda_min.
-    a  = lambda_min(A Q^-1 A*)^(s/t) + lambda_min(B Q^-1 B*)^(s/p)
     """
 
     k: float
@@ -268,7 +266,6 @@ class DerivedScalars:
     q_tilde: float
     c: float
     c1: float
-    a: float
 
 
 def _clamped_root(value: float, root: float) -> float:
@@ -441,47 +438,17 @@ def solution_bounds(P: ProblemInstance) -> SolutionBounds:
 
 
 def check_uniqueness_interval(P: ProblemInstance) -> ConditionReport:
-    """Uniqueness of the solution inside [c I, Q^(1/s)].
+    """Uniqueness of the solution inside [c I, Q^(1/s)], decided by proof.
 
-    The domination hypothesis quantifies over every X in the interval; the
-    correction map X -> A* X^-t A + B* X^-p B is order-reversing, so checking
-    it at the lower endpoint X = c I dominates the whole interval.  The
-    verdict is labeled accordingly.
-
-    Every verdict is decided.  The scalar powers follow _monomial, so the
-    contraction term is its true value (inf only past the double range, or
-    where c or a is 0).  The floor fails without its matrix being formed
-    (lhs -inf) once max(lambda_max(A Q^-1 A*)^(s/t), lambda_max(B Q^-1 B*)^(s/p))
-    exceeds lambda_max(Q).  The domination never holds at X = cI (see below),
-    so it is reported failed, unformed, with lhs -inf.
+    It needs the order-reversing correction X -> A* X^-t A + B* X^-p B at X = c I
+    below Q - F, F the positive definite floor sum.  Q^-1/2 A* A Q^-1/2 and A Q^-1 A*
+    share their spectrum, so A* A >= lambda_min(A Q^-1 A*) Q and the correction at
+    c I is >= c^-t A* A >= Q when c comes from A (likewise from B; unbounded at
+    c = 0), while Q - F < Q.  So the domination fails, unformed (lhs -inf), for
+    every instance; scan_k is the uniqueness test that can hold.
     """
-    d = derived_scalars(P)
-    values_a, values_b = P._aqa_values, P._bqb_values
-    hi_a, hi_b = float(values_a[-1]), float(values_b[-1])
-    # the floor sum F is >= either of its terms, so F <= Q needs both below lambda_max(Q)
-    bound = max(_clamped_root(hi_a, P.s / P.t), _clamped_root(hi_b, P.s / P.p))
-    v_floor = Verdict(False, -math.inf, 0.0)
-    # A* A >= lambda_min(A Q^-1 A*) Q (Q^-1/2 A* A Q^-1/2 and A Q^-1 A* share their
-    # spectrum), so with c = lambda_min(A Q^-1 A*)^(1/t) the correction at X = cI
-    # is >= c^-t A* A >= Q (likewise c^-p B* B >= Q when c comes from B), while
-    # Q - F < Q for the positive definite floor sum F: the domination never holds
-    v_dom = Verdict(False, -math.inf, 0.0, "checked at lower endpoint X = cI")
-    if not _exceeds_q(P, bound):
-        # only this check reads eigenvectors of the congruences: one eigh each, paired
-        # with the cached spectra.  Congruences of HPD matrices: clamp rounding-level
-        # negatives as _clamped_root does.  Sums and differences of the symmetrized Q
-        # and eig_power outputs are exactly Hermitian, so they are not symmetrized again.
-        vectors_a, vectors_b = (mc.trusted_eigh(P._inverse_q(M))[1] for M in (P.A, P.B))
-        floor_sum = mc.eig_power(np.maximum(values_a, 0.0), vectors_a, P.s / P.t) + mc.eig_power(
-            np.maximum(values_b, 0.0), vectors_b, P.s / P.p
-        )
-        v_floor = _loewner_verdict(floor_sum, P.Q, max(mc.hermitian_norm(floor_sum), P._norm_q))
-    root = (d.a, 1.0 / P.s - 1.0)
-    contraction = _monomial(P.t / P.s, root, (P._norm_a, 2.0), (d.c, -P.t - 1.0))
-    contraction += _monomial(P.p / P.s, root, (P._norm_b, 2.0), (d.c, -P.p - 1.0))
-    v_contr = Verdict(contraction < 1.0, contraction, 1.0)
-    verdicts = {"interval_floor": v_floor, "domination": v_dom, "contraction": v_contr}
-    return _condition_report(P, "uniqueness-interval", "", verdicts, d.c)
+    domination = Verdict(False, -math.inf, 0.0, "checked at lower endpoint X = cI")
+    return ConditionReport("uniqueness-interval", "", {"domination": domination}, False)
 
 
 def check_uniqueness_k(P: ProblemInstance, k: float) -> ConditionReport:

@@ -32,7 +32,6 @@ from .analysis import (
     _residual,
     check_necessary,
     check_sufficient,
-    check_uniqueness_interval,
     check_uniqueness_k,
     factorization_from_solution,
     scan_k,
@@ -103,9 +102,6 @@ def cmd_check(args) -> int:
         print("note: coefficient pairs swapped to put the larger inverse exponent first")
     _print_condition("necessary condition (spectral radius bound)", check_necessary(P))
     _print_condition("sufficient condition (norm bound)", check_sufficient(P))
-    _print_condition(
-        "uniqueness on the bracket (endpoint contraction)", check_uniqueness_interval(P)
-    )
     k_star = scan_k(P)
     if k_star is None:
         print("uniqueness via free scaling parameter: no admissible parameter on the scan grid")

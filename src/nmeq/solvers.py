@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -80,7 +81,7 @@ class SolveOptions:
 
     tol: absolute stopping threshold on the Frobenius norm of the step;
          None means 1e-14 * ||Q||.
-    max_iter: iteration cap, an int >= 1.
+    max_iter: iteration cap, an integer >= 1 of any integer type but bool, kept as an int.
     alpha: starting scalar for the fixed-point scheme (None: alpha_search).
     b_upper: upper starting scalar for the coupled scheme (None: b_search).
     tol, alpha and b_upper, when given, must be finite and positive.
@@ -98,8 +99,10 @@ class SolveOptions:
             if getattr(self, name) is not None:
                 _positive(getattr(self, name), name)
         cap = self.max_iter
-        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-            raise ValueError(f"max_iter must be an int >= 1, got {self.max_iter!r}")
+        is_int = hasattr(cap, "__index__") and not isinstance(cap, (bool, np.bool_))
+        if not is_int or operator.index(cap) < 1:
+            raise ValueError(f"max_iter must be an int >= 1, got {cap!r}")
+        self.max_iter = operator.index(cap)
 
 
 class _Precheck:

@@ -33,22 +33,16 @@ def agrees(value: float, exact: decimal.Decimal) -> bool:
     return abs(D(value) - exact) <= D("1e-12") * abs(exact) + D(5e-324)
 
 
-def decimal_contraction(P, k: float | None = None) -> decimal.Decimal:
-    """The contraction term of check_uniqueness_interval (k None: a^(1/s - 1) / s
-    times the slope at x = c) or of check_uniqueness_k (x = k c1: x^(1-s) / s
-    times the slope), the slope being t ||A||^2 x^-(t+1) + p ||B||^2 x^-(p+1),
-    in 50-digit decimals from the instance's doubles."""
+def decimal_contraction(P, k: float) -> decimal.Decimal:
+    """The contraction term of check_uniqueness_k, x^(1-s) / s times the slope
+    t ||A||^2 x^-(t+1) + p ||B||^2 x^-(p+1) at x = k c1, in 50-digit decimals
+    from the instance's doubles."""
     D = decimal.Decimal
-    d = P._derived
     with decimal.localcontext(decimal.Context(prec=50)):
         s, t, p = D(P.s), D(P.t), D(P.p)
-        if k is None:
-            x, prefactor = D(d.c), D(d.a) ** (1 / s - 1)
-        else:
-            x = D(k) * D(d.c1)
-            prefactor = x ** (1 - s)
+        x = D(k) * D(P._derived.c1)
         slope = t * D(P._norm_a) ** 2 * x ** -(t + 1) + p * D(P._norm_b) ** 2 * x ** -(p + 1)
-        return prefactor / s * slope
+        return x ** (1 - s) / s * slope
 
 
 def char_poly_coeffs(A) -> np.ndarray:

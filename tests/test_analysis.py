@@ -163,13 +163,12 @@ class TestDerivedScalars:
         assert d.c**4 == pytest.approx(0.50754289893569, rel=1e-10)
 
     def test_scalar_case(self):
-        # Q=2, A=B=0.5: A Q^-1 A* = 0.125, c = c1 = 0.125, a = 0.25
+        # Q=2, A=B=0.5: A Q^-1 A* = 0.125, c = c1 = 0.125
         d = analysis.derived_scalars(scalar_instance(2.0, 0.5, 0.5))
         assert d.k == pytest.approx(2.0)
         assert d.k_tilde == pytest.approx(2.0)
         assert d.c == pytest.approx(0.125, rel=1e-12)
         assert d.c1 == pytest.approx(0.125, rel=1e-12)
-        assert d.a == pytest.approx(0.25, rel=1e-12)
 
     def test_swap_invariant(self):
         A = np.array([[0.2, 0.0], [0.1, 0.3]])
@@ -227,7 +226,6 @@ def from_scratch_derived_scalars(P, congruence=q_inverse_congruence, spectrum=np
         q_tilde=max(P.t / P.s, P.p / P.s),
         c=max(max(lo_a, 0.0) ** (1.0 / P.t), max(lo_b, 0.0) ** (1.0 / P.p)),
         c1=max(max(hi_a, 0.0) ** (1.0 / P.t), max(hi_b, 0.0) ** (1.0 / P.p)),
-        a=max(lo_a, 0.0) ** (P.s / P.t) + max(lo_b, 0.0) ** (P.s / P.p),
     )
 
 
@@ -447,43 +445,38 @@ class TestBounds:
             analysis.solution_bounds(scalar_instance(1.0, r, r))
 
 
+# the report check_uniqueness_interval decides for every instance
+INTERVAL_REPORT = analysis.ConditionReport(
+    "uniqueness-interval",
+    "",
+    {"domination": analysis.Verdict(False, -math.inf, 0.0, "checked at lower endpoint X = cI")},
+    False,
+)
+
+
 class TestUniquenessInterval:
+    """The domination at X = cI never holds (test_correction_at_c_dominates_q is
+    its independent oracle), so every instance gets the one decided report."""
+
     def test_scalar_case_by_hand(self):
-        # Q=4, A=B=0.5, s=2, t=p=1: AQ^-1A* = 1/16, c = 1/16,
-        # a = 2 * (1/16)^(s/t) = 1/128
+        # Q=4, A=B=0.5, s=2, t=p=1: A Q^-1 A* = 1/16 = c, and the correction at
+        # X = cI, 2 * 0.25 / c = 8, exceeds Q = 4 and so Q - F: the domination fails
         P = scalar_instance(4.0, 0.5, 0.5, s=2.0)
-        rep = analysis.check_uniqueness_interval(P)
-        floor = rep.verdicts["interval_floor"]
-        # floor sum = 2 * (1/16)^2 = 1/128; verdict records the Loewner gap
-        assert floor.holds
-        assert floor.lhs == pytest.approx(4.0 - 2.0 * (1.0 / 16.0) ** 2, rel=1e-12)
-        dom = rep.verdicts["domination"]
-        # correction at c: 2 * 0.25 * 16 = 8 > 4 - 1/128: fails
-        assert not dom.holds
-        assert dom.note == "checked at lower endpoint X = cI"
-        contr = rep.verdicts["contraction"]
-        expected = 0.5 * (1.0 / 128.0) ** (-0.5) * (2.0 * 0.25 * 16.0**2)
-        assert contr.lhs == pytest.approx(expected, rel=1e-12)
-        assert not contr.holds
-        assert not rep.holds
-        assert rep.bracket is None
+        c = analysis.derived_scalars(P).c
+        assert c == pytest.approx(1.0 / 16.0, rel=1e-12)
+        assert 2.0 * 0.25 / c > 4.0
+        assert analysis.check_uniqueness_interval(P) == INTERVAL_REPORT
 
     def test_tiny_coefficients_fail_honestly(self):
-        # A = B = eps I, Q = I, s=t=p=1: c = eps^2, so the contraction term
-        # 2 eps^2 / c^2 = 2 / eps^2 blows up; the condition is sufficient,
-        # not necessary, and the verdict must say so honestly
+        # A = B = eps I, Q = I, s=t=p=1: c = eps^2, so the correction at X = cI
+        # is 2 eps^2 / c = 2 I > Q; the condition is sufficient, not necessary,
+        # and the verdict must say so honestly
         eps = 1e-3
         P = analysis.ProblemInstance(
             eps * np.eye(2), eps * np.eye(2), np.eye(2), 1.0, 1.0, 1.0
         )
-        rep = analysis.check_uniqueness_interval(P)
-        d = analysis.derived_scalars(P)
-        assert d.c == pytest.approx(eps**2, rel=1e-10)
-        assert d.a == pytest.approx(2.0 * eps**2, rel=1e-10)
-        assert rep.verdicts["interval_floor"].holds
-        assert not rep.verdicts["contraction"].holds
-        assert rep.verdicts["contraction"].lhs > 1e5
-        assert not rep.holds
+        assert analysis.derived_scalars(P).c == pytest.approx(eps**2, rel=1e-10)
+        assert analysis.check_uniqueness_interval(P) == INTERVAL_REPORT
 
     def test_holds_is_conjunction(self):
         P = scalar_instance(25.0, 0.9, 0.9)
@@ -492,9 +485,7 @@ class TestUniquenessInterval:
 
     def test_example_1_domination_fails(self):
         rep = analysis.check_uniqueness_interval(builtin.example(1).instance)
-        assert rep.verdicts["interval_floor"].holds
-        assert not rep.verdicts["domination"].holds
-        assert not rep.holds
+        assert rep == INTERVAL_REPORT
 
     def test_domination_inside_the_loewner_tolerance_fails(self):
         # the correction at X = cI exceeds Q - F by only 2e-12, inside the
@@ -525,54 +516,50 @@ class TestUniquenessInterval:
             L = 0.5 * (L + L.conj().T)
             gap = np.linalg.eigvalsh(L - P.Q)[0]
             assert gap >= -1e-10 * max(np.linalg.norm(L, 2), 1.0), (n, s, t, p, gap)
-            assert not analysis.check_uniqueness_interval(P).verdicts["domination"].holds
+            assert analysis.check_uniqueness_interval(P) == INTERVAL_REPORT
 
+    @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+    def test_computes_nothing(self, monkeypatch, dtype):
+        # on a fresh instance: no np.linalg call, and no invariant cached on it
+        Z = np.random.default_rng(24).standard_normal((3, 4, 4, 2)) @ [1.0, 1j]
+        A, B, M = Z if dtype is complex else Z.real
+        P = analysis.ProblemInstance(A, B, M @ M.conj().T + 4.0 * np.eye(4), 3.0, 2.0, 1.0)
+        assert P.Q.dtype == dtype
+        before = dict(vars(P))
+        called = []
+
+        def spy(name, function):
+            return lambda *args, **kwargs: called.append(name) or function(*args, **kwargs)
+
+        for name in np.linalg.__all__:
+            if callable(getattr(np.linalg, name)):
+                monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+        assert analysis.check_uniqueness_interval(P) == INTERVAL_REPORT
+        assert called == []
+        assert vars(P).keys() == before.keys()
+        assert all(vars(P)[key] is value for key, value in before.items())
 
     @pytest.mark.parametrize("which", ["B=A^T", "B=A"])
     def test_rounding_negative_spectrum_is_a_failed_verdict(self, which):
-        # lambda_min(A Q^-1 A*) = -1.1e-17: the floor is formed from the
-        # clamped spectrum; with B = A both spectra clamp, so c = a = 0 and
-        # the correction at X = cI is unbounded
+        # lambda_min(A Q^-1 A*) = -1.1e-17 rounds negative and clamps to 0; with
+        # B = A both spectra clamp, so c = 0 and the correction at X = cI is unbounded
         A = near_singular_coupled_problem()[0]
         B = A.T if which == "B=A^T" else A
         P = analysis.ProblemInstance(A, B, 5.0 * np.eye(3), 3.0, 4.0, 1.0)
         assert P._aqa_values[0] < 0.0
-        rep = analysis.check_uniqueness_interval(P)
-        assert rep.verdicts["interval_floor"].holds
-        assert not rep.verdicts["domination"].holds
-        assert not rep.verdicts["contraction"].holds
-        assert not rep.holds and rep.bracket is None
+        assert analysis.check_uniqueness_interval(P) == INTERVAL_REPORT
         if which == "B=A":
             assert analysis.derived_scalars(P).c == 0.0
-            assert rep.verdicts["domination"].lhs == -math.inf
-            assert rep.verdicts["contraction"].lhs == math.inf
-
-    def test_underflowing_a_is_a_failed_verdict(self):
-        # A = B = 1e-40 I, Q = I, s = 5: c = 1e-80 but a = 2 c^5 underflows
-        # to 0, so the contraction term is its limit inf
-        P = analysis.ProblemInstance(
-            1e-40 * np.eye(2), 1e-40 * np.eye(2), np.eye(2), 5.0, 1.0, 1.0
-        )
-        d = analysis.derived_scalars(P)
-        assert d.c > 0.0 and d.a == 0.0
-        rep = analysis.check_uniqueness_interval(P)
-        assert rep.verdicts["contraction"] == analysis.Verdict(False, math.inf, 1.0)
-        assert not rep.holds
 
     def test_underflowing_c_power_is_a_failed_verdict(self):
         # A = B = 1e-100 I, Q = I, s = t = p = 1: c = c1 = 1e-200 > 0 and c^(t+1)
-        # underflows, but each contraction term is its true value: 2e200 on the
-        # bracket, 5e199 at k = 2
+        # underflows, but the contraction term at k = 2 is its true value, 5e199
         P = analysis.ProblemInstance(
             1e-100 * np.eye(2), 1e-100 * np.eye(2), np.eye(2), 1.0, 1.0, 1.0
         )
         d = analysis.derived_scalars(P)
-        assert d.a > 0.0 and d.c > 0.0 and d.c ** 2 == 0.0
-        rep = analysis.check_uniqueness_interval(P)
-        contraction = rep.verdicts["contraction"]
-        assert agrees(contraction.lhs, decimal_contraction(P))
-        assert contraction.lhs == pytest.approx(2e200, rel=1e-12)
-        assert contraction.holds is False and not rep.holds
+        assert d.c > 0.0 and d.c ** 2 == 0.0
+        assert analysis.check_uniqueness_interval(P) == INTERVAL_REPORT
         scaled = analysis.check_uniqueness_k(P, 2.0).verdicts["contraction"]
         assert agrees(scaled.lhs, decimal_contraction(P, 2.0))
         assert scaled.lhs == pytest.approx(5e199, rel=1e-12)
@@ -583,23 +570,11 @@ class TestUniquenessInterval:
         "exponents", [(1, 1, 1), (2, 2, 1), (3, 4, 1), (1, 3, 2), (5, 1, 1), (1, 5, 1)]
     )
     def test_overflowing_c_power_is_a_failed_verdict(self, exponents):
-        # A = B = 1e-160 I, Q = I: c^-t overflows, so the correction at X = cI
-        # exceeds Q and domination fails without it being formed; the
-        # contraction term is its true value, finite for (3, 4, 1), (1, 3, 2)
-        # and (1, 5, 1) (1.33e240, 1.39e107, 5.0e64) and past the double range,
-        # so inf, for the others
+        # A = B = 1e-160 I, Q = I: c^-t overflows, and the report is the decided one
         P = analysis.ProblemInstance(
             1e-160 * np.eye(2), 1e-160 * np.eye(2), np.eye(2), *exponents
         )
-        rep = analysis.check_uniqueness_interval(P)
-        assert rep.verdicts["domination"] == analysis.Verdict(
-            False, -math.inf, 0.0, "checked at lower endpoint X = cI"
-        )
-        contraction = rep.verdicts["contraction"]
-        assert agrees(contraction.lhs, decimal_contraction(P))
-        assert (contraction.lhs < math.inf) == (exponents in {(3, 4, 1), (1, 3, 2), (1, 5, 1)})
-        assert contraction.holds is False
-        assert not rep.holds and rep.bracket is None
+        assert analysis.check_uniqueness_interval(P) == INTERVAL_REPORT
         assert analysis.scan_k(P) is None
 
 
@@ -869,16 +844,6 @@ class TestLoewnerVerdict:
             v = self.rule(L, L + np.diag(shift), scale)
             assert v.holds is holds
             assert v.lhs == pytest.approx(-factor * tol, rel=1e-3)
-
-    def test_interval_check_scales_by_hermitian_norms(self, monkeypatch):
-        P = builtin.example(1).instance
-        calls = self.capture(
-            monkeypatch, analysis, lambda: analysis.check_uniqueness_interval(P)
-        )
-        # the domination is decided without a Loewner test: only the floor has one
-        [(floor_sum, floor_scale)] = calls
-        assert floor_scale == max(mc.hermitian_norm(floor_sum), P._norm_q)
-        self.assert_threshold(floor_sum, floor_scale)
 
     def test_coupled_domination_scales_by_norm_q(self, monkeypatch):
         P = builtin.example(2).instance

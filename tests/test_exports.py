@@ -1,8 +1,9 @@
 """Export guard: every advertised name resolves, and the package API is
 exactly the pinned 48 names, so a deletion cannot leave a stale export.  The
-fields of SolveOptions, SolveReport and the two scheme prechecks are pinned
-too, so a new option, a per-iteration field on the report or a new precheck
-field shows up as a test change."""
+fields of SolveOptions, SolveReport, the two scheme prechecks, DerivedScalars
+and ConditionReport are pinned too, so a new option, a per-iteration field on
+the report, a new precheck field or a new derived scalar shows up as a test
+change."""
 
 import importlib
 import importlib.util
@@ -95,6 +96,15 @@ def test_precheck_fields_are_pinned():
     assert [f.name for f in fields(nmeq.solvers.CoupledCheck)] == [
         "b", "a", "theta", "delta", "separation", "domination", "contraction_a",
         "contraction_b", "scheme_applies",
+    ]
+
+
+def test_condition_fields_are_pinned():
+    assert [f.name for f in fields(nmeq.DerivedScalars)] == [
+        "k", "k_tilde", "q", "q_tilde", "c", "c1",
+    ]
+    assert [f.name for f in fields(nmeq.ConditionReport)] == [
+        "criterion", "branch", "verdicts", "holds", "bracket",
     ]
 
 

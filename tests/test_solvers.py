@@ -84,9 +84,19 @@ class TestSolveOptions:
             solvers.SolveOptions(tol=-1e-10)
 
     def test_rejects_bad_max_iter(self):
-        for bad in (0, -3, 2.5, 3.0, math.inf, math.nan, True, "10", None):
+        for bad in (
+            0, -3, 2.5, 3.0, math.inf, math.nan, True, "10", None,
+            np.True_, np.False_, np.float64(5.0), np.int64(0), np.int32(-2),
+        ):
             with pytest.raises(ValueError, match="max_iter"):
                 solvers.SolveOptions(max_iter=bad)
+
+    @pytest.mark.parametrize("cap", [np.int64(5), np.int32(5), np.uint8(5)])
+    def test_accepts_integer_types_as_int(self, cap):
+        opts = solvers.SolveOptions(max_iter=cap)
+        assert type(opts.max_iter) is int and opts.max_iter == 5
+        report = solvers.solve(builtin.example(1).instance, opts)
+        assert report.iterations == 5 and not report.converged
 
 
 class TestResidual:
