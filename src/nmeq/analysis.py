@@ -184,6 +184,12 @@ class ProblemInstance:
         return _read_only(self.B.conj().T @ self.B)
 
     @cached_property
+    def _solver_memo(self) -> dict:
+        """What the solvers keep per instance, by name: the coupled precheck's terms
+        that do not depend on b (solvers._coupled_terms)."""
+        return {}
+
+    @cached_property
     def _q_root(self) -> np.ndarray:
         """Q^(1/s)."""
         return _read_only(mc.eig_power(*self._q_eig, 1.0 / self.s))
@@ -334,13 +340,6 @@ def _loewner_verdict(L: np.ndarray, R: np.ndarray, scale: float) -> Verdict:
     gap = lambda_min(R - L) >= -_loewner_tol(scale), scale a norm of the two sides."""
     gap = mc.trusted_lambda_min(R - L)
     return Verdict(gap >= -_loewner_tol(scale), gap, 0.0)
-
-
-def _exceeds_q(P: ProblemInstance, bound: float) -> bool:
-    """Whether a lower bound on lambda_max(L), L >= 0, fails L <= R for every R <= Q
-    unformed: lambda_min(R - L) <= lambda_max(Q) - bound, past _loewner_tol(||Q||) at
-    the scale ||Q|| and, up to a 1e-20 relative margin, at max(||L||, ||R||)."""
-    return bound - P._lambda_max_q > _loewner_tol(P._norm_q)
 
 
 def _condition_report(

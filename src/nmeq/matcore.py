@@ -12,9 +12,12 @@ and ``herm_power`` (through it), ``spectral_norm`` (finite entries) and
 ``spectral_radius`` (through ``as_matrix``).  On matrices they built Hermitian
 themselves, the library's own callers use the trusted kernel, which checks
 nothing, positivity included: ``trusted_eigh``, ``trusted_lambda_min``,
-``hermitian_norm``, ``eig_compose`` (the one ``V diag(w) V*``), ``eig_power``
-and ``congruence`` (``M* f(X) M`` from the eigendecomposition of ``X``).
-Powers of a spectrum from outside the library go through the one gate,
+``hermitian_norm``, ``eig_compose`` (the one ``V diag(w) V*``), ``eig_power``,
+``congruence`` (``M* f(X) M`` from the eigendecomposition of ``X``) and
+``frobenius_norm`` (``np.linalg.norm``'s default arithmetic without its argument
+handling).  The one positivity rule, ``is_pd_spectrum``, takes a spectrum in
+ascending order, as ``eigh`` and ``eigvalsh`` return it, and reads only its two
+ends.  Powers of a spectrum from outside the library go through the one gate,
 ``checked_eig_power``.
 """
 
@@ -33,6 +36,7 @@ __all__ = [
     "trusted_eigh",
     "trusted_lambda_min",
     "hermitian_norm",
+    "frobenius_norm",
     "eig_compose",
     "eig_power",
     "checked_eig_power",
@@ -108,6 +112,18 @@ def hermitian_norm(D: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(D))))
 
 
+def frobenius_norm(M: np.ndarray) -> float:
+    """||M||_F of a float64 or complex128 ndarray, as np.linalg.norm(M) computes it
+    by default: the dot product of the entries in memory order (real and imaginary
+    parts apart) and its square root, so the value is the same bit for bit.  It
+    returns the same numpy float64 and skips only the argument handling."""
+    x = M.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return np.sqrt(re.dot(re) + im.dot(im))
+    return np.sqrt(x.dot(x))
+
+
 def herm_eig(M) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition ``(values, vectors)`` of a Hermitian matrix, values ascending."""
     return trusted_eigh(check_hermitian(M))
@@ -115,8 +131,13 @@ def herm_eig(M) -> tuple[np.ndarray, np.ndarray]:
 
 def is_pd_spectrum(values: np.ndarray) -> bool:
     """True iff ascending Hermitian eigenvalues are positive definite: the
-    smallest exceeds PD_TOL times the largest modulus."""
-    return bool(values[0] > PD_TOL * float(np.max(np.abs(values), initial=0.0)))
+    smallest exceeds PD_TOL times the largest modulus.
+
+    Only the two ends are read.  When the smallest is positive, the largest
+    modulus is the last value.  When it is not, the comparison fails either way:
+    PD_TOL times the last value is >= 0 when the last value is, and >= the last
+    value, so >= the smallest, when it is negative.  A NaN end fails it too."""
+    return bool(values[0] > PD_TOL * values[-1])
 
 
 def herm_power(M, r: float) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import matcore as mc
 from .analysis import ProblemInstance, Verdict, _accept_candidate, _loewner_verdict, _residual
-from .analysis import _NORMAL, _exceeds_q, _loewner_tol, _monomial, _positive
+from .analysis import _NORMAL, _loewner_tol, _monomial, _positive
 
 __all__ = [
     "PreconditionError",
@@ -109,15 +109,26 @@ class _Precheck:
     """The one rule of both scheme prechecks: ok when the scheme applies and
     every Verdict field holds."""
 
+    # the names of the Verdict fields, set once per precheck class by _precheck
+    _verdict_names: tuple[str, ...] = ()
+
     def _verdicts(self) -> dict[str, Verdict]:
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {name: v for name, v in values.items() if isinstance(v, Verdict)}
+        return {name: getattr(self, name) for name in self._verdict_names}
 
     @property
     def ok(self) -> bool:
-        return self.scheme_applies and all(v.holds for v in self._verdicts().values())
+        names = self._verdict_names
+        return self.scheme_applies and all(getattr(self, name).holds for name in names)
 
 
+def _precheck(cls: type) -> type:
+    """Keep on a precheck dataclass the names of its Verdict fields (this module's
+    annotations are strings, so a Verdict field's type reads "Verdict")."""
+    cls._verdict_names = tuple(f.name for f in fields(cls) if f.type == "Verdict")
+    return cls
+
+
+@_precheck
 @dataclass(frozen=True)
 class FixedPointCheck(_Precheck):
     """Precondition verdicts of the fixed-point scheme for a given alpha.
@@ -137,6 +148,7 @@ class FixedPointCheck(_Precheck):
     scheme_applies: bool
 
 
+@_precheck
 @dataclass(frozen=True)
 class CoupledCheck(_Precheck):
     """Precondition verdicts of the coupled scheme for a given b.
@@ -312,9 +324,10 @@ _FREEZE_MIN_N = 16
 # (||D||_F / l_min)^2, which the limit on the scale of ||Q|| does not bound when
 # the iterate is much smaller than Q.  So the drift must also be at most
 # _FREEZE_LMIN_RTOL times the base's smallest eigenvalue.  That gate keeps the
-# eigh per solve of the perfbench workloads (seed 1) at 15.8 on coupled-n64 and
-# 7.0 on fixedpoint-n128; the tighter 1e-7 and 1e-8 re-base more often, at 16.7
-# and 18.4 on coupled-n64.
+# eigh per solve of the perfbench workloads (seed 1, 40 and 20 ops) at 14.8 on
+# coupled-n64 and 6.0 on fixedpoint-n128; the tighter 1e-7 and 1e-8 re-base more
+# often on coupled-n64, at 15.7 and 17.4 (0.9 and 2.6 more), and leave
+# fixedpoint-n128 at 6.0.
 _FREEZE_LMIN_RTOL = 1e-6
 
 
@@ -384,7 +397,7 @@ class _Powers:
         either bound or the Weyl certificate cannot decide its positivity."""
         Y_f, values, vectors, kept = base
         D = Y - Y_f
-        drift = float(np.linalg.norm(D))
+        drift = float(mc.frobenius_norm(D))
         if not (drift <= self._drift_limit(values) and _weyl_certifies(values, drift)):
             return None
         E = vectors.conj().T @ D @ vectors
@@ -467,7 +480,7 @@ def solve_fixed_point(P: ProblemInstance, opts: SolveOptions | None = None) -> S
         raise OverflowError(f"alpha^(-t/s) overflows at alpha = {alpha:.6g}, so Y_1 is unbounded")
     Y, values, vectors = start
     _require_pd(values, "iterate 1")
-    step = float(np.linalg.norm(values - alpha))
+    step = float(mc.frobenius_norm(values - alpha))
     history = [HistoryEntry(1, step, step)]
     powers = _Powers(P, ((-e_t, P.A), (-e_p, P.B)))
     eig = (values, vectors)
@@ -476,7 +489,7 @@ def solve_fixed_point(P: ProblemInstance, opts: SolveOptions | None = None) -> S
             break
         term_a, term_b = powers.at(Y, step, f"iterate {it - 1}", eig)
         Y_next = mc.hermitian_part(P.Q - term_a - term_b)
-        step = float(np.linalg.norm(Y_next - Y))
+        step = float(mc.frobenius_norm(Y_next - Y))
         history.append(HistoryEntry(it, step, step))
         Y, eig = Y_next, None
     if eig is None:
@@ -540,30 +553,36 @@ def coupled_check(P: ProblemInstance, b: float) -> CoupledCheck:
     power fail and delta is inf (never NaN).  Domination fails unformed (lhs -inf) once
     ||A||^2 / b exceeds lambda_max(Q), where a is 0 or b^(s/t), a^(-p/t) overflows, or
     where _rayleigh_fails proves it; otherwise its matrix is formed and lhs is its gap.
+    The terms that do not depend on b, and the last formed domination verdict, are
+    kept per instance (_CoupledTerms), so a solve that checks the b its search
+    accepted forms that verdict once.
     """
     b = _positive(b, "b")
     norm_a, norm_b = P._norm_a, P._norm_b
-    a = _coupled_a(P)
+    terms = _coupled_terms(P)
+    a, w_a = terms.a, terms.w_a
     theta = _monomial(1.0, (P._sigma_min_a, 2.0), (b, -1.0))
     separation = Verdict(b > a, a, b, note="requires lhs < rhs")
     domination = Verdict(False, -math.inf, 0.0)
-    w_b, w_a = _monomial(1.0, (b, P.s / P.t)), _monomial(1.0, (a, -P.p / P.t))
+    w_b = _monomial(1.0, (b, P.s / P.t))
     # lambda_max(dom_rhs) >= ||A||^2 / b, as its other two terms are PSD
     norm_a2_b = _monomial(1.0, (norm_a, 2.0), (b, -1.0))
     formable = max(w_b, w_a) < math.inf and not _exceeds_q(P, norm_a2_b)
     if formable and not _rayleigh_fails(P, b, w_b, w_a, norm_a2_b):
-        dom_rhs = mc.hermitian_part(P._ata / b + w_b * np.eye(P.n) + w_a * P._btb)
-        # dom_rhs is positive semidefinite, so wherever the verdict is close,
-        # ||dom_rhs|| <= ||Q|| + |gap|: scaling the tolerance by ||Q|| alone
-        # decides the same way as scaling it by max(||Q||, ||dom_rhs||).
-        domination = _loewner_verdict(dom_rhs, P.Q, P._norm_q)
+        formed = terms.formed
+        if formed is not None and formed[0] == b:
+            domination = formed[1]
+        else:
+            dom_rhs = mc.hermitian_part(P._ata / b + w_b * np.eye(P.n) + w_a * P._btb)
+            # dom_rhs is positive semidefinite, so wherever the verdict is close,
+            # ||dom_rhs|| <= ||Q|| + |gap|: scaling the tolerance by ||Q|| alone
+            # decides the same way as scaling it by max(||Q||, ||dom_rhs||).
+            domination = _loewner_verdict(dom_rhs, P.Q, P._norm_q)
+            terms.formed = (b, domination)
     # for s > t the power of a is negative, and _monomial gives its limit inf at a = 0
     rhs_a = _monomial(0.5 * P.t, (theta, 2.0), (a, 1.0 - P.s / P.t)) if theta > 0.0 else 0.0
-    lhs_a = _monomial(P.s, (norm_a, 2.0))
+    lhs_a = terms.lhs_a
     contraction_a = Verdict(lhs_a < rhs_a, lhs_a, rhs_a)
-    lhs_b = _monomial(P.p, (norm_b, 2.0))
-    rhs_b = _monomial(P.s, (a, (P.p + P.s) / P.t))
-    contraction_b = Verdict(lhs_b < rhs_b, lhs_b, rhs_b)
     delta = math.inf
     if theta > 0.0 and a > 0.0:
         delta = 2.0 * max(
@@ -580,23 +599,66 @@ def coupled_check(P: ProblemInstance, b: float) -> CoupledCheck:
         separation=separation,
         domination=domination,
         contraction_a=contraction_a,
-        contraction_b=contraction_b,
+        contraction_b=terms.contraction_b,
         scheme_applies=P.t >= max(P.s, P.p),
     )
+
+
+class _CoupledTerms:
+    """What coupled_check reads at every b of one instance, each formed once by the
+    expression it had there: a, w_a = a^(-p/t), s ||A||^2, ||B||^2 and the second
+    contraction verdict; the Rayleigh bank weighted by w_a, on the first pretest that
+    reads it; and the last formed domination verdict with its b."""
+
+    def __init__(self, P: ProblemInstance):
+        self.a = a = _coupled_a(P)
+        self.w_a = _monomial(1.0, (a, -P.p / P.t))
+        self.lhs_a = _monomial(P.s, (P._norm_a, 2.0))
+        lhs_b = _monomial(P.p, (P._norm_b, 2.0))
+        rhs_b = _monomial(P.s, (a, (P.p + P.s) / P.t))
+        self.contraction_b = Verdict(lhs_b < rhs_b, lhs_b, rhs_b)
+        self.norm_b2 = _monomial(1.0, (P._norm_b, 2.0))
+        self.bank: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self.formed: tuple[float, Verdict] | None = None
+
+    def rayleigh_bank(self, P: ProblemInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """q_i, ||A v_i||^2 and w_a ||B v_i||^2 from P._q_rayleigh."""
+        if self.bank is None:
+            q, k_a, k_b = P._q_rayleigh
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.bank = (q, k_a, self.w_a * k_b)
+        return self.bank
+
+
+def _coupled_terms(P: ProblemInstance) -> _CoupledTerms:
+    """P's _CoupledTerms, formed on its first coupled_check and kept in P._solver_memo."""
+    memo = P._solver_memo
+    if "coupled" not in memo:
+        memo["coupled"] = _CoupledTerms(P)
+    return memo["coupled"]
+
+
+def _exceeds_q(P: ProblemInstance, bound: float) -> bool:
+    """Whether a lower bound on lambda_max(L), L >= 0, fails L <= R for every R <= Q
+    unformed: lambda_min(R - L) <= lambda_max(Q) - bound, past _loewner_tol(||Q||) at
+    the scale ||Q|| and, up to a 1e-20 relative margin, at max(||L||, ||R||)."""
+    return bound - P._lambda_max_q > _loewner_tol(P._norm_q)
 
 
 def _rayleigh_fails(P: ProblemInstance, b: float, w_b: float, w_a: float, norm_a2_b: float) -> bool:
     """Whether Q >= A* A / b + w_b I + w_a B* B (norm_a2_b = ||A||^2 / b) fails unformed:
     lambda_min of Q minus the right side is <= r_i = q_i - ||A v_i||^2 / b - w_b -
     w_a ||B v_i||^2 at each unit eigenvector v_i of Q (Courant-Fischer; P._q_rayleigh).
+    w_a is the instance's a^(-p/t), whose bank w_a ||B v_i||^2 _CoupledTerms keeps.
     A non-finite r_i, from an overflowing ||A v_i||^2 say, never rejects."""
-    q, k_a, k_b = P._q_rayleigh
+    terms = _coupled_terms(P)
+    q, k_a, w_k_b = terms.rayleigh_bank(P)
     with np.errstate(over="ignore", invalid="ignore"):
-        r = float(np.min(q - k_a / b - w_b - w_a * k_b))
+        r = float(np.min(q - k_a / b - w_b - w_k_b))
     # r and the gap the matrix verdict would compute each stray from the exact bound by
     # rounding in the four terms and two eigensolvers, a small multiple of n eps S for S
     # bounding every term; _loewner_tol(S) = 1e-10 max(S, 1) is 1700 n eps S at n = 256.
-    size = P._norm_q + norm_a2_b + w_b + w_a * _monomial(1.0, (P._norm_b, 2.0))
+    size = P._norm_q + norm_a2_b + w_b + w_a * terms.norm_b2
     return math.isfinite(r) and r < -_loewner_tol(P._norm_q) - _loewner_tol(size)
 
 
@@ -686,9 +748,9 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
         y_pow, y_b = upper.at(Y, step_y, f"upper iterate {it - 1}", y_eig, lower.base)
         x_eig = y_eig = None
         X_next = lower_inv.at(mc.hermitian_part(P.Q - x_pow - y_b), it)
-        step_x = float(np.linalg.norm(X_next - X))
+        step_x = float(mc.frobenius_norm(X_next - X))
         Y_next = upper_inv.at(mc.hermitian_part(P.Q - y_pow - x_b), it)
-        step_y = float(np.linalg.norm(Y_next - Y))
+        step_y = float(mc.frobenius_norm(Y_next - Y))
         history.append(HistoryEntry(it, step_x, step_y))
         if it == 1:
             refined = (X_next, Y_next)
@@ -763,14 +825,14 @@ class _Inverses:
         except np.linalg.LinAlgError:
             L_inv = None
         if L_inv is not None:
-            lam = 1.0 / np.linalg.norm(L_inv) ** 2
-            norm_m = np.linalg.norm(inner)
+            lam = 1.0 / mc.frobenius_norm(L_inv) ** 2
+            norm_m = mc.frobenius_norm(inner)
             if lam > 2.0 * mc.PD_TOL * norm_m:
                 W = L_inv @ self.adj_a
                 X = mc.hermitian_part(W.conj().T @ W)
                 if self.freeze:
-                    norm_w = np.linalg.norm(W)
-                    self.base = (inner, norm_m, L_inv, W, norm_w * norm_w, np.linalg.norm(X), lam)
+                    norm_w, norm_x = mc.frobenius_norm(W), mc.frobenius_norm(X)
+                    self.base = (inner, norm_m, L_inv, W, norm_w * norm_w, norm_x, lam)
                 return X
         inner_vals, inner_vecs = np.linalg.eigh(inner)
         if not mc.is_pd_spectrum(inner_vals):
@@ -785,11 +847,11 @@ class _Inverses:
         positivity certificate or the remainder bound fails at every order."""
         M_f, norm_m, L_inv, W, _, _, _ = self.base
         D = inner - M_f
-        drift = float(np.linalg.norm(D))
+        drift = float(mc.frobenius_norm(D))
         if self._order(drift / norm_m, drift) is None:
             return None
         G = L_inv @ D @ L_inv.conj().T
-        order = self._order(float(np.linalg.norm(G)), drift)
+        order = self._order(float(mc.frobenius_norm(G)), drift)
         if order is None:
             return None
         Z = W

@@ -335,6 +335,54 @@ class TestNormRadius:
         assert mc.spectral_radius(sim) == pytest.approx(mc.spectral_radius(M), rel=1e-5)
 
 
+def _layout(rng, shape, cplx, layout):
+    """A float64 or complex128 array of the given 1-D or 2-D shape, entries spread
+    over many magnitudes, stored C- or F-ordered or taken as a transpose or a
+    strided slice of a larger array (reversed in 1-D)."""
+
+    def draw(shape):
+        M = rng.standard_normal(shape) * 10.0 ** rng.uniform(-150.0, 150.0, shape)
+        if cplx:
+            M = M + 1j * rng.standard_normal(shape) * 10.0 ** rng.uniform(-150.0, 150.0, shape)
+        return M
+
+    if layout == "C":
+        return np.ascontiguousarray(draw(shape))
+    if layout == "F":
+        return np.asfortranarray(draw(shape))
+    if layout == "T":
+        return draw(shape[::-1]).T
+    if len(shape) == 1:
+        return draw((2 * shape[0],))[::-2]
+    return draw((2 * shape[0], 3 * shape[1]))[::2, 1::3]
+
+
+class TestFrobeniusNorm:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        shape=st.one_of(
+            st.tuples(st.integers(1, 40)), st.tuples(st.integers(1, 20), st.integers(1, 20))
+        ),
+        cplx=st.booleans(),
+        layout=st.sampled_from(["C", "F", "T", "sliced"]),
+    )
+    def test_is_numpy_norm_bit_for_bit(self, seed, shape, cplx, layout):
+        M = _layout(seeded_rng(seed), shape, cplx, layout)
+        got, want = mc.frobenius_norm(M), np.linalg.norm(M)
+        assert type(got) is type(want) is np.float64
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    def test_overflow_and_underflow_are_numpys(self, cplx):
+        # squares past the double range and below the subnormals round as numpy's do
+        for scale in (1e200, 1e-200, 5e-324):
+            M = scale * (np.ones((3, 3)) + (1j if cplx else 0.0) * np.eye(3))
+            with np.errstate(all="ignore"):
+                got, want = mc.frobenius_norm(M), np.linalg.norm(M)
+            assert got.tobytes() == want.tobytes()
+
+
 class TestLoewner:
     def test_reflexive(self):
         rng = seeded_rng(9)
@@ -399,3 +447,25 @@ class TestHpd:
         rng = seeded_rng(11)
         C = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         assert is_pd(C @ C.conj().T + 0.1 * np.eye(4))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(
+                    [-np.inf, -1e300, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1e-310, 1e-300,
+                     1e-12, 1.0, 1e300, np.inf, np.nan]
+                ),
+                st.floats(allow_nan=True, allow_infinity=True),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_endpoint_rule_is_the_modulus_rule(self, values):
+        # on an ascending spectrum (np.sort puts a NaN last) the rule read from the
+        # two ends decides as the smallest against PD_TOL times the largest modulus
+        spectrum = np.sort(np.array(values, dtype=np.float64))
+        with np.errstate(all="ignore"):
+            modulus_rule = spectrum[0] > mc.PD_TOL * float(np.max(np.abs(spectrum)))
+        assert mc.is_pd_spectrum(spectrum) is bool(modulus_rule)

@@ -954,7 +954,7 @@ class TestScalarRange:
         w_a = analysis._monomial(1.0, (a, -P.p / P.t))
         for b in (1e21, 1e30, 1e100):
             norm_a2_b = analysis._monomial(1.0, (P._norm_a, 2.0), (b, -1.0))
-            assert not analysis._exceeds_q(P, norm_a2_b)
+            assert not solvers._exceeds_q(P, norm_a2_b)
             w_b = analysis._monomial(1.0, (b, P.s / P.t))
             assert not solvers._rayleigh_fails(P, b, w_b, w_a, norm_a2_b)
 
@@ -1642,10 +1642,11 @@ class TestDecompositionBudget:
     factorization to the solve path fails here and must restate the budget."""
 
     # eigvalsh: Q's validation and the residual norm, plus, coupled, the spectrum
-    # of A Q^-1 A* and the 2 domination verdicts the b_search pretests leave open
+    # of A Q^-1 A* and the one domination verdict the b_search pretests leave open,
+    # at the accepted b, which the solve's own precheck reuses
     @pytest.mark.parametrize(
         ("scheme", "n", "eighs", "eigvalshs", "choleskys"),
-        [("coupled", 64, 15, 5, 8), ("fixed-point", 32, 6, 2, 0)],
+        [("coupled", 64, 15, 4, 8), ("fixed-point", 32, 6, 2, 0)],
     )
     def test_factorizations_per_solve(self, scheme, n, eighs, eigvalshs, choleskys, monkeypatch):
         counts = _frozen_spy(monkeypatch)
@@ -1660,6 +1661,68 @@ class TestDecompositionBudget:
         )
         # one coupled sequence freezes on the base the other froze first
         assert counts["adopted"] == (scheme == "coupled")
+
+
+def _assert_same_report(got, want):
+    """Two solve reports agree bit for bit."""
+    for name in ("solution_X", "solution_Y"):
+        M, W = getattr(got, name), getattr(want, name)
+        assert M.dtype == W.dtype and M.tobytes() == W.tobytes(), name
+    assert (got.refined_bracket is None) == (want.refined_bracket is None)
+    for M, W in zip(got.refined_bracket or (), want.refined_bracket or ()):
+        assert M.tobytes() == W.tobytes()
+    for name in ("history", "residual", "delta", "iterations", "precheck", "converged",
+                 "extremality", "preconditions_held"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+class TestSearchedPrecheck:
+    """A coupled solve whose b comes from b_search forms the domination matrix
+    once, at the b the search accepted: the solve's own precheck at that b reads
+    the verdict back.  Its step norms and certificates call no np.linalg.norm."""
+
+    def test_domination_formed_once_at_the_accepted_b(self, monkeypatch):
+        P = _dense_instance(np.random.default_rng([20, 64]), 64, "coupled")
+        checked, formed, norm_callers = [], [], []
+        coupled_check, loewner_verdict, norm = (
+            solvers.coupled_check, solvers._loewner_verdict, np.linalg.norm
+        )
+
+        def checking(P, b):
+            checked.append(b)
+            return coupled_check(P, b)
+
+        def forming(*args):
+            formed.append(checked[-1])
+            return loewner_verdict(*args)
+
+        def norming(*args, **kwargs):
+            norm_callers.append(sys._getframe(1).f_globals["__name__"])
+            return norm(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "coupled_check", checking)
+        monkeypatch.setattr(solvers, "_loewner_verdict", forming)
+        monkeypatch.setattr(np.linalg, "norm", norming)
+        rep = solvers.solve(P)
+        monkeypatch.undo()
+        b = rep.precheck.b
+        assert b == pytest.approx(0.7712404692588328, rel=1e-12)
+        assert rep.iterations == 13 and rep.converged and rep.preconditions_held
+        # b_search's 11 grid points, the last of them accepted, then the solve's check
+        assert len(checked) == 12 and checked[-2:] == [b, b]
+        assert formed == [b]
+        assert "nmeq.solvers" not in norm_callers
+
+        # the same b and report as a solve that keeps nothing between checks, so
+        # that it forms the verdict at the accepted b a second time
+        formed.clear()
+        monkeypatch.setattr(solvers, "_coupled_terms", solvers._CoupledTerms)
+        monkeypatch.setattr(solvers, "_loewner_verdict", forming)
+        monkeypatch.setattr(solvers, "coupled_check", checking)
+        P = _dense_instance(np.random.default_rng([20, 64]), 64, "coupled")
+        want = solvers.solve(P)
+        assert formed == [b, b]
+        _assert_same_report(rep, want)
 
 
 class TestQDecomposition:
