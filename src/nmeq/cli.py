@@ -222,7 +222,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--scheme", choices=("auto", "fixed-point", "coupled"), default="auto"
     )
-    p_solve.add_argument("--tol", type=float, help="stopping tolerance on the Frobenius step norm")
+    tol_help = "stopping tolerance on the Frobenius step norm; a tenth of it budgets frozen updates"
+    p_solve.add_argument("--tol", type=float, help=tol_help)
     p_solve.add_argument("--max-iter", type=int, default=1000)
     p_solve.add_argument("--alpha", type=float, help="fixed-point starting scalar")
     p_solve.add_argument("--b", dest="b_upper", type=float, help="coupled upper starting scalar")

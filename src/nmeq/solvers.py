@@ -80,7 +80,7 @@ class SolveOptions:
     """Iteration controls.
 
     tol: absolute stopping threshold on the Frobenius norm of the step;
-         None means 1e-14 * ||Q||.
+         None means 1e-14 * ||Q||.  It also budgets frozen updates (tol / 10).
     max_iter: iteration cap, an integer >= 1 of any integer type but bool, kept as an int.
     alpha: starting scalar for the fixed-point scheme (None: alpha_search).
     b_upper: upper starting scalar for the coupled scheme (None: b_search).
@@ -308,54 +308,50 @@ def _require_pd(values: np.ndarray, what: str) -> None:
         )
 
 
-# An iterate sequence freezes its eigenbasis once its predicted next step is at
-# most _FREEZE_RTOL ||Q|| (and _FREEZE_LMIN_RTOL l_min, below), and re-bases
-# once its drift from the frozen iterate passes either again; a coupled
-# half-step freezes its inverse on the same scale (see _Inverses).  Only at
-# n >= _FREEZE_MIN_N, the measured crossover: a freeze costs a
-# divided-difference table per term, which the few frozen steps of a solve must
-# win back.  On random instances of both schemes (one BLAS thread,
-# real and complex), a solve that may freeze took 1.00-1.09x the time of one
-# that never does at n = 8, 0.97-1.06x at n = 12, 0.92-0.99x at n = 16 and
-# 0.84-0.89x at n = 24.  Below it the loops decompose and factor every iterate.
-_FREEZE_RTOL = 1e-8
+# A sequence freezes its eigenbasis, and a coupled lane its inverse, only while a
+# proven remainder bound keeps each frozen update within the budget of
+# _freeze_budget, and only at n >= _FREEZE_MIN_N, the measured crossover: a freeze
+# costs a divided-difference table per term, which the few frozen steps of a solve
+# must win back.  On random instances of both schemes (one BLAS thread, real and
+# complex), a solve that may freeze took 1.00-1.09x the time of one that never
+# does at n = 8, 0.97-1.06x at n = 12, 0.92-0.99x at n = 16 and 0.84-0.89x at
+# n = 24.  Below it the loops decompose and factor every iterate.
 _FREEZE_MIN_N = 16
-# The first-order remainder of a frozen power, relative to the term, grows like
-# (||D||_F / l_min)^2, which the limit on the scale of ||Q|| does not bound when
-# the iterate is much smaller than Q.  So the drift must also be at most
-# _FREEZE_LMIN_RTOL times the base's smallest eigenvalue.  That gate keeps the
-# eigh per solve of the perfbench workloads (seed 1, 40 and 20 ops) at 14.8 on
-# coupled-n64 and 6.0 on fixedpoint-n128; the tighter 1e-7 and 1e-8 re-base more
-# often on coupled-n64, at 15.7 and 17.4 (0.9 and 2.6 more), and leave
-# fixedpoint-n128 at 6.0.
-_FREEZE_LMIN_RTOL = 1e-6
+
+
+def _freeze_budget(P: ProblemInstance, tol: float) -> float:
+    """The most, in the Frobenius norm, a frozen update may differ from the exact
+    one: tol / 10 at n >= _FREEZE_MIN_N, else -inf, so that nothing freezes."""
+    return 0.1 * tol if P.n >= _FREEZE_MIN_N else -math.inf
 
 
 class _Powers:
-    """The terms M* Y^r M (M None: Y^r itself) of one iterate sequence, for fixed
-    pairs (r, M), each iterate with a positivity verdict.
+    """The terms M* Y^r M (M None: Y^r) of one iterate sequence, for fixed pairs
+    (r, M, ||M||_2) with r < 2 (||M||_2 = 1 for M None), each iterate with a
+    positivity verdict.
 
-    A decomposed iterate Y = V diag(l) V* gets the exact verdict of is_pd_spectrum
-    on its spectrum and keeps, per pair, l^r and W = V* M (V* when M is None): its
-    terms are W* diag(l^r) W.  The sequence freezes on its predicted drift: once
-    its last Frobenius step times the last step ratio, min(1, step / previous
-    step), is at most the freeze limit and _FREEZE_LMIN_RTOL times its smallest
-    eigenvalue, that iterate is the base Y_f, and a later iterate Y = Y_f + D
-    is evaluated in the base's eigenbasis to first order
-    (Daleckii-Krein): Y^r = V (diag(l^r) + Gamma_r o V* D V) V* + O(||D||^2), with
-    Gamma_r the divided differences of x^r on l and the remainder at most about
-    ||D||_F^2 sup |f''| on the spectrum's interval.  So a frozen term is
-    W* (diag(l^r) + Gamma_r o V* D V) W from the base's own W, and its verdict is
-    the Weyl certificate.  A sequence with no base first tries its partner's (the
-    other coupled sequence, which has the same pairs) and adopts it when that
-    step passes.  When the certificate cannot decide, when the drift ||D||_F
-    passes either bound, or when a divided difference is not finite, a fresh
-    eigh re-bases.
+    A decomposed iterate Y = V diag(l) V* gets the verdict of is_pd_spectrum and
+    keeps, per pair, l^r and W = V* M (V* for M None): its terms are
+    W* diag(l^r) W.  A later Y = Y_f + D of a base Y_f takes the first-order
+    (Daleckii-Krein) term W* (diag(l^r) + Gamma_r o V* D V) W, Gamma_r the divided
+    differences of x^r on l, and the Weyl certificate as its verdict.  For
+    d = ||D||_F < l_1 that term is within (1/2) |r (r - 1)| ||M||_2^2
+    (l_1 - d)^(r-2) d^2 of the exact one (Taylor's theorem with integral remainder;
+    Higham, Functions of Matrices, 2008, ch. 3; Bhatia, Matrix Analysis, 1997,
+    ch. V), a bound _remainder sums over the pairs.  An iterate becomes the base
+    when the bound at its predicted drift, its last step times min(1, step /
+    previous step), is within the freeze budget; a frozen step is taken when the
+    bound at its drift is and the certificate decides.  A sequence with no base
+    first tries its partner's (the other coupled sequence, with the same pairs)
+    and adopts it when that step passes.  Otherwise, or when a divided difference
+    is not finite, a fresh eigh re-bases.
     """
 
-    def __init__(self, P: ProblemInstance, pairs: tuple):
-        self.pairs = pairs
-        self.limit = _FREEZE_RTOL * P._norm_q if P.n >= _FREEZE_MIN_N else -math.inf
+    def __init__(self, pairs: tuple, budget: float):
+        self.budget = budget
+        # (r, M, (1/2) |r (r - 1)| ||M||_2^2) per pair, the last its weight in _remainder
+        self.pairs = [(r, M, _monomial(0.5, (abs(r * (r - 1.0)), 1.0), (norm, 2.0)))
+                      for r, M, norm in pairs]
         # the frozen (Y_f, l, V, [(l^r, Gamma_r, W) per pair]), or None
         self.base: tuple | None = None
         self.last_step = math.inf
@@ -377,10 +373,10 @@ class _Powers:
                     self.base = base
                     return terms
         values, vectors = _eigh_pd(Y, what) if eig is None else eig
-        freeze = predicted <= self._drift_limit(values)
+        freeze = self.budget > -math.inf and self._remainder(values, predicted) <= self.budget
         adj = vectors.conj().T
         kept = []
-        for r, M in self.pairs:
+        for r, M, _ in self.pairs:
             gamma = _divided_differences(values, r) if freeze else None
             kept.append((values**r, gamma, adj if M is None else adj @ M))
         self.base = None
@@ -388,17 +384,23 @@ class _Powers:
             self.base = (Y, values, vectors, kept)
         return [(W.conj().T * power) @ W for power, _, W in kept]
 
-    def _drift_limit(self, values: np.ndarray) -> float:
-        """The largest drift a base with ascending spectrum values may take."""
-        return min(self.limit, _FREEZE_LMIN_RTOL * values[0])
+    def _remainder(self, values: np.ndarray, drift: float) -> float:
+        """The bound on the error of the frozen terms at a drift ||D||_F from a base
+        with ascending spectrum values; inf once the drift reaches l_1."""
+        gap = max(float(values[0]) - drift, 0.0)
+        try:  # scaled as (d / gap)^2 gap^r, which stays in range at any scale of Y;
+            # a division by gap = 0.0 or an overflow reads inf
+            return (drift / gap) ** 2 * sum(weight * gap**r for r, _, weight in self.pairs)
+        except (ZeroDivisionError, OverflowError):
+            return math.inf
 
     def _first_order(self, Y: np.ndarray, base: tuple) -> list[np.ndarray] | None:
-        """The terms at Y from the frozen base, or None when its drift passes
-        either bound or the Weyl certificate cannot decide its positivity."""
+        """The terms at Y from the frozen base, or None when the remainder bound
+        passes the budget or the Weyl certificate cannot decide positivity."""
         Y_f, values, vectors, kept = base
         D = Y - Y_f
         drift = float(mc.frobenius_norm(D))
-        if not (drift <= self._drift_limit(values) and _weyl_certifies(values, drift)):
+        if not (self._remainder(values, drift) <= self.budget and _weyl_certifies(values, drift)):
             return None
         E = vectors.conj().T @ D @ vectors
         out = []
@@ -412,9 +414,9 @@ class _Powers:
 def _weyl_certifies(values: np.ndarray, drift: float) -> bool:
     """Whether Y_f + D passes is_pd_spectrum for every Hermitian D with
     ||D||_F <= drift, Y_f having the ascending spectrum values: by Weyl each
-    eigenvalue moves by at most ||D||_2 <= ||D||_F."""
-    scale = float(np.max(np.abs(values))) + drift
-    return bool(values[0] - drift > mc.PD_TOL * scale)
+    eigenvalue moves by at most ||D||_2 <= ||D||_F.  The last value stands for the
+    largest modulus as in is_pd_spectrum: where they differ, values[0] < 0."""
+    return float(values[0]) - drift > mc.PD_TOL * (float(values[-1]) + drift)
 
 
 def _divided_differences(values: np.ndarray, r: float) -> np.ndarray:
@@ -482,7 +484,7 @@ def solve_fixed_point(P: ProblemInstance, opts: SolveOptions | None = None) -> S
     _require_pd(values, "iterate 1")
     step = float(mc.frobenius_norm(values - alpha))
     history = [HistoryEntry(1, step, step)]
-    powers = _Powers(P, ((-e_t, P.A), (-e_p, P.B)))
+    powers = _Powers(((-e_t, P.A, P._norm_a), (-e_p, P.B, P._norm_b)), _freeze_budget(P, tol))
     eig = (values, vectors)
     for it in range(2, opts.max_iter + 1):
         if step <= tol:
@@ -734,9 +736,9 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
     step_x = step_y = math.inf
     # each sequence supplies its own X^(s/t) and, to the other one, B* X^(-p/t) B
     # and its frozen base
-    lower = _Powers(P, ((e_s, None), (-e_p, P.B)))
-    upper = _Powers(P, ((e_s, None), (-e_p, P.B)))
-    lower_inv, upper_inv = _Inverses(adj_a), _Inverses(adj_a)
+    pairs, budget = ((e_s, None, 1.0), (-e_p, P.B, P._norm_b)), _freeze_budget(P, tol)
+    lower, upper = _Powers(pairs, budget), _Powers(pairs, budget)
+    lower_inv, upper_inv = _Inverses(adj_a, budget), _Inverses(adj_a, budget)
     history: list[HistoryEntry] = []
     refined: tuple[np.ndarray, np.ndarray] | None = None
     converged = False
@@ -790,28 +792,27 @@ class _Inverses:
     non-finite L^-1 fails it, as 1/inf^2 = 0 and NaN compares false.  Otherwise
     the eigendecomposition decides, and inverts.
 
-    At n >= _FREEZE_MIN_N and max_order > 0 it keeps its last exact half-step:
-    M_f, L^-1, W, ||X_f||_F and lam.  A later M = M_f + D is L (I + G) L* with
-    G = L^-1 D L^-*, so A M^-1 A* = W* (I + G)^-1 W, and the update is the
+    With a freeze budget (see _freeze_budget) and max_order > 0 it keeps its last
+    exact half-step: M_f, L^-1, W and lam.  A later M = M_f + D is L (I + G) L*
+    with G = L^-1 D L^-*, so A M^-1 A* = W* (I + G)^-1 W, and the update is the
     Neumann series W* (I - G + G^2 - ... + (-G)^k) W, whose remainder
     W* (-G)^(k+1) (I + G)^-1 W has ||.||_F <= ||W||_F^2 g^(k+1) / (1 - g) for
     g = ||G||_F < 1.  At k = 1 it is X_f - U* D U with U = M_f^-1 A*, the
     Frechet derivative of the inverse.  The update is taken only when
     lam (1 - g) > 2 PD_TOL (||M_f||_F + ||D||_F), which passes the verdict as
-    above, since lambda_min(M) >= lam lambda_min(I + G) >= lam (1 - g) and
-    max|lambda(M)| <= ||M||_F <= ||M_f||_F + ||D||_F, and at
-    the smallest order k <= max_order whose remainder bound is at most
-    _FREEZE_RTOL^2 ||X_f||_F; otherwise the exact half-step runs.  As
-    ||D||_F <= ||M_f||_2 g, the drift ||D||_F / ||M_f||_F bounds g from below and
-    refuses a hopeless update before G is formed.
+    above (lambda_min(M) >= lam (1 - g), max|lambda(M)| <= ||M_f||_F + ||D||_F),
+    at the smallest order k <= max_order whose remainder bound is within the
+    budget; otherwise the exact half-step runs.  As ||D||_F <= ||M_f||_2 g, the
+    drift ||D||_F / ||M_f||_F bounds g from below and refuses a hopeless update
+    before G is formed.
     """
 
-    def __init__(self, adj_a: np.ndarray):
+    def __init__(self, adj_a: np.ndarray, budget: float):
         self.adj_a = adj_a
+        self.budget = budget
         size = adj_a.shape[0] * (2 if np.iscomplexobj(adj_a) else 1)
         self.max_order = _NEUMANN_MAX_ORDER if size <= 64 else 2 if size <= 128 else 0
-        self.freeze = adj_a.shape[0] >= _FREEZE_MIN_N and self.max_order > 0
-        # the last exact (M_f, ||M_f||_F, L^-1, W, ||W||_F^2, ||X_f||_F, lam), or None
+        # the last exact (M_f, ||M_f||_F, L^-1, W, ||W||_F^2, lam) when freezing, or None
         self.base: tuple | None = None
 
     def at(self, inner: np.ndarray, it: int) -> np.ndarray:
@@ -830,9 +831,8 @@ class _Inverses:
             if lam > 2.0 * mc.PD_TOL * norm_m:
                 W = L_inv @ self.adj_a
                 X = mc.hermitian_part(W.conj().T @ W)
-                if self.freeze:
-                    norm_w, norm_x = mc.frobenius_norm(W), mc.frobenius_norm(X)
-                    self.base = (inner, norm_m, L_inv, W, norm_w * norm_w, norm_x, lam)
+                if self.max_order and self.budget > -math.inf:
+                    self.base = (inner, norm_m, L_inv, W, mc.frobenius_norm(W) ** 2, lam)
                 return X
         inner_vals, inner_vecs = np.linalg.eigh(inner)
         if not mc.is_pd_spectrum(inner_vals):
@@ -845,7 +845,7 @@ class _Inverses:
     def _series(self, inner: np.ndarray) -> np.ndarray | None:
         """The Neumann series update at inner = M_f + D, or None when the
         positivity certificate or the remainder bound fails at every order."""
-        M_f, norm_m, L_inv, W, _, _, _ = self.base
+        M_f, norm_m, L_inv, W, _, _ = self.base
         D = inner - M_f
         drift = float(mc.frobenius_norm(D))
         if self._order(drift / norm_m, drift) is None:
@@ -862,14 +862,13 @@ class _Inverses:
     def _order(self, g: float, drift: float) -> int | None:
         """The series order for ||G||_F = g, or None when the positivity
         certificate or the remainder bound fails at every order."""
-        _, norm_m, _, _, norm_w2, norm_x, lam = self.base
+        _, norm_m, _, _, norm_w2, lam = self.base
         # the certificate also gives g < 1, and it fails on a NaN g
         if not lam * (1.0 - g) > 2.0 * mc.PD_TOL * (norm_m + drift):
             return None
-        budget = _FREEZE_RTOL**2 * norm_x * (1.0 - g)
         bound = norm_w2 * g * g  # the remainder bound at order 1, times 1 - g
         for order in range(1, self.max_order + 1):
-            if bound <= budget:
+            if bound <= self.budget * (1.0 - g):
                 return order
             bound *= g
         return None

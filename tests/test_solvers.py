@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nmeq import analysis, builtin, solvers
 from nmeq import matcore as mc
@@ -578,9 +579,14 @@ class TestCoupled:
                 assert rep.solution_X[i, i].real == pytest.approx(want, abs=1e-10)
 
 
+# The freeze budget of a solve at the default tol, 0.1 * 1e-14 ||Q||, for ||Q|| = 1:
+# the scale of the well-conditioned lanes below.
+_LANE_BUDGET = 1e-15
+
+
 def _exact_half_step(inner, adj_a, it):
     """A inner^-1 A* from a fresh coupled lane, whose first half-step is exact."""
-    return solvers._Inverses(adj_a).at(inner, it)
+    return solvers._Inverses(adj_a, -math.inf).at(inner, it)
 
 
 class TestInverseCongruence:
@@ -1306,9 +1312,10 @@ class TestFrozenBasis:
         assert counts["cholesky"] == 2 * rep.iterations
 
     def test_small_iterates_keep_the_residual_of_a_plain_solve(self, monkeypatch):
-        # a drift limit of 1e-8 ||Q|| alone lets the frozen powers' remainder,
-        # which grows like (||D||_F / l_min)^2, through: the solve converged
-        # with a residual of 1.6e-12 against 1.9e-14 without a freeze
+        # the iterates are far smaller than Q, and the frozen powers' remainder
+        # grows like (||D||_F / l_min)^2: a drift limit on the scale of ||Q||
+        # alone let it through, to a residual of 1.6e-12 against 1.9e-14
+        # without a freeze, while the remainder bound keeps it within the budget
         P = _small_iterate_instance()
         counts = _frozen_spy(monkeypatch)
         frozen = solvers.solve(P)
@@ -1318,6 +1325,60 @@ class TestFrozenBasis:
         plain = solvers.solve(P)
         assert frozen.converged and plain.converged
         assert frozen.residual <= 2.0 * plain.residual
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("scheme", ["fixed-point", "coupled"])
+    def test_freeze_follows_tol(self, scheme, n, cplx, monkeypatch):
+        # the freeze budget is a tenth of tol: over the iterations a solve at a
+        # looser tol runs, it takes more frozen steps than a solve at the default
+        # tol, and its residual still meets that looser tol
+        P = _dense_instance(np.random.default_rng([16, n]), n, scheme, cplx)
+        tol = 1e-8 * P._norm_q
+        counts = _frozen_spy(monkeypatch)
+        loose = solvers.solve(P, solvers.SolveOptions(tol=tol))
+        loose_frozen = counts["frozen"] + counts["frozen_inverse"]
+        counts.update(frozen=0, frozen_inverse=0)
+        solvers.solve(P, solvers.SolveOptions(max_iter=loose.iterations))
+        assert loose.converged and loose.residual <= tol
+        assert loose_frozen > counts["frozen"] + counts["frozen_inverse"]
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("scheme", ["fixed-point", "coupled"])
+    def test_tol_below_rounding_never_freezes(self, scheme, n, cplx, monkeypatch):
+        # at tol = 1e-300 the budget is below the remainder bound of any drift the
+        # loop meets (steps stay above rounding, about 1e-16 ||Q||), so 20
+        # iterations run as in a loop that never freezes
+        P = _dense_instance(np.random.default_rng([16, n]), n, scheme, cplx)
+        opts = solvers.SolveOptions(tol=1e-300, max_iter=20)
+        counts = _frozen_spy(monkeypatch)
+        rep = solvers.solve(P, opts)
+        assert counts["frozen"] == counts["frozen_inverse"] == 0
+        monkeypatch.setattr(solvers, "_FREEZE_MIN_N", P.n + 1)
+        plain = solvers.solve(P, opts)
+        assert not rep.converged and rep.history == plain.history
+        _assert_same_report(rep, plain)
+
+    @pytest.mark.parametrize("k", [-66, 66])
+    def test_freeze_does_not_depend_on_the_scale(self, k, monkeypatch):
+        # with s, t, p = 3, 2, 1 the equation is invariant under Q -> c Q, A -> c^(5/6) A,
+        # B -> c^(2/3) B, X -> c^(1/3) X; at c = 2^(6k) near 1e(+-119) the remainder
+        # bound, scaled as c with the budget, must neither overflow nor underflow
+        rng = np.random.default_rng(23)
+        U, V = _orthogonal(rng, 16), _orthogonal(rng, 16)
+        Q = mc.hermitian_part((U * np.linspace(2.0, 4.0, 16)) @ U.T)
+
+        def scaled(c5, c4, c6):
+            return analysis.ProblemInstance(c5 * 0.3 * V, c4 * 0.2 * V.T, c6 * Q, 3.0, 2.0, 1.0)
+
+        counts = _frozen_spy(monkeypatch)
+        plain = solvers.solve(scaled(1.0, 1.0, 1.0))
+        frozen = counts["frozen"]
+        counts["frozen"] = 0
+        rep = solvers.solve(scaled(2.0 ** (5 * k), 2.0 ** (4 * k), 2.0 ** (6 * k)))
+        assert frozen >= 2 and counts["frozen"] == frozen
+        assert rep.converged and rep.iterations == plain.iterations
 
     def test_forced_drift_rebases_and_raises_the_eigh_verdict(self, monkeypatch):
         # the first steps are below the freeze limit, the drift from the frozen
@@ -1353,7 +1414,8 @@ def _small_iterate_instance():
 def _frozen_inverse_conditions(M_f, M, adj_a):
     """(positivity, remainder): the two conditions of a series half-step at M
     about the exact one at M_f, recomputed from their definitions; the
-    remainder bound at the largest order, which passes if any order does."""
+    remainder bound at the largest order, which passes if any order does, against
+    _LANE_BUDGET."""
     L = np.linalg.cholesky(M_f)
     lam = 1.0 / np.linalg.norm(np.linalg.inv(L)) ** 2
     D = M - M_f
@@ -1361,8 +1423,7 @@ def _frozen_inverse_conditions(M_f, M, adj_a):
     W = np.linalg.solve(L, adj_a)
     positivity = lam * (1.0 - g) > 2.0 * mc.PD_TOL * (np.linalg.norm(M_f) + np.linalg.norm(D))
     bound = np.linalg.norm(W) ** 2 * g ** (solvers._NEUMANN_MAX_ORDER + 1) / (1.0 - g)
-    limit = solvers._FREEZE_RTOL**2 * np.linalg.norm(W.conj().T @ W)
-    return positivity, bool(g < 1.0 and bound <= limit)
+    return positivity, bool(g < 1.0 and bound <= _LANE_BUDGET)
 
 
 def _near_threshold(drop):
@@ -1421,12 +1482,9 @@ class TestFrozenInverse:
 
     @staticmethod
     def _after_exact_step(M_f, adj_a, monkeypatch):
-        """A freezing lane after its exact half-step at M_f, and the list its
-        later Cholesky factorizations are appended to."""
-        n = adj_a.shape[0]
-        if n < solvers._FREEZE_MIN_N:
-            monkeypatch.setattr(solvers, "_FREEZE_MIN_N", n)
-        lane = solvers._Inverses(adj_a)
+        """A lane with _LANE_BUDGET after its exact half-step at M_f, and the list
+        its later Cholesky factorizations are appended to."""
+        lane = solvers._Inverses(adj_a, _LANE_BUDGET)
         lane.at(M_f, 1)
         calls, cholesky = [], np.linalg.cholesky
 
@@ -1459,7 +1517,7 @@ class TestFrozenInverse:
     def test_refused_half_step_is_the_exact_one(self, case, conditions, monkeypatch):
         if case == "positivity":
             # a drop of 1e-20 takes lam (1 - g) below the threshold, while the
-            # remainder bound at order 1, 2.5e-17 ||X_f||_F, still passes
+            # remainder bound, 3.1e-22 at order 3, is still within _LANE_BUDGET
             M_f, M, adj_a = _near_threshold(1e-20)
         elif case == "remainder before G":
             # the lower bound ||D||_F / ||M_f||_F on g already fails
@@ -1486,7 +1544,7 @@ class TestFrozenInverse:
         # the cap is 4 up to a size of 64 (2n when complex) and 2 up to 128; a
         # lane past 128 keeps no base, so every half-step is exact
         dtype = complex if cplx else float
-        lane = solvers._Inverses(np.eye(n, dtype=dtype))
+        lane = solvers._Inverses(np.eye(n, dtype=dtype), _LANE_BUDGET)
         lane.at(np.eye(n, dtype=dtype), 1)
         assert lane.max_order == max_order
         assert (lane.base is not None) == (max_order > 0)
@@ -1503,14 +1561,11 @@ class TestFrozenInverse:
         monkeypatch.setattr(solvers._Inverses, "_order", recorded)
         return orders
 
-    @pytest.mark.parametrize("rtol", [None, 1e-4], ids=["module", "loose"])
+    @pytest.mark.parametrize("budget", [_LANE_BUDGET, 1e-5], ids=["module", "loose"])
     @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
-    def test_accepted_series_is_within_its_bound(self, cplx, rtol, monkeypatch):
-        # with the module's _FREEZE_RTOL the bound is below rounding; at 1e-4 it
-        # is far above it for many updates, and must still hold
-        if rtol is not None:
-            monkeypatch.setattr(solvers, "_FREEZE_RTOL", rtol)
-        monkeypatch.setattr(solvers, "_FREEZE_MIN_N", 1)
+    def test_accepted_series_is_within_its_bound(self, cplx, budget, monkeypatch):
+        # with the default budget the bound is below rounding; at 1e-5 it is far
+        # above it for many updates, and must still hold
         orders = self._spy_orders(monkeypatch)
         rng = np.random.default_rng([21, cplx])
         eps = np.finfo(float).eps
@@ -1526,7 +1581,7 @@ class TestFrozenInverse:
                 A, E = A + 1j * rng.standard_normal((n, n)), E + 1j * rng.standard_normal((n, n))
             D = mc.hermitian_part(E)
             M, adj_a = M_f + 10.0 ** rng.uniform(-14.0, -2.0) / np.linalg.norm(D) * D, A.conj().T
-            lane = solvers._Inverses(adj_a)
+            lane = solvers._Inverses(adj_a, budget)
             lane.at(M_f, 1)
             X = lane._series(M)
             if X is None:
@@ -1544,15 +1599,13 @@ class TestFrozenInverse:
             above_rounding += err > 100.0 * rounding
         # every order from 1 to _NEUMANN_MAX_ORDER is taken
         assert refused > 0 and sorted(accepted) == list(range(1, solvers._NEUMANN_MAX_ORDER + 1))
-        assert (above_rounding > 10) == (rtol is not None)
+        assert (above_rounding > 10) == (budget > _LANE_BUDGET)
 
     @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
-    def test_certificate_never_passes_a_failing_spectrum(self, cplx, monkeypatch):
-        # with the remainder bound switched off the positivity certificate
+    def test_certificate_never_passes_a_failing_spectrum(self, cplx):
+        # with an infinite budget the positivity certificate
         # lam (1 - g) > 2 PD_TOL (||M_f||_F + ||D||_F) decides alone: it may
         # refuse a positive definite M, but never pass one that is not
-        monkeypatch.setattr(solvers, "_FREEZE_RTOL", 1e100)
-        monkeypatch.setattr(solvers, "_FREEZE_MIN_N", 1)
         rng = np.random.default_rng([22, cplx])
         passed = refused_pd = failing = 0
         for _ in range(400):
@@ -1569,7 +1622,7 @@ class TestFrozenInverse:
             D = mc.hermitian_part(E)
             D *= l_min * rng.uniform(0.0, 0.5) / np.linalg.norm(D)
             D -= l_min * rng.uniform(0.2, 2.0) * (v @ v.conj().T)
-            lane = solvers._Inverses(np.eye(n))
+            lane = solvers._Inverses(np.eye(n), math.inf)
             lane.at(M_f, 1)
             assert lane.base is not None
             certified = lane._series(M_f + D) is not None
@@ -1646,7 +1699,7 @@ class TestDecompositionBudget:
     # at the accepted b, which the solve's own precheck reuses
     @pytest.mark.parametrize(
         ("scheme", "n", "eighs", "eigvalshs", "choleskys"),
-        [("coupled", 64, 15, 4, 8), ("fixed-point", 32, 6, 2, 0)],
+        [("coupled", 64, 15, 4, 8), ("fixed-point", 32, 5, 2, 0)],
     )
     def test_factorizations_per_solve(self, scheme, n, eighs, eigvalshs, choleskys, monkeypatch):
         counts = _frozen_spy(monkeypatch)
@@ -1832,6 +1885,90 @@ class TestWeylCertificate:
             failing += not exact
         # about 150 passed, 230 refused although positive definite, 17 failing
         assert passed > 100 and refused_pd > 0 and failing > 5
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(
+                    [-np.inf, -1e300, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1e-310, 1e-300,
+                     1e-12, 1.0, 1e300, np.inf, np.nan]
+                ),
+                st.floats(allow_nan=True, allow_infinity=True),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.one_of(
+            st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 1e300, np.inf]),
+            st.floats(min_value=0.0, allow_infinity=True),
+        ),
+    )
+    def test_last_value_rule_is_the_modulus_rule(self, values, drift):
+        # on an ascending spectrum (np.sort puts a NaN last) and a drift >= 0, the
+        # certificate read from the last value decides as the one that scales
+        # PD_TOL by the largest modulus
+        spectrum = np.sort(np.array(values, dtype=np.float64))
+        with np.errstate(all="ignore"):
+            scale = float(np.max(np.abs(spectrum))) + drift
+            modulus_rule = spectrum[0] - drift > mc.PD_TOL * scale
+        assert solvers._weyl_certifies(spectrum, drift) is bool(modulus_rule)
+
+
+class TestFrozenRemainder:
+    """_Powers._remainder bounds the first-order error of a frozen term: the
+    frozen terms plus the bound enclose the eigh-based M* (Y_f + D)^r M.  The
+    bound is attained to a factor (1 - d / l_1)^(2 - r) by D = -d v_1 v_1*, so
+    dropping its factor 1/2 or (l_1 - d)^(r-2) fails here."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        cplx=st.booleans(),
+        # -t/s and -p/s lie in [-1, 0), s/t in (0, 1]
+        r=st.one_of(st.floats(-1.0, 0.0, exclude_max=True), st.floats(0.0, 1.0, exclude_min=True)),
+        log_l1=st.floats(-3.0, 2.0),
+        log_rel=st.floats(-3.0, math.log10(0.9)),
+        with_m=st.booleans(),
+        tight=st.booleans(),
+    )
+    def test_first_order_terms_and_remainder_enclose_the_power(
+        self, seed, cplx, r, log_l1, log_rel, with_m, tight
+    ):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        # spectrum l_1 .. 100 l_1 in a random basis; d = ||D||_F < l_1
+        l_1, d = 10.0**log_l1, 10.0 ** (log_l1 + log_rel)
+        values = np.sort(l_1 * 10.0 ** np.r_[0.0, rng.uniform(0.0, 2.0, n - 1)])
+        V = _orthogonal(rng, n, cplx)
+        Y_f = mc.hermitian_part((V * values) @ V.conj().T)
+        M = _scaled(rng, n, 10.0 ** rng.uniform(-1.0, 1.0), 0.1, cplx) if with_m else None
+        norm_m = np.linalg.norm(M, 2) if with_m else 1.0
+        if tight:  # the direction that attains the bound, along the smallest eigenvector
+            D = -(V[:, :1] @ V[:, :1].conj().T)
+        else:
+            E = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if cplx else 0.0)
+            D = mc.hermitian_part(E)
+        D *= d / np.linalg.norm(D)
+        powers = solvers._Powers(((r, M, norm_m),), math.inf)
+        powers.at(Y_f, 0.0, "base")
+        (frozen,) = powers._first_order(Y_f + D, powers.base)
+        bound = powers._remainder(powers.base[1], float(np.linalg.norm(D)))
+        w, U = np.linalg.eigh(Y_f + D)
+        exact = (U * w**r) @ U.conj().T
+        if with_m:
+            exact = M.conj().T @ exact @ M
+        err = np.linalg.norm(frozen - exact)
+        # rounding of the two eigendecompositions and the products: eps times the
+        # term's scale norm_m^2 max(l^r), amplified by the spread (l_n + d) / (l_1 - d)
+        eps = np.finfo(float).eps
+        scale = norm_m**2 * max(values[0] ** r, values[-1] ** r)
+        margin = 64 * n * eps * scale * (values[-1] + d) / (values[0] - d)
+        assert err <= bound + margin
+        if tight and not with_m and log_rel <= math.log10(0.05) and bound > 1e3 * margin:
+            # the scalar Taylor remainder at l_1 - d: at least (1 - d / l_1)^(2 - r)
+            # > 0.85 of the bound
+            assert err >= 0.75 * bound
 
 
 def _tie_instance(seed):
