@@ -8,7 +8,8 @@ Two schemes, chosen by which exponent dominates:
 * coupled (t is the largest exponent): substitute Y = X^t and run the
   mixed-monotone pair X_{n+1} = F(X_n, Y_n), Y_{n+1} = F(Y_n, X_n) with
   F(X, Y) = A (Q - X^{s/t} - B* Y^{-p/t} B)^{-1} A* from X_0 = a I,
-  Y_0 = b I.  Both sequences converge to the minimal solution.
+  Y_0 = b I.  Both sequences converge to the minimal solution.  The pair is
+  run in the inverse variables X^-1, Y^-1, so that no step inverts a matrix.
 
 Each scheme has sufficient preconditions that guarantee convergence with a
 contraction constant delta < 1; ``force`` runs the iteration anyway, in which
@@ -308,14 +309,14 @@ def _require_pd(values: np.ndarray, what: str) -> None:
         )
 
 
-# A sequence freezes its eigenbasis, and a coupled lane its inverse, only while a
-# proven remainder bound keeps each frozen update within the budget of
-# _freeze_budget, and only at n >= _FREEZE_MIN_N, the measured crossover: a freeze
-# costs a divided-difference table per term, which the few frozen steps of a solve
-# must win back.  On random instances of both schemes (one BLAS thread, real and
-# complex), a solve that may freeze took 1.00-1.09x the time of one that never
-# does at n = 8, 0.97-1.06x at n = 12, 0.92-0.99x at n = 16 and 0.84-0.89x at
-# n = 24.  Below it the loops decompose and factor every iterate.
+# A sequence freezes its eigenbasis only while a proven remainder bound keeps each
+# frozen update within the budget of _freeze_budget, and only at n >= _FREEZE_MIN_N,
+# the measured crossover: a freeze costs a divided-difference table per term, which
+# the few frozen steps of a solve must win back.  On random instances of both
+# schemes (one BLAS thread, real and complex), a solve that may freeze took
+# 1.00-1.09x the time of one that never does at n = 8, 0.97-1.06x at n = 12,
+# 0.92-0.99x at n = 16 and 0.84-0.89x at n = 24.  Below it the loops decompose
+# every iterate.
 _FREEZE_MIN_N = 16
 
 
@@ -327,14 +328,15 @@ def _freeze_budget(P: ProblemInstance, tol: float) -> float:
 
 class _Powers:
     """The terms M* Y^r M (M None: Y^r) of one iterate sequence, for fixed pairs
-    (r, M, ||M||_2) with r < 2 (||M||_2 = 1 for M None), each iterate with a
-    positivity verdict.
+    (r, M, ||M||_2) with r < 2 (an upper bound on ||M||_2 serves; 1 for M None),
+    each iterate with a positivity verdict.
 
-    A decomposed iterate Y = V diag(l) V* gets the verdict of is_pd_spectrum and
-    keeps, per pair, l^r and W = V* M (V* for M None): its terms are
-    W* diag(l^r) W.  A later Y = Y_f + D of a base Y_f takes the first-order
+    A decomposed iterate Y = V diag(l) V* gets the verdict of is_pd_spectrum
+    (_decompose) and keeps, per pair, l^r and W = V* M (V* for M None): its terms
+    are W* diag(l^r) W.  A later Y = Y_f + D of a base Y_f takes the first-order
     (Daleckii-Krein) term W* (diag(l^r) + Gamma_r o V* D V) W, Gamma_r the divided
-    differences of x^r on l, and the Weyl certificate as its verdict.  For
+    differences of x^r on l, and the Weyl certificate (_certifies) as its verdict.
+    A coupled _Lane replaces the verdict, the certificate and the drift norm.  For
     d = ||D||_F < l_1 that term is within (1/2) |r (r - 1)| ||M||_2^2
     (l_1 - d)^(r-2) d^2 of the exact one (Taylor's theorem with integral remainder;
     Higham, Functions of Matrices, 2008, ch. 3; Bhatia, Matrix Analysis, 1997,
@@ -357,11 +359,12 @@ class _Powers:
         self.last_step = math.inf
 
     def at(
-        self, Y: np.ndarray, step: float, what: str, eig=None, partner_base=None
+        self, Y: np.ndarray, step: float, what, eig=None, partner_base=None
     ) -> list[np.ndarray]:
-        """The terms at iterate Y, whose last Frobenius step is step; eig is its
-        eigendecomposition when the caller has it, already verdicted, and
-        partner_base the base of the partner sequence, if any."""
+        """The terms at iterate Y, whose last Frobenius step is step; what names Y
+        for _decompose (a lane takes its iteration), eig is its eigendecomposition
+        when the caller has it, already verdicted, and partner_base the base of the
+        partner sequence, if any."""
         # the predicted next step: step times the last step ratio, once there is one
         predicted = step * step / self.last_step if step < self.last_step < math.inf else step
         self.last_step = step
@@ -372,7 +375,7 @@ class _Powers:
                 if terms is not None:
                     self.base = base
                     return terms
-        values, vectors = _eigh_pd(Y, what) if eig is None else eig
+        values, vectors = self._decompose(Y, what) if eig is None else eig
         freeze = self.budget > -math.inf and self._remainder(values, predicted) <= self.budget
         adj = vectors.conj().T
         kept = []
@@ -383,6 +386,18 @@ class _Powers:
         if freeze and all(np.all(np.isfinite(gamma)) for _, gamma, _ in kept):
             self.base = (Y, values, vectors, kept)
         return [(W.conj().T * power) @ W for power, _, W in kept]
+
+    def _decompose(self, Y: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+        """eigh(Y), once Y passed its verdict; what names Y in the PositivityError."""
+        return _eigh_pd(Y, what)
+
+    def _certifies(self, values: np.ndarray, drift: float) -> bool:
+        """The verdict of a frozen step at drift ||D||_F from a base with spectrum values."""
+        return _weyl_certifies(values, drift)
+
+    def _drift(self, D: np.ndarray) -> float:
+        """||D||_F of a drift from the base."""
+        return float(mc.frobenius_norm(D))
 
     def _remainder(self, values: np.ndarray, drift: float) -> float:
         """The bound on the error of the frozen terms at a drift ||D||_F from a base
@@ -399,8 +414,8 @@ class _Powers:
         passes the budget or the Weyl certificate cannot decide positivity."""
         Y_f, values, vectors, kept = base
         D = Y - Y_f
-        drift = float(mc.frobenius_norm(D))
-        if not (self._remainder(values, drift) <= self.budget and _weyl_certifies(values, drift)):
+        drift = self._drift(D)
+        if not (self._remainder(values, drift) <= self.budget and self._certifies(values, drift)):
             return None
         E = vectors.conj().T @ D @ vectors
         out = []
@@ -696,11 +711,16 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
     scalar a = lambda_min(A Q^-1 A*) rounds to 0 is rejected up front, even
     with force.
 
-    Each iterate but the last pair gets a positivity verdict from _Powers, and
-    each half-step's inverted matrix one from _Inverses.  Near convergence an
-    iterate's terms come from a frozen eigenbasis, its own or the other
-    sequence's, and a half-step from a Neumann series about its lane's last
-    exact inverse.  The limit (X + Y)/2 always gets its own eigh, which feeds
+    The pair runs in the inverse variables: each _Lane iterates N = X^-1 by
+    N_{n+1} = Q~ - A^* N_n^(-s/t) A^ - B^* (N_n')^(p/t) B^, with A^ = A^-1,
+    Q~ = A^* Q A^, B^ = B A^ and N_n' the other lane's iterate, as
+    F(X, Y)^-1 = A^-* (Q - X^{s/t} - B* Y^{-p/t} B) A^-1.  So A is inverted once
+    per solve and no step inverts a matrix.  One eigh of N gives the terms of the
+    next N and X = N^-1, which the step norms, the stop test, the refined bracket
+    and the limit read, and decides the positivity of the inner matrix and of X:
+    both lanes' inner matrices, the lower's first, before either iterate.  Near
+    convergence an iterate's terms come from a frozen eigenbasis, its own lane's
+    or the other's.  The limit (X + Y)/2 always gets its own eigh, which feeds
     the lift and the residual certificate.
     """
     if opts is None:
@@ -725,173 +745,115 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
     check = coupled_check(P, b)
     if not check.ok and not opts.force:
         raise _precondition_error(Scheme.COUPLED, check)
-    e_s = P.s / P.t
-    e_p = P.p / P.t
     n = P.n
-    adj_a = P.A.conj().T
     eye = np.eye(n, dtype=P.Q.dtype)
+    a_inv = np.linalg.inv(P.A)
+    q_hat = mc.hermitian_part(a_inv.conj().T @ P.Q @ a_inv)
+    budget = _freeze_budget(P, tol)
+    lanes = [_Lane(P, a_inv, budget, check.a, name) for name in ("lower", "upper")]
     X, Y = check.a * eye, check.b * eye
-    # X_0 = a I and Y_0 = b I (a, b > 0) are not decomposed: eigh(c I) is exactly (c 1, I)
-    x_eig, y_eig = (np.full(n, check.a), eye), (np.full(n, check.b), eye)
-    step_x = step_y = math.inf
-    # each sequence supplies its own X^(s/t) and, to the other one, B* X^(-p/t) B
-    # and its frozen base
-    pairs, budget = ((e_s, None, 1.0), (-e_p, P.B, P._norm_b)), _freeze_budget(P, tol)
-    lower, upper = _Powers(pairs, budget), _Powers(pairs, budget)
-    lower_inv, upper_inv = _Inverses(adj_a, budget), _Inverses(adj_a, budget)
+    # N_0 = I / a and I / b are not decomposed: eigh(c I) is exactly (c 1, I)
+    N = [eye / check.a, eye / check.b]
+    terms = [lane.at(M, math.inf, 0, (np.full(n, 1.0 / c), eye))
+             for lane, M, c in zip(lanes, N, (check.a, check.b))]
+    steps = [math.inf, math.inf]
     history: list[HistoryEntry] = []
     refined: tuple[np.ndarray, np.ndarray] | None = None
     converged = False
-    # The lower and upper sequences are symmetric; each step runs the lower
-    # one first, so the first error raised is the lower sequence's.  The last
-    # pair is never decomposed on its own.
     for it in range(1, opts.max_iter + 1):
-        x_pow, x_b = lower.at(X, step_x, f"lower iterate {it - 1}", x_eig, upper.base)
-        y_pow, y_b = upper.at(Y, step_y, f"upper iterate {it - 1}", y_eig, lower.base)
-        x_eig = y_eig = None
-        X_next = lower_inv.at(mc.hermitian_part(P.Q - x_pow - y_b), it)
+        # each lane supplies its own A^* N^(-s/t) A^ and, to the other one, B^* N^(p/t) B^
+        N_next = [mc.hermitian_part(q_hat - terms[0][0] - terms[1][1]),
+                  mc.hermitian_part(q_hat - terms[1][0] - terms[0][1])]
+        if budget > -math.inf:  # the N steps only steer the freeze
+            steps = [lane._drift(M - M_0) for lane, M, M_0 in zip(lanes, N_next, N)]
+        N, terms, lost = N_next, [], []
+        for lane, other, M, step in zip(lanes, lanes[::-1], N, steps):
+            try:
+                terms.append(lane.at(M, step, it, None, other.base))
+            except _LostIterate as err:  # raised once both inner matrices are decided
+                lost.append(err)
+        if lost:
+            raise lost[0]
+        X_next, Y_next = terms[0][2], terms[1][2]
         step_x = float(mc.frobenius_norm(X_next - X))
-        Y_next = upper_inv.at(mc.hermitian_part(P.Q - y_pow - x_b), it)
         step_y = float(mc.frobenius_norm(Y_next - Y))
         history.append(HistoryEntry(it, step_x, step_y))
         if it == 1:
-            refined = (X_next, Y_next)
+            refined = (mc.hermitian_part(X_next), mc.hermitian_part(Y_next))
         X, Y = X_next, Y_next
         if max(step_x, step_y) <= tol:
             converged = True
             break
-    # both halves come out of _Inverses.at symmetrized, so their mean is
-    # exactly Hermitian
-    Y_sol = 0.5 * (X + Y)
+    Y_sol = mc.hermitian_part(0.5 * (X + Y))
     sol_values, sol_vectors = _eigh_pd(Y_sol, "limit")
     return _lift_and_certify(
         P, Scheme.COUPLED, check, history, converged, Y_sol, sol_values, sol_vectors, refined
     )
 
 
-# A frozen half-step sums at most max_order terms past the identity of the
-# Neumann series of (I + G)^-1 (see _Inverses): _NEUMANN_MAX_ORDER up to a size
-# of 64, 2 up to 128 and none past it, the size being n (2n when complex).  With
-# one BLAS thread, a series of order k <= 4 took at most 0.84 of the exact step's
-# time at real n <= 64 and complex n <= 32; orders up to 3 stayed below it at
-# complex n = 48 and 64, and up to 2 at real n = 128 (at real n = 96 order 1 took
-# 0.96-1.00 of it and order 2 1.11); order 1 took 0.97-1.09 of it at complex
-# n = 128 and real n = 256, where a frozen lane cannot win.
-_NEUMANN_MAX_ORDER = 4
+class _LostIterate(PositivityError):
+    """An iterate of a coupled lane that failed its verdict; the loop raises it once
+    the other lane's inner matrix is decided."""
 
 
-class _Inverses:
-    """The half-steps A M^-1 A* of one coupled lane (adj_a = A*), for its
-    successive inner matrices M, each with the positivity verdict of
-    is_pd_spectrum on M.
+class _Lane(_Powers):
+    """One lane of the coupled pair in the inverse variable N = X^-1 (the lower
+    lane's X, or the upper's Y), for the A^ = A^-1 of its solve, freeze budget and
+    lower start a.  Its pairs (-s/t, A^, 1/sigma_min(A)), (p/t, B^, ||B|| /
+    sigma_min(A)) and (-1, None, 1) give A^* N^(-s/t) A^ for its own next N,
+    B^* N^(p/t) B^ for the other lane's, and X = N^-1; ||B^||_2 <= ||B|| ||A^||_2
+    needs no SVD.
 
-    The exact half-step factors M = L L* and returns W* W with W = L^-1 A*.  It
-    is taken only when it provably agrees with that verdict:
-    lambda_min(M) >= lam = 1/||L^-1||_F^2 and max|lambda(M)| <= ||M||_F, so
-    lam > 2 PD_TOL ||M||_F (the factor 2 absorbs rounding) passes it; a
-    non-finite L^-1 fails it, as 1/inf^2 = 0 and NaN compares false.  Otherwise
-    the eigendecomposition decides, and inverts.
+    N stands for the inner matrix M = A* N A of the step that formed X, and gets
+    the verdicts of a loop in X: is_pd_spectrum(M), then is_pd_spectrum(X), the
+    same inequality as is_pd_spectrum(N).  For N > 0, lambda_min(M) >=
+    sigma_min(A)^2 lambda_min(N) and lambda_max(M) <= sigma_max(A)^2 lambda_max(N),
+    so lambda_min(N) > 0 with sigma_min^2 lambda_min(N) > 2 PD_TOL sigma_max^2
+    lambda_max(N) passes both (the factor 2 absorbs rounding; N passes, as
+    2 cond(A)^2 >= 1).  A decomposed N that fails it has M formed and decided by
+    eigvalsh; a frozen step applies it to the Weyl bounds [l_1 - d, l_n + d].
 
-    With a freeze budget (see _freeze_budget) and max_order > 0 it keeps its last
-    exact half-step: M_f, L^-1, W and lam.  A later M = M_f + D is L (I + G) L*
-    with G = L^-1 D L^-*, so A M^-1 A* = W* (I + G)^-1 W, and the update is the
-    Neumann series W* (I - G + G^2 - ... + (-G)^k) W, whose remainder
-    W* (-G)^(k+1) (I + G)^-1 W has ||.||_F <= ||W||_F^2 g^(k+1) / (1 - g) for
-    g = ||G||_F < 1.  At k = 1 it is X_f - U* D U with U = M_f^-1 A*, the
-    Frechet derivative of the inverse.  The update is taken only when
-    lam (1 - g) > 2 PD_TOL (||M_f||_F + ||D||_F), which passes the verdict as
-    above (lambda_min(M) >= lam (1 - g), max|lambda(M)| <= ||M_f||_F + ||D||_F),
-    at the smallest order k <= max_order whose remainder bound is within the
-    budget; otherwise the exact half-step runs.  As ||D||_F <= ||M_f||_2 g, the
-    drift ||D||_F / ||M_f||_F bounds g from below and refuses a hopeless update
-    before G is formed.
+    Every N > 0 has N <= Q~ <= I / a, as a = lambda_min(A Q^-1 A*) =
+    1 / lambda_max(Q~), so a drift in N is measured at the power-of-two scale of
+    1 / a: exactly, and in range at any scale of X.
     """
 
-    def __init__(self, adj_a: np.ndarray, budget: float):
-        self.adj_a = adj_a
-        self.budget = budget
-        size = adj_a.shape[0] * (2 if np.iscomplexobj(adj_a) else 1)
-        self.max_order = _NEUMANN_MAX_ORDER if size <= 64 else 2 if size <= 128 else 0
-        # the last exact (M_f, ||M_f||_F, L^-1, W, ||W||_F^2, lam) when freezing, or None
-        self.base: tuple | None = None
+    def __init__(self, P: ProblemInstance, a_inv: np.ndarray, budget: float, a: float, name: str):
+        sigma_min = P._sigma_min_a
+        super().__init__(
+            ((-P.s / P.t, a_inv, _monomial(1.0, (sigma_min, -1.0))),
+             (P.p / P.t, P.B @ a_inv, _monomial(1.0, (P._norm_b, 1.0), (sigma_min, -1.0))),
+             (-1.0, None, 1.0)),
+            budget,
+        )
+        self.A, self.name = P.A, name
+        self.spread = _monomial(2.0, (P._norm_a, 2.0), (sigma_min, -2.0))  # 2 cond(A)^2
+        exponent = math.frexp(a)[1]
+        self.unit, self.scale = math.ldexp(1.0, exponent), math.ldexp(1.0, -exponent)
 
-    def at(self, inner: np.ndarray, it: int) -> np.ndarray:
-        """A inner^-1 A*, inner being the lane's matrix at iteration it."""
-        if self.base is not None:
-            X = self._series(inner)
-            if X is not None:
-                return X
-        try:
-            L_inv = _lower_inverse(np.linalg.cholesky(inner))
-        except np.linalg.LinAlgError:
-            L_inv = None
-        if L_inv is not None:
-            lam = 1.0 / mc.frobenius_norm(L_inv) ** 2
-            norm_m = mc.frobenius_norm(inner)
-            if lam > 2.0 * mc.PD_TOL * norm_m:
-                W = L_inv @ self.adj_a
-                X = mc.hermitian_part(W.conj().T @ W)
-                if self.max_order and self.budget > -math.inf:
-                    self.base = (inner, norm_m, L_inv, W, mc.frobenius_norm(W) ** 2, lam)
-                return X
-        inner_vals, inner_vecs = np.linalg.eigh(inner)
-        if not mc.is_pd_spectrum(inner_vals):
-            raise PositivityError(
-                f"inverted matrix Q - X^(s/t) - B* Y^(-p/t) B lost positive "
-                f"definiteness at iteration {it} (lambda_min = {inner_vals[0]:.3e})"
-            )
-        return mc.hermitian_part(mc.congruence(inner_vecs, 1.0 / inner_vals, self.adj_a))
+    def _decompose(self, N: np.ndarray, it: int) -> tuple[np.ndarray, np.ndarray]:
+        """eigh(N), once the inner matrix and the iterate of iteration it passed."""
+        values, vectors = np.linalg.eigh(N)
+        if not self._certifies(values, 0.0):
+            inner = np.linalg.eigvalsh(mc.hermitian_part(self.A.conj().T @ N @ self.A))
+            if not mc.is_pd_spectrum(inner):
+                raise PositivityError(
+                    f"inverted matrix Q - X^(s/t) - B* Y^(-p/t) B lost positive "
+                    f"definiteness at iteration {it} (lambda_min = {inner[0]:.3e})"
+                )
+            if not mc.is_pd_spectrum(values):
+                raise _LostIterate(
+                    f"{self.name} iterate {it} is not positive definite "
+                    f"(lambda_min = {1.0 / values[-1]:.3e})"
+                )
+        return values, vectors
 
-    def _series(self, inner: np.ndarray) -> np.ndarray | None:
-        """The Neumann series update at inner = M_f + D, or None when the
-        positivity certificate or the remainder bound fails at every order."""
-        M_f, norm_m, L_inv, W, _, _ = self.base
-        D = inner - M_f
-        drift = float(mc.frobenius_norm(D))
-        if self._order(drift / norm_m, drift) is None:
-            return None
-        G = L_inv @ D @ L_inv.conj().T
-        order = self._order(float(mc.frobenius_norm(G)), drift)
-        if order is None:
-            return None
-        Z = W
-        for _ in range(order):  # Horner: Z = (I - G + ... + (-G)^order) W
-            Z = W - G @ Z
-        return mc.hermitian_part(W.conj().T @ Z)
+    def _certifies(self, values: np.ndarray, drift: float) -> bool:
+        low, high = float(values[0]) - drift, float(values[-1]) + drift
+        return low > 0.0 and low > self.spread * mc.PD_TOL * high
 
-    def _order(self, g: float, drift: float) -> int | None:
-        """The series order for ||G||_F = g, or None when the positivity
-        certificate or the remainder bound fails at every order."""
-        _, norm_m, _, _, norm_w2, lam = self.base
-        # the certificate also gives g < 1, and it fails on a NaN g
-        if not lam * (1.0 - g) > 2.0 * mc.PD_TOL * (norm_m + drift):
-            return None
-        bound = norm_w2 * g * g  # the remainder bound at order 1, times 1 - g
-        for order in range(1, self.max_order + 1):
-            if bound <= self.budget * (1.0 - g):
-                return order
-            bound *= g
-        return None
-
-
-# Up to this order _lower_inverse calls the general LU inverse: with one BLAS
-# thread the 2x2 block step was no faster at n = 32 and 1.2x faster at n = 48.
-_LOWER_INVERSE_LEAF = 32
-
-
-def _lower_inverse(L: np.ndarray) -> np.ndarray:
-    """L^-1 of a lower triangular L, from its 2x2 blocks:
-    [[L11, 0], [L21, L22]]^-1 = [[L11^-1, 0], [-L22^-1 L21 L11^-1, L22^-1]]."""
-    n = L.shape[0]
-    if n <= _LOWER_INVERSE_LEAF:
-        return np.linalg.inv(L)
-    h = n // 2
-    inv11, inv22 = _lower_inverse(L[:h, :h]), _lower_inverse(L[h:, h:])
-    out = np.zeros_like(L)
-    out[:h, :h] = inv11
-    out[h:, h:] = inv22
-    out[h:, :h] = -(inv22 @ (L[h:, :h] @ inv11))
-    return out
+    def _drift(self, D: np.ndarray) -> float:
+        return float(mc.frobenius_norm(D * self.unit)) * self.scale
 
 
 def solve(P: ProblemInstance, opts: SolveOptions | None = None) -> SolveReport:

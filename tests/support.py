@@ -224,15 +224,37 @@ def reference_iterates(P, rep) -> list:
             seq.append(_hermitian(Q - Ah @ _power(Y, -t / s) @ A - Bh @ _power(Y, -p / s) @ B))
         return seq
 
-    def F(X, Y):
-        inner = _hermitian(Q - _power(X, s / t) - Bh @ _power(Y, -p / t) @ B)
-        return _hermitian(A @ np.linalg.inv(inner) @ Ah)
-
     seq = [(rep.precheck.a * eye, rep.precheck.b * eye)]
     for _ in range(rep.iterations):
         X, Y = seq[-1]
-        seq.append((F(X, Y), F(Y, X)))
+        seq.append((_coupled_map(P, X, Y), _coupled_map(P, Y, X)))
     return seq
+
+
+def _coupled_map(P, X, Y):
+    """F(X, Y) = A (Q - X^(s/t) - B* Y^(-p/t) B)^-1 A*, inverted by np.linalg.inv."""
+    A, B, s, t, p = P.A, P.B, P.s, P.t, P.p
+    inner = _hermitian(P.Q - _power(X, s / t) - B.conj().T @ _power(Y, -p / t) @ B)
+    return _hermitian(A @ np.linalg.inv(inner) @ A.conj().T)
+
+
+def reference_coupled_solve(P, a: float, b: float, tol: float, max_iter: int = 1000):
+    """The coupled solve in plain numpy, in the paper's variable Y = X^t: the pair
+    (X_(n+1), Y_(n+1)) = (F(X_n, Y_n), F(Y_n, X_n)) from X_0 = a I, Y_0 = b I, every
+    inner matrix inverted by np.linalg.inv and nothing frozen, stopped as the library
+    stops, at the first n with max(||X_n - X_(n-1)||_F, ||Y_n - Y_(n-1)||_F) <= tol.
+    Returns the history rows (n, ||X_n - X_(n-1)||_F, ||Y_n - Y_(n-1)||_F) and the
+    solution ((X_N + Y_N) / 2)^(1/t)."""
+    eye = np.eye(P.n, dtype=P.Q.dtype)
+    X, Y = a * eye, b * eye
+    history = []
+    for it in range(1, max_iter + 1):
+        X_next, Y_next = _coupled_map(P, X, Y), _coupled_map(P, Y, X)
+        history.append((it, _step(X, X_next), _step(Y, Y_next)))
+        X, Y = X_next, Y_next
+        if max(history[-1][1:]) <= tol:
+            break
+    return history, _power(_hermitian(0.5 * (X + Y)), 1.0 / P.t)
 
 
 # agreement of the reference sequence with the solver, relative to ||Q||

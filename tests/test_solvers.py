@@ -33,6 +33,7 @@ from support import (
     near_singular_coupled_problem,
     random_hpd,
     random_unitary,
+    reference_coupled_solve,
     reference_iterates,
     scalar_oracle,
 )
@@ -533,26 +534,21 @@ class TestCoupled:
             "definiteness at iteration 1 (lambda_min = -2.002e+00)"
         )
 
-    def test_one_cholesky_per_half_step(self, monkeypatch):
-        # each iteration after the first decomposes X_n and Y_n (two eigh; the
-        # start pair a I, b I is known exactly) and every iteration inverts both
-        # half-steps' matrices through Cholesky; the limit gets one more eigh.
-        # At n = 3, below solvers._FREEZE_MIN_N, this pins the loop that never
-        # freezes its eigenbasis (TestFrozenBasis counts the frozen one).
+    def test_one_eigh_per_lane_iterate(self, monkeypatch):
+        # each iteration decomposes both lanes' N_n = X_n^-1 (two eigh; the start
+        # pair I / a, I / b is known exactly), and the limit gets one more eigh;
+        # the solve inverts A once and no matrix after it.  At n = 3, below
+        # solvers._FREEZE_MIN_N, this pins the loop that never freezes its
+        # eigenbasis (TestFrozenBasis counts the frozen one).
+        # (the b of a first solve, whose domination verdict the precheck reads back,
+        # so the one eigvalsh left is the residual's: the lanes form no inner matrix)
         P = builtin.example(2).instance
-        solvers.solve_coupled(P)  # fill the instance caches
-        counts = {"eigh": 0, "cholesky": 0}
-        for name in counts:
-            original = getattr(np.linalg, name)
-
-            def counting(*args, _name=name, _original=original, **kwargs):
-                counts[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counting)
-        rep = solvers.solve_coupled(P)
+        opts = solvers.SolveOptions(b_upper=solvers.solve_coupled(P).precheck.b)
+        counts = _frozen_spy(monkeypatch)
+        rep = solvers.solve_coupled(P, opts)
         assert rep.converged and rep.preconditions_held
-        assert counts == {"eigh": 2 * rep.iterations - 1, "cholesky": 2 * rep.iterations}
+        assert counts["eigh"] == 2 * rep.iterations + 1
+        assert (counts["cholesky"], counts["inv"], counts["eigvalsh"]) == (0, 1, 1)
 
     def test_degenerate_tie_cannot_start(self):
         # q=2, a2=b2=0.25, s=t=p=1: X_0 = (a2/q) I makes B* X_0^-1 B equal Q
@@ -584,15 +580,27 @@ class TestCoupled:
 _LANE_BUDGET = 1e-15
 
 
-def _exact_half_step(inner, adj_a, it):
-    """A inner^-1 A* from a fresh coupled lane, whose first half-step is exact."""
-    return solvers._Inverses(adj_a, -math.inf).at(inner, it)
+def _lane(A, budget):
+    """The lower coupled lane of an instance with this A, B = 0.1 I, Q = I and
+    (s, t, p) = (3, 4, 1), for the given freeze budget and the lower start a = 1.
+    It reads A, B and the exponents; Q and a enter only the solve around it."""
+    n = A.shape[0]
+    P = analysis.ProblemInstance(A, 0.1 * np.eye(n), np.eye(n), 3.0, 4.0, 1.0)
+    return solvers._Lane(P, np.linalg.inv(P.A), budget, 1.0, "lower")
+
+
+def _inverse_variable(inner, A):
+    """N = A^-* inner A^-1, the lane's variable for the half-step A inner^-1 A*."""
+    a_inv = np.linalg.inv(A)
+    return mc.hermitian_part(a_inv.conj().T @ inner @ a_inv)
 
 
 class TestInverseCongruence:
-    """A inner^-1 A* of the coupled half-step: the Cholesky path agrees with
-    the eigh inversion, and the exact half-step raises exactly when the
-    PD_TOL verdict on eigh(inner) fails, with the same message."""
+    """The coupled half-step A M^-1 A* in the inverse variable: a lane that
+    decomposes N = A^-* M A^-1 returns X = N^-1 equal to the plain inversion of M,
+    inverting nothing itself, and raises exactly when the PD_TOL verdict on
+    eigvalsh(M) fails (M formed again as A* N A), with the message of a loop in X.
+    An M that passes with an iterate X that fails raises the iterate's message."""
 
     @staticmethod
     def _problem(rng, values, cplx):
@@ -608,20 +616,25 @@ class TestInverseCongruence:
     def test_matches_eigh_inversion(self, n, cplx, monkeypatch):
         rng = np.random.default_rng(n)
         inner, adj_a = self._problem(rng, rng.uniform(0.5, 4.0, n), cplx)
-        values, vectors = np.linalg.eigh(inner)
-        want = mc.hermitian_part(mc.congruence(vectors, 1.0 / values, adj_a))
-        # a well-conditioned inner matrix takes the Cholesky path: no eigh
-        monkeypatch.setattr(np.linalg, "eigh", None)
-        got = _exact_half_step(inner, adj_a, 1)
+        A = adj_a.conj().T
+        want = mc.hermitian_part(A @ np.linalg.inv(inner) @ adj_a)
+        lane, N = _lane(A, -math.inf), _inverse_variable(inner, A)
+        monkeypatch.setattr(np.linalg, "inv", None)
+        monkeypatch.setattr(np.linalg, "cholesky", None)
+        *_, got = lane.at(N, math.inf, 1)
+        monkeypatch.undo()
         assert got.dtype == want.dtype
-        assert np.linalg.norm(got - want, 2) <= 1e-13 * np.linalg.norm(want, 2)
+        # the rounding of an inverse, eps cond(N), for N and for M's own inversion
+        values = np.linalg.eigvalsh(N)
+        rounding = 8.0 * n * np.finfo(float).eps * values[-1] / values[0]
+        assert np.linalg.norm(got - want, 2) <= rounding * np.linalg.norm(want, 2)
 
     @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [5, 32])
     def test_verdict_matches_eigh(self, n, cplx):
         rng = np.random.default_rng(100 + n)
         spectra = [np.geomspace(1.0, 1.0 / cond, n) for cond in np.logspace(2, 14, 13)]
-        # around the PD_TOL threshold, where the certificate defers to eigh
+        # around the PD_TOL threshold, where the certificate defers to eigvalsh
         spectra += [np.geomspace(1.0, f * mc.PD_TOL, n) for f in (0.5, 0.9, 1.1, 2.0, 3.0)]
         # indefinite, negative definite and singular
         spectra += [
@@ -631,21 +644,30 @@ class TestInverseCongruence:
             np.r_[0.0, np.ones(n - 1)],
             np.zeros(n),
         ]
-        raised = 0
+        raised = lost = 0
         for values in spectra:
             inner, adj_a = self._problem(rng, values, cplx)
-            lam = np.linalg.eigh(inner)[0]
+            lane = _lane(adj_a.conj().T, -math.inf)
+            N = _inverse_variable(inner, lane.A)
+            lam = np.linalg.eigvalsh(mc.hermitian_part(lane.A.conj().T @ N @ lane.A))
+            mu = np.linalg.eigh(N)[0]
+            if mc.is_pd_spectrum(lam) and mc.is_pd_spectrum(mu):
+                assert all(np.all(np.isfinite(term)) for term in lane.at(N, math.inf, 7))
+                continue
+            with pytest.raises(solvers.PositivityError) as err:
+                lane.at(N, math.inf, 7)
             if mc.is_pd_spectrum(lam):
-                assert np.all(np.isfinite(_exact_half_step(inner, adj_a, 7)))
+                lost += 1
+                assert str(err.value) == (
+                    f"lower iterate 7 is not positive definite (lambda_min = {1.0 / mu[-1]:.3e})"
+                )
                 continue
             raised += 1
-            with pytest.raises(solvers.PositivityError) as err:
-                _exact_half_step(inner, adj_a, 7)
             assert str(err.value) == (
                 "inverted matrix Q - X^(s/t) - B* Y^(-p/t) B lost positive "
                 f"definiteness at iteration 7 (lambda_min = {lam[0]:.3e})"
             )
-        assert 0 < raised < len(spectra)
+        assert 0 < raised < len(spectra) - lost
 
 
 class TestDispatch:
@@ -885,6 +907,17 @@ class TestScalarRange:
         assert rep.extremality is solvers.Extremality.MINIMAL
         assert rep.residual <= 1e-15
         np.testing.assert_allclose(rep.solution_X, 1e-75 * np.eye(3), rtol=1e-12, atol=0.0)
+
+    def test_tiny_coefficients_twin_measures_its_steps_in_range(self):
+        # the n = 24 twin of the instance above has a freeze budget, so its lanes
+        # measure their steps in N = X^-1, whose entries are near 1e300: at the
+        # power-of-two scale of 1 / a, no squared norm overflows (a RuntimeWarning
+        # would fail the test)
+        P = _kron_instance(analysis.ProblemInstance(*self.TINY), 8)
+        assert solvers._freeze_budget(P, 1e-14 * P._norm_q) > -math.inf
+        rep = solvers.solve(P)
+        assert rep.converged and rep.iterations == 1 and rep.residual <= 1e-15
+        np.testing.assert_allclose(rep.solution_X, 1e-75 * np.eye(24), rtol=1e-12, atol=0.0)
 
     def test_fixed_point_check_overflow_is_a_verdict(self):
         # t/s = 400: alpha^(-t/s) overflows, so Y_1 is unbounded below
@@ -1203,20 +1236,17 @@ class TestFrobeniusStep:
 
 
 def _frozen_spy(monkeypatch):
-    """Counts, over the solves that follow, of np.linalg.eigh, np.linalg.eigvalsh
-    and np.linalg.cholesky calls; of the iterates decomposed before their sequence
-    first held a base, of frozen steps (on the sequence's own base or on its
-    partner's, which it then adopts) and of re-bases (iterates decomposed after
-    the first base); and of frozen half-steps of the coupled lanes."""
+    """Counts, over the solves that follow, of np.linalg.eigh, np.linalg.eigvalsh,
+    np.linalg.cholesky and np.linalg.inv calls; of the iterates decomposed before
+    their sequence first held a base, of frozen steps (on the sequence's own base or
+    on its partner's, which it then adopts) and of re-bases (iterates decomposed
+    after the first base)."""
     counts = dict.fromkeys(
-        ("eigh", "eigvalsh", "cholesky", "before_freeze", "frozen", "adopted", "rebase",
-         "frozen_inverse"),
+        ("eigh", "eigvalsh", "cholesky", "inv", "before_freeze", "frozen", "adopted", "rebase"),
         0,
     )
     froze = set()
-    eigh, eigvalsh, cholesky = np.linalg.eigh, np.linalg.eigvalsh, np.linalg.cholesky
     at, first_order = solvers._Powers.at, solvers._Powers._first_order
-    inverse_series = solvers._Inverses._series
 
     def counting(name, function):
         def counted(*args, **kwargs):
@@ -1240,17 +1270,10 @@ def _frozen_spy(monkeypatch):
         counts["adopted"] += terms is not None and base is not self.base
         return terms
 
-    def counting_inverse_series(self, *args):
-        X = inverse_series(self, *args)
-        counts["frozen_inverse"] += X is not None
-        return X
-
-    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", eigh))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", eigvalsh))
-    monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", cholesky))
+    for name in ("eigh", "eigvalsh", "cholesky", "inv"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     monkeypatch.setattr(solvers._Powers, "at", counting_at)
     monkeypatch.setattr(solvers._Powers, "_first_order", counting_first_order)
-    monkeypatch.setattr(solvers._Inverses, "_series", counting_inverse_series)
     return counts
 
 
@@ -1277,7 +1300,8 @@ class TestFrozenBasis:
     order in a frozen eigenbasis.  The solve must stay pinned to the plain
     numpy replay, and every iterate must get one positivity verdict: an eigh
     before the freeze, at each re-base and for the last iterate or limit, the
-    Weyl certificate on every frozen step."""
+    Weyl certificate (for a coupled lane, its inner-matrix form) on every frozen
+    step."""
 
     @pytest.mark.parametrize("cplx", [False, True])
     @pytest.mark.parametrize("n", [32, 64])
@@ -1294,12 +1318,13 @@ class TestFrozenBasis:
         start = 1 if scheme == "fixed-point" else 0
         assert counts["eigh"] == start + counts["before_freeze"] + counts["rebase"] + 1
         # one verdict per iterate: the fixed-point iterates Y_1 .. Y_N, or the
-        # coupled X_1, Y_1 .. X_(N-1), Y_(N-1) and the limit
-        verdicts = rep.iterations if scheme == "fixed-point" else 2 * rep.iterations - 1
+        # coupled lanes' N_1 .. N_N (each deciding its inner matrix and X = N^-1)
+        # and the limit
+        verdicts = rep.iterations if scheme == "fixed-point" else 2 * rep.iterations + 1
         assert counts["eigh"] + counts["frozen"] == verdicts
-        # one verdict per coupled half-step: a Cholesky factorization or a frozen inverse
-        half_steps = 0 if scheme == "fixed-point" else 2 * rep.iterations
-        assert counts["cholesky"] + counts["frozen_inverse"] == half_steps
+        # no half-step inverts a matrix: the coupled solve inverts A once
+        assert counts["cholesky"] == 0
+        assert counts["inv"] == (scheme == "coupled")
         assert_reference_matches(P, rep, reference_iterates(P, rep))
 
     def test_small_instances_never_freeze(self, monkeypatch):
@@ -1307,9 +1332,9 @@ class TestFrozenBasis:
         solvers.solve(P, solvers.SolveOptions(max_iter=1))  # fill the instance caches
         counts = _frozen_spy(monkeypatch)
         rep = solvers.solve(P)
-        assert counts["frozen"] == counts["rebase"] == counts["frozen_inverse"] == 0
-        assert counts["eigh"] == counts["before_freeze"] + 1 == 2 * rep.iterations - 1
-        assert counts["cholesky"] == 2 * rep.iterations
+        assert counts["frozen"] == counts["rebase"] == 0
+        assert counts["eigh"] == counts["before_freeze"] + 1 == 2 * rep.iterations + 1
+        assert counts["cholesky"] == 0
 
     def test_small_iterates_keep_the_residual_of_a_plain_solve(self, monkeypatch):
         # the iterates are far smaller than Q, and the frozen powers' remainder
@@ -1337,11 +1362,11 @@ class TestFrozenBasis:
         tol = 1e-8 * P._norm_q
         counts = _frozen_spy(monkeypatch)
         loose = solvers.solve(P, solvers.SolveOptions(tol=tol))
-        loose_frozen = counts["frozen"] + counts["frozen_inverse"]
-        counts.update(frozen=0, frozen_inverse=0)
+        loose_frozen = counts["frozen"]
+        counts.update(frozen=0)
         solvers.solve(P, solvers.SolveOptions(max_iter=loose.iterations))
         assert loose.converged and loose.residual <= tol
-        assert loose_frozen > counts["frozen"] + counts["frozen_inverse"]
+        assert loose_frozen > counts["frozen"]
 
     @pytest.mark.parametrize("cplx", [False, True])
     @pytest.mark.parametrize("n", [32, 64])
@@ -1354,7 +1379,7 @@ class TestFrozenBasis:
         opts = solvers.SolveOptions(tol=1e-300, max_iter=20)
         counts = _frozen_spy(monkeypatch)
         rep = solvers.solve(P, opts)
-        assert counts["frozen"] == counts["frozen_inverse"] == 0
+        assert counts["frozen"] == 0
         monkeypatch.setattr(solvers, "_FREEZE_MIN_N", P.n + 1)
         plain = solvers.solve(P, opts)
         assert not rep.converged and rep.history == plain.history
@@ -1411,51 +1436,56 @@ def _small_iterate_instance():
     return analysis.ProblemInstance(A, B, 0.5 * (Q + Q.T), 1.0, 2.0, 1.0)
 
 
-def _frozen_inverse_conditions(M_f, M, adj_a):
-    """(positivity, remainder): the two conditions of a series half-step at M
-    about the exact one at M_f, recomputed from their definitions; the
-    remainder bound at the largest order, which passes if any order does, against
-    _LANE_BUDGET."""
-    L = np.linalg.cholesky(M_f)
-    lam = 1.0 / np.linalg.norm(np.linalg.inv(L)) ** 2
-    D = M - M_f
-    g = np.linalg.norm(np.linalg.solve(L, np.linalg.solve(L, D).conj().T))  # ||L^-1 D L^-*||_F
-    W = np.linalg.solve(L, adj_a)
-    positivity = lam * (1.0 - g) > 2.0 * mc.PD_TOL * (np.linalg.norm(M_f) + np.linalg.norm(D))
-    bound = np.linalg.norm(W) ** 2 * g ** (solvers._NEUMANN_MAX_ORDER + 1) / (1.0 - g)
-    return positivity, bool(g < 1.0 and bound <= _LANE_BUDGET)
+def _lane_conditions(lane, N_f, N):
+    """(certificate, remainder): the two conditions of a lane's frozen step at N
+    about its base N_f, recomputed from their definitions with the lane's budget:
+    sigma_min(A)^2 (l_1 - d) > 2 PD_TOL sigma_max(A)^2 (l_n + d) with l_1 > d, and
+    the sum over the terms A^* N^(-3/4) A^, B^* N^(1/4) B^ and N^-1 of
+    (1/2) |r (r - 1)| ||M||_2^2 (l_1 - d)^(r - 2) d^2, ||A^|| = 1/sigma_min(A) and
+    ||B^|| = 0.1/sigma_min(A), within the budget."""
+    sigma = np.linalg.svd(lane.A, compute_uv=False)
+    values = np.linalg.eigvalsh(N_f)
+    d = np.linalg.norm(N - N_f)
+    gap = values[0] - d
+    if gap <= 0.0:
+        return False, False
+    certificate = sigma[-1] ** 2 * gap > 2.0 * mc.PD_TOL * sigma[0] ** 2 * (values[-1] + d)
+    terms = ((-0.75, 1.0 / sigma[-1]), (0.25, 0.1 / sigma[-1]), (-1.0, 1.0))
+    bound = sum(0.5 * abs(r * (r - 1.0)) * m**2 * gap ** (r - 2.0) * d**2 for r, m in terms)
+    return bool(certificate), bool(bound <= lane.budget)
 
 
 def _near_threshold(drop):
-    """diag(l, 1) with lam = 1/||L^-1||_F^2 = 1/(1/l + 1) at (1 + 1e-9) times the
-    certificate's threshold 2 PD_TOL ||M_f||_F, and diag(l - drop, 1)."""
-    lam = 2.0 * mc.PD_TOL * (1.0 + 1e-9)
-    for _ in range(3):
-        l_min = 1.0 / (1.0 / lam - 1.0)
-        lam = 2.0 * mc.PD_TOL * (1.0 + 1e-9) * math.hypot(l_min, 1.0)
-    l_min = 1.0 / (1.0 / lam - 1.0)
+    """diag(l, 1) with l at (1 + 1e-9) times the certificate's threshold
+    2 PD_TOL cond(A)^2 l_n for A = I, diag(l - drop, 1), and A = I."""
+    l_min = 2.0 * mc.PD_TOL * (1.0 + 1e-9)
     return np.diag([l_min, 1.0]), np.diag([l_min - drop, 1.0]), np.eye(2)
 
 
 def _rotated_drift(cplx, drift):
-    """A well-conditioned M_f (spectrum in [1, 4], n = 16), M_f plus a random
-    Hermitian D with ||D||_F = drift, and A* of norm 2."""
+    """A well-conditioned N_f (spectrum in [1, 4], n = 16), N_f plus a random
+    Hermitian D with ||D||_F = drift, and A of norm 2."""
     rng = np.random.default_rng([19, cplx])
     n = 16
     U = _orthogonal(rng, n, cplx)
-    M_f = mc.hermitian_part((U * rng.uniform(1.0, 4.0, n)) @ U.conj().T)
+    N_f = mc.hermitian_part((U * rng.uniform(1.0, 4.0, n)) @ U.conj().T)
     E = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if cplx else 0.0)
     D = mc.hermitian_part(E)
-    return M_f, M_f + drift / np.linalg.norm(D) * D, _scaled(rng, n, 2.0, 0.5, cplx).conj().T
+    return N_f, N_f + drift / np.linalg.norm(D) * D, _scaled(rng, n, 2.0, 0.5, cplx)
+
+
+def _exact_terms(N, A):
+    """The terms of a fresh lane at N, which has no base: its exact step."""
+    return _lane(A, -math.inf).at(N, math.inf, 2)
 
 
 class TestFrozenInverse:
-    """A coupled lane's half-step A M^-1 A* from the Neumann series about its
-    last exact Cholesky half-step M_f = L L*: W* (I - G + ... + (-G)^k) W with
-    W = L^-1 A*, G = L^-1 D L^-* and D = M - M_f.  It must agree with the exact
-    inverse to rounding, and a half-step refused by the positivity certificate
-    or by the remainder bound must be the exact half-step, verdict and
-    PositivityError text included."""
+    """A coupled lane's half-step A M^-1 A* is X = N^-1, and near convergence it
+    comes from the lane's frozen eigenbasis as its other terms do: about a base
+    N_f, X = N^-1 is the first-order X_f - X_f D X_f for D = N - N_f.  It must
+    agree with the exact inverse within its remainder bound and rounding, and a
+    step refused by the certificate or by the remainder bound must be the exact
+    step, verdict and PositivityError text included."""
 
     @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [32, 64])
@@ -1463,46 +1493,47 @@ class TestFrozenInverse:
         P = _dense_instance(np.random.default_rng([18, n]), n, "coupled", cplx)
         solvers.solve(P, solvers.SolveOptions(max_iter=1))  # fill the instance caches
         errors = []
-        series = solvers._Inverses._series
+        first_order = solvers._Lane._first_order
 
-        def compared(self, inner):
-            X = series(self, inner)
-            if X is not None:
-                exact = _exact_half_step(inner, self.adj_a, 0)
-                errors.append(np.linalg.norm(X - exact) / np.linalg.norm(exact))
-            return X
+        def compared(self, N, base):
+            terms = first_order(self, N, base)
+            if terms is not None:
+                exact = np.linalg.inv(N)
+                errors.append(np.linalg.norm(terms[2] - exact) / np.linalg.norm(exact))
+            return terms
 
-        monkeypatch.setattr(solvers._Inverses, "_series", compared)
+        monkeypatch.setattr(solvers._Lane, "_first_order", compared)
         rep = solvers.solve(P)
         monkeypatch.undo()
         assert rep.preconditions_held and rep.converged
-        # 18 of the 26 half-steps take the series, each within 5e-16 of the exact one
-        assert len(errors) >= 4 and max(errors) <= 2e-15
+        # 13 of the 26 lane steps are frozen, each within 8.1 eps of the exact inverse
+        assert len(errors) >= 4 and max(errors) <= 16.0 * np.finfo(float).eps
         assert_reference_matches(P, rep, reference_iterates(P, rep))
 
     @staticmethod
-    def _after_exact_step(M_f, adj_a, monkeypatch):
-        """A lane with _LANE_BUDGET after its exact half-step at M_f, and the list
-        its later Cholesky factorizations are appended to."""
-        lane = solvers._Inverses(adj_a, _LANE_BUDGET)
-        lane.at(M_f, 1)
-        calls, cholesky = [], np.linalg.cholesky
+    def _after_exact_step(N_f, A, monkeypatch, budget=_LANE_BUDGET):
+        """A lane with this budget after its exact step at N_f, which it keeps as its
+        base, and the list its later eigh calls are appended to."""
+        lane = _lane(A, budget)
+        lane.at(N_f, 0.0, 1)
+        assert lane.base is not None
+        calls, eigh = [], np.linalg.eigh
 
         def counted(M):
             calls.append(M)
-            return cholesky(M)
+            return eigh(M)
 
-        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
         return lane, calls
 
     @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
     def test_small_drift_freezes(self, cplx, monkeypatch):
-        M_f, M, adj_a = _rotated_drift(cplx, 1e-13)
-        assert _frozen_inverse_conditions(M_f, M, adj_a) == (True, True)
-        lane, calls = self._after_exact_step(M_f, adj_a, monkeypatch)
-        X = lane.at(M, 2)
+        N_f, N, A = _rotated_drift(cplx, 1e-13)
+        lane, calls = self._after_exact_step(N_f, A, monkeypatch)
+        assert _lane_conditions(lane, N_f, N) == (True, True)
+        *_, X = lane.at(N, 1e-13, 2)
         assert not calls
-        exact = _exact_half_step(M, adj_a, 2)
+        exact = np.linalg.inv(N)
         assert np.linalg.norm(X - exact) <= 2e-15 * np.linalg.norm(exact)
 
     @pytest.mark.parametrize(
@@ -1511,110 +1542,80 @@ class TestFrozenInverse:
             ("remainder, real", (True, False)),
             ("remainder, complex", (True, False)),
             ("positivity", (False, True)),
-            ("remainder before G", (True, False)),
         ],
     )
     def test_refused_half_step_is_the_exact_one(self, case, conditions, monkeypatch):
+        budget = _LANE_BUDGET
         if case == "positivity":
-            # a drop of 1e-20 takes lam (1 - g) below the threshold, while the
-            # remainder bound, 3.1e-22 at order 3, is still within _LANE_BUDGET
-            M_f, M, adj_a = _near_threshold(1e-20)
-        elif case == "remainder before G":
-            # the lower bound ||D||_F / ||M_f||_F on g already fails
-            M_f, M, adj_a = _rotated_drift(False, 1e-2)
+            # a drop of 1e-20 takes l_1 - d below the threshold, while the
+            # remainder bound, 1.3e-5 near l_1 = 2e-12, is within a budget of 1
+            N_f, N, A = _near_threshold(1e-20)
+            budget = 1.0
         else:
-            # g = 1.2e-3 (1.5e-3 complex) fails the bound at every order, while
-            # its lower bound 2.8e-4 passes, so G is formed
-            M_f, M, adj_a = _rotated_drift(case.endswith("complex"), 3e-3)
-        assert _frozen_inverse_conditions(M_f, M, adj_a) == conditions
-        lane, calls = self._after_exact_step(M_f, adj_a, monkeypatch)
-        orders = self._spy_orders(monkeypatch)
-        X = lane.at(M, 2)
+            # the bound at d = 3e-3 is 5.8e-6 (1.2e-5 complex), far past the budget
+            N_f, N, A = _rotated_drift(case.endswith("complex"), 3e-3)
+        lane, calls = self._after_exact_step(N_f, A, monkeypatch, budget)
+        assert _lane_conditions(lane, N_f, N) == conditions
+        terms = lane.at(N, float(np.linalg.norm(N - N_f)), 2)
         assert len(calls) == 1
-        # the order is sought for the lower bound on g, and once more if G is formed
-        assert len(orders) == (1 if case == "remainder before G" else 2) and orders[-1][1] is None
-        assert np.array_equal(X, _exact_half_step(M, adj_a, 2))
-
-    @pytest.mark.parametrize(
-        ("n", "cplx", "max_order"),
-        [(64, False, 4), (32, True, 4), (65, False, 2), (64, True, 2), (128, False, 2),
-         (129, False, 0), (65, True, 0)],
-    )
-    def test_order_cap_by_size(self, n, cplx, max_order):
-        # the cap is 4 up to a size of 64 (2n when complex) and 2 up to 128; a
-        # lane past 128 keeps no base, so every half-step is exact
-        dtype = complex if cplx else float
-        lane = solvers._Inverses(np.eye(n, dtype=dtype), _LANE_BUDGET)
-        lane.at(np.eye(n, dtype=dtype), 1)
-        assert lane.max_order == max_order
-        assert (lane.base is not None) == (max_order > 0)
-
-    @staticmethod
-    def _spy_orders(monkeypatch):
-        """The list that each (g, order) of _Inverses._order is appended to."""
-        orders, order = [], solvers._Inverses._order
-
-        def recorded(self, g, drift):
-            orders.append((g, order(self, g, drift)))
-            return orders[-1][1]
-
-        monkeypatch.setattr(solvers._Inverses, "_order", recorded)
-        return orders
+        for got, want in zip(terms, _exact_terms(N, A)):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("budget", [_LANE_BUDGET, 1e-5], ids=["module", "loose"])
     @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
-    def test_accepted_series_is_within_its_bound(self, cplx, budget, monkeypatch):
-        # with the default budget the bound is below rounding; at 1e-5 it is far
-        # above it for many updates, and must still hold
-        orders = self._spy_orders(monkeypatch)
+    def test_accepted_series_is_within_its_bound(self, cplx, budget):
+        # a frozen X = N^-1 is within the lane's remainder bound of the exact
+        # inverse, up to rounding; with the default budget the bound is below
+        # rounding, at 1e-5 it is far above it for many steps, and must still hold
         rng = np.random.default_rng([21, cplx])
         eps = np.finfo(float).eps
-        accepted, refused, above_rounding = Counter(), 0, 0
+        accepted = refused = above_rounding = 0
         for _ in range(150):
-            # n in 2..32, M_f with eigenvalues in [1e-2, 10], and M = M_f + D for a
+            # n in 2..32, N_f with eigenvalues in [1e-2, 10], and N = N_f + D for a
             # random Hermitian D with ||D||_F in [1e-14, 1e-2]
             n = int(rng.integers(2, 33))
             U = _orthogonal(rng, n, cplx)
-            M_f = mc.hermitian_part((U * 10.0 ** rng.uniform(-2.0, 1.0, n)) @ U.conj().T)
+            N_f = mc.hermitian_part((U * 10.0 ** rng.uniform(-2.0, 1.0, n)) @ U.conj().T)
             A, E = rng.standard_normal((2, n, n))
             if cplx:
                 A, E = A + 1j * rng.standard_normal((n, n)), E + 1j * rng.standard_normal((n, n))
             D = mc.hermitian_part(E)
-            M, adj_a = M_f + 10.0 ** rng.uniform(-14.0, -2.0) / np.linalg.norm(D) * D, A.conj().T
-            lane = solvers._Inverses(adj_a, budget)
-            lane.at(M_f, 1)
-            X = lane._series(M)
-            if X is None:
+            N = N_f + 10.0 ** rng.uniform(-14.0, -2.0) / np.linalg.norm(D) * D
+            lane = _lane(A, budget)
+            lane.at(N_f, 0.0, 1)
+            terms = lane._first_order(N, lane.base) if lane.base is not None else None
+            if terms is None:
                 refused += 1
                 continue
-            g, k = orders[-1]
-            accepted[k] += 1
-            bound = lane.base[4] * g ** (k + 1) / (1.0 - g)  # ||W||_F^2 g^(k+1) / (1 - g)
-            exact = _exact_half_step(M, adj_a, 2)
-            values = np.linalg.eigvalsh(M)
-            # rounding of an inverse: a few eps times cond(M)
+            accepted += 1
+            bound = lane._remainder(lane.base[1], float(np.linalg.norm(N - N_f)))
+            exact = np.linalg.inv(N)
+            values = np.linalg.eigvalsh(N)
+            # rounding of an inverse: a few eps times cond(N)
             rounding = 4.0 * eps * values[-1] / values[0] * np.linalg.norm(exact)
-            err = np.linalg.norm(X - exact)
+            err = np.linalg.norm(terms[2] - exact)
             assert err <= bound + rounding
             above_rounding += err > 100.0 * rounding
-        # every order from 1 to _NEUMANN_MAX_ORDER is taken
-        assert refused > 0 and sorted(accepted) == list(range(1, solvers._NEUMANN_MAX_ORDER + 1))
-        assert (above_rounding > 10) == (budget > _LANE_BUDGET)
+        # about 40 of 150 accepted at the default budget and 100 at the loose one
+        assert refused > 0 and accepted > 30
+        assert (above_rounding > 0) == (budget > _LANE_BUDGET)
 
     @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
     def test_certificate_never_passes_a_failing_spectrum(self, cplx):
-        # with an infinite budget the positivity certificate
-        # lam (1 - g) > 2 PD_TOL (||M_f||_F + ||D||_F) decides alone: it may
-        # refuse a positive definite M, but never pass one that is not
+        # with an infinite budget the certificate decides a frozen step alone: it
+        # may refuse a step whose inner matrix M = A* N A and iterate N^-1 pass
+        # their verdicts, but never pass one where eigvalsh(M) or N fails, for
+        # random and near-singular A (cond(A) up to 1e4) and inner matrices
         rng = np.random.default_rng([22, cplx])
         passed = refused_pd = failing = 0
         for _ in range(400):
             n = int(rng.integers(2, 12))
+            A = _scaled(rng, n, 1.0, 10.0 ** -rng.choice([0.0, 2.0, 4.0]), cplx)
             # lambda_min from well inside the cone to the PD_TOL boundary
             l_min = 10.0 ** rng.uniform(-11.0, -1.0)
             values = np.sort(np.concatenate(([l_min], rng.uniform(l_min, 1.0, n - 1))))
             U = _orthogonal(rng, n, cplx)
-            M_f = mc.hermitian_part((U * values) @ U.conj().T)
+            N_f = mc.hermitian_part((U * values) @ U.conj().T)
             # a drop along the smallest eigenvector, of 0.2 to 2 times l_min, and
             # a random Hermitian part of norm up to l_min / 2
             v = U[:, :1]
@@ -1622,11 +1623,14 @@ class TestFrozenInverse:
             D = mc.hermitian_part(E)
             D *= l_min * rng.uniform(0.0, 0.5) / np.linalg.norm(D)
             D -= l_min * rng.uniform(0.2, 2.0) * (v @ v.conj().T)
-            lane = solvers._Inverses(np.eye(n), math.inf)
-            lane.at(M_f, 1)
+            lane = _lane(A, math.inf)
+            lane.at(N_f, 0.0, 1, np.linalg.eigh(N_f))
             assert lane.base is not None
-            certified = lane._series(M_f + D) is not None
-            exact = mc.is_pd_spectrum(np.linalg.eigvalsh(M_f + D))
+            N = N_f + D
+            certified = lane._first_order(N, lane.base) is not None
+            inner = mc.hermitian_part(lane.A.conj().T @ N @ lane.A)
+            exact = mc.is_pd_spectrum(np.linalg.eigvalsh(inner))
+            exact = exact and mc.is_pd_spectrum(np.linalg.eigvalsh(N))
             assert exact or not certified
             passed += certified
             refused_pd += exact and not certified
@@ -1636,32 +1640,35 @@ class TestFrozenInverse:
     @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("drift", [1e-13, 1e-9])
     def test_order_one_is_the_frechet_update(self, drift, cplx, monkeypatch):
-        # X_f - U* D U with U = M_f^-1 A*, the first-order update of the inverse
-        M_f, M, adj_a = _rotated_drift(cplx, drift)
-        lane, calls = self._after_exact_step(M_f, adj_a, monkeypatch)
-        orders = self._spy_orders(monkeypatch)
-        X = lane.at(M, 2)
-        assert not calls and orders[-1][1] == 1
-        U = np.linalg.solve(M_f, adj_a)
-        frechet = _exact_half_step(M_f, adj_a, 1) - U.conj().T @ (M - M_f) @ U
-        assert np.linalg.norm(X - frechet) <= 4.0 * np.finfo(float).eps * np.linalg.norm(frechet)
+        # X_f - X_f D X_f with X_f = N_f^-1, the first-order update of the inverse:
+        # the divided differences of x^-1 are -1 / (l_i l_j)
+        N_f, N, A = _rotated_drift(cplx, drift)
+        lane, calls = self._after_exact_step(N_f, A, monkeypatch)
+        *_, X = lane.at(N, drift, 2)
+        assert not calls
+        X_f = np.linalg.inv(N_f)
+        frechet = mc.hermitian_part(X_f - X_f @ (N - N_f) @ X_f)
+        # the rounding of the two inverses of N_f, by eigh and by inv: eps cond(N_f)
+        values = np.linalg.eigvalsh(N_f)
+        rounding = 4.0 * np.finfo(float).eps * values[-1] / values[0]
+        assert np.linalg.norm(X - frechet) <= rounding * np.linalg.norm(frechet)
 
     @pytest.mark.parametrize("case", ["near the threshold", "rotated"])
     def test_lost_positivity_raises_the_exact_message(self, case, monkeypatch):
         if case == "near the threshold":
-            M_f, M, adj_a = _near_threshold(3e-12)
+            N_f, N, A = _near_threshold(3e-12)
         else:
-            M_f, _, adj_a = _rotated_drift(False, 0.0)
-            values, vectors = np.linalg.eigh(M_f)
+            N_f, _, A = _rotated_drift(False, 0.0)
+            values, vectors = np.linalg.eigh(N_f)
             v = vectors[:, :1]
-            M = mc.hermitian_part(M_f - (values[0] + 0.5) * (v @ v.T))
-        lane, calls = self._after_exact_step(M_f, adj_a, monkeypatch)
+            N = mc.hermitian_part(N_f - (values[0] + 0.5) * (v @ v.T))
+        lane, calls = self._after_exact_step(N_f, A, monkeypatch)
         with pytest.raises(solvers.PositivityError) as frozen:
-            lane.at(M, 7)
+            lane.at(N, float(np.linalg.norm(N - N_f)), 7)
         assert len(calls) == 1
         with pytest.raises(solvers.PositivityError) as plain:
-            _exact_half_step(M, adj_a, 7)
-        lam = np.linalg.eigvalsh(M)[0]
+            _lane(A, -math.inf).at(N, math.inf, 7)
+        lam = np.linalg.eigvalsh(mc.hermitian_part(lane.A.conj().T @ N @ lane.A))[0]
         assert lam < 0.0
         assert str(frozen.value) == str(plain.value) == (
             "inverted matrix Q - X^(s/t) - B* Y^(-p/t) B lost positive "
@@ -1669,37 +1676,18 @@ class TestFrozenInverse:
         )
 
 
-class TestLowerInverse:
-    """_lower_inverse, the exact half-step's inverse of the Cholesky factor, by
-    2x2 blocks above _LOWER_INVERSE_LEAF and by np.linalg.inv up to it."""
-
-    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
-    @pytest.mark.parametrize("n", [1, 32, 33, 64, 97, 128])
-    def test_inverts_the_cholesky_factor(self, n, cplx):
-        M = random_hpd(np.random.default_rng([22, n]), n, lo=1e-3, hi=1e3)
-        L = np.linalg.cholesky(M if cplx else M.real)
-        inv = solvers._lower_inverse(L)
-        assert inv.dtype == L.dtype
-        if n <= solvers._LOWER_INVERSE_LEAF:
-            assert np.array_equal(inv, np.linalg.inv(L))
-        # each block product is backward stable, so the residual is rounding times cond(L)
-        cond = np.linalg.cond(L)
-        assert np.linalg.norm(inv @ L - np.eye(n)) <= n * np.finfo(float).eps * cond
-        ref = np.linalg.inv(L)
-        assert np.linalg.norm(inv - ref) <= n * np.finfo(float).eps * cond * np.linalg.norm(ref)
-
-
 class TestDecompositionBudget:
     """The factorizations of one instance build plus solve, pinned on seeded
-    instances: a change that adds an eigh, an eigvalsh or a Cholesky
-    factorization to the solve path fails here and must restate the budget."""
+    instances: a change that adds an eigh, an eigvalsh, a Cholesky factorization
+    or an inverse to the solve path fails here and must restate the budget."""
 
     # eigvalsh: Q's validation and the residual norm, plus, coupled, the spectrum
     # of A Q^-1 A* and the one domination verdict the b_search pretests leave open,
-    # at the accepted b, which the solve's own precheck reuses
+    # at the accepted b, which the solve's own precheck reuses; the coupled solve
+    # inverts A once and no matrix after it
     @pytest.mark.parametrize(
         ("scheme", "n", "eighs", "eigvalshs", "choleskys"),
-        [("coupled", 64, 15, 4, 8), ("fixed-point", 32, 5, 2, 0)],
+        [("coupled", 64, 15, 4, 0), ("fixed-point", 32, 5, 2, 0)],
     )
     def test_factorizations_per_solve(self, scheme, n, eighs, eigvalshs, choleskys, monkeypatch):
         counts = _frozen_spy(monkeypatch)
@@ -1712,6 +1700,7 @@ class TestDecompositionBudget:
         assert (counts["eigh"], counts["eigvalsh"], counts["cholesky"]) == (
             eighs, eigvalshs, choleskys
         )
+        assert counts["inv"] == (scheme == "coupled")
         # one coupled sequence freezes on the base the other froze first
         assert counts["adopted"] == (scheme == "coupled")
 
@@ -2133,3 +2122,31 @@ class TestTwoLanes:
         res = _run_python(code)
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "False 1"
+
+
+class TestSameSequence:
+    """The coupled solve runs in the inverse variables N = X^-1, but it is the
+    paper's pair in X: the plain pair of tests/support.py (np.linalg.inv, nothing
+    frozen) stops at the same iteration, with the same step norms and solution up
+    to a few eps of the iterates' size.  The twins kron(I_k, E) of bundled example
+    2 (real) and of its rotation by a random unitary (complex) run at n = 3, and at
+    n = 24 and 33, where the lanes freeze."""
+
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("k", [1, 8, 11])
+    def test_matches_the_plain_pair(self, k, cplx):
+        E = builtin.example(2).instance
+        if cplx:
+            U = random_unitary(np.random.default_rng(4), E.n)
+            Uh = U.conj().T
+            E = analysis.ProblemInstance(Uh @ E.A @ U, Uh @ E.B @ U, Uh @ E.Q @ U, E.s, E.t, E.p)
+        P = _kron_instance(E, k)
+        rep = solvers.solve(P)
+        assert rep.scheme is solvers.Scheme.COUPLED and rep.converged
+        history, X = reference_coupled_solve(P, rep.precheck.a, rep.precheck.b, 1e-14 * P._norm_q)
+        assert rep.iterations == len(history)
+        # measured: within 7.2 eps ||Y||_F for the steps and 3.4 eps for X
+        eps = np.finfo(float).eps
+        steps = np.array([row[1:] for row in rep.history]) - np.array([row[1:] for row in history])
+        assert np.max(np.abs(steps)) <= 16.0 * eps * np.linalg.norm(rep.solution_Y)
+        assert np.linalg.norm(rep.solution_X - X) <= 8.0 * eps * np.linalg.norm(X)
