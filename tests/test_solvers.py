@@ -1542,6 +1542,7 @@ class TestFrozenInverse:
             ("remainder, real", (True, False)),
             ("remainder, complex", (True, False)),
             ("positivity", (False, True)),
+            ("remainder before G", (False, False)),
         ],
     )
     def test_refused_half_step_is_the_exact_one(self, case, conditions, monkeypatch):
@@ -1551,6 +1552,11 @@ class TestFrozenInverse:
             # remainder bound, 1.3e-5 near l_1 = 2e-12, is within a budget of 1
             N_f, N, A = _near_threshold(1e-20)
             budget = 1.0
+        elif case == "remainder before G":
+            # d = 2 is past l_1 = 1.35 (N stays positive, lambda_min 0.9): the
+            # remainder reads inf at gap 0, so the step is refused before any
+            # G = Gamma o V* D V is formed
+            N_f, N, A = _rotated_drift(False, 2.0)
         else:
             # the bound at d = 3e-3 is 5.8e-6 (1.2e-5 complex), far past the budget
             N_f, N, A = _rotated_drift(case.endswith("complex"), 3e-3)
@@ -1674,6 +1680,26 @@ class TestFrozenInverse:
             "inverted matrix Q - X^(s/t) - B* Y^(-p/t) B lost positive "
             f"definiteness at iteration 7 (lambda_min = {lam:.3e})"
         )
+
+
+class TestLowerInverse:
+    """_lower_inverse, the inverse of a Cholesky factor, by 2x2 blocks above
+    _LOWER_INVERSE_LEAF and by np.linalg.inv up to it."""
+
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 32, 33, 64, 97, 128])
+    def test_inverts_the_cholesky_factor(self, n, cplx):
+        M = random_hpd(np.random.default_rng([22, n]), n, lo=1e-3, hi=1e3)
+        L = np.linalg.cholesky(M if cplx else M.real)
+        inv = solvers._lower_inverse(L)
+        assert inv.dtype == L.dtype
+        if n <= solvers._LOWER_INVERSE_LEAF:
+            assert np.array_equal(inv, np.linalg.inv(L))
+        # each block product is backward stable, so the residual is rounding times cond(L)
+        cond = np.linalg.cond(L)
+        assert np.linalg.norm(inv @ L - np.eye(n)) <= n * np.finfo(float).eps * cond
+        ref = np.linalg.inv(L)
+        assert np.linalg.norm(inv - ref) <= n * np.finfo(float).eps * cond * np.linalg.norm(ref)
 
 
 class TestDecompositionBudget:
