@@ -74,9 +74,10 @@ def as_matrix(M, name: str = "matrix") -> np.ndarray:
 
 
 def hermitian_part(M) -> np.ndarray:
-    """Return (M + M*)/2."""
-    A = np.asarray(M)
-    return 0.5 * (A + A.conj().T)
+    """Return (M + M*)/2, as M/2 + (M/2)*: halving first (exact unless an entry of
+    M/2 is subnormal) keeps the sum in range where M + M* would overflow."""
+    H = 0.5 * np.asarray(M)
+    return H + H.conj().T
 
 
 def check_hermitian(M, name: str = "matrix") -> np.ndarray:

@@ -335,8 +335,8 @@ class _Powers:
     (_decompose) and keeps, per pair, l^r and W = V* M (V* for M None): its terms
     are W* diag(l^r) W.  A later Y = Y_f + D of a base Y_f takes the first-order
     (Daleckii-Krein) term W* (diag(l^r) + Gamma_r o V* D V) W, Gamma_r the divided
-    differences of x^r on l, and the Weyl certificate (_certifies) as its verdict.
-    A coupled _Lane replaces the verdict, the certificate and the drift norm.  For
+    differences of x^r on l, and _weyl_certifies at the sequence's spread as its
+    verdict.  A coupled _Lane sets the spread and replaces _decompose and _drift.  For
     d = ||D||_F < l_1 that term is within (1/2) |r (r - 1)| ||M||_2^2
     (l_1 - d)^(r-2) d^2 of the exact one (Taylor's theorem with integral remainder;
     Higham, Functions of Matrices, 2008, ch. 3; Bhatia, Matrix Analysis, 1997,
@@ -349,8 +349,8 @@ class _Powers:
     is not finite, a fresh eigh re-bases.
     """
 
-    def __init__(self, pairs: tuple, budget: float):
-        self.budget = budget
+    def __init__(self, pairs: tuple, budget: float, spread: float = 1.0):
+        self.budget, self.spread = budget, spread
         # (r, M, (1/2) |r (r - 1)| ||M||_2^2) per pair, the last its weight in _remainder
         self.pairs = [(r, M, _monomial(0.5, (abs(r * (r - 1.0)), 1.0), (norm, 2.0)))
                       for r, M, norm in pairs]
@@ -391,10 +391,6 @@ class _Powers:
         """eigh(Y), once Y passed its verdict; what names Y in the PositivityError."""
         return _eigh_pd(Y, what)
 
-    def _certifies(self, values: np.ndarray, drift: float) -> bool:
-        """The verdict of a frozen step at drift ||D||_F from a base with spectrum values."""
-        return _weyl_certifies(values, drift)
-
     def _drift(self, D: np.ndarray) -> float:
         """||D||_F of a drift from the base."""
         return float(mc.frobenius_norm(D))
@@ -415,7 +411,8 @@ class _Powers:
         Y_f, values, vectors, kept = base
         D = Y - Y_f
         drift = self._drift(D)
-        if not (self._remainder(values, drift) <= self.budget and self._certifies(values, drift)):
+        if not (self._remainder(values, drift) <= self.budget
+                and _weyl_certifies(values, drift, self.spread)):
             return None
         E = vectors.conj().T @ D @ vectors
         out = []
@@ -426,12 +423,15 @@ class _Powers:
         return out
 
 
-def _weyl_certifies(values: np.ndarray, drift: float) -> bool:
-    """Whether Y_f + D passes is_pd_spectrum for every Hermitian D with
-    ||D||_F <= drift, Y_f having the ascending spectrum values: by Weyl each
-    eigenvalue moves by at most ||D||_2 <= ||D||_F.  The last value stands for the
-    largest modulus as in is_pd_spectrum: where they differ, values[0] < 0."""
-    return float(values[0]) - drift > mc.PD_TOL * (float(values[-1]) + drift)
+def _weyl_certifies(values: np.ndarray, drift: float, spread: float) -> bool:
+    """Whether low = l_1 - drift > 0 and low > spread PD_TOL (l_n + drift), for the
+    ascending spectrum l = values of a base Y_f: by Weyl, Y_f + D has its spectrum in
+    [low, l_n + drift] for every Hermitian D with ||D||_F <= drift.  Spread 1 proves
+    is_pd_spectrum(Y_f + D) (l_n stands for the largest modulus: where they differ,
+    low < 0); a _Lane takes 2 cond(A)^2, past 1 / PD_TOL once cond(A) > 7e5, where
+    the second test no longer implies low > 0."""
+    low, high = float(values[0]) - drift, float(values[-1]) + drift
+    return low > 0.0 and low > spread * mc.PD_TOL * high
 
 
 def _divided_differences(values: np.ndarray, r: float) -> np.ndarray:
@@ -810,8 +810,8 @@ class _Lane(_Powers):
     sigma_min(A)^2 lambda_min(N) and lambda_max(M) <= sigma_max(A)^2 lambda_max(N),
     so lambda_min(N) > 0 with sigma_min^2 lambda_min(N) > 2 PD_TOL sigma_max^2
     lambda_max(N) passes both (the factor 2 absorbs rounding; N passes, as
-    2 cond(A)^2 >= 1).  A decomposed N that fails it has M formed and decided by
-    eigvalsh; a frozen step applies it to the Weyl bounds [l_1 - d, l_n + d].
+    2 cond(A)^2 >= 1): _weyl_certifies at spread 2 cond(A)^2, at drift 0 for a
+    decomposed N, whose M is formed and decided by eigvalsh when it fails, and at d frozen.
 
     Every N > 0 has N <= Q~ <= I / a, as a = lambda_min(A Q^-1 A*) =
     1 / lambda_max(Q~), so a drift in N is measured at the power-of-two scale of
@@ -825,16 +825,16 @@ class _Lane(_Powers):
              (P.p / P.t, P.B @ a_inv, _monomial(1.0, (P._norm_b, 1.0), (sigma_min, -1.0))),
              (-1.0, None, 1.0)),
             budget,
+            _monomial(2.0, (P._norm_a, 2.0), (sigma_min, -2.0)),  # 2 cond(A)^2
         )
         self.A, self.name = P.A, name
-        self.spread = _monomial(2.0, (P._norm_a, 2.0), (sigma_min, -2.0))  # 2 cond(A)^2
         exponent = math.frexp(a)[1]
         self.unit, self.scale = math.ldexp(1.0, exponent), math.ldexp(1.0, -exponent)
 
     def _decompose(self, N: np.ndarray, it: int) -> tuple[np.ndarray, np.ndarray]:
         """eigh(N), once the inner matrix and the iterate of iteration it passed."""
         values, vectors = np.linalg.eigh(N)
-        if not self._certifies(values, 0.0):
+        if not _weyl_certifies(values, 0.0, self.spread):
             inner = np.linalg.eigvalsh(mc.hermitian_part(self.A.conj().T @ N @ self.A))
             if not mc.is_pd_spectrum(inner):
                 raise PositivityError(
@@ -848,35 +848,8 @@ class _Lane(_Powers):
                 )
         return values, vectors
 
-    def _certifies(self, values: np.ndarray, drift: float) -> bool:
-        low, high = float(values[0]) - drift, float(values[-1]) + drift
-        return low > 0.0 and low > self.spread * mc.PD_TOL * high
-
     def _drift(self, D: np.ndarray) -> float:
         return float(mc.frobenius_norm(D * self.unit)) * self.scale
-
-
-# Up to this order _lower_inverse calls the general LU inverse: with one BLAS
-# thread the 2x2 block step was no faster at n = 32 and 1.2x faster at n = 48.
-_LOWER_INVERSE_LEAF = 32
-
-
-def _lower_inverse(L: np.ndarray) -> np.ndarray:
-    """L^-1 of a lower triangular L, from its 2x2 blocks:
-    [[L11, 0], [L21, L22]]^-1 = [[L11^-1, 0], [-L22^-1 L21 L11^-1, L22^-1]].
-
-    No solve path calls it since the coupled lanes run in N = X^-1; it is kept,
-    with its tests, until a later change removes both (ROADMAP item 9)."""
-    n = L.shape[0]
-    if n <= _LOWER_INVERSE_LEAF:
-        return np.linalg.inv(L)
-    h = n // 2
-    inv11, inv22 = _lower_inverse(L[:h, :h]), _lower_inverse(L[h:, h:])
-    out = np.zeros_like(L)
-    out[:h, :h] = inv11
-    out[h:, h:] = inv22
-    out[h:, :h] = -(inv22 @ (L[h:, :h] @ inv11))
-    return out
 
 
 def solve(P: ProblemInstance, opts: SolveOptions | None = None) -> SolveReport:

@@ -1,10 +1,12 @@
 """Export guard: every advertised name resolves, and the package API is
-exactly the pinned 48 names, so a deletion cannot leave a stale export.  The
+exactly the pinned 48 names, so a deletion cannot leave a stale export; every
+module-level private name is used, so no dead helper stays behind.  The
 fields of SolveOptions, SolveReport, the two scheme prechecks, DerivedScalars
 and ConditionReport are pinned too, so a new option, a per-iteration field on
 the report, a new precheck field or a new derived scalar shows up as a test
 change."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -59,6 +61,43 @@ def test_no_module_callable_is_wrapped():
     assert not hasattr(nmeq.ProblemInstance.__post_init__, "__wrapped__")
 
 
+def test_every_private_name_is_used():
+    # each module-level private function, class or assigned name is loaded,
+    # imported or read as an attribute somewhere in the package outside its own
+    # definition; the syntax tree, not a text search, since a comment or a
+    # docstring may name a helper that nothing calls
+    src = Path(nmeq.__file__).resolve().parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    uses: dict[str, set[int]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            uses.setdefault(name, set()).add(id(node))
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            inside = {id(inner) for inner in ast.walk(node)}
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    if not uses.get(name, set()) - inside:
+                        unused.append(f"{module}.{name}")
+    assert unused == []
+
+
 def test_benchmark_tracer_self_test_passes():
     # the benchmark's tracer looks its traced names up with getattr and checks
     # that it leaves no wrapper behind, so a removed traced name or a wrapped
@@ -110,8 +149,8 @@ def test_condition_fields_are_pinned():
 
 def test_no_scipy_dependency():
     # scipy is installed in some environments but is not a declared
-    # dependency: importing nmeq and running a coupled solve (whose loop
-    # inverts through a triangular factor) must not load it
+    # dependency: importing nmeq and running a coupled solve (which inverts
+    # A once) must not load it
     code = (
         "import sys, nmeq\n"
         "rep = nmeq.solve(nmeq.example(2).instance)\n"

@@ -113,6 +113,19 @@ class TestValidation:
         H = mc.hermitian_part(M)
         assert np.array_equal(H, H.conj().T)
 
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_hermitian_part_halves_first(self, cplx):
+        # M/2 + (M/2)* is (M + M*)/2 bit for bit where no half is subnormal, and
+        # stays finite where M + M* overflows
+        rng = seeded_rng(1)
+        for n in (1, 4, 17):
+            M = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-250.0, 250.0, (n, n))
+            if cplx:
+                M = M + 1j * rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-250.0, 250.0, (n, n))
+            assert np.array_equal(mc.hermitian_part(M), 0.5 * (M + M.conj().T))
+        big = np.array([[1e308, 1.5e308], [1.5e308, 1e308]])
+        assert np.array_equal(mc.hermitian_part(big.astype(M.dtype)), big)
+
 
 class TestCongruence:
     @pytest.mark.parametrize("cplx", [False, True])

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nmeq import analysis, builtin, solvers
 from nmeq import matcore as mc
@@ -31,7 +31,6 @@ from support import (
     assert_reference_matches,
     loewner_leq,
     near_singular_coupled_problem,
-    random_hpd,
     random_unitary,
     reference_coupled_solve,
     reference_iterates,
@@ -919,6 +918,15 @@ class TestScalarRange:
         assert rep.converged and rep.iterations == 1 and rep.residual <= 1e-15
         np.testing.assert_allclose(rep.solution_X, 1e-75 * np.eye(24), rtol=1e-12, atol=0.0)
 
+    def test_lower_scalar_at_the_normal_floor_solves(self):
+        # a = 1e-308: Q~ = A^-* Q A^-1 has entries near 1 / a, so symmetrizing it
+        # as (M + M*) / 2 would overflow in the sum (a RuntimeWarning fails the test)
+        P = analysis.ProblemInstance(1e-154 * np.eye(3), 1e-155 * np.eye(3), np.eye(3), 3, 4, 1)
+        rep = solvers.solve(P)
+        assert rep.converged and rep.iterations == 1
+        assert rep.extremality is solvers.Extremality.MINIMAL and rep.residual <= 1e-15
+        np.testing.assert_allclose(rep.solution_X, 1e-77 * np.eye(3), rtol=1e-12, atol=0.0)
+
     def test_fixed_point_check_overflow_is_a_verdict(self):
         # t/s = 400: alpha^(-t/s) overflows, so Y_1 is unbounded below
         P = analysis.ProblemInstance(0.1 * np.eye(3), 0.05 * np.eye(3), np.eye(3), 1, 400, 1)
@@ -1682,26 +1690,6 @@ class TestFrozenInverse:
         )
 
 
-class TestLowerInverse:
-    """_lower_inverse, the inverse of a Cholesky factor, by 2x2 blocks above
-    _LOWER_INVERSE_LEAF and by np.linalg.inv up to it."""
-
-    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
-    @pytest.mark.parametrize("n", [1, 32, 33, 64, 97, 128])
-    def test_inverts_the_cholesky_factor(self, n, cplx):
-        M = random_hpd(np.random.default_rng([22, n]), n, lo=1e-3, hi=1e3)
-        L = np.linalg.cholesky(M if cplx else M.real)
-        inv = solvers._lower_inverse(L)
-        assert inv.dtype == L.dtype
-        if n <= solvers._LOWER_INVERSE_LEAF:
-            assert np.array_equal(inv, np.linalg.inv(L))
-        # each block product is backward stable, so the residual is rounding times cond(L)
-        cond = np.linalg.cond(L)
-        assert np.linalg.norm(inv @ L - np.eye(n)) <= n * np.finfo(float).eps * cond
-        ref = np.linalg.inv(L)
-        assert np.linalg.norm(inv - ref) <= n * np.finfo(float).eps * cond * np.linalg.norm(ref)
-
-
 class TestDecompositionBudget:
     """The factorizations of one instance build plus solve, pinned on seeded
     instances: a change that adds an eigh, an eigvalsh, a Cholesky factorization
@@ -1892,7 +1880,7 @@ class TestWeylCertificate:
             D = mc.hermitian_part(E)
             D *= l_min * rng.uniform(0.2, 2.0) / np.linalg.norm(D)
             f_values = np.linalg.eigh(Y_f)[0]
-            certified = solvers._weyl_certifies(f_values, float(np.linalg.norm(D)))
+            certified = solvers._weyl_certifies(f_values, float(np.linalg.norm(D)), 1.0)
             exact = mc.is_pd_spectrum(np.linalg.eigvalsh(Y_f + D))
             assert exact or not certified
             passed += certified
@@ -1901,24 +1889,25 @@ class TestWeylCertificate:
         # about 150 passed, 230 refused although positive definite, 17 failing
         assert passed > 100 and refused_pd > 0 and failing > 5
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(
-            st.one_of(
-                st.sampled_from(
-                    [-np.inf, -1e300, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1e-310, 1e-300,
-                     1e-12, 1.0, 1e300, np.inf, np.nan]
-                ),
-                st.floats(allow_nan=True, allow_infinity=True),
-            ),
-            min_size=1,
-            max_size=6,
-        ),
+    # spectra whose ends may be NaN, +-inf, +-0 or subnormal, and drifts in [0, inf]
+    VALUES = st.lists(
         st.one_of(
-            st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 1e300, np.inf]),
-            st.floats(min_value=0.0, allow_infinity=True),
+            st.sampled_from(
+                [-np.inf, -1e300, -1.5, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1e-310, 1e-300,
+                 1e-12, 1.0, 1e300, np.inf, np.nan]
+            ),
+            st.floats(allow_nan=True, allow_infinity=True),
         ),
+        min_size=1,
+        max_size=6,
     )
+    DRIFTS = st.one_of(
+        st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 1e300, np.inf]),
+        st.floats(min_value=0.0, allow_infinity=True),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(VALUES, DRIFTS)
     def test_last_value_rule_is_the_modulus_rule(self, values, drift):
         # on an ascending spectrum (np.sort puts a NaN last) and a drift >= 0, the
         # certificate read from the last value decides as the one that scales
@@ -1927,7 +1916,25 @@ class TestWeylCertificate:
         with np.errstate(all="ignore"):
             scale = float(np.max(np.abs(spectrum))) + drift
             modulus_rule = spectrum[0] - drift > mc.PD_TOL * scale
-        assert solvers._weyl_certifies(spectrum, drift) is bool(modulus_rule)
+        assert solvers._weyl_certifies(spectrum, drift, 1.0) is bool(modulus_rule)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        VALUES,
+        DRIFTS,
+        st.one_of(st.sampled_from([1.0, 2.0, 2e12, 1e300]), st.floats(1.0, 1e300)),
+    )
+    @example([-1.5, -1.0], 0.0, 2e12)
+    def test_one_certificate_for_both_sequences(self, values, drift, spread):
+        # the two rules the certificate replaced: a coupled lane's, which needs
+        # low > 0 once spread PD_TOL > 1 (at spread 2e12 the negative spectrum
+        # [-1.5, -1] passes its second test), and the fixed-point sequence's
+        spectrum = np.sort(np.array(values, dtype=np.float64))
+        low, high = float(spectrum[0]) - drift, float(spectrum[-1]) + drift
+        lane_rule = low > 0.0 and low > spread * mc.PD_TOL * high
+        assert solvers._weyl_certifies(spectrum, drift, spread) is lane_rule
+        fixed_point_rule = low > mc.PD_TOL * high
+        assert solvers._weyl_certifies(spectrum, drift, 1.0) is fixed_point_rule
 
 
 class TestFrozenRemainder:
