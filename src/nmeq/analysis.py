@@ -576,7 +576,8 @@ def _residual(P: ProblemInstance, values: np.ndarray, vectors: np.ndarray) -> fl
     """||X^s + A* X^-t A + B* X^-p B - Q|| for X = V diag(values) V* positive definite.
 
     The one residual certificate behind the solvers and every candidate
-    check; callers validate X and its positivity (see _accept_candidate).
+    check; callers validate X and its positivity (see _accept_candidate).  The
+    norm is the spectral one, the largest |eigenvalue| of the symmetrized R.
     """
     R = (
         mc.eig_compose(vectors, values**P.s)
@@ -584,4 +585,4 @@ def _residual(P: ProblemInstance, values: np.ndarray, vectors: np.ndarray) -> fl
         + mc.congruence(vectors, values**-P.p, P.B)
         - P.Q
     )
-    return mc.hermitian_norm(mc.hermitian_part(R))
+    return float(np.max(np.abs(np.linalg.eigvalsh(mc.hermitian_part(R)))))

@@ -12,13 +12,12 @@ and ``herm_power`` (through it), ``spectral_norm`` (finite entries) and
 ``spectral_radius`` (through ``as_matrix``).  On matrices they built Hermitian
 themselves, the library's own callers use the trusted kernel, which checks
 nothing, positivity included: ``trusted_eigh``, ``trusted_lambda_min``,
-``hermitian_norm``, ``eig_compose`` (the one ``V diag(w) V*``), ``eig_power``,
-``congruence`` (``M* f(X) M`` from the eigendecomposition of ``X``) and
-``frobenius_norm`` (``np.linalg.norm``'s default arithmetic without its argument
-handling).  The one positivity rule, ``is_pd_spectrum``, takes a spectrum in
-ascending order, as ``eigh`` and ``eigvalsh`` return it, and reads only its two
-ends.  Powers of a spectrum from outside the library go through the one gate,
-``checked_eig_power``.
+``eig_compose`` (the one ``V diag(w) V*``), ``eig_power`` and ``congruence``
+(``M* f(X) M`` from the eigendecomposition of ``X``).  Norms of library-built
+matrices are numpy's own.  The one positivity rule, ``is_pd_spectrum``, takes a
+spectrum in ascending order, as ``eigh`` and ``eigvalsh`` return it, and reads
+only its two ends.  Powers of a spectrum from outside the library go through the
+one gate, ``checked_eig_power``.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ __all__ = [
     "check_hermitian",
     "trusted_eigh",
     "trusted_lambda_min",
-    "hermitian_norm",
-    "frobenius_norm",
     "eig_compose",
     "eig_power",
     "checked_eig_power",
@@ -106,23 +103,6 @@ def trusted_eigh(M) -> tuple[np.ndarray, np.ndarray]:
 def trusted_lambda_min(M) -> float:
     """Smallest eigenvalue of a library-built Hermitian matrix, by one ``eigvalsh``."""
     return float(np.linalg.eigvalsh(hermitian_part(M))[0])
-
-
-def hermitian_norm(D: np.ndarray) -> float:
-    """Spectral norm of a library-built Hermitian matrix: its largest |eigenvalue|."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(D))))
-
-
-def frobenius_norm(M: np.ndarray) -> float:
-    """||M||_F of a float64 or complex128 ndarray, as np.linalg.norm(M) computes it
-    by default: the dot product of the entries in memory order (real and imaginary
-    parts apart) and its square root, so the value is the same bit for bit.  It
-    returns the same numpy float64 and skips only the argument handling."""
-    x = M.ravel(order="K")
-    if x.dtype.kind == "c":
-        re, im = x.real, x.imag
-        return np.sqrt(re.dot(re) + im.dot(im))
-    return np.sqrt(x.dot(x))
 
 
 def herm_eig(M) -> tuple[np.ndarray, np.ndarray]:

@@ -108,28 +108,18 @@ class SolveOptions:
 
 class _Precheck:
     """The one rule of both scheme prechecks: ok when the scheme applies and
-    every Verdict field holds."""
-
-    # the names of the Verdict fields, set once per precheck class by _precheck
-    _verdict_names: tuple[str, ...] = ()
+    every Verdict field holds.  The verdicts are the fields that hold a Verdict,
+    in declaration order."""
 
     def _verdicts(self) -> dict[str, Verdict]:
-        return {name: getattr(self, name) for name in self._verdict_names}
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: v for name, v in values.items() if isinstance(v, Verdict)}
 
     @property
     def ok(self) -> bool:
-        names = self._verdict_names
-        return self.scheme_applies and all(getattr(self, name).holds for name in names)
+        return self.scheme_applies and all(v.holds for v in self._verdicts().values())
 
 
-def _precheck(cls: type) -> type:
-    """Keep on a precheck dataclass the names of its Verdict fields (this module's
-    annotations are strings, so a Verdict field's type reads "Verdict")."""
-    cls._verdict_names = tuple(f.name for f in fields(cls) if f.type == "Verdict")
-    return cls
-
-
-@_precheck
 @dataclass(frozen=True)
 class FixedPointCheck(_Precheck):
     """Precondition verdicts of the fixed-point scheme for a given alpha.
@@ -149,7 +139,6 @@ class FixedPointCheck(_Precheck):
     scheme_applies: bool
 
 
-@_precheck
 @dataclass(frozen=True)
 class CoupledCheck(_Precheck):
     """Precondition verdicts of the coupled scheme for a given b.
@@ -393,7 +382,7 @@ class _Powers:
 
     def _drift(self, D: np.ndarray) -> float:
         """||D||_F of a drift from the base."""
-        return float(mc.frobenius_norm(D))
+        return float(np.linalg.norm(D))
 
     def _remainder(self, values: np.ndarray, drift: float) -> float:
         """The bound on the error of the frozen terms at a drift ||D||_F from a base
@@ -497,7 +486,7 @@ def solve_fixed_point(P: ProblemInstance, opts: SolveOptions | None = None) -> S
         raise OverflowError(f"alpha^(-t/s) overflows at alpha = {alpha:.6g}, so Y_1 is unbounded")
     Y, values, vectors = start
     _require_pd(values, "iterate 1")
-    step = float(mc.frobenius_norm(values - alpha))
+    step = float(np.linalg.norm(values - alpha))
     history = [HistoryEntry(1, step, step)]
     powers = _Powers(((-e_t, P.A, P._norm_a), (-e_p, P.B, P._norm_b)), _freeze_budget(P, tol))
     eig = (values, vectors)
@@ -506,7 +495,7 @@ def solve_fixed_point(P: ProblemInstance, opts: SolveOptions | None = None) -> S
             break
         term_a, term_b = powers.at(Y, step, f"iterate {it - 1}", eig)
         Y_next = mc.hermitian_part(P.Q - term_a - term_b)
-        step = float(mc.frobenius_norm(Y_next - Y))
+        step = float(np.linalg.norm(Y_next - Y))
         history.append(HistoryEntry(it, step, step))
         Y, eig = Y_next, None
     if eig is None:
@@ -775,8 +764,8 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
         if lost:
             raise lost[0]
         X_next, Y_next = terms[0][2], terms[1][2]
-        step_x = float(mc.frobenius_norm(X_next - X))
-        step_y = float(mc.frobenius_norm(Y_next - Y))
+        step_x = float(np.linalg.norm(X_next - X))
+        step_y = float(np.linalg.norm(Y_next - Y))
         history.append(HistoryEntry(it, step_x, step_y))
         if it == 1:
             refined = (mc.hermitian_part(X_next), mc.hermitian_part(Y_next))
@@ -849,7 +838,7 @@ class _Lane(_Powers):
         return values, vectors
 
     def _drift(self, D: np.ndarray) -> float:
-        return float(mc.frobenius_norm(D * self.unit)) * self.scale
+        return float(np.linalg.norm(D * self.unit)) * self.scale
 
 
 def solve(P: ProblemInstance, opts: SolveOptions | None = None) -> SolveReport:

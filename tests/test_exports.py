@@ -1,5 +1,6 @@
 """Export guard: every advertised name resolves, and the package API is
-exactly the pinned 48 names, so a deletion cannot leave a stale export; every
+exactly the pinned 48 names and matcore's exactly the pinned 16, so a deletion
+cannot leave a stale export nor an addition go unnoticed; every
 module-level private name is used, so no dead helper stays behind.  The
 fields of SolveOptions, SolveReport, the two scheme prechecks, DerivedScalars
 and ConditionReport are pinned too, so a new option, a per-iteration field on
@@ -115,6 +116,16 @@ def test_package_api_is_pinned():
     assert set(nmeq.__all__) == PACKAGE_API
     for name in nmeq.__all__:
         assert hasattr(nmeq, name)
+
+
+def test_matcore_api_is_pinned():
+    # a new public kernel is a deliberate edit here
+    assert nmeq.matcore.__all__ == [
+        "ATOL_HERM", "PD_TOL", "as_matrix", "hermitian_part", "check_hermitian",
+        "trusted_eigh", "trusted_lambda_min", "eig_compose", "eig_power",
+        "checked_eig_power", "congruence", "is_pd_spectrum", "herm_eig", "herm_power",
+        "spectral_norm", "spectral_radius",
+    ]
 
 
 def test_solve_fields_are_pinned():

@@ -11,6 +11,7 @@ import decimal
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -1735,14 +1736,12 @@ def _assert_same_report(got, want):
 class TestSearchedPrecheck:
     """A coupled solve whose b comes from b_search forms the domination matrix
     once, at the b the search accepted: the solve's own precheck at that b reads
-    the verdict back.  Its step norms and certificates call no np.linalg.norm."""
+    the verdict back."""
 
     def test_domination_formed_once_at_the_accepted_b(self, monkeypatch):
         P = _dense_instance(np.random.default_rng([20, 64]), 64, "coupled")
-        checked, formed, norm_callers = [], [], []
-        coupled_check, loewner_verdict, norm = (
-            solvers.coupled_check, solvers._loewner_verdict, np.linalg.norm
-        )
+        checked, formed = [], []
+        coupled_check, loewner_verdict = solvers.coupled_check, solvers._loewner_verdict
 
         def checking(P, b):
             checked.append(b)
@@ -1752,13 +1751,8 @@ class TestSearchedPrecheck:
             formed.append(checked[-1])
             return loewner_verdict(*args)
 
-        def norming(*args, **kwargs):
-            norm_callers.append(sys._getframe(1).f_globals["__name__"])
-            return norm(*args, **kwargs)
-
         monkeypatch.setattr(solvers, "coupled_check", checking)
         monkeypatch.setattr(solvers, "_loewner_verdict", forming)
-        monkeypatch.setattr(np.linalg, "norm", norming)
         rep = solvers.solve(P)
         monkeypatch.undo()
         b = rep.precheck.b
@@ -1767,7 +1761,6 @@ class TestSearchedPrecheck:
         # b_search's 11 grid points, the last of them accepted, then the solve's check
         assert len(checked) == 12 and checked[-2:] == [b, b]
         assert formed == [b]
-        assert "nmeq.solvers" not in norm_callers
 
         # the same b and report as a solve that keeps nothing between checks, so
         # that it forms the verdict at the accepted b a second time
@@ -1779,6 +1772,38 @@ class TestSearchedPrecheck:
         want = solvers.solve(P)
         assert formed == [b, b]
         _assert_same_report(rep, want)
+
+
+class TestPrecheckVerdicts:
+    """Both prechecks find their verdicts by scanning their fields for Verdict
+    values: ok is the scheme applying with every verdict holding, and the
+    failure message names the failed verdicts in declaration order."""
+
+    CASES = {
+        "fixed-point": (solvers.FixedPointCheck, solvers.Scheme.FIXED_POINT,
+                        dict(alpha=1.0, beta=2.0, delta=0.5),
+                        ("feasibility", "contraction")),
+        "coupled": (solvers.CoupledCheck, solvers.Scheme.COUPLED,
+                    dict(b=2.0, a=1.0, theta=0.5, delta=0.5),
+                    ("separation", "domination", "contraction_a", "contraction_b")),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_every_combination_of_verdicts(self, case):
+        cls, scheme, scalars, names = self.CASES[case]
+        for holds in itertools.product((False, True), repeat=len(names)):
+            verdicts = {
+                name: analysis.Verdict(h, float(i), float(i + 1))
+                for i, (name, h) in enumerate(zip(names, holds))
+            }
+            for applies in (False, True):
+                check = cls(**scalars, **verdicts, scheme_applies=applies)
+                assert list(check._verdicts().items()) == list(verdicts.items())
+                assert check.ok == (applies and all(holds))
+                message = str(solvers._precondition_error(scheme, check))
+                failed = [name for name, h in zip(names, holds) if not h]
+                assert re.findall(r"(\w+) fails: ", message) == failed, message
+                assert ("is not the largest exponent" in message) == (not applies)
 
 
 class TestQDecomposition:
