@@ -228,7 +228,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--alpha", type=float, help="fixed-point starting scalar")
     p_solve.add_argument("--b", dest="b_upper", type=float, help="coupled upper starting scalar")
     p_solve.add_argument("--force", action="store_true", help="iterate even if preconditions fail")
-    p_solve.add_argument("--history", metavar="CSV", help="write convergence history CSV")
+    history_help = "write convergence history CSV (coupled: proven upper bounds on the steps)"
+    p_solve.add_argument("--history", metavar="CSV", help=history_help)
     p_solve.add_argument("--solution", metavar="JSON", help="write solution file")
 
     p_bounds = sub.add_parser("bounds", help="print the solution enclosure")

@@ -71,6 +71,9 @@ class Extremality(enum.Enum):
 
 
 class HistoryEntry(NamedTuple):
+    """Frobenius steps: the fixed-point ||Y_n - Y_(n-1)||_F twice, or per coupled lane
+    ||N_n - N_(n-1)||_F / (l_1(N_n) l_1(N_(n-1))) >= ||X_n - X_(n-1)||_F, N = X^-1."""
+
     iteration: int
     step_error_X: float
     step_error_Y: float
@@ -80,8 +83,8 @@ class HistoryEntry(NamedTuple):
 class SolveOptions:
     """Iteration controls.
 
-    tol: absolute stopping threshold on the Frobenius norm of the step;
-         None means 1e-14 * ||Q||.  It also budgets frozen updates (tol / 10).
+    tol: absolute stopping threshold on the HistoryEntry steps; None means
+         1e-14 * ||Q||.  It also budgets frozen updates (tol / 10).
     max_iter: iteration cap, an integer >= 1 of any integer type but bool, kept as an int.
     alpha: starting scalar for the fixed-point scheme (None: alpha_search).
     b_upper: upper starting scalar for the coupled scheme (None: b_search).
@@ -163,15 +166,11 @@ class CoupledCheck(_Precheck):
 
 @dataclass
 class SolveReport:
-    """Outcome of one solve.
-
-    solution_Y is the solution of the transformed equation in Y = X^lift_root
-    and solution_X = solution_Y^(1/lift_root) solves the original equation.
-    history rows are (iteration, step_error_X, step_error_Y), Frobenius
-    norms of the steps; for the fixed-point scheme both step errors are the
-    same single-sequence step norm.  The iterates themselves are not kept:
-    a solve holds a fixed number of n x n matrices whatever max_iter is.
-    """
+    """Outcome of one solve.  solution_Y solves the transformed equation in
+    Y = X^lift_root, and solution_X = solution_Y^(1/lift_root) the original one.
+    history rows are HistoryEntry: the fixed-point step norm twice, or the coupled
+    lanes' proven upper bounds on theirs.  The iterates are not kept: a solve holds
+    a fixed number of n x n matrices whatever max_iter is."""
 
     solution_X: np.ndarray
     solution_Y: np.ndarray
@@ -316,13 +315,13 @@ def _freeze_budget(P: ProblemInstance, tol: float) -> float:
 
 
 class _Powers:
-    """The terms M* Y^r M (M None: Y^r) of one iterate sequence, for fixed pairs
-    (r, M, ||M||_2) with r < 2 (an upper bound on ||M||_2 serves; 1 for M None),
-    each iterate with a positivity verdict.
+    """The terms M* Y^r M of one iterate sequence, for fixed pairs (r, M, ||M||_2)
+    with r < 2 (an upper bound on ||M||_2 serves), each iterate with a positivity
+    verdict.
 
     A decomposed iterate Y = V diag(l) V* gets the verdict of is_pd_spectrum
-    (_decompose) and keeps, per pair, l^r and W = V* M (V* for M None): its terms
-    are W* diag(l^r) W.  A later Y = Y_f + D of a base Y_f takes the first-order
+    (_decompose) and keeps, per pair, l^r and W = V* M: its terms are
+    W* diag(l^r) W.  A later Y = Y_f + D of a base Y_f takes the first-order
     (Daleckii-Krein) term W* (diag(l^r) + Gamma_r o V* D V) W, Gamma_r the divided
     differences of x^r on l, and _weyl_certifies at the sequence's spread as its
     verdict.  A coupled _Lane sets the spread and replaces _decompose and _drift.  For
@@ -335,7 +334,8 @@ class _Powers:
     bound at its drift is and the certificate decides.  A sequence with no base
     first tries its partner's (the other coupled sequence, with the same pairs)
     and adopts it when that step passes.  Otherwise, or when a divided difference
-    is not finite, a fresh eigh re-bases.
+    is not finite, a fresh eigh re-bases.  decide gives an iterate its verdict and
+    terms forms its terms, so that a loop can stop between the two.
     """
 
     def __init__(self, pairs: tuple, budget: float, spread: float = 1.0):
@@ -343,42 +343,49 @@ class _Powers:
         # (r, M, (1/2) |r (r - 1)| ||M||_2^2) per pair, the last its weight in _remainder
         self.pairs = [(r, M, _monomial(0.5, (abs(r * (r - 1.0)), 1.0), (norm, 2.0)))
                       for r, M, norm in pairs]
-        # the frozen (Y_f, l, V, [(l^r, Gamma_r, W) per pair]), or None
+        # the base or None; the last decided iterate, (Y, l, V, Gamma_r per pair or None,
+        # (l^r, W) per pair once formed) or frozen its D = Y - Y_f, and its low (decide)
         self.base: tuple | None = None
-        self.last_step = math.inf
+        self.iterate, self.low, self.last_step = None, math.nan, math.inf
 
-    def at(
-        self, Y: np.ndarray, step: float, what, eig=None, partner_base=None
-    ) -> list[np.ndarray]:
-        """The terms at iterate Y, whose last Frobenius step is step; what names Y
-        for _decompose (a lane takes its iteration), eig is its eigendecomposition
-        when the caller has it, already verdicted, and partner_base the base of the
-        partner sequence, if any."""
+    def decide(self, Y: np.ndarray, step: float, what, eig=None, partner_base=None) -> None:
+        """Give iterate Y, whose last Frobenius step is step, its verdict and base, and
+        record low = l_1(Y), or frozen its Weyl bound l_1(Y_f) - ||Y - Y_f||_F.  what
+        names Y for _decompose (a lane takes its iteration), eig is its eigh when the
+        caller has it, verdicted, and partner_base the partner sequence's base."""
         # the predicted next step: step times the last step ratio, once there is one
         predicted = step * step / self.last_step if step < self.last_step < math.inf else step
         self.last_step = step
         if eig is None:
             base = partner_base if self.base is None else self.base
-            if base is not None:
-                terms = self._first_order(Y, base)
-                if terms is not None:
-                    self.base = base
-                    return terms
+            if base is not None and self._freezes(Y, base):
+                return
         values, vectors = self._decompose(Y, what) if eig is None else eig
         freeze = self.budget > -math.inf and self._remainder(values, predicted) <= self.budget
-        adj = vectors.conj().T
-        kept = []
-        for r, M, _ in self.pairs:
-            gamma = _divided_differences(values, r) if freeze else None
-            kept.append((values**r, gamma, adj if M is None else adj @ M))
-        self.base = None
-        if freeze and all(np.all(np.isfinite(gamma)) for _, gamma, _ in kept):
-            self.base = (Y, values, vectors, kept)
-        return [(W.conj().T * power) @ W for power, _, W in kept]
+        gammas = [_divided_differences(values, r) for r, _, _ in self.pairs] if freeze else None
+        self.iterate, self.low, self.base = (Y, values, vectors, gammas, []), float(values[0]), None
+        if freeze and all(np.all(np.isfinite(gamma)) for gamma in gammas):
+            self.base = self.iterate
 
-    def _decompose(self, Y: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-        """eigh(Y), once Y passed its verdict; what names Y in the PositivityError."""
-        return _eigh_pd(Y, what)
+    def terms(self) -> list[np.ndarray]:
+        """The terms of the last decided iterate: W* diag(l^r) W from its own
+        eigendecomposition, or W* (diag(l^r) + Gamma_r o V* D V) W from its base."""
+        frozen = not isinstance(self.iterate, tuple)
+        _, values, vectors, gammas, weights = self.base if frozen else self.iterate
+        if not weights:  # (l^r, W) per pair, formed once per decomposed iterate
+            adj = vectors.conj().T
+            weights += [(values**r, adj @ M) for r, M, _ in self.pairs]
+        if not frozen:
+            return [(W.conj().T * power) @ W for power, W in weights]
+        E = vectors.conj().T @ self.iterate @ vectors
+        out = []
+        for (power, W), gamma in zip(weights, gammas):
+            S = gamma * E
+            S.flat[:: len(values) + 1] += power
+            out.append(W.conj().T @ S @ W)
+        return out
+
+    _decompose = staticmethod(_eigh_pd)  # eigh(Y) once Y passed; what names Y in the error
 
     def _drift(self, D: np.ndarray) -> float:
         """||D||_F of a drift from the base."""
@@ -394,22 +401,16 @@ class _Powers:
         except (ZeroDivisionError, OverflowError):
             return math.inf
 
-    def _first_order(self, Y: np.ndarray, base: tuple) -> list[np.ndarray] | None:
-        """The terms at Y from the frozen base, or None when the remainder bound
-        passes the budget or the Weyl certificate cannot decide positivity."""
-        Y_f, values, vectors, kept = base
-        D = Y - Y_f
-        drift = self._drift(D)
+    def _freezes(self, Y: np.ndarray, base: tuple) -> bool:
+        """Whether Y = Y_f + D freezes on base: the remainder bound at ||D||_F is within
+        the budget and the Weyl certificate decides.  If so, base is adopted and D kept."""
+        D = Y - base[0]
+        drift, values = self._drift(D), base[1]
         if not (self._remainder(values, drift) <= self.budget
                 and _weyl_certifies(values, drift, self.spread)):
-            return None
-        E = vectors.conj().T @ D @ vectors
-        out = []
-        for power, gamma, W in kept:
-            S = gamma * E
-            S.flat[:: len(power) + 1] += power
-            out.append(W.conj().T @ S @ W)
-        return out
+            return False
+        self.iterate, self.low, self.base = D, float(values[0]) - drift, base
+        return True
 
 
 def _weyl_certifies(values: np.ndarray, drift: float, spread: float) -> bool:
@@ -493,7 +494,8 @@ def solve_fixed_point(P: ProblemInstance, opts: SolveOptions | None = None) -> S
     for it in range(2, opts.max_iter + 1):
         if step <= tol:
             break
-        term_a, term_b = powers.at(Y, step, f"iterate {it - 1}", eig)
+        powers.decide(Y, step, f"iterate {it - 1}", eig)
+        term_a, term_b = powers.terms()
         Y_next = mc.hermitian_part(P.Q - term_a - term_b)
         step = float(np.linalg.norm(Y_next - Y))
         history.append(HistoryEntry(it, step, step))
@@ -692,7 +694,7 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
 
     Runs the mixed-monotone pair X_{n+1} = F(X_n, Y_n), Y_{n+1} = F(Y_n, X_n)
     with F(X, Y) = A (Q - X^{s/t} - B* Y^{-p/t} B)^{-1} A* from X_0 = a I and
-    Y_0 = b I, stopping when the larger of the two Frobenius step norms
+    Y_0 = b I, stopping when the larger of the two step bounds of HistoryEntry
     drops to opts.tol.  The lower sequence ascends, the upper descends, and both
     converge to the minimal solution; the first pair (X_1, Y_1) is returned
     as a refined bracket.  Loss of positive definiteness of the inverted
@@ -705,12 +707,12 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
     Q~ = A^* Q A^, B^ = B A^ and N_n' the other lane's iterate, as
     F(X, Y)^-1 = A^-* (Q - X^{s/t} - B* Y^{-p/t} B) A^-1.  So A is inverted once
     per solve and no step inverts a matrix.  One eigh of N gives the terms of the
-    next N and X = N^-1, which the step norms, the stop test, the refined bracket
-    and the limit read, and decides the positivity of the inner matrix and of X:
-    both lanes' inner matrices, the lower's first, before either iterate.  Near
-    convergence an iterate's terms come from a frozen eigenbasis, its own lane's
-    or the other's.  The limit (X + Y)/2 always gets its own eigh, which feeds
-    the lift and the residual certificate.
+    next N and l_1(N) for the step bound, and decides the positivity of the inner
+    matrix and of X: both lanes' inner matrices, the lower's first, before either
+    iterate.  Near convergence N comes from a frozen eigenbasis, its own lane's or
+    the other's, and l_1 from Weyl.  X = N^-1 is formed only for the refined
+    bracket, and the last N forms no terms.  The limit ((N_x + N_y)/2)^-1, in
+    [X_n, Y_n], gets its own eigh, which feeds the lift and the residual.
     """
     if opts is None:
         opts = SolveOptions()
@@ -738,46 +740,38 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
     eye = np.eye(n, dtype=P.Q.dtype)
     a_inv = np.linalg.inv(P.A)
     q_hat = mc.hermitian_part(a_inv.conj().T @ P.Q @ a_inv)
-    budget = _freeze_budget(P, tol)
-    lanes = [_Lane(P, a_inv, budget, check.a, name) for name in ("lower", "upper")]
-    X, Y = check.a * eye, check.b * eye
+    lanes = [_Lane(P, a_inv, _freeze_budget(P, tol), check.a, name) for name in ("lower", "upper")]
     # N_0 = I / a and I / b are not decomposed: eigh(c I) is exactly (c 1, I)
     N = [eye / check.a, eye / check.b]
-    terms = [lane.at(M, math.inf, 0, (np.full(n, 1.0 / c), eye))
-             for lane, M, c in zip(lanes, N, (check.a, check.b))]
-    steps = [math.inf, math.inf]
+    for lane, M, c in zip(lanes, N, (check.a, check.b)):
+        lane.decide(M, math.inf, 0, (np.full(n, 1.0 / c), eye))
     history: list[HistoryEntry] = []
-    refined: tuple[np.ndarray, np.ndarray] | None = None
-    converged = False
     for it in range(1, opts.max_iter + 1):
+        terms = [lane.terms() for lane in lanes]
         # each lane supplies its own A^* N^(-s/t) A^ and, to the other one, B^* N^(p/t) B^
-        N_next = [mc.hermitian_part(q_hat - terms[0][0] - terms[1][1]),
-                  mc.hermitian_part(q_hat - terms[1][0] - terms[0][1])]
-        if budget > -math.inf:  # the N steps only steer the freeze
-            steps = [lane._drift(M - M_0) for lane, M, M_0 in zip(lanes, N_next, N)]
-        N, terms, lost = N_next, [], []
-        for lane, other, M, step in zip(lanes, lanes[::-1], N, steps):
+        N_next = [mc.hermitian_part(q_hat - own[0] - other[1])
+                  for own, other in zip(terms, terms[::-1])]
+        bounds, lost = [], []
+        for lane, other, M, M_0 in zip(lanes, lanes[::-1], N_next, N):
+            low, step = lane.low, lane._drift(M - M_0)
             try:
-                terms.append(lane.at(M, step, it, None, other.base))
+                lane.decide(M, step, it, None, other.base)
             except _LostIterate as err:  # raised once both inner matrices are decided
                 lost.append(err)
+            # ||X' - X||_F = ||X' (N - N') X||_F <= ||N' - N||_F / (l_1(N') l_1(N))
+            bounds.append(step / lane.low / low)
         if lost:
             raise lost[0]
-        X_next, Y_next = terms[0][2], terms[1][2]
-        step_x = float(np.linalg.norm(X_next - X))
-        step_y = float(np.linalg.norm(Y_next - Y))
-        history.append(HistoryEntry(it, step_x, step_y))
+        history.append(HistoryEntry(it, *bounds))
         if it == 1:
-            refined = (mc.hermitian_part(X_next), mc.hermitian_part(Y_next))
-        X, Y = X_next, Y_next
-        if max(step_x, step_y) <= tol:
-            converged = True
+            refined = (lanes[0].inverse(), lanes[1].inverse())
+        N = N_next
+        if max(bounds) <= tol:  # before the terms, so that the last N forms none
             break
-    Y_sol = mc.hermitian_part(0.5 * (X + Y))
-    sol_values, sol_vectors = _eigh_pd(Y_sol, "limit")
-    return _lift_and_certify(
-        P, Scheme.COUPLED, check, history, converged, Y_sol, sol_values, sol_vectors, refined
-    )
+    # (N_x + N_y) / 2 lies in [N_y, N_x], so its inverse lies in [X, Y]
+    values, vectors = _eigh_pd(mc.hermitian_part(0.5 * N[0] + 0.5 * N[1]), "limit")
+    return _lift_and_certify(P, Scheme.COUPLED, check, history, max(bounds) <= tol,
+                             mc.eig_power(values, vectors, -1.0), 1.0 / values, vectors, refined)
 
 
 class _LostIterate(PositivityError):
@@ -788,10 +782,9 @@ class _LostIterate(PositivityError):
 class _Lane(_Powers):
     """One lane of the coupled pair in the inverse variable N = X^-1 (the lower
     lane's X, or the upper's Y), for the A^ = A^-1 of its solve, freeze budget and
-    lower start a.  Its pairs (-s/t, A^, 1/sigma_min(A)), (p/t, B^, ||B|| /
-    sigma_min(A)) and (-1, None, 1) give A^* N^(-s/t) A^ for its own next N,
-    B^* N^(p/t) B^ for the other lane's, and X = N^-1; ||B^||_2 <= ||B|| ||A^||_2
-    needs no SVD.
+    lower start a.  Its pairs (-s/t, A^, 1/sigma_min(A)) and (p/t, B^, ||B|| /
+    sigma_min(A)) give A^* N^(-s/t) A^ for its own next N and B^* N^(p/t) B^ for
+    the other lane's; ||B^||_2 <= ||B|| ||A^||_2 needs no SVD.
 
     N stands for the inner matrix M = A* N A of the step that formed X, and gets
     the verdicts of a loop in X: is_pd_spectrum(M), then is_pd_spectrum(X), the
@@ -811,8 +804,7 @@ class _Lane(_Powers):
         sigma_min = P._sigma_min_a
         super().__init__(
             ((-P.s / P.t, a_inv, _monomial(1.0, (sigma_min, -1.0))),
-             (P.p / P.t, P.B @ a_inv, _monomial(1.0, (P._norm_b, 1.0), (sigma_min, -1.0))),
-             (-1.0, None, 1.0)),
+             (P.p / P.t, P.B @ a_inv, _monomial(1.0, (P._norm_b, 1.0), (sigma_min, -1.0)))),
             budget,
             _monomial(2.0, (P._norm_a, 2.0), (sigma_min, -2.0)),  # 2 cond(A)^2
         )
@@ -839,6 +831,13 @@ class _Lane(_Powers):
 
     def _drift(self, D: np.ndarray) -> float:
         return float(np.linalg.norm(D * self.unit)) * self.scale
+
+    def inverse(self) -> np.ndarray:
+        """X = N^-1 of the last decided N, from its eigh, or from its base N_f: the
+        first-order X_f - X_f D X_f, within d^2 / (l_1 - d)^3 of X for d = ||D||_F."""
+        frozen = not isinstance(self.iterate, tuple)
+        X = mc.eig_power(*(self.base if frozen else self.iterate)[1:3], -1.0)
+        return mc.hermitian_part(X - X @ self.iterate @ X) if frozen else X
 
 
 def solve(P: ProblemInstance, opts: SolveOptions | None = None) -> SolveReport:

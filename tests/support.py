@@ -238,41 +238,63 @@ def _coupled_map(P, X, Y):
     return _hermitian(A @ np.linalg.inv(inner) @ A.conj().T)
 
 
+def inverse_step_bound(X0, X1) -> float:
+    """The proven bound ||N1 - N0||_F / (l_1(N1) l_1(N0)) >= ||X1 - X0||_F, N = X^-1
+    by np.linalg.inv and l_1 by eigvalsh: what a coupled solve records for a step."""
+    N0, N1 = (_hermitian(np.linalg.inv(X)) for X in (X0, X1))
+    return _step(N0, N1) / np.linalg.eigvalsh(N1)[0] / np.linalg.eigvalsh(N0)[0]
+
+
+def coupled_limit(X, Y):
+    """((X^-1 + Y^-1) / 2)^-1, the limit a coupled solve returns for its last pair."""
+    return _hermitian(np.linalg.inv(_hermitian(0.5 * (np.linalg.inv(X) + np.linalg.inv(Y)))))
+
+
 def reference_coupled_solve(P, a: float, b: float, tol: float, max_iter: int = 1000):
     """The coupled solve in plain numpy, in the paper's variable Y = X^t: the pair
     (X_(n+1), Y_(n+1)) = (F(X_n, Y_n), F(Y_n, X_n)) from X_0 = a I, Y_0 = b I, every
     inner matrix inverted by np.linalg.inv and nothing frozen, stopped as the library
-    stops, at the first n with max(||X_n - X_(n-1)||_F, ||Y_n - Y_(n-1)||_F) <= tol.
-    Returns the history rows (n, ||X_n - X_(n-1)||_F, ||Y_n - Y_(n-1)||_F) and the
-    solution ((X_N + Y_N) / 2)^(1/t)."""
+    stops, at the first n whose larger inverse_step_bound is <= tol.  Returns the
+    history rows (n, ||X_n - X_(n-1)||_F, ||Y_n - Y_(n-1)||_F), the rows (n, bound on
+    the X step, bound on the Y step) and the solution coupled_limit(X_N, Y_N)^(1/t)."""
     eye = np.eye(P.n, dtype=P.Q.dtype)
     X, Y = a * eye, b * eye
-    history = []
+    history, bounds = [], []
     for it in range(1, max_iter + 1):
         X_next, Y_next = _coupled_map(P, X, Y), _coupled_map(P, Y, X)
         history.append((it, _step(X, X_next), _step(Y, Y_next)))
+        bounds.append((it, inverse_step_bound(X, X_next), inverse_step_bound(Y, Y_next)))
         X, Y = X_next, Y_next
-        if max(history[-1][1:]) <= tol:
+        if max(bounds[-1][1:]) <= tol:
             break
-    return history, _power(_hermitian(0.5 * (X + Y)), 1.0 / P.t)
+    return history, bounds, _power(coupled_limit(X, Y), 1.0 / P.t)
 
 
 # agreement of the reference sequence with the solver, relative to ||Q||
 REFERENCE_RTOL = 1e-12
 
+# A coupled step bound takes l_1 of a frozen N as l_1(N_f) - ||N - N_f||_F (Weyl), so
+# it may exceed the one from eigvalsh by the relative drift d / l_1 of each of its two
+# N; measured over the suite: up to 1.8e-7 of the bound past 16 eps ||Y||_F
+WEYL_SLACK = 4e-7
+
 
 def assert_reference_matches(P, rep, seq) -> None:
-    """The reference sequence pins the solver: its step norms match
-    ``rep.history`` and its limit (the final iterate, or the average of the
-    final pair) matches ``rep.solution_Y``, both within REFERENCE_RTOL ||Q||."""
+    """The reference sequence pins the solver: its steps match ``rep.history``
+    within REFERENCE_RTOL ||Q|| and its limit (the final iterate, or coupled_limit
+    of the final pair) matches ``rep.solution_Y`` within the same.  A coupled
+    history holds the inverse_step_bound of each step, which may exceed the
+    reference's by the WEYL_SLACK."""
+    tol = REFERENCE_RTOL * np.linalg.norm(P.Q, 2)
     if rep.scheme is Scheme.FIXED_POINT:
         steps = [(_step(Y0, Y1),) * 2 for Y0, Y1 in zip(seq, seq[1:])]
         limit = seq[-1]
     else:
-        steps = [(_step(X0, X1), _step(Y0, Y1)) for (X0, Y0), (X1, Y1) in zip(seq, seq[1:])]
-        limit = _hermitian(0.5 * (seq[-1][0] + seq[-1][1]))
-    tol = REFERENCE_RTOL * np.linalg.norm(P.Q, 2)
-    got = np.array([(h.step_error_X, h.step_error_Y) for h in rep.history])
+        steps = [(inverse_step_bound(X0, X1), inverse_step_bound(Y0, Y1))
+                 for (X0, Y0), (X1, Y1) in zip(seq, seq[1:])]
+        limit = coupled_limit(*seq[-1])
+    got, want = np.array([tuple(h[1:]) for h in rep.history]), np.array(steps)
     assert got.shape == (rep.iterations, 2)
-    assert np.max(np.abs(got - np.array(steps))) <= tol
+    slack = 0.0 if rep.scheme is Scheme.FIXED_POINT else WEYL_SLACK
+    assert np.all(np.abs(got - want) <= tol + slack * want)
     assert _step(limit, rep.solution_Y) <= tol
