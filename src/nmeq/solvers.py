@@ -284,12 +284,6 @@ def _fixed_point_start(P: ProblemInstance, alpha: float) -> tuple[FixedPointChec
     return check, start
 
 
-def _eigh_pd(M: np.ndarray, what: str):
-    values, vectors = np.linalg.eigh(M)
-    _require_pd(values, what)
-    return values, vectors
-
-
 def _require_pd(values: np.ndarray, what: str) -> None:
     if not mc.is_pd_spectrum(values):
         raise PositivityError(
@@ -303,8 +297,7 @@ def _require_pd(values: np.ndarray, what: str) -> None:
 # the few frozen steps of a solve must win back.  On random instances of both
 # schemes (one BLAS thread, real and complex), a solve that may freeze took
 # 1.00-1.09x the time of one that never does at n = 8, 0.97-1.06x at n = 12,
-# 0.92-0.99x at n = 16 and 0.84-0.89x at n = 24.  Below it the loops decompose
-# every iterate.
+# 0.92-0.99x at n = 16 and 0.84-0.89x at n = 24.
 _FREEZE_MIN_N = 16
 
 
@@ -324,18 +317,18 @@ class _Powers:
     W* diag(l^r) W.  A later Y = Y_f + D of a base Y_f takes the first-order
     (Daleckii-Krein) term W* (diag(l^r) + Gamma_r o V* D V) W, Gamma_r the divided
     differences of x^r on l, and _weyl_certifies at the sequence's spread as its
-    verdict.  A coupled _Lane sets the spread and replaces _decompose and _drift.  For
-    d = ||D||_F < l_1 that term is within (1/2) |r (r - 1)| ||M||_2^2
+    verdict.  A coupled _Lane sets the spread and replaces _decompose, _drift and
+    _bound.  For d = ||D||_F < l_1 that term is within (1/2) |r (r - 1)| ||M||_2^2
     (l_1 - d)^(r-2) d^2 of the exact one (Taylor's theorem with integral remainder;
     Higham, Functions of Matrices, 2008, ch. 3; Bhatia, Matrix Analysis, 1997,
     ch. V), a bound _remainder sums over the pairs.  An iterate becomes the base
     when the bound at its predicted drift, its last step times min(1, step /
     previous step), is within the freeze budget; a frozen step is taken when the
     bound at its drift is and the certificate decides.  A sequence with no base
-    first tries its partner's (the other coupled sequence, with the same pairs)
-    and adopts it when that step passes.  Otherwise, or when a divided difference
-    is not finite, a fresh eigh re-bases.  decide gives an iterate its verdict and
-    terms forms its terms, so that a loop can stop between the two.
+    first tries its partner's (the other lane, with the same pairs, or itself) and
+    adopts it when that step passes.  Otherwise, or when a divided difference is
+    not finite, a fresh eigh re-bases.  decide gives an iterate its verdict and
+    terms forms its terms, so that _iterate can stop between the two.
     """
 
     def __init__(self, pairs: tuple, budget: float, spread: float = 1.0):
@@ -343,16 +336,15 @@ class _Powers:
         # (r, M, (1/2) |r (r - 1)| ||M||_2^2) per pair, the last its weight in _remainder
         self.pairs = [(r, M, _monomial(0.5, (abs(r * (r - 1.0)), 1.0), (norm, 2.0)))
                       for r, M, norm in pairs]
-        # the base or None; the last decided iterate, (Y, l, V, Gamma_r per pair or None,
-        # (l^r, W) per pair once formed) or frozen its D = Y - Y_f, and its low (decide)
+        # the base or None; the last decided iterate, current, and its state iterate: (Y, l,
+        # V, Gamma_r per pair or None, (l^r, W) per pair once formed) or frozen D = Y - Y_f
         self.base: tuple | None = None
-        self.iterate, self.low, self.last_step = None, math.nan, math.inf
+        self.iterate, self.current, self.low, self.last_step = None, None, math.nan, math.inf
 
-    def decide(self, Y: np.ndarray, step: float, what, eig=None, partner_base=None) -> None:
-        """Give iterate Y, whose last Frobenius step is step, its verdict and base, and
-        record low = l_1(Y), or frozen its Weyl bound l_1(Y_f) - ||Y - Y_f||_F.  what
-        names Y for _decompose (a lane takes its iteration), eig is its eigh when the
-        caller has it, verdicted, and partner_base the partner sequence's base."""
+    def decide(self, Y: np.ndarray, step: float, it: int, eig=None, partner_base=None) -> None:
+        """Give Y, the iterate of iteration it with last Frobenius step step, its verdict
+        and base; record low = l_1(Y), or frozen its Weyl bound l_1(Y_f) - ||Y - Y_f||_F.
+        eig is its eigh when the caller has it, verdicted, partner_base the partner's."""
         # the predicted next step: step times the last step ratio, once there is one
         predicted = step * step / self.last_step if step < self.last_step < math.inf else step
         self.last_step = step
@@ -360,10 +352,11 @@ class _Powers:
             base = partner_base if self.base is None else self.base
             if base is not None and self._freezes(Y, base):
                 return
-        values, vectors = self._decompose(Y, what) if eig is None else eig
+        values, vectors = self._decompose(Y, it) if eig is None else eig
         freeze = self.budget > -math.inf and self._remainder(values, predicted) <= self.budget
         gammas = [_divided_differences(values, r) for r, _, _ in self.pairs] if freeze else None
-        self.iterate, self.low, self.base = (Y, values, vectors, gammas, []), float(values[0]), None
+        self.iterate, self.current = (Y, values, vectors, gammas, []), Y
+        self.low, self.base = float(values[0]), None
         if freeze and all(np.all(np.isfinite(gamma)) for gamma in gammas):
             self.base = self.iterate
 
@@ -385,11 +378,22 @@ class _Powers:
             out.append(W.conj().T @ S @ W)
         return out
 
-    _decompose = staticmethod(_eigh_pd)  # eigh(Y) once Y passed; what names Y in the error
+    def eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """(l, V) of the last decided iterate: its own, or a fresh eigh once it froze."""
+        return self.iterate[1:3] if isinstance(self.iterate, tuple) else np.linalg.eigh(self.current)
+
+    def _decompose(self, Y: np.ndarray, it: int) -> tuple[np.ndarray, np.ndarray]:
+        """eigh(Y), once Y, the iterate of iteration it, passed is_pd_spectrum."""
+        values, vectors = np.linalg.eigh(Y)
+        _require_pd(values, f"iterate {it}")
+        return values, vectors
 
     def _drift(self, D: np.ndarray) -> float:
-        """||D||_F of a drift from the base."""
+        """||D||_F of a drift from the base, or of a step."""
         return float(np.linalg.norm(D))
+
+    def _bound(self, step: float, low: float) -> float:
+        return step  # the history's step column is the step itself
 
     def _remainder(self, values: np.ndarray, drift: float) -> float:
         """The bound on the error of the frozen terms at a drift ||D||_F from a base
@@ -409,7 +413,7 @@ class _Powers:
         if not (self._remainder(values, drift) <= self.budget
                 and _weyl_certifies(values, drift, self.spread)):
             return False
-        self.iterate, self.low, self.base = D, float(values[0]) - drift, base
+        self.iterate, self.current, self.low, self.base = D, Y, float(values[0]) - drift, base
         return True
 
 
@@ -446,6 +450,32 @@ def _divided_differences(values: np.ndarray, r: float) -> np.ndarray:
         return np.where(tie, r * li ** (r - 1.0), gamma)
 
 
+def _iterate(seqs, C: np.ndarray, history: list[HistoryEntry], tol: float, max_iter: int) -> bool:
+    """The one loop of both schemes: from the sequences' last decided iterates and the
+    rows of history, run to iteration max_iter or until the last row's larger step is
+    within tol, and return whether it is; called again, it resumes.  A next iterate is
+    C minus its sequence's first term and its partner's second (the fixed-point one
+    is its own partner); it is decided before any terms are formed, so the last forms
+    none, and a coupled lane's lost iterate is raised once both inner matrices are."""
+    for it in range(len(history) + 1, max_iter + 1):
+        if history and max(history[-1][1:]) <= tol:
+            break
+        terms = [seq.terms() for seq in seqs]
+        nexts = [mc.hermitian_part(C - own[0] - other[1]) for own, other in zip(terms, terms[::-1])]
+        bounds, lost = [], []
+        for seq, other, Y in zip(seqs, seqs[::-1], nexts):
+            low, step = seq.low, seq._drift(Y - seq.current)
+            try:
+                seq.decide(Y, step, it, None, other.base)
+            except _LostIterate as err:
+                lost.append(err)
+            bounds.append(seq._bound(step, low))
+        if lost:
+            raise lost[0]
+        history.append(HistoryEntry(it, bounds[0], bounds[-1]))
+    return max(history[-1][1:]) <= tol
+
+
 def solve_fixed_point(P: ProblemInstance, opts: SolveOptions | None = None) -> SolveReport:
     """Maximal-solution fixed-point iteration in Y = X^s.
 
@@ -456,9 +486,9 @@ def solve_fixed_point(P: ProblemInstance, opts: SolveOptions | None = None) -> S
     solution and the a priori error bound delta^n/(1-delta) ||Y_1 - Y_0||_F
     holds.
 
-    Every iterate gets a positivity verdict from _Powers, whose loss raises
-    PositivityError.  The last iterate always gets its own eigh, which feeds
-    the lift and the residual certificate.
+    The loop is _iterate with one _Powers sequence, its own partner, from Y_1.  A
+    lost positivity verdict raises PositivityError.  The last iterate's eigh, a
+    fresh one when it froze (Weyl certified it), feeds the lift and the residual.
     """
     if opts is None:
         opts = SolveOptions()
@@ -478,8 +508,6 @@ def solve_fixed_point(P: ProblemInstance, opts: SolveOptions | None = None) -> S
     if not check.ok and not opts.force:
         raise _precondition_error(Scheme.FIXED_POINT, check)
     alpha = check.alpha
-    e_t = P.t / P.s
-    e_p = P.p / P.s
     # Y_0 = alpha I is never decomposed: Y_1 is known in closed form, its
     # eigh is the one the precheck read beta from, and ||Y_1 - Y_0||_F is the
     # 2-norm of lambda(Y_1) - alpha.
@@ -488,21 +516,13 @@ def solve_fixed_point(P: ProblemInstance, opts: SolveOptions | None = None) -> S
     Y, values, vectors = start
     _require_pd(values, "iterate 1")
     step = float(np.linalg.norm(values - alpha))
+    pairs = ((-P.t / P.s, P.A, P._norm_a), (-P.p / P.s, P.B, P._norm_b))
+    powers = _Powers(pairs, _freeze_budget(P, tol))
+    powers.decide(Y, step, 1, (values, vectors))
     history = [HistoryEntry(1, step, step)]
-    powers = _Powers(((-e_t, P.A, P._norm_a), (-e_p, P.B, P._norm_b)), _freeze_budget(P, tol))
-    eig = (values, vectors)
-    for it in range(2, opts.max_iter + 1):
-        if step <= tol:
-            break
-        powers.decide(Y, step, f"iterate {it - 1}", eig)
-        term_a, term_b = powers.terms()
-        Y_next = mc.hermitian_part(P.Q - term_a - term_b)
-        step = float(np.linalg.norm(Y_next - Y))
-        history.append(HistoryEntry(it, step, step))
-        Y, eig = Y_next, None
-    if eig is None:
-        eig = _eigh_pd(Y, f"iterate {len(history)}")
-    return _lift_and_certify(P, Scheme.FIXED_POINT, check, history, step <= tol, Y, *eig)
+    converged = _iterate([powers], P.Q, history, tol, opts.max_iter)
+    return _lift_and_certify(P, Scheme.FIXED_POINT, check, history, converged, powers.current,
+                             *powers.eig())
 
 
 def _lift_and_certify(
@@ -702,16 +722,11 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
     scalar a = lambda_min(A Q^-1 A*) rounds to 0 is rejected up front, even
     with force.
 
-    The pair runs in the inverse variables: each _Lane iterates N = X^-1 by
-    N_{n+1} = Q~ - A^* N_n^(-s/t) A^ - B^* (N_n')^(p/t) B^, with A^ = A^-1,
-    Q~ = A^* Q A^, B^ = B A^ and N_n' the other lane's iterate, as
-    F(X, Y)^-1 = A^-* (Q - X^{s/t} - B* Y^{-p/t} B) A^-1.  So A is inverted once
-    per solve and no step inverts a matrix.  One eigh of N gives the terms of the
-    next N and l_1(N) for the step bound, and decides the positivity of the inner
-    matrix and of X: both lanes' inner matrices, the lower's first, before either
-    iterate.  Near convergence N comes from a frozen eigenbasis, its own lane's or
-    the other's, and l_1 from Weyl.  X = N^-1 is formed only for the refined
-    bracket, and the last N forms no terms.  The limit ((N_x + N_y)/2)^-1, in
+    The loop is _iterate with two _Lanes, partners, each in the inverse variable N = X^-1:
+    N_{n+1} = Q~ - A^* N_n^(-s/t) A^ - B^* (N_n')^(p/t) B^, with A^ = A^-1, Q~ = A^* Q A^,
+    B^ = B A^ and N_n' the other lane's iterate, as F(X, Y)^-1 = A^-* (Q - X^{s/t} -
+    B* Y^{-p/t} B) A^-1, so A is inverted once per solve.  X = N^-1 is formed only for
+    the refined bracket, read after iteration 1, and the limit ((N_x + N_y)/2)^-1, in
     [X_n, Y_n], gets its own eigh, which feeds the lift and the residual.
     """
     if opts is None:
@@ -736,46 +751,27 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
     check = coupled_check(P, b)
     if not check.ok and not opts.force:
         raise _precondition_error(Scheme.COUPLED, check)
-    n = P.n
-    eye = np.eye(n, dtype=P.Q.dtype)
+    eye = np.eye(P.n, dtype=P.Q.dtype)
     a_inv = np.linalg.inv(P.A)
     q_hat = mc.hermitian_part(a_inv.conj().T @ P.Q @ a_inv)
     lanes = [_Lane(P, a_inv, _freeze_budget(P, tol), check.a, name) for name in ("lower", "upper")]
     # N_0 = I / a and I / b are not decomposed: eigh(c I) is exactly (c 1, I)
-    N = [eye / check.a, eye / check.b]
-    for lane, M, c in zip(lanes, N, (check.a, check.b)):
-        lane.decide(M, math.inf, 0, (np.full(n, 1.0 / c), eye))
+    for lane, c in zip(lanes, (check.a, check.b)):
+        lane.decide(eye / c, math.inf, 0, (np.full(P.n, 1.0 / c), eye))
     history: list[HistoryEntry] = []
-    for it in range(1, opts.max_iter + 1):
-        terms = [lane.terms() for lane in lanes]
-        # each lane supplies its own A^* N^(-s/t) A^ and, to the other one, B^* N^(p/t) B^
-        N_next = [mc.hermitian_part(q_hat - own[0] - other[1])
-                  for own, other in zip(terms, terms[::-1])]
-        bounds, lost = [], []
-        for lane, other, M, M_0 in zip(lanes, lanes[::-1], N_next, N):
-            low, step = lane.low, lane._drift(M - M_0)
-            try:
-                lane.decide(M, step, it, None, other.base)
-            except _LostIterate as err:  # raised once both inner matrices are decided
-                lost.append(err)
-            # ||X' - X||_F = ||X' (N - N') X||_F <= ||N' - N||_F / (l_1(N') l_1(N))
-            bounds.append(step / lane.low / low)
-        if lost:
-            raise lost[0]
-        history.append(HistoryEntry(it, *bounds))
-        if it == 1:
-            refined = (lanes[0].inverse(), lanes[1].inverse())
-        N = N_next
-        if max(bounds) <= tol:  # before the terms, so that the last N forms none
-            break
+    _iterate(lanes, q_hat, history, tol, 1)
+    refined = (lanes[0].inverse(), lanes[1].inverse())
+    converged = _iterate(lanes, q_hat, history, tol, opts.max_iter)
     # (N_x + N_y) / 2 lies in [N_y, N_x], so its inverse lies in [X, Y]
-    values, vectors = _eigh_pd(mc.hermitian_part(0.5 * N[0] + 0.5 * N[1]), "limit")
-    return _lift_and_certify(P, Scheme.COUPLED, check, history, max(bounds) <= tol,
+    N_x, N_y = (lane.current for lane in lanes)
+    values, vectors = np.linalg.eigh(mc.hermitian_part(0.5 * N_x + 0.5 * N_y))
+    _require_pd(values, "limit")
+    return _lift_and_certify(P, Scheme.COUPLED, check, history, converged,
                              mc.eig_power(values, vectors, -1.0), 1.0 / values, vectors, refined)
 
 
 class _LostIterate(PositivityError):
-    """An iterate of a coupled lane that failed its verdict; the loop raises it once
+    """An iterate of a coupled lane that failed its verdict; _iterate raises it once
     the other lane's inner matrix is decided."""
 
 
@@ -832,12 +828,14 @@ class _Lane(_Powers):
     def _drift(self, D: np.ndarray) -> float:
         return float(np.linalg.norm(D * self.unit)) * self.scale
 
+    def _bound(self, step: float, low: float) -> float:
+        """||X' - X||_F = ||X' (N - N') X||_F <= ||N' - N||_F / (l_1(N') l_1(N)), from
+        step, low = l_1(N) and self.low = l_1(N'), or their Weyl bounds when frozen."""
+        return step / self.low / low
+
     def inverse(self) -> np.ndarray:
-        """X = N^-1 of the last decided N, from its eigh, or from its base N_f: the
-        first-order X_f - X_f D X_f, within d^2 / (l_1 - d)^3 of X for d = ||D||_F."""
-        frozen = not isinstance(self.iterate, tuple)
-        X = mc.eig_power(*(self.base if frozen else self.iterate)[1:3], -1.0)
-        return mc.hermitian_part(X - X @ self.iterate @ X) if frozen else X
+        """X = N^-1 of the last decided N, from its eigh, a fresh one when it froze."""
+        return mc.eig_power(*self.eig(), -1.0)
 
 
 def solve(P: ProblemInstance, opts: SolveOptions | None = None) -> SolveReport:

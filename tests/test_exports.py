@@ -99,6 +99,34 @@ def test_every_private_name_is_used():
     assert unused == []
 
 
+def test_history_rows_are_appended_only_in_the_one_loop():
+    # both schemes run one loop over iterations, solvers._iterate: a HistoryEntry
+    # row is appended, or built inside a loop, nowhere else in the package, so a
+    # new start or scheme adds a start or a hook there and not a loop of its own
+    src = Path(nmeq.__file__).resolve().parent
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found = []
+
+    def is_row(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "HistoryEntry"
+
+    def visit(node, where, in_loop):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where, in_loop = f"{where.split('.')[0]}.{node.name}", False
+        in_loop = in_loop or isinstance(node, loops)
+        appended = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("append", "extend", "insert")
+                    and any(is_row(inner) for arg in node.args for inner in ast.walk(arg)))
+        if appended or (in_loop and is_row(node)):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, in_loop)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, False)
+    assert found and set(found) == {"solvers._iterate"}
+
+
 def test_benchmark_tracer_self_test_passes():
     # the benchmark's tracer looks its traced names up with getattr and checks
     # that it leaves no wrapper behind, so a removed traced name or a wrapped

@@ -1252,9 +1252,10 @@ def _frozen_spy(monkeypatch):
     np.linalg.cholesky and np.linalg.inv calls; of the iterates decomposed before
     their sequence first held a base, of frozen steps (on the sequence's own base or
     on its partner's, which it then adopts) and of re-bases (iterates decomposed
-    after the first base)."""
+    after the first base); and whether the last iterate decided froze."""
     counts = dict.fromkeys(
-        ("eigh", "eigvalsh", "cholesky", "inv", "before_freeze", "frozen", "adopted", "rebase"),
+        ("eigh", "eigvalsh", "cholesky", "inv", "before_freeze", "frozen", "adopted", "rebase",
+         "last_frozen"),
         0,
     )
     froze = set()
@@ -1267,9 +1268,10 @@ def _frozen_spy(monkeypatch):
 
         return counted
 
-    def counting_decide(self, Y, step, what, eig=None, partner_base=None):
+    def counting_decide(self, Y, step, it, eig=None, partner_base=None):
         frozen = counts["frozen"]
-        decide(self, Y, step, what, eig, partner_base)
+        decide(self, Y, step, it, eig, partner_base)
+        counts["last_frozen"] = counts["frozen"] - frozen
         if eig is None and counts["frozen"] == frozen:
             counts["rebase" if id(self) in froze else "before_freeze"] += 1
         if self.base is not None:
@@ -1311,9 +1313,9 @@ class TestFrozenBasis:
     """At n >= _FREEZE_MIN_N a settled sequence's powers are updated to first
     order in a frozen eigenbasis.  The solve must stay pinned to the plain
     numpy replay, and every iterate must get one positivity verdict: an eigh
-    before the freeze, at each re-base and for the last iterate or limit, the
-    Weyl certificate (for a coupled lane, its inner-matrix form) on every frozen
-    step."""
+    before the freeze and at each re-base, the Weyl certificate (for a coupled
+    lane, its inner-matrix form) on every frozen step.  The coupled limit takes
+    an eigh, and so does a last fixed-point iterate that froze, for the lift."""
 
     @pytest.mark.parametrize("cplx", [False, True])
     @pytest.mark.parametrize("n", [32, 64])
@@ -1326,14 +1328,18 @@ class TestFrozenBasis:
         monkeypatch.undo()
         assert rep.scheme.value == scheme and rep.preconditions_held and rep.converged
         assert counts["frozen"] >= 2
-        # the fixed-point Y_1 is decomposed by the precheck, outside the loop
-        start = 1 if scheme == "fixed-point" else 0
-        assert counts["eigh"] == start + counts["before_freeze"] + counts["rebase"] + 1
-        # one verdict per iterate: the fixed-point iterates Y_1 .. Y_N, or the
-        # coupled lanes' N_1 .. N_N (each deciding its inner matrix and X = N^-1)
-        # and the limit
-        verdicts = rep.iterations if scheme == "fixed-point" else 2 * rep.iterations + 1
-        assert counts["eigh"] + counts["frozen"] == verdicts
+        decomposed = counts["before_freeze"] + counts["rebase"]
+        if scheme == "fixed-point":
+            # one verdict per iterate Y_1 .. Y_N, Y_1's from the precheck's eigh; the
+            # last is decided in the loop, and when it froze the lift adds an eigh
+            last = counts["last_frozen"]
+            assert counts["eigh"] == 1 + decomposed + last
+            assert counts["eigh"] + counts["frozen"] == rep.iterations + last
+        else:
+            # one verdict per lane's N_1 .. N_N (each deciding its inner matrix and
+            # X = N^-1), and the limit's eigh
+            assert counts["eigh"] == decomposed + 1
+            assert counts["eigh"] + counts["frozen"] == 2 * rep.iterations + 1
         # no half-step inverts a matrix: the coupled solve inverts A once
         assert counts["cholesky"] == 0
         assert counts["inv"] == (scheme == "coupled")
@@ -1494,12 +1500,12 @@ def _exact_terms(N, A):
 
 
 class TestFrozenInverse:
-    """A coupled lane's half-step A M^-1 A* is X = N^-1.  The loop forms it only
-    for the refined bracket, and a lane frozen there forms it from its base N_f:
-    the first-order X_f - X_f D X_f for D = N - N_f.  It must agree with the
-    exact inverse within d^2 / (l_1 - d)^3 and rounding, and a step refused by the
-    certificate or by the remainder bound must be the exact step, verdict and
-    PositivityError text included."""
+    """A coupled lane's half-step A M^-1 A* is X = N^-1.  The solve forms it only
+    for the refined bracket, from the lane's eigh, or from a fresh eigh of N when
+    the lane froze there.  A frozen step itself takes no eigh, X must agree with
+    the exact inverse to rounding, and a step refused by the certificate or by the
+    remainder bound must be the exact step, verdict and PositivityError text
+    included."""
 
     @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [32, 64])
@@ -1520,7 +1526,7 @@ class TestFrozenInverse:
         rep = solvers.solve(P)
         monkeypatch.undo()
         assert rep.preconditions_held and rep.converged
-        # 13 or 14 of the 26 lane steps are frozen, each X within 10.9 eps of the exact inverse
+        # 13 or 14 of the 26 lane steps are frozen, each X within 8.2 eps of the exact inverse
         assert len(errors) >= 4 and max(errors) <= 16.0 * np.finfo(float).eps
         assert_reference_matches(P, rep, reference_iterates(P, rep))
 
@@ -1546,8 +1552,9 @@ class TestFrozenInverse:
         lane, calls = self._after_exact_step(N_f, A, monkeypatch)
         assert _lane_conditions(lane, N_f, N) == (True, True)
         lane.decide(N, 1e-13, 2)
-        X = lane.inverse()
         assert not calls
+        X = lane.inverse()
+        assert len(calls) == 1 and calls[0] is N
         exact = np.linalg.inv(N)
         assert np.linalg.norm(X - exact) <= 2e-15 * np.linalg.norm(exact)
 
@@ -1586,12 +1593,12 @@ class TestFrozenInverse:
     @pytest.mark.parametrize("budget", [_LANE_BUDGET, 1e-5], ids=["module", "loose"])
     @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
     def test_accepted_series_is_within_its_bound(self, cplx, budget):
-        # a frozen X = N^-1 is within d^2 / (l_1 - d)^3 of the exact inverse, up to
-        # rounding; with the default budget the bound is below rounding, at 1e-5
-        # it is far above it for many steps, and must still hold
+        # a frozen X = N^-1 is the inverse of N itself, within rounding of
+        # np.linalg.inv at any budget: at 1e-5 the first-order X_f - X_f D X_f
+        # would be past rounding for many of the accepted steps
         rng = np.random.default_rng([21, cplx])
         eps = np.finfo(float).eps
-        accepted = refused = above_rounding = 0
+        accepted = refused = 0
         for _ in range(150):
             # n in 2..32, N_f with eigenvalues in [1e-2, 10], and N = N_f + D for a
             # random Hermitian D with ||D||_F in [1e-14, 1e-2]
@@ -1609,18 +1616,13 @@ class TestFrozenInverse:
                 refused += 1
                 continue
             accepted += 1
-            d = float(np.linalg.norm(N - N_f))
-            bound = d**2 / (lane.base[1][0] - d) ** 3
             exact = np.linalg.inv(N)
             values = np.linalg.eigvalsh(N)
             # rounding of an inverse: a few eps times cond(N)
             rounding = 4.0 * eps * values[-1] / values[0] * np.linalg.norm(exact)
-            err = np.linalg.norm(lane.inverse() - exact)
-            assert err <= bound + rounding
-            above_rounding += err > 100.0 * rounding
+            assert np.linalg.norm(lane.inverse() - exact) <= rounding
         # 39-46 of 150 accepted at the default budget and 100-103 at the loose one
         assert refused > 0 and accepted > 30
-        assert (above_rounding > 0) == (budget > _LANE_BUDGET)
 
     @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
     def test_certificate_never_passes_a_failing_spectrum(self, cplx):
@@ -1658,23 +1660,6 @@ class TestFrozenInverse:
             refused_pd += exact and not certified
             failing += not exact
         assert passed > 100 and refused_pd > 0 and failing > 5
-
-    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
-    @pytest.mark.parametrize("drift", [1e-13, 1e-9])
-    def test_order_one_is_the_frechet_update(self, drift, cplx, monkeypatch):
-        # X_f - X_f D X_f with X_f = N_f^-1, the first-order update of the inverse:
-        # the divided differences of x^-1 are -1 / (l_i l_j)
-        N_f, N, A = _rotated_drift(cplx, drift)
-        lane, calls = self._after_exact_step(N_f, A, monkeypatch)
-        lane.decide(N, drift, 2)
-        X = lane.inverse()
-        assert not calls
-        X_f = np.linalg.inv(N_f)
-        frechet = mc.hermitian_part(X_f - X_f @ (N - N_f) @ X_f)
-        # the rounding of the two inverses of N_f, by eigh and by inv: eps cond(N_f)
-        values = np.linalg.eigvalsh(N_f)
-        rounding = 4.0 * np.finfo(float).eps * values[-1] / values[0]
-        assert np.linalg.norm(X - frechet) <= rounding * np.linalg.norm(frechet)
 
     @pytest.mark.parametrize("case", ["near the threshold", "rotated"])
     def test_lost_positivity_raises_the_exact_message(self, case, monkeypatch):
@@ -1718,10 +1703,10 @@ def _near_scalar_instance(cplx=False):
 
 class TestFrozenAtIterationOne:
     """At a large tol the lower lane freezes on its N_1, and the upper lane adopts
-    that base at iteration 1, so its N_1 is never decomposed.  The refined bracket
-    must not assume it is: the upper lane's Y_1 comes to first order from the base,
-    within d^2 / (l_1 - d)^3 of the plain pair's, d = ||N_1^u - N_1^l||_F and l_1 =
-    lambda_min(N_1^l), and the lower lane's X_1 from its eigh."""
+    that base at iteration 1, so its N_1 is not decomposed in the loop.  The
+    refined bracket must not rest on that base: the upper lane's Y_1 comes from a
+    fresh eigh of its N_1, the lower lane's X_1 from its own, and both match the
+    plain pair's to rounding, so the bracket's ends are the exact X_1 and Y_1."""
 
     @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
     def test_refined_bracket_from_the_adopted_base(self, cplx, monkeypatch):
@@ -1731,18 +1716,39 @@ class TestFrozenAtIterationOne:
         rep = solvers.solve(P, solvers.SolveOptions(tol=0.1 * P._norm_q))
         monkeypatch.undo()
         assert rep.preconditions_held and rep.converged
-        # the lower lane's N_1 and the limit are decomposed, the upper N_1 is not
-        assert (counts["eigh"], counts["frozen"], counts["adopted"]) == (2, 1, 1)
+        # the lower lane's N_1 and the limit are decomposed in the loop, the upper
+        # N_1 only for the refined bracket
+        assert (counts["eigh"], counts["frozen"], counts["adopted"]) == (3, 1, 1)
         X_1, Y_1 = reference_iterates(P, rep)[1]
-        N_l, N_u = np.linalg.inv(X_1), np.linalg.inv(Y_1)
-        d, l_1 = np.linalg.norm(N_u - N_l), np.linalg.eigvalsh(mc.hermitian_part(N_l))[0]
         lo, hi = rep.refined_bracket
-        eps = np.finfo(float).eps
-        rounding = 16.0 * eps * np.linalg.norm(Y_1)
+        rounding = 16.0 * np.finfo(float).eps * np.linalg.norm(Y_1)
+        # measured: up to 5.9 and 7.1 eps ||Y_1||_F
         assert np.linalg.norm(lo - X_1) <= rounding
-        # measured: 5.2e-8 of ||Y_1||_F, against a bound of 2.1e-7
-        gap = np.linalg.norm(hi - Y_1)
-        assert 100.0 * rounding < gap <= d**2 / (l_1 - d) ** 3 + rounding
+        assert np.linalg.norm(hi - Y_1) <= rounding
+
+
+class TestResume:
+    """Both schemes run one loop, which stops on the last history row and, called
+    again, resumes from it.  So a solve capped at max_iter = m is the full solve's
+    first m iterations: its history is the full one's prefix, it converges only at
+    the full count, and the coupled refined bracket, read between iteration 1 and
+    the rest, is the same.  Drawn at n = 24, where the sequences freeze."""
+
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("scheme", ["fixed-point", "coupled"])
+    def test_every_cap_is_a_prefix_of_the_full_solve(self, scheme, cplx, monkeypatch):
+        P = _dense_instance(np.random.default_rng([26, cplx]), 24, scheme, cplx)
+        counts = _frozen_spy(monkeypatch)
+        full = solvers.solve(P)
+        monkeypatch.undo()
+        assert full.converged and counts["frozen"] >= 2
+        for m in range(1, full.iterations + 1):
+            rep = solvers.solve(P, solvers.SolveOptions(max_iter=m))
+            assert rep.history == full.history[:m]
+            assert rep.converged == (m == full.iterations)
+            assert (rep.refined_bracket is None) == (scheme == "fixed-point")
+            for M, W in zip(rep.refined_bracket or (), full.refined_bracket or ()):
+                assert M.tobytes() == W.tobytes()
 
 
 class TestStepBound:
