@@ -88,7 +88,7 @@ class SolveOptions:
     max_iter: iteration cap, an integer >= 1 of any integer type but bool, kept as an int.
     alpha: starting scalar for the fixed-point scheme (None: alpha_search).
     b_upper: upper starting scalar for the coupled scheme (None: b_search).
-    tol, alpha and b_upper, when given, must be finite and positive.
+    tol, alpha and b_upper, when given, must be finite and positive; they are kept as floats.
     force: iterate even when preconditions fail; extremality becomes unknown.
     """
 
@@ -101,7 +101,7 @@ class SolveOptions:
     def __post_init__(self):
         for name in ("tol", "alpha", "b_upper"):
             if getattr(self, name) is not None:
-                _positive(getattr(self, name), name)
+                setattr(self, name, _positive(getattr(self, name), name))
         cap = self.max_iter
         is_int = hasattr(cap, "__index__") and not isinstance(cap, (bool, np.bool_))
         if not is_int or operator.index(cap) < 1:
@@ -310,16 +310,16 @@ def _freeze_budget(P: ProblemInstance, tol: float) -> float:
 class _Powers:
     """The terms M* Y^r M of one iterate sequence, for fixed pairs (r, M, ||M||_2)
     with r < 2 (an upper bound on ||M||_2 serves), each iterate with a positivity
-    verdict.
+    verdict: is_pd_spectrum of its own spectrum, or _weyl_certifies when frozen.
 
     A decomposed iterate Y = V diag(l) V* gets the verdict of is_pd_spectrum
     (_decompose) and keeps, per pair, l^r and W = V* M: its terms are
     W* diag(l^r) W.  A later Y = Y_f + D of a base Y_f takes the first-order
     (Daleckii-Krein) term W* (diag(l^r) + Gamma_r o V* D V) W, Gamma_r the divided
-    differences of x^r on l, and _weyl_certifies at the sequence's spread as its
-    verdict.  A coupled _Lane sets the spread and replaces _decompose, _drift and
-    _bound.  For d = ||D||_F < l_1 that term is within (1/2) |r (r - 1)| ||M||_2^2
-    (l_1 - d)^(r-2) d^2 of the exact one (Taylor's theorem with integral remainder;
+    differences of x^r on l, and _weyl_certifies as its verdict.  A coupled _Lane
+    names its iterates and replaces _drift and _bound.  For d = ||D||_F < l_1 that
+    term is within (1/2) |r (r - 1)| ||M||_2^2 (l_1 - d)^(r-2) d^2 of the exact
+    one (Taylor's theorem with integral remainder;
     Higham, Functions of Matrices, 2008, ch. 3; Bhatia, Matrix Analysis, 1997,
     ch. V), a bound _remainder sums over the pairs.  An iterate becomes the base
     when the bound at its predicted drift, its last step times min(1, step /
@@ -331,8 +331,10 @@ class _Powers:
     terms forms its terms, so that _iterate can stop between the two.
     """
 
-    def __init__(self, pairs: tuple, budget: float, spread: float = 1.0):
-        self.budget, self.spread = budget, spread
+    label = "iterate"  # a PositivityError's name for the iterate, before its iteration
+
+    def __init__(self, pairs: tuple, budget: float):
+        self.budget = budget
         # (r, M, (1/2) |r (r - 1)| ||M||_2^2) per pair, the last its weight in _remainder
         self.pairs = [(r, M, _monomial(0.5, (abs(r * (r - 1.0)), 1.0), (norm, 2.0)))
                       for r, M, norm in pairs]
@@ -385,7 +387,7 @@ class _Powers:
     def _decompose(self, Y: np.ndarray, it: int) -> tuple[np.ndarray, np.ndarray]:
         """eigh(Y), once Y, the iterate of iteration it, passed is_pd_spectrum."""
         values, vectors = np.linalg.eigh(Y)
-        _require_pd(values, f"iterate {it}")
+        _require_pd(values, f"{self.label} {it}")
         return values, vectors
 
     def _drift(self, D: np.ndarray) -> float:
@@ -411,21 +413,18 @@ class _Powers:
         D = Y - base[0]
         drift, values = self._drift(D), base[1]
         if not (self._remainder(values, drift) <= self.budget
-                and _weyl_certifies(values, drift, self.spread)):
+                and _weyl_certifies(values, drift)):
             return False
         self.iterate, self.current, self.low, self.base = D, Y, float(values[0]) - drift, base
         return True
 
 
-def _weyl_certifies(values: np.ndarray, drift: float, spread: float) -> bool:
-    """Whether low = l_1 - drift > 0 and low > spread PD_TOL (l_n + drift), for the
-    ascending spectrum l = values of a base Y_f: by Weyl, Y_f + D has its spectrum in
-    [low, l_n + drift] for every Hermitian D with ||D||_F <= drift.  Spread 1 proves
-    is_pd_spectrum(Y_f + D) (l_n stands for the largest modulus: where they differ,
-    low < 0); a _Lane takes 2 cond(A)^2, past 1 / PD_TOL once cond(A) > 7e5, where
-    the second test no longer implies low > 0."""
-    low, high = float(values[0]) - drift, float(values[-1]) + drift
-    return low > 0.0 and low > spread * mc.PD_TOL * high
+def _weyl_certifies(values: np.ndarray, drift: float) -> bool:
+    """Whether is_pd_spectrum passes on [l_1 - drift, l_n + drift], for the ascending
+    spectrum l = values of a base Y_f: by Weyl, Y_f + D has its spectrum there for
+    every Hermitian D with ||D||_F <= drift, so this proves is_pd_spectrum(Y_f + D)
+    (l_n stands for the largest modulus: where they differ, l_1 - drift < 0)."""
+    return mc.is_pd_spectrum((float(values[0]) - drift, float(values[-1]) + drift))
 
 
 def _divided_differences(values: np.ndarray, r: float) -> np.ndarray:
@@ -456,22 +455,17 @@ def _iterate(seqs, C: np.ndarray, history: list[HistoryEntry], tol: float, max_i
     within tol, and return whether it is; called again, it resumes.  A next iterate is
     C minus its sequence's first term and its partner's second (the fixed-point one
     is its own partner); it is decided before any terms are formed, so the last forms
-    none, and a coupled lane's lost iterate is raised once both inner matrices are."""
+    none, and the first iterate that fails its verdict raises PositivityError."""
     for it in range(len(history) + 1, max_iter + 1):
         if history and max(history[-1][1:]) <= tol:
             break
         terms = [seq.terms() for seq in seqs]
         nexts = [mc.hermitian_part(C - own[0] - other[1]) for own, other in zip(terms, terms[::-1])]
-        bounds, lost = [], []
+        bounds = []
         for seq, other, Y in zip(seqs, seqs[::-1], nexts):
             low, step = seq.low, seq._drift(Y - seq.current)
-            try:
-                seq.decide(Y, step, it, None, other.base)
-            except _LostIterate as err:
-                lost.append(err)
+            seq.decide(Y, step, it, None, other.base)
             bounds.append(seq._bound(step, low))
-        if lost:
-            raise lost[0]
         history.append(HistoryEntry(it, bounds[0], bounds[-1]))
     return max(history[-1][1:]) <= tol
 
@@ -717,17 +711,18 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
     Y_0 = b I, stopping when the larger of the two step bounds of HistoryEntry
     drops to opts.tol.  The lower sequence ascends, the upper descends, and both
     converge to the minimal solution; the first pair (X_1, Y_1) is returned
-    as a refined bracket.  Loss of positive definiteness of the inverted
-    matrix aborts with a diagnostic, and an instance whose lower starting
-    scalar a = lambda_min(A Q^-1 A*) rounds to 0 is rejected up front, even
-    with force.
+    as a refined bracket.  An iterate that is not positive definite aborts
+    with PositivityError, and an instance whose lower starting scalar
+    a = lambda_min(A Q^-1 A*) rounds to 0 is rejected up front, even with force.
 
     The loop is _iterate with two _Lanes, partners, each in the inverse variable N = X^-1:
     N_{n+1} = Q~ - A^* N_n^(-s/t) A^ - B^* (N_n')^(p/t) B^, with A^ = A^-1, Q~ = A^* Q A^,
     B^ = B A^ and N_n' the other lane's iterate, as F(X, Y)^-1 = A^-* (Q - X^{s/t} -
-    B* Y^{-p/t} B) A^-1, so A is inverted once per solve.  X = N^-1 is formed only for
-    the refined bracket, read after iteration 1, and the limit ((N_x + N_y)/2)^-1, in
-    [X_n, Y_n], gets its own eigh, which feeds the lift and the residual.
+    B* Y^{-p/t} B) A^-1, so A is inverted once per solve.  N is congruent to the inverted
+    matrix, so each lane's N gets the one verdict of an iterate (see _Lane).  X = N^-1
+    is formed only for the refined bracket, read after iteration 1, and the limit
+    ((N_x + N_y)/2)^-1, in [X_n, Y_n], gets its own eigh, which feeds the lift and
+    the residual.
     """
     if opts is None:
         opts = SolveOptions()
@@ -770,11 +765,6 @@ def solve_coupled(P: ProblemInstance, opts: SolveOptions | None = None) -> Solve
                              mc.eig_power(values, vectors, -1.0), 1.0 / values, vectors, refined)
 
 
-class _LostIterate(PositivityError):
-    """An iterate of a coupled lane that failed its verdict; _iterate raises it once
-    the other lane's inner matrix is decided."""
-
-
 class _Lane(_Powers):
     """One lane of the coupled pair in the inverse variable N = X^-1 (the lower
     lane's X, or the upper's Y), for the A^ = A^-1 of its solve, freeze budget and
@@ -782,48 +772,23 @@ class _Lane(_Powers):
     sigma_min(A)) give A^* N^(-s/t) A^ for its own next N and B^* N^(p/t) B^ for
     the other lane's; ||B^||_2 <= ||B|| ||A^||_2 needs no SVD.
 
-    N stands for the inner matrix M = A* N A of the step that formed X, and gets
-    the verdicts of a loop in X: is_pd_spectrum(M), then is_pd_spectrum(X), the
-    same inequality as is_pd_spectrum(N).  For N > 0, lambda_min(M) >=
-    sigma_min(A)^2 lambda_min(N) and lambda_max(M) <= sigma_max(A)^2 lambda_max(N),
-    so lambda_min(N) > 0 with sigma_min^2 lambda_min(N) > 2 PD_TOL sigma_max^2
-    lambda_max(N) passes both (the factor 2 absorbs rounding; N passes, as
-    2 cond(A)^2 >= 1): _weyl_certifies at spread 2 cond(A)^2, at drift 0 for a
-    decomposed N, whose M is formed and decided by eigvalsh when it fails, and at d frozen.
-
-    Every N > 0 has N <= Q~ <= I / a, as a = lambda_min(A Q^-1 A*) =
-    1 / lambda_max(Q~), so a drift in N is measured at the power-of-two scale of
-    1 / a: exactly, and in range at any scale of X.
+    N = A^-* M A^-1 is congruent to the inner matrix M of the step that formed X, so
+    by Sylvester's law of inertia it is positive definite exactly when M (and X) is:
+    N gets the one verdict of an iterate, and a PositivityError names its lane.  Where
+    the precheck holds, domination gives M >= A* A / b, so N lies in [I / b, I / a]
+    and passes while b / a < 1 / PD_TOL.  Every N > 0 has N <= Q~ <= I / a, as
+    a = lambda_min(A Q^-1 A*) = 1 / lambda_max(Q~), so a drift in N is measured at
+    the power-of-two scale of 1 / a: exactly, and in range at any scale of X.
     """
 
     def __init__(self, P: ProblemInstance, a_inv: np.ndarray, budget: float, a: float, name: str):
         sigma_min = P._sigma_min_a
-        super().__init__(
-            ((-P.s / P.t, a_inv, _monomial(1.0, (sigma_min, -1.0))),
-             (P.p / P.t, P.B @ a_inv, _monomial(1.0, (P._norm_b, 1.0), (sigma_min, -1.0)))),
-            budget,
-            _monomial(2.0, (P._norm_a, 2.0), (sigma_min, -2.0)),  # 2 cond(A)^2
-        )
-        self.A, self.name = P.A, name
+        pairs = ((-P.s / P.t, a_inv, _monomial(1.0, (sigma_min, -1.0))),
+                 (P.p / P.t, P.B @ a_inv, _monomial(1.0, (P._norm_b, 1.0), (sigma_min, -1.0))))
+        super().__init__(pairs, budget)
+        self.label = f"{name} iterate"
         exponent = math.frexp(a)[1]
         self.unit, self.scale = math.ldexp(1.0, exponent), math.ldexp(1.0, -exponent)
-
-    def _decompose(self, N: np.ndarray, it: int) -> tuple[np.ndarray, np.ndarray]:
-        """eigh(N), once the inner matrix and the iterate of iteration it passed."""
-        values, vectors = np.linalg.eigh(N)
-        if not _weyl_certifies(values, 0.0, self.spread):
-            inner = np.linalg.eigvalsh(mc.hermitian_part(self.A.conj().T @ N @ self.A))
-            if not mc.is_pd_spectrum(inner):
-                raise PositivityError(
-                    f"inverted matrix Q - X^(s/t) - B* Y^(-p/t) B lost positive "
-                    f"definiteness at iteration {it} (lambda_min = {inner[0]:.3e})"
-                )
-            if not mc.is_pd_spectrum(values):
-                raise _LostIterate(
-                    f"{self.name} iterate {it} is not positive definite "
-                    f"(lambda_min = {1.0 / values[-1]:.3e})"
-                )
-        return values, vectors
 
     def _drift(self, D: np.ndarray) -> float:
         return float(np.linalg.norm(D * self.unit)) * self.scale

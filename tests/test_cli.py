@@ -151,6 +151,16 @@ class TestSolve:
         assert res.stdout == ""
         assert res.stderr == "error: iterate 1 is not positive definite (lambda_min = -4.555e+02)\n"
 
+    def test_forced_indefinite_coupled_iterate_exits_4(self):
+        # at b = 20 the upper lane's N_1 = Y_1^-1, congruent to its inner matrix
+        # Q - Y_0^(s/t) - B* X_0^(-p/t) B, is indefinite; the error names the lane
+        res = run_cli("solve", "--example", "2", "--b", "20", "--force")
+        assert res.returncode == 4
+        assert res.stdout == ""
+        assert res.stderr == (
+            "error: upper iterate 1 is not positive definite (lambda_min = -7.770e-01)\n"
+        )
+
     def test_forced_overflowing_first_weight_exits_3(self):
         # alpha^(-t/s) = 1e400 overflows, so the forced fixed-point run has no Y_1
         res = run_cli(

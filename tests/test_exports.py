@@ -127,6 +127,31 @@ def test_history_rows_are_appended_only_in_the_one_loop():
     assert found and set(found) == {"solvers._iterate"}
 
 
+def test_positivity_errors_are_built_only_in_require_pd():
+    # every positivity verdict, of a fixed-point iterate, a coupled lane's N or a
+    # limit, is worded by solvers._require_pd: no other function builds a
+    # PositivityError and no class derives from it
+    src = Path(nmeq.__file__).resolve().parent
+    found = []
+
+    def names_error(node):
+        return getattr(node, "id", getattr(node, "attr", None)) == "PositivityError"
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.ClassDef) and any(names_error(base) for base in node.bases):
+            found.append(where)
+        if isinstance(node, ast.Call) and names_error(node.func):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert found == ["solvers._require_pd"]
+
+
 def test_benchmark_tracer_self_test_passes():
     # the benchmark's tracer looks its traced names up with getattr and checks
     # that it leaves no wrapper behind, so a removed traced name or a wrapped
